@@ -29,14 +29,12 @@ from .ir import (
 )
 from .kernels import (
     GainFork,
-    MultiReadRingBuffer,
     PassiveFork,
     PassiveInterleave,
     SimpleFifo,
     capacity_rule,
-    check_mapping_equivalence,
 )
-from .runtime import ExecStats, compare_streams, instantiate
+from .runtime import ExecStats, check_mapping_equivalence, compare_streams, instantiate
 from .transform import (
     BmrReport,
     compute_bmr,
@@ -65,7 +63,6 @@ __all__ = [
     "F64",
     "GainFork",
     "I64",
-    "MultiReadRingBuffer",
     "PSSV",
     "Pafg",
     "PassiveFork",

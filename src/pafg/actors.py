@@ -1,4 +1,4 @@
-"""Active (enable/invoke) implementations of the built-in actor kinds and
+"""Active (rates/ready/invoke) implementations of the built-in actor kinds and
 the default library wiring them to their passive counterparts.
 
 Buffer actors (fork, gain-fork, interleave) have both forms; everything

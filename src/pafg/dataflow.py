@@ -1,4 +1,4 @@
-"""Application-graph layer: actors with enable/invoke semantics, typed
+"""Application-graph layer: actors with a rates/ready/invoke contract, typed
 FIFO edges, and the actor library that records which kinds also have a
 passive (read/write) implementation.
 
@@ -9,7 +9,7 @@ from the library when a graph is instantiated for execution.
 
 from dataclasses import dataclass, field
 
-from .errors import ModelError, UnknownKindError, UnknownPortError
+from .errors import ModelError, UnknownKindError
 from .graph import DirectedGraph
 
 F64 = "f64"
@@ -54,8 +54,10 @@ class ActorSpec:
 
 class CfdfActor:
     """Behavioral contract for actors: finite modes with fixed per-port
-    rates, a side-effect-free enable test, and an invoke that consumes and
+    rates, a side-effect-free ready() test, and an invoke that consumes and
     produces exactly the declared counts before selecting the next mode.
+    An actor is enabled when its input populations and output space cover
+    the current mode's rates and ready() holds; the engine makes that test.
 
     Subclasses define input_ports/output_ports, rate tables per mode, and
     the token function in invoke().
@@ -80,28 +82,6 @@ class CfdfActor:
     def ready(self):
         """Extra internal fireability condition (e.g. source data left)."""
         return True
-
-    def enable(self, input_populations, output_free_space):
-        """True iff the current mode can fire against the reported buffer
-        populations and free space. Never mutates state."""
-        self._check_ports(input_populations, self.input_ports, "input")
-        self._check_ports(output_free_space, self.output_ports, "output")
-        consume, produce = self.rates()
-        for port, need in consume.items():
-            if input_populations[port] < need:
-                return False
-        for port, need in produce.items():
-            if output_free_space[port] < need:
-                return False
-        return self.ready()
-
-    def _check_ports(self, reported, declared, side):
-        for port in reported:
-            if port not in declared:
-                raise UnknownPortError(f"{self.name}: unknown {side} port {port!r}")
-        for port in declared:
-            if port not in reported:
-                raise UnknownPortError(f"{self.name}: {side} port {port!r} not reported")
 
     def invoke(self, inputs):
         """Fire once: consume the supplied tokens (exactly the declared

@@ -1,15 +1,11 @@
-"""Executable passive blocks: the multi-read-pointer ring buffer and its
+"""Executable passive blocks: the multi-read-pointer ring kernel and its
 behavioral specializations (simple FIFO, passive fork, gain-fork, passive
-interleaver), plus the harness that checks a passive kernel against the
-active enable/invoke realization of the same function.
+interleaver).
 
 Pointers are unbounded monotonic counters; slots are addressed index mod
 capacity, which avoids the full/empty wraparound ambiguity. A slot is
 reused only once the slowest read pointer has passed it.
 """
-
-from collections import deque
-from dataclasses import dataclass
 
 from .errors import (
     BufferEmptyError,
@@ -20,65 +16,26 @@ from .errors import (
 )
 
 
-class MultiReadRingBuffer:
-    """Bounded token store with one write pointer and k independent read
-    pointers. Port i always observes the exact write sequence (after the
-    optional write transform), first-in first-out."""
-
-    def __init__(self, capacity, read_ports=1, write_transform=None):
-        if capacity < 1:
-            raise KernelError("capacity must be >= 1")
-        if read_ports < 1:
-            raise KernelError("need at least one read port")
-        self.capacity = capacity
-        self._slots = [None] * capacity
-        self.wptr = 0
-        self.rptr = [0] * read_ports
-        self._transform = write_transform
-        self.stores = 0
-
-    def free_space(self):
-        return self.capacity - (self.wptr - min(self.rptr))
-
-    def population(self, port):
-        return self.wptr - self.rptr[port]
-
-    def write(self, token):
-        if self.free_space() < 1:
-            raise BufferFullError(f"ring full (capacity {self.capacity})")
-        if self._transform is not None:
-            token = self._transform(token)
-        self._slots[self.wptr % self.capacity] = token
-        self.wptr += 1
-        self.stores += 1
-
-    def read(self, port):
-        if self.population(port) < 1:
-            raise BufferEmptyError(f"read port {port} is empty")
-        token = self._slots[self.rptr[port] % self.capacity]
-        self.rptr[port] += 1
-        return token
-
-
 class PassiveKernel:
-    """Port-named facade over one ring buffer. Write and read port names
-    match the corresponding actor's port names so schedulers can bind
-    producer/consumer ports without extra tables."""
+    """Bounded token store with one write pointer and one independent read
+    pointer per read port. Every read port observes the exact write
+    sequence (after the optional write transform), first-in first-out.
+    Write and read port names match the corresponding actor's port names
+    so schedulers can bind producer/consumer ports without extra tables."""
 
     write_ports = ("in",)
     read_ports = ("out",)
 
-    def __init__(self, capacity, read_ports=1, write_transform=None):
-        self._ring = MultiReadRingBuffer(capacity, read_ports, write_transform)
+    def __init__(self, capacity, write_transform=None):
+        if capacity < 1:
+            raise KernelError("capacity must be >= 1")
+        self.capacity = capacity
+        self._slots = [None] * capacity
+        self.wptr = 0
+        self.rptr = [0] * len(self.read_ports)
         self._read_index = {name: i for i, name in enumerate(self.read_ports)}
-
-    @property
-    def capacity(self):
-        return self._ring.capacity
-
-    @property
-    def stores(self):
-        return self._ring.stores
+        self._transform = write_transform
+        self.stores = 0
 
     def _require_write(self, port):
         if port not in self.write_ports:
@@ -90,20 +47,37 @@ class PassiveKernel:
         except KeyError:
             raise UnknownPortError(f"unknown read port {port!r}") from None
 
+    def _free(self):
+        return self.capacity - (self.wptr - min(self.rptr))
+
+    def _store(self, token):
+        if self._free() < 1:
+            raise BufferFullError(f"ring full (capacity {self.capacity})")
+        if self._transform is not None:
+            token = self._transform(token)
+        self._slots[self.wptr % self.capacity] = token
+        self.wptr += 1
+        self.stores += 1
+
     def writable(self, port):
         """Number of tokens currently admissible on this write port."""
         self._require_write(port)
-        return self._ring.free_space()
+        return self._free()
 
     def write(self, port, token):
         self._require_write(port)
-        self._ring.write(token)
+        self._store(token)
 
     def population(self, port):
-        return self._ring.population(self._rindex(port))
+        return self.wptr - self.rptr[self._rindex(port)]
 
     def read(self, port):
-        return self._ring.read(self._rindex(port))
+        i = self._rindex(port)
+        r = self.rptr[i]
+        if self.wptr == r:
+            raise BufferEmptyError(f"read port {port!r} is empty")
+        self.rptr[i] = r + 1
+        return self._slots[r % self.capacity]
 
     def populations(self):
         return {p: self.population(p) for p in self.read_ports}
@@ -120,13 +94,12 @@ class PassiveFork(PassiveKernel):
     broadcast happens by reading, with no per-output copies."""
 
     kind = "fork"
-    write_ports = ("in",)
 
     def __init__(self, capacity, fanout):
         if fanout < 1:
             raise KernelError("fork fanout must be >= 1")
         self.read_ports = tuple(f"out{i}" for i in range(fanout))
-        super().__init__(capacity, read_ports=fanout)
+        super().__init__(capacity)
 
 
 class GainFork(PassiveKernel):
@@ -134,14 +107,13 @@ class GainFork(PassiveKernel):
     the multiplication happens once regardless of the reader count."""
 
     kind = "gain-fork"
-    write_ports = ("in",)
 
     def __init__(self, capacity, gain, fanout=1):
         if fanout < 1:
             raise KernelError("gain-fork fanout must be >= 1")
         self.gain = gain
         self.read_ports = tuple(f"out{i}" for i in range(fanout))
-        super().__init__(capacity, read_ports=fanout, write_transform=lambda t: gain * t)
+        super().__init__(capacity, write_transform=lambda t: gain * t)
 
 
 class PassiveInterleave(PassiveKernel):
@@ -156,22 +128,22 @@ class PassiveInterleave(PassiveKernel):
         if read_fanout < 1:
             raise KernelError("interleave needs at least one read port")
         self.read_ports = tuple(f"out{i}" for i in range(read_fanout))
-        super().__init__(capacity, read_ports=read_fanout)
+        super().__init__(capacity)
 
     def _turn(self):
-        return "re" if self._ring.wptr % 2 == 0 else "im"
+        return "re" if self.wptr % 2 == 0 else "im"
 
     def writable(self, port):
         self._require_write(port)
         if port != self._turn():
             return 0
-        return min(1, self._ring.free_space())
+        return min(1, self._free())
 
     def write(self, port, token):
         self._require_write(port)
         if port != self._turn():
             raise OutOfTurnWriteError(f"write to {port!r} out of turn (expected {self._turn()!r})")
-        self._ring.write(token)
+        self._store(token)
 
 
 def capacity_rule(kind, input_capacities):
@@ -189,125 +161,3 @@ def capacity_rule(kind, input_capacities):
             raise KernelError(f"interleave kernel expects two input buffers, got {len(caps)}")
         return caps[0] + caps[1]
     raise KernelError(f"no capacity rule for kind {kind!r}")
-
-
-@dataclass
-class Divergence:
-    port: str
-    index: int
-    active_value: object
-    passive_value: object
-
-
-@dataclass
-class ActiveSubgraph:
-    """An actor network driven through enable/invoke with dedicated
-    unbounded FIFOs, used as the reference side of equivalence checks.
-
-    internal wires connect (actor, port) pairs; inputs/outputs name the
-    external ports and map them onto actor ports. External names should
-    match the passive kernel's port names.
-    """
-
-    actors: list
-    internal: list
-    inputs: dict
-    outputs: dict
-
-    def run(self, input_streams):
-        by_name = {a.name: a for a in self.actors}
-        in_fifos = {}
-        out_streams = {}
-        # (actor, port) -> deque feeding it / list collecting from it
-        feeds = {}
-        sinks = {}
-        wires = []
-        for (pa, pp), (ca, cp) in self.internal:
-            q = deque()
-            wires.append(((pa, pp), (ca, cp), q))
-            feeds[(ca, cp)] = q
-        for ext, (actor, port) in self.inputs.items():
-            q = deque(input_streams[ext])
-            in_fifos[ext] = q
-            feeds[(actor, port)] = q
-        for ext, (actor, port) in self.outputs.items():
-            out_streams[ext] = []
-            sinks[(actor, port)] = out_streams[ext]
-
-        produce_targets = {}
-        for (pa, pp), _, q in wires:
-            produce_targets[(pa, pp)] = q
-
-        fired = True
-        while fired:
-            fired = False
-            for actor in self.actors:
-                pops = {p: len(feeds.get((actor.name, p), ())) for p in actor.input_ports}
-                free = {p: 1 << 30 for p in actor.output_ports}
-                if not actor.enable(pops, free):
-                    continue
-                consume, produce = actor.rates()
-                taken = {
-                    p: [feeds[(actor.name, p)].popleft() for _ in range(n)]
-                    for p, n in consume.items()
-                }
-                outputs = actor.invoke(taken)
-                for p, n in produce.items():
-                    values = outputs.get(p, [])
-                    if len(values) != n:
-                        raise KernelError(
-                            f"{actor.name}.{p}: produced {len(values)} tokens, declared {n}"
-                        )
-                    target = produce_targets.get((actor.name, p))
-                    if target is not None:
-                        target.extend(values)
-                    else:
-                        sinks.get((actor.name, p), []).extend(values)
-                fired = True
-        return out_streams
-
-
-def run_passive(kernel, input_streams):
-    """Drive a passive kernel by writing the input streams (respecting
-    per-port admissibility) and eagerly draining every read port."""
-    pending = {p: deque(input_streams.get(p, ())) for p in kernel.write_ports}
-    collected = {p: [] for p in kernel.read_ports}
-    while True:
-        progress = False
-        for port in kernel.read_ports:
-            while kernel.population(port) > 0:
-                collected[port].append(kernel.read(port))
-                progress = True
-        for port in kernel.write_ports:
-            if pending[port] and kernel.writable(port) >= 1:
-                kernel.write(port, pending[port].popleft())
-                progress = True
-        if not progress:
-            break
-    if any(pending.values()):
-        stuck = {p: len(q) for p, q in pending.items() if q}
-        raise KernelError(f"passive drive stalled with pending writes: {stuck}")
-    return collected
-
-
-def check_mapping_equivalence(active, passive, input_streams):
-    """Compare the stream mapping of an active subgraph against a passive
-    kernel on the given finite input streams. Returns (equal, divergence);
-    on failure the divergence reports the first differing (port, index)."""
-    active_out = active.run(dict(input_streams))
-    passive_out = run_passive(passive, dict(input_streams))
-    if set(active_out) != set(passive_out):
-        raise KernelError(
-            f"output port mismatch: active {sorted(active_out)} vs passive {sorted(passive_out)}"
-        )
-    for port in sorted(active_out):
-        a, p = active_out[port], passive_out[port]
-        for i in range(min(len(a), len(p))):
-            if a[i] != p[i]:
-                return False, Divergence(port, i, a[i], p[i])
-        if len(a) != len(p):
-            i = min(len(a), len(p))
-            return False, Divergence(
-                port, i, a[i] if i < len(a) else None, p[i] if i < len(p) else None
-            )
-    return True, None

@@ -2,11 +2,16 @@
 
 The direct PAFG of a graph is its pure dataflow form, so one engine covers
 both the original and the transformed program: active blocks are driven
-through enable/invoke, passive blocks are the buffers between them. The
-scheduler is a round-robin sweep over the active blocks in block-name
+through rates/ready/invoke, passive blocks are the buffers between them.
+The scheduler is a round-robin sweep over the active blocks in block-name
 order (a permutation can be supplied for determinacy experiments); a sweep
-invokes every block whose enable holds. Instrumentation counts every token
-stored into passive-block memory.
+invokes every block that is enabled, i.e. whose input populations and
+output space cover its current rates and whose ready() holds.
+Instrumentation counts every token stored into passive-block memory.
+
+The same engine is the equivalence harness: an active subgraph and its
+passive replacement are two realizations of one stream mapping, checked by
+running both PAFGs on the same source streams and comparing sink streams.
 """
 
 import time
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 from .errors import (
     ContractViolationError,
     DeadlockError,
+    KernelError,
     MissingImplementationError,
     RuntimeExecutionError,
     UnboundIoError,
@@ -22,8 +28,6 @@ from .errors import (
 from .ir import EdgeRef, PSSV, is_alternating, validate_coordinated
 from .kernels import SimpleFifo
 from .transform import compute_bmr
-
-MAX_SWEEPS_DEFAULT = 10**9
 
 
 @dataclass
@@ -49,9 +53,8 @@ class ExecutionInstance:
     live actors for its active blocks, and every actor port bound to a
     kernel port."""
 
-    def __init__(self, z, lib, actors, kernels, in_bindings, out_bindings):
+    def __init__(self, z, actors, kernels, in_bindings, out_bindings):
         self.z = z
-        self.lib = lib
         self.actors = actors
         self.kernels = kernels
         self.in_bindings = in_bindings
@@ -68,11 +71,11 @@ class ExecutionInstance:
             name: kernel.populations() for name, kernel in sorted(self.kernels.items())
         }
 
-    def run(self, sink_token_target=None, max_iterations=None, order=None,
-            max_sweeps=MAX_SWEEPS_DEFAULT):
+    def run(self, sink_token_target=None, max_iterations=None, order=None):
         """Sweep until the stop condition is met. With a sink-token target,
-        a sweep that fires nothing first is a deadlock; without one the run
-        simply stops at quiescence or after max_iterations sweeps."""
+        a sweep that fires nothing first is a deadlock, and so is reaching
+        max_iterations sweeps first; without one the run simply stops at
+        quiescence or after max_iterations sweeps."""
         if order is None:
             order = sorted(self.actors)
         else:
@@ -87,9 +90,12 @@ class ExecutionInstance:
         done = sink_token_target is not None and sink_tokens >= sink_token_target
         while not done:
             if max_iterations is not None and sweeps >= max_iterations:
+                if sink_token_target is not None:
+                    raise RuntimeExecutionError(
+                        f"reached {max_iterations} sweeps after {sink_tokens} of "
+                        f"{sink_token_target} sink tokens"
+                    )
                 break
-            if sweeps >= max_sweeps:
-                raise RuntimeExecutionError(f"exceeded max sweeps ({max_sweeps})")
             fired = False
             for station in schedule:
                 consumed = self._try_fire(station)
@@ -244,7 +250,7 @@ def instantiate(z, lib, source_data):
     unknown = set(source_data) - {n for n, a in actors.items() if a.is_source}
     if unknown:
         raise UnboundIoError(f"input data bound to non-source actor(s): {sorted(unknown)}")
-    return ExecutionInstance(z, lib, actors, kernels, in_bindings, out_bindings)
+    return ExecutionInstance(z, actors, kernels, in_bindings, out_bindings)
 
 
 @dataclass
@@ -276,3 +282,20 @@ def compare_streams(a, b):
                 right[i] if i < len(right) else None,
             )
     return True, None
+
+
+def check_mapping_equivalence(reference, candidate, lib, source_data):
+    """Compare the stream mappings of two coordinated PAFGs, typically an
+    active subgraph's direct PAFG and its passivized replacement, on the
+    same finite source streams. Both run to quiescence on this engine.
+    Returns compare_streams(reference sinks, candidate sinks); a run that
+    stops while a source still has data to emit raises KernelError."""
+    streams = []
+    for label, z in (("reference", reference), ("candidate", candidate)):
+        instance = instantiate(z, lib, source_data)
+        instance.run()
+        stalled = sorted(n for n, a in instance.actors.items() if a.is_source and a.ready())
+        if stalled:
+            raise KernelError(f"{label} run stalled with source data left in {stalled}")
+        streams.append(instance.sink_streams())
+    return compare_streams(*streams)

@@ -22,15 +22,8 @@ from pafg.apps import (
     generate_evm_inputs,
 )
 from pafg.ir import ACTV, PSSV, check_abc, check_association, is_alternating, validate_coordinated
-from pafg.kernels import (
-    GainFork,
-    MultiReadRingBuffer,
-    PassiveFork,
-    PassiveInterleave,
-    capacity_rule,
-    check_mapping_equivalence,
-)
-from pafg.runtime import compare_streams, instantiate
+from pafg.kernels import PassiveFork, capacity_rule
+from pafg.runtime import check_mapping_equivalence, compare_streams, instantiate
 from pafg.transform import (
     assert_step_arithmetic,
     compute_bmr,
@@ -40,8 +33,13 @@ from pafg.transform import (
     passivize,
     passivize_fixpoint,
 )
-from test_kernels import fork_subgraph, gain_fork_subgraph, interleave_subgraph
-from topologies import ten_plus_four_graph
+from topologies import (
+    fork_graph,
+    gain_fork_graph,
+    gain_then_fork_graph,
+    interleave_graph,
+    ten_plus_four_graph,
+)
 
 LIB = default_library()
 
@@ -218,32 +216,41 @@ def test_criterion_5_copy_count_dominance():
 def test_criterion_6_kernel_property_suites():
     with criterion(6, "ring-buffer invariants and mapping equivalence"):
         rng = random.Random(6000)
-        ring = MultiReadRingBuffer(capacity=5, read_ports=3)
+        fork = PassiveFork(5, fanout=3)
+        ports = fork.read_ports
         written = []
-        read_count = [0, 0, 0]
+        read_count = {p: 0 for p in ports}
         for step in range(10_000):
             choices = []
-            if ring.free_space() > 0:
-                choices.append(-1)
-            choices.extend(p for p in range(3) if ring.population(p) > 0)
+            if fork.writable("in") > 0:
+                choices.append(None)
+            choices.extend(p for p in ports if fork.population(p) > 0)
             op = rng.choice(choices)
-            if op == -1:
-                ring.write(rng.random())
-                written.append(ring._slots[(ring.wptr - 1) % ring.capacity])
+            if op is None:
+                value = rng.random()
+                fork.write("in", value)
+                written.append(value)
             else:
-                assert ring.read(op) == written[read_count[op]]
+                assert fork.read(op) == written[read_count[op]]
                 read_count[op] += 1
-            assert 0 <= ring.wptr - min(ring.rptr) <= ring.capacity
-            assert all(0 <= ring.population(p) <= ring.capacity for p in range(3))
+            assert 0 <= fork.wptr - min(fork.rptr) <= fork.capacity
+            assert all(0 <= fork.population(p) <= fork.capacity for p in ports)
+
+        def passivized(graph):
+            z, log = passivize_fixpoint(derive_direct_pafg(graph, LIB), LIB)
+            assert log
+            return z
 
         stream = [rng.uniform(-100, 100) for _ in range(10_000)]
+        fork_app = fork_graph(fanout=2, capacity=16)
         ok, div = check_mapping_equivalence(
-            fork_subgraph(fanout=2), PassiveFork(16, fanout=2), {"in": stream}
+            derive_direct_pafg(fork_app, LIB), passivized(fork_app), LIB, {"in": stream}
         )
         assert ok, div
         ok, div = check_mapping_equivalence(
-            gain_fork_subgraph(k=1.7, fanout=2),
-            GainFork(16, gain=1.7, fanout=2),
+            derive_direct_pafg(gain_then_fork_graph(k=1.7, fanout=2, capacity=16), LIB),
+            passivized(gain_fork_graph(k=1.7, fanout=2, capacity=16)),
+            LIB,
             {"in": stream},
         )
         assert ok, div
@@ -251,8 +258,9 @@ def test_criterion_6_kernel_property_suites():
             "re": [rng.uniform(-1, 1) for _ in range(5000)],
             "im": [rng.uniform(-1, 1) for _ in range(5000)],
         }
+        il_app = interleave_graph(fanout=2, capacity=16)
         ok, div = check_mapping_equivalence(
-            interleave_subgraph(fanout=2), PassiveInterleave(32, read_fanout=2), pairs
+            derive_direct_pafg(il_app, LIB), passivized(il_app), LIB, pairs
         )
         assert ok, div
 

@@ -3,44 +3,78 @@ import pytest
 from pafg.actors import (
     ForkActor,
     GainActor,
-    SourceActor,
     VarSourceActor,
     WindowAverageActor,
     default_library,
 )
 from pafg.dataflow import ActorSpec, AppGraphBuilder
-from pafg.errors import ModelError, UnknownKindError, UnknownPortError
+from pafg.errors import ModelError, UnknownKindError
+from pafg.runtime import instantiate
+from pafg.transform import derive_direct_pafg
+
+
+def one_block_instance(block, kind, source_data=None, capacity=4, **params):
+    """SRC -> block -> one sink per output port over direct FIFOs. The
+    source emits source_data (none by default), so the tests preload the
+    FIFOs to set the block's input populations and output space."""
+    lib = default_library()
+    actor = lib.make_active(ActorSpec(block, kind, params))
+    b = AppGraphBuilder().actor("SRC", "src").actor(block, kind, **params)
+    b.edge("SRC.out", f"{block}.{actor.input_ports[0]}", capacity=capacity)
+    for port in actor.output_ports:
+        b.actor(f"SNK_{port}", "snk")
+        b.edge(f"{block}.{port}", f"SNK_{port}.in", capacity=capacity)
+    z = derive_direct_pafg(b.build(), lib)
+    return instantiate(z, lib, {"SRC": source_data or []})
 
 
 def test_fork_enable_true_when_fed():
-    fork = ForkActor("f", fanout=2)
-    assert fork.enable({"in": 1}, {"out0": 1, "out1": 1})
+    inst = one_block_instance("F", "fork", fanout=2)
+    inst.kernels["SRC.out->F.in"].write("in", 7.0)
+    # one sweep in name order: the fork fires, then its sinks drain
+    stats = inst.run(max_iterations=1)
+    assert stats.token_stores == 2
+    assert inst.sink_streams() == {"SNK_out0": [7.0], "SNK_out1": [7.0]}
 
 
 def test_fork_enable_false_without_input():
-    fork = ForkActor("f", fanout=2)
-    assert not fork.enable({"in": 0}, {"out0": 4, "out1": 4})
+    inst = one_block_instance("F", "fork", fanout=2)
+    stats = inst.run(max_iterations=1)
+    assert stats.token_stores == 0
+    assert inst.kernels["F.out0->SNK_out0.in"].writable("in") == 4
 
 
 def test_gain_enable_false_without_space():
-    gain = GainActor("g", k=2.0)
-    assert not gain.enable({"in": 5}, {"out": 0})
-
-
-def test_enable_unknown_port():
-    gain = GainActor("g")
-    with pytest.raises(UnknownPortError):
-        gain.enable({"bogus": 1}, {"out": 1})
-    with pytest.raises(UnknownPortError):
-        gain.enable({"in": 1}, {})
+    inst = one_block_instance("G", "gain", capacity=1, k=2.0)
+    inst.kernels["SRC.out->G.in"].write("in", 5.0)
+    inst.kernels["G.out->SNK_out.in"].write("in", 1.0)
+    stats = inst.run(max_iterations=1)
+    assert stats.token_stores == 0
+    assert inst.kernels["SRC.out->G.in"].population("out") == 1
+    inst.run()
+    assert inst.sink_streams() == {"SNK_out": [1.0, 10.0]}
 
 
 def test_enable_is_side_effect_free():
-    src = SourceActor("s")
-    src.bind([1.0, 2.0])
-    for _ in range(5):
-        assert src.enable({}, {"out": 1})
-    assert src.remaining() == 2
+    # the source's output is full during the first sweep: probing it there
+    # must not consume any of its data
+    inst = one_block_instance("G", "gain", source_data=[1.0, 2.0], capacity=1)
+    inst.kernels["SRC.out->G.in"].write("in", 0.0)
+    inst.run(max_iterations=1, order=["SRC", "G", "SNK_out"])
+    assert inst.actors["SRC"].remaining() == 2
+    inst.run()
+    assert inst.sink_streams() == {"SNK_out": [0.0, 1.0, 2.0]}
+
+
+def test_multi_rate_enable_waits_for_full_rate():
+    inst = one_block_instance("M", "ref-mag")
+    feed = inst.kernels["SRC.out->M.in"]
+    feed.write("in", 3.0)
+    assert inst.run(max_iterations=1).token_stores == 0
+    assert feed.population("out") == 1
+    feed.write("in", 4.0)
+    assert inst.run(max_iterations=1).token_stores == 1
+    assert inst.sink_streams() == {"SNK_out": [25.0]}
 
 
 def test_fork_invoke_broadcasts():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from pafg.actors import ForkActor, GainActor, GainForkActor, InterleaveActor
+from pafg.actors import default_library
+from pafg.dataflow import ActorLibrary
 from pafg.errors import (
     BufferEmptyError,
     BufferFullError,
@@ -11,16 +12,17 @@ from pafg.errors import (
     UnknownPortError,
 )
 from pafg.kernels import (
-    ActiveSubgraph,
     GainFork,
-    MultiReadRingBuffer,
     PassiveFork,
     PassiveInterleave,
     SimpleFifo,
     capacity_rule,
-    check_mapping_equivalence,
-    run_passive,
 )
+from pafg.runtime import check_mapping_equivalence
+from pafg.transform import derive_direct_pafg, passivize_fixpoint
+from topologies import fork_graph, gain_fork_graph, gain_then_fork_graph, interleave_graph
+
+LIB = default_library()
 
 
 def test_fifo_order():
@@ -156,84 +158,54 @@ def test_capacity_rule():
 
 def test_ring_invariants_under_random_admissible_ops():
     rng = random.Random(42)
-    ring = MultiReadRingBuffer(capacity=7, read_ports=3)
+    fork = PassiveFork(7, fanout=3)
+    ports = fork.read_ports
     written = []
-    read_count = [0, 0, 0]
+    read_count = {port: 0 for port in ports}
     for step in range(5000):
         choices = []
-        if ring.free_space() > 0:
-            choices.append(-1)
-        for port in range(3):
-            if ring.population(port) > 0:
+        if fork.writable("in") > 0:
+            choices.append(None)
+        for port in ports:
+            if fork.population(port) > 0:
                 choices.append(port)
         op = rng.choice(choices)
-        if op == -1:
-            ring.write(float(step))
+        if op is None:
+            fork.write("in", float(step))
             written.append(float(step))
         else:
-            value = ring.read(op)
+            value = fork.read(op)
             assert value == written[read_count[op]]
             read_count[op] += 1
-        assert 0 <= ring.wptr - min(ring.rptr) <= ring.capacity
-        for port in range(3):
-            assert 0 <= ring.population(port) <= ring.capacity
+        assert 0 <= fork.wptr - min(fork.rptr) <= fork.capacity
+        for port in ports:
+            assert 0 <= fork.population(port) <= fork.capacity
 
 
-def fork_subgraph(fanout=2):
-    fork = ForkActor("fork", fanout=fanout)
-    return ActiveSubgraph(
-        actors=[fork],
-        internal=[],
-        inputs={"in": ("fork", "in")},
-        outputs={f"out{i}": ("fork", f"out{i}") for i in range(fanout)},
-    )
-
-
-def gain_fork_subgraph(k, fanout=2):
-    gain = GainActor("gain", k=k)
-    fork = ForkActor("fork", fanout=fanout)
-    return ActiveSubgraph(
-        actors=[gain, fork],
-        internal=[(("gain", "out"), ("fork", "in"))],
-        inputs={"in": ("gain", "in")},
-        outputs={f"out{i}": ("fork", f"out{i}") for i in range(fanout)},
-    )
-
-
-def interleave_subgraph(fanout=1):
-    il = InterleaveActor("il", fanout=fanout)
-    return ActiveSubgraph(
-        actors=[il],
-        internal=[],
-        inputs={"re": ("il", "re"), "im": ("il", "im")},
-        outputs={f"out{i}": ("il", f"out{i}") for i in range(fanout)},
-    )
+def direct_and_passivized(graph):
+    direct = derive_direct_pafg(graph, LIB)
+    passivized, log = passivize_fixpoint(direct, LIB)
+    assert log, "the fixture's buffer actor must be passivized"
+    return direct, passivized
 
 
 def test_fork_mapping_equivalence():
     ok, div = check_mapping_equivalence(
-        fork_subgraph(), PassiveFork(16, fanout=2), {"in": [1.0, 2.0, 3.0]}
+        *direct_and_passivized(fork_graph()), LIB, {"in": [1.0, 2.0, 3.0]}
     )
     assert ok, div
 
 
 def test_gain_fork_mapping_equivalence():
-    ok, div = check_mapping_equivalence(
-        gain_fork_subgraph(k=2.0), GainFork(16, gain=2.0, fanout=2), {"in": [3.0]}
-    )
+    reference = derive_direct_pafg(gain_then_fork_graph(k=2.0), LIB)
+    _, candidate = direct_and_passivized(gain_fork_graph(k=2.0))
+    ok, div = check_mapping_equivalence(reference, candidate, LIB, {"in": [3.0]})
     assert ok, div
 
 
 def test_fused_gain_fork_actor_matches_kernel():
-    actor = GainForkActor("gf", k=1.5, fanout=2)
-    sub = ActiveSubgraph(
-        actors=[actor],
-        internal=[],
-        inputs={"in": ("gf", "in")},
-        outputs={"out0": ("gf", "out0"), "out1": ("gf", "out1")},
-    )
     ok, div = check_mapping_equivalence(
-        sub, GainFork(16, gain=1.5, fanout=2), {"in": [1.0, -2.0, 0.5]}
+        *direct_and_passivized(gain_fork_graph(k=1.5)), LIB, {"in": [1.0, -2.0, 0.5]}
     )
     assert ok, div
 
@@ -241,7 +213,7 @@ def test_fused_gain_fork_actor_matches_kernel():
 def test_interleave_mapping_equivalence():
     streams = {"re": [1.0, 2.0], "im": [10.0, 20.0]}
     ok, div = check_mapping_equivalence(
-        interleave_subgraph(fanout=2), PassiveInterleave(16, read_fanout=2), streams
+        *direct_and_passivized(interleave_graph(fanout=2, capacity=8)), LIB, streams
     )
     assert ok, div
 
@@ -260,15 +232,25 @@ class DroppingFork(PassiveFork):
 
 
 def test_harness_detects_divergence():
+    dropping = ActorLibrary()
+    for kind in ("src", "snk"):
+        dropping.register(kind, LIB.entry(kind).active_factory)
+    dropping.register(
+        "fork",
+        LIB.entry("fork").active_factory,
+        lambda spec, capacity: DroppingFork(capacity, fanout=spec.param("fanout")),
+    )
     ok, div = check_mapping_equivalence(
-        fork_subgraph(), DroppingFork(16, fanout=2), {"in": [1.0, 2.0, 3.0]}
+        *direct_and_passivized(fork_graph()), dropping, {"in": [1.0, 2.0, 3.0]}
     )
     assert not ok
     assert div.index == 1
-    assert div.active_value == 2.0
+    assert div.left == 2.0
 
 
-def test_run_passive_reports_stall():
-    il = PassiveInterleave(8)
+def test_harness_reports_stall():
+    # the passive interleaver refuses a second "im" write before a "re"
     with pytest.raises(KernelError):
-        run_passive(il, {"re": [1.0], "im": [2.0, 3.0]})
+        check_mapping_equivalence(
+            *direct_and_passivized(interleave_graph()), LIB, {"re": [1.0], "im": [2.0, 3.0]}
+        )

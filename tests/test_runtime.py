@@ -88,9 +88,8 @@ def test_conservation(lib):
     inst = instantiate(z, lib, {"SRC": [1.0, 2.0, 3.0]})
     inst.run()
     for kernel in inst.kernels.values():
-        ring = kernel._ring
-        for port in range(len(ring.rptr)):
-            assert ring.wptr == ring.rptr[port] + ring.population(port)
+        for i, port in enumerate(kernel.read_ports):
+            assert kernel.wptr == kernel.rptr[i] + kernel.population(port)
 
 
 def test_schedule_permutation_invariance(lib):
@@ -132,11 +131,14 @@ def test_exhaustive_schedule_enumeration(lib):
     assert results[0] == {"A1": [1.0, 2.0, 3.0], "A2": [1.0, 2.0, 3.0]}
 
 
-def test_max_sweep_guard(lib):
+def test_iteration_bound_before_target(lib):
     z = derive_direct_pafg(gain_chain(), lib)
     inst = instantiate(z, lib, {"SRC": [1.0, 2.0, 3.0]})
     with pytest.raises(RuntimeExecutionError):
-        inst.run(sink_token_target=3, max_sweeps=1)
+        inst.run(sink_token_target=3, max_iterations=3)
+    # the target is met in the fourth sweep, so a bound of four is no error
+    inst = instantiate(z, lib, {"SRC": [1.0, 2.0, 3.0]})
+    assert inst.run(sink_token_target=3, max_iterations=4).sink_tokens == 3
 
 
 def test_order_must_be_permutation(lib):

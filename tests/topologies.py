@@ -63,3 +63,56 @@ def gain_fork_cluster_graph(capacity=16):
         .edge("F.out1", "C2.in", capacity=capacity)
         .build()
     )
+
+
+# Mapping-equivalence fixtures: sources are named after the buffer actor's
+# input ports and sinks after its output ports, so the direct PAFG runs the
+# active actors and the passivized PAFG runs the kernel on the same streams.
+
+
+def _output_sinks(builder, block, fanout, capacity):
+    for i in range(fanout):
+        builder.actor(f"out{i}", "snk")
+        builder.edge(f"{block}.out{i}", f"out{i}.in", capacity=capacity)
+    return builder.build()
+
+
+def fork_graph(fanout=2, capacity=16):
+    """Source "in" -> fork F -> sinks out0..out{fanout-1}."""
+    b = AppGraphBuilder().actor("in", "src").actor("F", "fork", fanout=fanout)
+    b.edge("in.out", "F.in", capacity=capacity)
+    return _output_sinks(b, "F", fanout, capacity)
+
+
+def gain_then_fork_graph(k, fanout=2, capacity=16):
+    """Source "in" -> gain G -> fork F -> sinks; the unfused reference for
+    a passive gain-fork."""
+    b = (
+        AppGraphBuilder()
+        .actor("in", "src")
+        .actor("G", "gain", k=k)
+        .actor("F", "fork", fanout=fanout)
+        .edge("in.out", "G.in", capacity=capacity)
+        .edge("G.out", "F.in", capacity=capacity)
+    )
+    return _output_sinks(b, "F", fanout, capacity)
+
+
+def gain_fork_graph(k, fanout=2, capacity=16):
+    """Source "in" -> fused gain-fork GF -> sinks."""
+    b = AppGraphBuilder().actor("in", "src").actor("GF", "gain-fork", k=k, fanout=fanout)
+    b.edge("in.out", "GF.in", capacity=capacity)
+    return _output_sinks(b, "GF", fanout, capacity)
+
+
+def interleave_graph(fanout=1, capacity=16):
+    """Sources "re" and "im" -> interleave IL -> sinks."""
+    b = (
+        AppGraphBuilder()
+        .actor("re", "src")
+        .actor("im", "src")
+        .actor("IL", "interleave", fanout=fanout)
+        .edge("re.out", "IL.re", capacity=capacity)
+        .edge("im.out", "IL.im", capacity=capacity)
+    )
+    return _output_sinks(b, "IL", fanout, capacity)
