@@ -21,6 +21,7 @@ class SourceActor(CfdfActor):
     input_ports = ()
     output_ports = ("out",)
     is_source = True
+    _RATES = ({}, {"out": 1})
 
     def __init__(self, name, token_type=F64):
         super().__init__(name)
@@ -41,7 +42,7 @@ class SourceActor(CfdfActor):
         return self._cursor < len(self._values)
 
     def rates(self):
-        return {}, {"out": 1}
+        return self._RATES
 
     def invoke(self, inputs):
         value = self._values[self._cursor]
@@ -60,6 +61,11 @@ class VarSourceActor(CfdfActor):
     input_ports = ()
     output_ports = ("len", "out")
     is_source = True
+
+    _RATES = {
+        "emit-length": ({}, {"len": 1, "out": 0}),
+        "emit-data": ({}, {"len": 0, "out": 1}),
+    }
 
     def __init__(self, name):
         super().__init__(name)
@@ -80,9 +86,7 @@ class VarSourceActor(CfdfActor):
         return self._cursor < len(self._values)
 
     def rates(self):
-        if self.mode == "emit-length":
-            return {}, {"len": 1, "out": 0}
-        return {}, {"len": 0, "out": 1}
+        return self._RATES[self.mode]
 
     def invoke(self, inputs):
         if self.mode == "emit-length":
@@ -107,13 +111,14 @@ class SinkActor(CfdfActor):
     kind = "snk"
     input_ports = ("in",)
     output_ports = ()
+    _RATES = ({"in": 1}, {})
 
     def __init__(self, name):
         super().__init__(name)
         self.collected = []
 
     def rates(self):
-        return {"in": 1}, {}
+        return self._RATES
 
     def invoke(self, inputs):
         self.collected.append(inputs["in"][0])
@@ -126,13 +131,14 @@ class AccumulatorActor(CfdfActor):
     kind = "acc"
     input_ports = ("in",)
     output_ports = ()
+    _RATES = ({"in": 1}, {})
 
     def __init__(self, name):
         super().__init__(name)
         self.total = 0.0
 
     def rates(self):
-        return {"in": 1}, {}
+        return self._RATES
 
     def invoke(self, inputs):
         self.total += inputs["in"][0]
@@ -165,13 +171,14 @@ class GainActor(CfdfActor):
     kind = "gain"
     input_ports = ("in",)
     output_ports = ("out",)
+    _RATES = ({"in": 1}, {"out": 1})
 
     def __init__(self, name, k=1.0):
         super().__init__(name)
         self.k = k
 
     def rates(self):
-        return {"in": 1}, {"out": 1}
+        return self._RATES
 
     def invoke(self, inputs):
         return {"out": [self.k * inputs["in"][0]]}
@@ -231,8 +238,10 @@ class ErrorMagnitudeActor(CfdfActor):
     input_ports = ("ref", "rec")
     output_ports = ("out",)
 
+    _RATES = ({"ref": 2, "rec": 2}, {"out": 1})
+
     def rates(self):
-        return {"ref": 2, "rec": 2}, {"out": 1}
+        return self._RATES
 
     def invoke(self, inputs):
         ref_re, ref_im = inputs["ref"]
@@ -249,8 +258,10 @@ class ReferenceMagnitudeActor(CfdfActor):
     input_ports = ("in",)
     output_ports = ("out",)
 
+    _RATES = ({"in": 2}, {"out": 1})
+
     def rates(self):
-        return {"in": 2}, {"out": 1}
+        return self._RATES
 
     def invoke(self, inputs):
         re, im = inputs["in"]
@@ -310,8 +321,10 @@ class RmsRatioActor(CfdfActor):
     input_ports = ("e", "r")
     output_ports = ("out",)
 
+    _RATES = ({"e": 1, "r": 1}, {"out": 1})
+
     def rates(self):
-        return {"e": 1, "r": 1}, {"out": 1}
+        return self._RATES
 
     def invoke(self, inputs):
         return {"out": [math.sqrt(inputs["e"][0]) / math.sqrt(inputs["r"][0])]}

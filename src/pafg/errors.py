@@ -102,11 +102,14 @@ class UnboundIoError(RuntimeExecutionError):
 
 
 class DeadlockError(RuntimeExecutionError):
-    """A sweep fired nothing before the stop target was reached."""
+    """A sweep fired nothing before the stop target was reached.
+    populations maps each kernel to its read-port populations; blocked maps
+    each active block to why it cannot fire."""
 
-    def __init__(self, message, populations=None):
+    def __init__(self, message, populations=None, blocked=None):
         super().__init__(message)
         self.populations = populations or {}
+        self.blocked = blocked or {}
 
 
 class ParseError(PafgError):

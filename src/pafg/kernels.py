@@ -33,6 +33,7 @@ class PassiveKernel:
         self._slots = [None] * capacity
         self.wptr = 0
         self.rptr = [0] * len(self.read_ports)
+        self._low = 0  # min(self.rptr), kept up to date by read()
         self._read_index = {name: i for i, name in enumerate(self.read_ports)}
         self._transform = write_transform
         self.stores = 0
@@ -48,15 +49,16 @@ class PassiveKernel:
             raise UnknownPortError(f"unknown read port {port!r}") from None
 
     def _free(self):
-        return self.capacity - (self.wptr - min(self.rptr))
+        return self.capacity - (self.wptr - self._low)
 
     def _store(self, token):
-        if self._free() < 1:
+        wptr = self.wptr
+        if wptr - self._low >= self.capacity:
             raise BufferFullError(f"ring full (capacity {self.capacity})")
         if self._transform is not None:
             token = self._transform(token)
-        self._slots[self.wptr % self.capacity] = token
-        self.wptr += 1
+        self._slots[wptr % self.capacity] = token
+        self.wptr = wptr + 1
         self.stores += 1
 
     def writable(self, port):
@@ -72,11 +74,14 @@ class PassiveKernel:
         return self.wptr - self.rptr[self._rindex(port)]
 
     def read(self, port):
+        rptr = self.rptr
         i = self._rindex(port)
-        r = self.rptr[i]
+        r = rptr[i]
         if self.wptr == r:
             raise BufferEmptyError(f"read port {port!r} is empty")
-        self.rptr[i] = r + 1
+        rptr[i] = r + 1
+        if r == self._low:
+            self._low = min(rptr)
         return self._slots[r % self.capacity]
 
     def populations(self):

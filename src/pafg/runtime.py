@@ -4,9 +4,16 @@ The direct PAFG of a graph is its pure dataflow form, so one engine covers
 both the original and the transformed program: active blocks are driven
 through rates/ready/invoke, passive blocks are the buffers between them.
 The scheduler is a round-robin sweep over the active blocks in block-name
-order (a permutation can be supplied for determinacy experiments); a sweep
-invokes every block that is enabled, i.e. whose input populations and
-output space cover its current rates and whose ready() holds.
+order (a permutation can be supplied for determinacy experiments). A sweep
+visits each block once and fires it as many times as it stays enabled,
+i.e. while its input populations and output space cover its current rates
+and its ready() holds. The batch size is computed from the populations
+and free spaces when the block is visited and recomputed only when its
+rates change; another block's firing can only add to a block's inputs or
+free its outputs, so every maximal run makes the same firings and ends in
+the same state. A run stopped early (by a sink-token target or a sweep
+bound) leaves a prefix of each sink's complete stream, but how far the
+other blocks got, and so its token-store count, depends on the schedule.
 Instrumentation counts every token stored into passive-block memory.
 
 The same engine is the equivalence harness: an active subgraph and its
@@ -72,50 +79,80 @@ class ExecutionInstance:
         }
 
     def run(self, sink_token_target=None, max_iterations=None, order=None):
-        """Sweep until the stop condition is met. With a sink-token target,
-        a sweep that fires nothing first is a deadlock, and so is reaching
-        max_iterations sweeps first; without one the run simply stops at
-        quiescence or after max_iterations sweeps."""
+        """Sweep until the stop condition is met. A sweep visits the blocks
+        in order and fires each one as many times as it stays enabled. With
+        a sink-token target, a sweep that fires nothing first is a deadlock,
+        and so is reaching max_iterations sweeps first; without one the run
+        simply stops at quiescence or after max_iterations sweeps."""
         if order is None:
             order = sorted(self.actors)
-        else:
-            if set(order) != set(self.actors):
-                raise RuntimeExecutionError("order must be a permutation of the active blocks")
-        schedule = [self._station(name) for name in order]
+        elif set(order) != set(self.actors):
+            raise RuntimeExecutionError("order must be a permutation of the active blocks")
+        # Bound methods are captured per run, after any per-object wrappers
+        # have been installed on the live actors and kernels.
+        stations = [self._compile_station(name) for name in order]
 
+        target = sink_token_target
         sink_tokens = 0
         sweeps = 0
         stores0 = self._total_stores()
         start = time.perf_counter()
-        done = sink_token_target is not None and sink_tokens >= sink_token_target
+        done = target is not None and target <= 0
         while not done:
             if max_iterations is not None and sweeps >= max_iterations:
-                if sink_token_target is not None:
+                if target is not None:
                     raise RuntimeExecutionError(
                         f"reached {max_iterations} sweeps after {sink_tokens} of "
-                        f"{sink_token_target} sink tokens"
+                        f"{target} sink tokens"
                     )
                 break
             fired = False
-            for station in schedule:
-                consumed = self._try_fire(station)
-                if consumed is None:
-                    continue
-                fired = True
-                if station[0].kind == "snk":
-                    sink_tokens += consumed
-                    if sink_token_target is not None and sink_tokens >= sink_token_target:
-                        done = True
-                        break
+            for name, is_sink, _, rates, ready, invoke, ins, outs, bound in stations:
+                table = rates()
+                k = _batch_size(table, ins, outs)
+                while k and ready():
+                    consume, produce = table
+                    inputs = {}
+                    for port, _, read, kport in ins:
+                        n = consume.get(port, 0)
+                        inputs[port] = [read(kport)] if n == 1 else [read(kport) for _ in range(n)]
+                    outputs = invoke(inputs)
+                    for port, _, write, kport in outs:
+                        values = outputs.get(port, ())
+                        n = produce.get(port, 0)
+                        if len(values) != n:
+                            raise ContractViolationError(
+                                f"{name}.{port}: produced {len(values)} tokens, declared {n}"
+                            )
+                        for v in values:
+                            write(kport, v)
+                    if not bound.issuperset(outputs):
+                        _check_unbound(name, outputs, bound)
+                    fired = True
+                    if is_sink:
+                        sink_tokens += sum(consume.get(port, 0) for port, *_ in ins)
+                        if target is not None and sink_tokens >= target:
+                            done = True
+                            break
+                    new = rates()
+                    if new is table or new == table:
+                        k -= 1
+                    else:
+                        table = new
+                        k = _batch_size(new, ins, outs)
+                if done:
+                    break
             sweeps += 1
             if done:
                 break
             if not fired:
-                if sink_token_target is not None:
+                if target is not None:
+                    blocked = {s[0]: _diagnose(s) for s in stations}
                     raise DeadlockError(
-                        f"no block fired after {sink_tokens} of {sink_token_target} "
-                        "sink tokens",
+                        f"no block fired after {sink_tokens} of {target} sink tokens: "
+                        + "; ".join(blocked.values()),
                         populations=self.population_snapshot(),
+                        blocked=blocked,
                     )
                 break
         wall = time.perf_counter() - start
@@ -132,52 +169,75 @@ class ExecutionInstance:
     def _total_stores(self):
         return sum(k.stores for k in self.kernels.values())
 
-    def _station(self, name):
+    def _compile_station(self, name):
+        """One block's row of the station table: (name, is_sink, is_source,
+        rates, ready, invoke, input ports, output ports, bound output port
+        names), where an input port is (port, population, read, kernel
+        port) and an output port is (port, writable, write, kernel port),
+        all as bound methods of the block's actor and kernels."""
         actor = self.actors[name]
-        ins = [
-            (port, self.kernels[kb], kp)
+        ins = tuple(
+            (port, self.kernels[kb].population, self.kernels[kb].read, kp)
             for port, (kb, kp) in sorted(self.in_bindings[name].items())
-        ]
-        outs = [
-            (port, self.kernels[kb], kp)
+        )
+        outs = tuple(
+            (port, self.kernels[kb].writable, self.kernels[kb].write, kp)
             for port, (kb, kp) in sorted(self.out_bindings[name].items())
-        ]
-        return (actor, ins, outs)
+        )
+        return (
+            name, actor.kind == "snk", actor.is_source,
+            actor.rates, actor.ready, actor.invoke,
+            ins, outs, frozenset(port for port, *_ in outs),
+        )
 
-    def _try_fire(self, station):
-        """Fire one block if enabled; returns tokens consumed or None."""
-        actor, ins, outs = station
-        consume, produce = actor.rates()
-        for port, kernel, kport in ins:
-            if kernel.population(kport) < consume.get(port, 0):
-                return None
-        for port, kernel, kport in outs:
-            if kernel.writable(kport) < produce.get(port, 0):
-                return None
-        if not actor.ready():
-            return None
-        inputs = {}
-        consumed = 0
-        for port, kernel, kport in ins:
-            n = consume.get(port, 0)
-            inputs[port] = [kernel.read(kport) for _ in range(n)]
-            consumed += n
-        outputs = actor.invoke(inputs)
-        for port, kernel, kport in outs:
-            n = produce.get(port, 0)
-            values = outputs.get(port, [])
-            if len(values) != n:
-                raise ContractViolationError(
-                    f"{actor.name}.{port}: produced {len(values)} tokens, declared {n}"
-                )
-            for v in values:
-                kernel.write(kport, v)
-        extra = set(outputs) - {port for port, _, _ in outs}
-        if any(outputs[p] for p in extra):
-            raise ContractViolationError(
-                f"{actor.name}: produced tokens on unbound port(s) {sorted(extra)}"
-            )
-        return consumed
+
+def _batch_size(table, ins, outs):
+    """Firings the current populations and free spaces admit under one rate
+    table: the fewest whole bursts on any port with a nonzero rate, or 1
+    when no port has one."""
+    consume, produce = table
+    k = None
+    for port, population, _, kport in ins:
+        n = consume.get(port, 0)
+        if n:
+            q = population(kport) // n
+            if not q:
+                return 0
+            if k is None or q < k:
+                k = q
+    for port, writable, _, kport in outs:
+        n = produce.get(port, 0)
+        if n:
+            q = writable(kport) // n
+            if not q:
+                return 0
+            if k is None or q < k:
+                k = q
+    return 1 if k is None else k
+
+
+def _check_unbound(name, outputs, bound):
+    extra = sorted(p for p in outputs if p not in bound and outputs[p])
+    if extra:
+        raise ContractViolationError(f"{name}: produced tokens on unbound port(s) {extra}")
+
+
+def _diagnose(station):
+    """Why a block cannot fire: its first short port and the shortfall, or
+    that a source has no data left."""
+    name, _, is_source, rates, ready, _, ins, outs, _ = station
+    if is_source and not ready():
+        return f"{name} has no data left"
+    consume, produce = rates()
+    for port, population, _, kport in ins:
+        need, have = consume.get(port, 0), population(kport)
+        if have < need:
+            return f"{name}.{port} needs {need}, has {have}"
+    for port, writable, _, kport in outs:
+        need, have = produce.get(port, 0), writable(kport)
+        if have < need:
+            return f"{name}.{port} needs space for {need}, has {have}"
+    return f"{name} is not ready"
 
 
 def instantiate(z, lib, source_data):

@@ -4,6 +4,12 @@ import pytest
 
 from graphgen import build_random_app_graph
 from pafg.actors import default_library
+from pafg.apps import (
+    build_evm_graph,
+    evm_production_counts,
+    evm_source_data,
+    generate_evm_inputs,
+)
 from pafg.dataflow import AppGraphBuilder, CfdfActor
 from pafg.errors import (
     ContractViolationError,
@@ -13,7 +19,12 @@ from pafg.errors import (
     UnboundIoError,
 )
 from pafg.runtime import compare_streams, instantiate
-from pafg.transform import compute_bmr, derive_direct_pafg, passivize_fixpoint
+from pafg.transform import (
+    compute_bmr,
+    derive_direct_pafg,
+    estimate_copy_count,
+    passivize_fixpoint,
+)
 from topologies import gain_fork_cluster_graph
 
 
@@ -56,7 +67,7 @@ def test_iteration_limit(lib):
     z = derive_direct_pafg(gain_chain(), lib)
     inst = instantiate(z, lib, {"SRC": [1.0, 2.0, 3.0, 4.0]})
     inst.run(max_iterations=1)
-    # one sweep moves at most one token per active block
+    # in name order (G, SNK, SRC) the first sweep only fills G's input
     assert inst.sink_streams()["SNK"] in ([], [2.0])
 
 
@@ -66,6 +77,40 @@ def test_deadlock_reports_populations(lib):
     with pytest.raises(DeadlockError) as err:
         inst.run(sink_token_target=5)
     assert "SRC.out->G.in" in err.value.populations
+    assert err.value.blocked == {
+        "G": "G.in needs 1, has 0",
+        "SNK": "SNK.in needs 1, has 0",
+        "SRC": "SRC has no data left",
+    }
+    assert "SNK.in needs 1, has 0" in str(err.value)
+
+
+def test_deadlock_names_missing_output_space(lib):
+    # R waits for a token on "r" that never comes, so the "e" side fills up
+    g = (
+        AppGraphBuilder()
+        .actor("S1", "src")
+        .actor("S2", "src")
+        .actor("G", "gain", k=2.0)
+        .actor("R", "rms-ratio")
+        .actor("SNK", "snk")
+        .edge("S1.out", "G.in", capacity=2)
+        .edge("G.out", "R.e", capacity=2)
+        .edge("S2.out", "R.r", capacity=2)
+        .edge("R.out", "SNK.in", capacity=2)
+        .build()
+    )
+    z = derive_direct_pafg(g, lib)
+    inst = instantiate(z, lib, {"S1": [1.0] * 6, "S2": []})
+    with pytest.raises(DeadlockError) as err:
+        inst.run(sink_token_target=1)
+    assert err.value.blocked == {
+        "G": "G.out needs space for 1, has 0",
+        "R": "R.r needs 1, has 0",
+        "S1": "S1.out needs space for 1, has 0",
+        "S2": "S2 has no data left",
+        "SNK": "SNK.in needs 1, has 0",
+    }
 
 
 def test_conservation(lib):
@@ -134,11 +179,54 @@ def test_exhaustive_schedule_enumeration(lib):
 def test_iteration_bound_before_target(lib):
     z = derive_direct_pafg(gain_chain(), lib)
     inst = instantiate(z, lib, {"SRC": [1.0, 2.0, 3.0]})
+    # in name order (G, SNK, SRC) the first sweep moves all three tokens
+    # into G's input and the second drains them to the sink
     with pytest.raises(RuntimeExecutionError):
-        inst.run(sink_token_target=3, max_iterations=3)
-    # the target is met in the fourth sweep, so a bound of four is no error
+        inst.run(sink_token_target=3, max_iterations=1)
     inst = instantiate(z, lib, {"SRC": [1.0, 2.0, 3.0]})
-    assert inst.run(sink_token_target=3, max_iterations=4).sink_tokens == 3
+    assert inst.run(sink_token_target=3, max_iterations=2).sink_tokens == 3
+
+
+def test_sink_target_stops_exactly(lib):
+    # the source's whole burst fits in G's input, but the sink stops at
+    # the target and a later run delivers the rest in order
+    g = (
+        AppGraphBuilder()
+        .actor("SRC", "src")
+        .actor("G", "gain", k=1.0)
+        .actor("SNK", "snk")
+        .edge("SRC.out", "G.in", capacity=8)
+        .edge("G.out", "SNK.in", capacity=8)
+        .build()
+    )
+    z = derive_direct_pafg(g, lib)
+    data = [float(i) for i in range(10)]
+    inst = instantiate(z, lib, {"SRC": data})
+    assert inst.run(sink_token_target=3).sink_tokens == 3
+    assert inst.sink_streams() == {"SNK": data[:3]}
+    assert inst.run().sink_tokens == 7
+    assert inst.sink_streams() == {"SNK": data}
+
+
+def test_evm_batched_sweeps_are_order_invariant(lib):
+    # alternating writers of the interleave rings and the multi-mode
+    # var-src and avg actors, direct and passivized
+    cfg = generate_evm_inputs(seed=3, max_length=32, num_windows=3)
+    counts = evm_production_counts(cfg)
+    direct = derive_direct_pafg(build_evm_graph(cfg), lib)
+    optimized, _ = passivize_fixpoint(direct, lib)
+    rng = random.Random(32)
+    for z in (direct, optimized):
+        baseline = instantiate(z, lib, evm_source_data(cfg))
+        baseline.run()
+        expected_stores = estimate_copy_count(z, counts)
+        for _ in range(5):
+            order = sorted(baseline.actors)
+            rng.shuffle(order)
+            inst = instantiate(z, lib, evm_source_data(cfg))
+            stats = inst.run(order=order)
+            assert inst.sink_streams() == baseline.sink_streams(), order
+            assert stats.token_stores == expected_stores, order
 
 
 def test_order_must_be_permutation(lib):
@@ -162,24 +250,37 @@ def test_direct_vs_optimized_streams(lib):
         assert equal, div
 
 
-def test_variable_window_graph(lib):
+def variable_window_graph(length_capacity=2, data_capacity=8):
     # the data channel runs through a stage actor: two parallel edges
     # between the same actor pair would need a multigraph
-    g = (
+    return (
         AppGraphBuilder()
         .actor("VS", "var-src")
         .actor("ID", "gain", k=1.0)
         .actor("AVG", "avg")
         .actor("SNK", "snk")
-        .edge("VS.len", "AVG.len", capacity=2, token_type="i64")
-        .edge("VS.out", "ID.in", capacity=8)
+        .edge("VS.len", "AVG.len", capacity=length_capacity, token_type="i64")
+        .edge("VS.out", "ID.in", capacity=data_capacity)
         .edge("ID.out", "AVG.in", capacity=8)
         .edge("AVG.out", "SNK.in", capacity=2)
         .build()
     )
-    z = derive_direct_pafg(g, lib)
+
+
+def test_variable_window_graph(lib):
+    z = derive_direct_pafg(variable_window_graph(), lib)
     inst = instantiate(z, lib, {"VS": [2, 1.0, 3.0, 3, 3.0, 4.0, 5.0]})
     inst.run(sink_token_target=2)
+    assert inst.sink_streams() == {"SNK": [2.0, 4.0]}
+
+
+def test_rate_change_recomputes_batch(lib):
+    # VS's length port admits four firings, but once it switches to its
+    # data mode only one sample fits: the batch must be recomputed, not
+    # counted down
+    z = derive_direct_pafg(variable_window_graph(length_capacity=4, data_capacity=1), lib)
+    inst = instantiate(z, lib, {"VS": [2, 1.0, 3.0, 3, 3.0, 4.0, 5.0]})
+    inst.run(sink_token_target=2, order=["VS", "ID", "AVG", "SNK"])
     assert inst.sink_streams() == {"SNK": [2.0, 4.0]}
 
 
@@ -215,6 +316,12 @@ def test_contract_violation_detected(lib):
     inst = instantiate(z, custom, {"A": [1.0]})
     with pytest.raises(ContractViolationError):
         inst.run(sink_token_target=1)
+    # fed three tokens, B is enabled for a batch of three and the check
+    # still stops its first firing
+    inst = instantiate(z, custom, {"A": [1.0, 2.0, 3.0]})
+    with pytest.raises(ContractViolationError):
+        inst.run(sink_token_target=1, order=["A", "B", "C"])
+    assert inst.kernels["A.out->B.in"].population("out") == 2
 
 
 def test_instantiate_requires_source_data(lib):
