@@ -85,10 +85,6 @@ class BufferEmptyError(KernelError):
     pass
 
 
-class OutOfTurnWriteError(KernelError):
-    pass
-
-
 class RuntimeExecutionError(PafgError):
     pass
 

@@ -4,14 +4,15 @@ interleaver).
 
 Pointers are unbounded monotonic counters; slots are addressed index mod
 capacity, which avoids the full/empty wraparound ambiguity. A slot is
-reused only once the slowest read pointer has passed it.
+reused only once the slowest read pointer has passed it. The interleaver
+keeps one write pointer per write port and exposes the end of their
+contiguous written prefix as its wptr.
 """
 
 from .errors import (
     BufferEmptyError,
     BufferFullError,
     KernelError,
-    OutOfTurnWriteError,
     UnknownPortError,
 )
 
@@ -122,9 +123,11 @@ class GainFork(PassiveKernel):
 
 
 class PassiveInterleave(PassiveKernel):
-    """Two write ports feeding one ring: "re" tokens occupy even global
-    indices and "im" tokens odd ones. Writes must strictly alternate
-    starting with "re"; each read port scans the interleaved stream."""
+    """Two write ports feeding one ring: "re" token i occupies global index
+    2i and "im" token i index 2i+1. Each write port keeps its own next
+    index, so either writer may run ahead of the other into its own free
+    slots; wptr is the end of the contiguous written prefix, which is all
+    the read ports see of the interleaved stream."""
 
     kind = "interleave"
     write_ports = ("re", "im")
@@ -134,21 +137,22 @@ class PassiveInterleave(PassiveKernel):
             raise KernelError("interleave needs at least one read port")
         self.read_ports = tuple(f"out{i}" for i in range(read_fanout))
         super().__init__(capacity)
-
-    def _turn(self):
-        return "re" if self.wptr % 2 == 0 else "im"
+        self.next = {"re": 0, "im": 1}
 
     def writable(self, port):
         self._require_write(port)
-        if port != self._turn():
-            return 0
-        return min(1, self._free())
+        # this port's free indices: next, next + 2, ... below _low + capacity
+        return (self._low + self.capacity - self.next[port] + 1) // 2
 
     def write(self, port, token):
         self._require_write(port)
-        if port != self._turn():
-            raise OutOfTurnWriteError(f"write to {port!r} out of turn (expected {self._turn()!r})")
-        self._store(token)
+        i = self.next[port]
+        if i - self._low >= self.capacity:
+            raise BufferFullError(f"ring full for {port!r} (capacity {self.capacity})")
+        self._slots[i % self.capacity] = token
+        self.next[port] = i + 2
+        self.wptr = min(self.next.values())
+        self.stores += 1
 
 
 def capacity_rule(kind, input_capacities):

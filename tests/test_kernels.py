@@ -8,7 +8,6 @@ from pafg.errors import (
     BufferEmptyError,
     BufferFullError,
     KernelError,
-    OutOfTurnWriteError,
     UnknownPortError,
 )
 from pafg.kernels import (
@@ -122,15 +121,21 @@ def test_interleave_sequencing():
     assert [il.read("out0") for _ in range(4)] == [1.0, 10.0, 2.0, 20.0]
 
 
-def test_interleave_out_of_turn():
+def test_interleave_writers_run_ahead():
     il = PassiveInterleave(8)
-    with pytest.raises(OutOfTurnWriteError):
-        il.write("im", 1.0)
-    il.write("re", 1.0)
+    assert il.writable("re") == 4
+    for v in (1.0, 2.0, 3.0, 4.0):
+        il.write("re", v)
+        assert il.population("out0") == 1
     assert il.writable("re") == 0
-    assert il.writable("im") == 1
-    with pytest.raises(OutOfTurnWriteError):
-        il.write("re", 2.0)
+    with pytest.raises(BufferFullError):
+        il.write("re", 5.0)
+    assert il.writable("im") == 4
+    il.write("im", 10.0)
+    assert il.population("out0") == 3
+    for v in (20.0, 30.0, 40.0):
+        il.write("im", v)
+    assert [il.read("out0") for _ in range(8)] == [1.0, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0]
 
 
 def test_interleave_index_parity():
@@ -143,6 +148,34 @@ def test_interleave_index_parity():
     stream = [il.read("out1") for _ in range(6)]
     assert stream[0::2] == re_vals
     assert stream[1::2] == im_vals
+
+
+@pytest.mark.parametrize("capacity, fanout", [(1, 1), (2, 3), (5, 2), (8, 1), (9, 3)])
+def test_interleave_invariants_under_random_admissible_ops(capacity, fanout):
+    rng = random.Random(capacity * 10 + fanout)
+    il = PassiveInterleave(capacity, read_fanout=fanout)
+    written = {"re": [], "im": []}
+    read_count = dict.fromkeys(il.read_ports, 0)
+    for step in range(3000):
+        choices = [p for p in il.write_ports if il.writable(p) > 0]
+        choices += [p for p in il.read_ports if il.population(p) > 0]
+        op = rng.choice(choices)
+        if op in il.write_ports:
+            il.write(op, float(step))
+            written[op].append(float(step))
+        else:
+            n = read_count[op]
+            # the n-th token of every read port is re_{n/2} or im_{n/2}
+            assert il.read(op) == written[("re", "im")[n % 2]][n // 2]
+            read_count[op] = n + 1
+        for port in il.write_ports:
+            if il.writable(port) == 0:
+                with pytest.raises(BufferFullError):
+                    il.write(port, -1.0)
+        assert il.stores == len(written["re"]) + len(written["im"])
+        assert il._low == min(il.rptr)
+        assert 0 <= il.wptr - il._low <= il.capacity
+    assert min(read_count.values()) > 0
 
 
 def test_capacity_rule():
@@ -231,17 +264,31 @@ class DroppingFork(PassiveFork):
             super().write(port, token)
 
 
-def test_harness_detects_divergence():
-    dropping = ActorLibrary()
+class StallingFork(PassiveFork):
+    """Admits one token, then reports a full ring for good."""
+
+    def writable(self, port):
+        self._require_write(port)
+        return 0 if self.stores else 1
+
+
+def library_with_fork_kernel(kernel_class):
+    lib = ActorLibrary()
     for kind in ("src", "snk"):
-        dropping.register(kind, LIB.entry(kind).active_factory)
-    dropping.register(
+        lib.register(kind, LIB.entry(kind).active_factory)
+    lib.register(
         "fork",
         LIB.entry("fork").active_factory,
-        lambda spec, capacity: DroppingFork(capacity, fanout=spec.param("fanout")),
+        lambda spec, capacity: kernel_class(capacity, fanout=spec.param("fanout")),
     )
+    return lib
+
+
+def test_harness_detects_divergence():
     ok, div = check_mapping_equivalence(
-        *direct_and_passivized(fork_graph()), dropping, {"in": [1.0, 2.0, 3.0]}
+        *direct_and_passivized(fork_graph()),
+        library_with_fork_kernel(DroppingFork),
+        {"in": [1.0, 2.0, 3.0]},
     )
     assert not ok
     assert div.index == 1
@@ -249,8 +296,17 @@ def test_harness_detects_divergence():
 
 
 def test_harness_reports_stall():
-    # the passive interleaver refuses a second "im" write before a "re"
-    with pytest.raises(KernelError):
+    with pytest.raises(KernelError, match="candidate run stalled"):
         check_mapping_equivalence(
-            *direct_and_passivized(interleave_graph()), LIB, {"re": [1.0], "im": [2.0, 3.0]}
+            *direct_and_passivized(fork_graph()),
+            library_with_fork_kernel(StallingFork),
+            {"in": [1.0, 2.0, 3.0]},
         )
+
+
+def test_interleave_unpaired_tokens_are_equivalent():
+    # both forms drain both sources; the unpaired "im" token stays buffered
+    ok, div = check_mapping_equivalence(
+        *direct_and_passivized(interleave_graph()), LIB, {"re": [1.0], "im": [2.0, 3.0]}
+    )
+    assert ok is True, div

@@ -5,7 +5,10 @@ import pytest
 from graphgen import build_random_app_graph
 from pafg.actors import default_library
 from pafg.apps import (
+    EvmConfig,
+    Lcg,
     build_evm_graph,
+    evm_oracle_per_window,
     evm_production_counts,
     evm_source_data,
     generate_evm_inputs,
@@ -209,8 +212,8 @@ def test_sink_target_stops_exactly(lib):
 
 
 def test_evm_batched_sweeps_are_order_invariant(lib):
-    # alternating writers of the interleave rings and the multi-mode
-    # var-src and avg actors, direct and passivized
+    # two-writer interleave rings and the multi-mode var-src and avg
+    # actors, direct and passivized
     cfg = generate_evm_inputs(seed=3, max_length=32, num_windows=3)
     counts = evm_production_counts(cfg)
     direct = derive_direct_pafg(build_evm_graph(cfg), lib)
@@ -227,6 +230,19 @@ def test_evm_batched_sweeps_are_order_invariant(lib):
             stats = inst.run(order=order)
             assert inst.sink_streams() == baseline.sink_streams(), order
             assert stats.token_stores == expected_stores, order
+
+
+def test_evm_interleave_ring_fills_a_window_per_sweep(lib):
+    # each interleave writer fills its half of a 64-sample window in one
+    # visit, so the passivized graph needs no more sweeps than the direct one
+    rng = Lcg(11)
+    cfg = EvmConfig([64], *([rng.next_sample() for _ in range(64)] for _ in range(4)))
+    direct = derive_direct_pafg(build_evm_graph(cfg), lib)
+    optimized, _ = passivize_fixpoint(direct, lib)
+    for z in (direct, optimized):
+        inst = instantiate(z, lib, evm_source_data(cfg))
+        assert inst.run(sink_token_target=1, max_iterations=4).sink_tokens == 1
+        assert inst.sink_streams() == {"SNK": evm_oracle_per_window(cfg)}
 
 
 def test_order_must_be_permutation(lib):
