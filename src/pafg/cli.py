@@ -206,3 +206,7 @@ def cli_main(argv=None):
 
 def main():
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -18,6 +18,11 @@ TOKEN_TYPES = (F64, I64)
 TOKEN_BYTES = 8  # both token types are 8 bytes wide
 
 
+def is_capacity(value):
+    """True iff value is a valid buffer capacity: an int (not a bool) >= 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class DataflowEdge:
     """A single-producer single-consumer FIFO channel between actor ports."""
@@ -30,8 +35,8 @@ class DataflowEdge:
     token_type: str = F64
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ModelError(f"edge {self.key()}: capacity must be >= 1")
+        if not is_capacity(self.capacity):
+            raise ModelError(f"edge {self.key()}: capacity {self.capacity!r} is not an int >= 1")
         if self.token_type not in TOKEN_TYPES:
             raise ModelError(f"edge {self.key()}: unknown token type {self.token_type!r}")
 

@@ -89,10 +89,6 @@ class RuntimeExecutionError(PafgError):
     pass
 
 
-class MissingImplementationError(RuntimeExecutionError):
-    pass
-
-
 class UnboundIoError(RuntimeExecutionError):
     pass
 

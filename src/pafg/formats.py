@@ -14,6 +14,8 @@ Blank lines and '#' comments are ignored. Sample files carry one decimal
 value per line, written with %.17g so float64 values round-trip exactly.
 """
 
+from contextlib import contextmanager
+
 from .dataflow import AppGraphBuilder, F64, I64, TOKEN_TYPES
 from .errors import ParseError, PafgError
 from .graph import DirectedGraph
@@ -76,10 +78,22 @@ def _scan(text, allowed):
         yield lineno, directive, tokens[1:]
 
 
+@contextmanager
+def _at_line(lineno):
+    """Re-raise a domain error from building one line's object as a
+    ParseError that names the line."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except PafgError as exc:
+        raise ParseError(str(exc), line=lineno) from exc
+
+
 def _build_app_graph(records):
     builder = AppGraphBuilder()
     for lineno, directive, rest in records:
-        try:
+        with _at_line(lineno):
             if directive == "actor":
                 if len(rest) < 2:
                     raise ParseError("actor needs a name and a kind", line=lineno)
@@ -107,10 +121,6 @@ def _build_app_graph(records):
                     capacity=params["capacity"],
                     token_type=token_type,
                 )
-        except ParseError:
-            raise
-        except PafgError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
     try:
         return builder.build()
     except PafgError as exc:
@@ -160,7 +170,8 @@ def parse_pafg(text, lib=None):
     bedges = set()
     for lineno, directive, rest in records:
         if directive == "block":
-            _parse_block(rest, lineno, app_graph, blocks, coordination)
+            with _at_line(lineno):
+                _parse_block(rest, lineno, app_graph, blocks, coordination)
         elif directive == "bedge":
             if len(rest) != 3 or rest[1] != "->":
                 raise ParseError("bedge needs the form: bedge <a> -> <b>", line=lineno)
@@ -207,15 +218,9 @@ def _parse_block(rest, lineno, app_graph, blocks, coordination):
                 line=lineno,
             )
         capacity = params.get("capacity")
-        token_type = None
-        if coord == PSSV:
-            if capacity is None:
-                raise ParseError("passive block needs capacity=<int>", line=lineno)
-            in_edges = app_graph.in_edges_of(target)
-            token_type = in_edges[0].token_type if in_edges else F64
-        blocks[name] = Block(
-            name, ActorRef(target), kind=spec.kind, capacity=capacity, token_type=token_type
-        )
+        if coord == PSSV and capacity is None:
+            raise ParseError("passive block needs capacity=<int>", line=lineno)
+        blocks[name] = Block(name, ActorRef(target), kind=spec.kind, capacity=capacity)
     else:
         if params["kind"] != "simple":
             raise ParseError("edge-provenance block must have kind=simple", line=lineno)
@@ -230,12 +235,7 @@ def _parse_block(rest, lineno, app_graph, blocks, coordination):
                 f"{edge.capacity}",
                 line=lineno,
             )
-        blocks[name] = Block(
-            name,
-            EdgeRef(src, src_port, snk, snk_port),
-            capacity=edge.capacity,
-            token_type=edge.token_type,
-        )
+        blocks[name] = Block(name, EdgeRef(src, src_port, snk, snk_port), capacity=edge.capacity)
     coordination[name] = coord
 
 

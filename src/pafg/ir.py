@@ -12,6 +12,7 @@ freedom is the non-simple buffer blocks.
 
 from dataclasses import dataclass
 
+from .dataflow import is_capacity
 from .errors import DanglingProvenanceError, IrError
 from .graph import DirectedGraph
 
@@ -48,7 +49,6 @@ class Block:
     provenance: object
     kind: str = None  # actor kind for non-simple blocks, None for simple
     capacity: int = None  # tokens, when the block is executed passively
-    token_type: str = None
 
     def __post_init__(self):
         simple = isinstance(self.provenance, EdgeRef)
@@ -58,6 +58,8 @@ class Block:
             raise IrError(f"block {self.name!r}: simple blocks carry no actor kind")
         if not simple and self.kind is None:
             raise IrError(f"block {self.name!r}: non-simple blocks need an actor kind")
+        if self.capacity is not None and not is_capacity(self.capacity):
+            raise IrError(f"block {self.name!r}: capacity {self.capacity!r} is not an int >= 1")
 
     @property
     def is_simple(self):

@@ -22,13 +22,12 @@ running both PAFGs on the same source streams and comparing sink streams.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import (
     ContractViolationError,
     DeadlockError,
     KernelError,
-    MissingImplementationError,
     RuntimeExecutionError,
     UnboundIoError,
 )
@@ -46,13 +45,7 @@ class ExecStats:
     bmr_bytes: int
 
     def as_dict(self):
-        return {
-            "sink_tokens": self.sink_tokens,
-            "token_stores": self.token_stores,
-            "wall_seconds": self.wall_seconds,
-            "throughput_sps": self.throughput_sps,
-            "bmr_bytes": self.bmr_bytes,
-        }
+        return asdict(self)
 
 
 class ExecutionInstance:
@@ -257,11 +250,6 @@ def instantiate(z, lib, source_data):
                 kernels[name] = SimpleFifo(block.capacity)
             else:
                 spec = app.actor(block.provenance.name)
-                entry = lib.entry(spec.kind)
-                if entry.passive_factory is None:
-                    raise MissingImplementationError(
-                        f"block {name!r}: kind {spec.kind!r} has no passive implementation"
-                    )
                 kernels[name] = lib.make_passive(spec, block.capacity)
         else:
             spec = app.actor(block.provenance.name)

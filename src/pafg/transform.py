@@ -35,8 +35,8 @@ from .kernels import capacity_rule
 
 def derive_direct_pafg(app_graph, lib):
     """Direct PAFG of an application graph: every block active except the
-    per-edge simple buffers, which inherit their edge's capacity and token
-    type. The result is always alternating and associated."""
+    per-edge simple buffers, which inherit their edge's capacity. The
+    result is always alternating and associated."""
     blocks = {}
     coordination = {}
     vertices = set()
@@ -50,9 +50,7 @@ def derive_direct_pafg(app_graph, lib):
     for e in app_graph.edges.values():
         ref = EdgeRef(e.src, e.src_port, e.snk, e.snk_port)
         name = ref.signature()
-        blocks[name] = Block(
-            name, ref, capacity=e.capacity, token_type=e.token_type
-        )
+        blocks[name] = Block(name, ref, capacity=e.capacity)
         coordination[name] = PSSV
         vertices.add(name)
         pafg_edges.add((e.src, name))
@@ -137,7 +135,6 @@ def passivize(z, lib, name):
         input_caps.append(b.capacity)
     block = z.pafg.block(name)
     capacity = capacity_rule(block.kind, input_caps)
-    token_type = z.source.in_edges_of(block.provenance.name)[0].token_type
 
     new_edges = set()
     for src, snk in g.edges:
@@ -154,9 +151,7 @@ def passivize(z, lib, name):
         if bname in removed:
             continue
         new_blocks[bname] = b
-    new_blocks[name] = Block(
-        name, block.provenance, kind=block.kind, capacity=capacity, token_type=token_type
-    )
+    new_blocks[name] = Block(name, block.provenance, kind=block.kind, capacity=capacity)
     coordination = {b: c for b, c in z.coordination.items() if b not in removed}
     coordination[name] = PSSV
 
@@ -169,21 +164,29 @@ def passivize(z, lib, name):
 
 
 def passivize_fixpoint(z, lib, blocks=None):
-    """Repeatedly passivize. With blocks=None the first candidate by name
-    is taken each round until none remain; otherwise the named blocks are
-    applied in the given order. Returns (PAFG, step log)."""
+    """Repeatedly passivize. With blocks=None, passivize the first candidate
+    by name until none remain; otherwise apply the named blocks in the given
+    order. Returns (PAFG, step log).
+
+    One candidate search on the input is enough. A step deletes only the
+    simple buffers next to the passivized block and joins their outer
+    neighbors to that block, which is now passive and non-simple. No block
+    gains a simple neighbor, so the candidate set only shrinks, and the
+    first entry of the initial list that is still a candidate is the first
+    candidate by name of the current PAFG."""
     log = []
     if blocks is not None:
         for name in blocks:
             z, step = passivize(z, lib, name)
             log.append(step)
         return z, log
-    while True:
-        candidates = find_candidates(z, lib)
-        if not candidates:
-            return z, log
-        z, step = passivize(z, lib, candidates[0].block)
+    for cand in find_candidates(z, lib):
+        try:
+            z, step = passivize(z, lib, cand.block)
+        except NotACandidateError:
+            continue  # an earlier step absorbed one of its simple neighbors
         log.append(step)
+    return z, log
 
 
 @dataclass

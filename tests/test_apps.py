@@ -142,7 +142,7 @@ def test_evm_passivized_kernels(lib):
     cfg = generate_evm_inputs(seed=5, max_length=8, num_windows=2)
     _, _, z = run_evm(cfg, lib, optimized=True)
     fa = z.pafg.block("FA")
-    assert fa.capacity == 1 and fa.token_type == "i64"
+    assert fa.capacity == 1 and z.source.edge("SRC1", "FA").token_type == "i64"
     cap = cfg.capacity()
     assert z.pafg.block("RFC").capacity == 2 * cap
     assert z.pafg.block("RCC").capacity == 2 * cap

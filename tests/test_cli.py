@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pafg.cli import cli_main
 from pafg.formats import read_samples, serialize_graph, write_samples
 from topologies import chain_graph, ten_plus_four_graph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -28,6 +34,18 @@ def test_validate_bad_file(tmp_path, capsys):
 
 def test_missing_file_is_domain_error(tmp_path):
     assert cli_main(["validate", str(tmp_path / "nope.graph")]) == 1
+
+
+def test_module_entry_point_reports_errors(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pafg.cli", "validate", str(tmp_path / "nonexistent")],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
 
 
 def test_usage_error_exit_code():

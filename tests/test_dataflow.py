@@ -190,9 +190,10 @@ def test_builder_rejects_double_port_binding():
 
 
 def test_builder_rejects_bad_capacity():
-    b = AppGraphBuilder().actor("A", "src").actor("B", "snk")
-    with pytest.raises(ModelError):
-        b.edge("A.out", "B.in", capacity=0)
+    for bad in (0, -3, 2.5, "abc", True):
+        b = AppGraphBuilder().actor("A", "src").actor("B", "snk")
+        with pytest.raises(ModelError):
+            b.edge("A.out", "B.in", capacity=bad)
 
 
 def test_builder_rejects_bad_endpoint():

@@ -121,6 +121,24 @@ def test_pafg_simple_capacity_must_match_edge(lib):
         parse_pafg(text, lib=lib)
 
 
+@pytest.mark.parametrize("bad", ["abc", "2.5"])
+def test_graph_rejects_non_integer_capacity(lib, bad):
+    with pytest.raises(ParseError) as err:
+        parse_graph(f"actor A src\nactor B snk\nedge A.out -> B.in capacity={bad}\n", lib=lib)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("bad", ["abc", "2.5", "0"])
+def test_pafg_rejects_bad_passive_capacity(lib, bad):
+    z, _ = passivize_fixpoint(derive_direct_pafg(chain_graph(), lib), lib)
+    lines = serialize_pafg(z).splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("block B "))
+    lines[lineno - 1] = lines[lineno - 1].replace("capacity=100", f"capacity={bad}")
+    with pytest.raises(ParseError) as err:
+        parse_pafg("\n".join(lines), lib=lib)
+    assert err.value.line == lineno
+
+
 def test_sample_round_trip(tmp_path, lib):
     values = [0.1, -1.5, 2.0 / 3.0, 1e-17, 123456.789]
     path = tmp_path / "samples.txt"

@@ -70,8 +70,8 @@ def test_adjacent_passive_blocks_fail_abc(lib):
     e1 = EdgeRef("A", "out", "B", "in")
     e2 = EdgeRef("B", "out0", "C", "in")
     blocks = {
-        e1.signature(): Block(e1.signature(), e1, capacity=100, token_type="f64"),
-        e2.signature(): Block(e2.signature(), e2, capacity=100, token_type="f64"),
+        e1.signature(): Block(e1.signature(), e1, capacity=100),
+        e2.signature(): Block(e2.signature(), e2, capacity=100),
     }
     pafg = Pafg(
         DirectedGraph.of(blocks, [(e1.signature(), e2.signature())]), blocks
@@ -114,7 +114,7 @@ def test_association_false_for_foreign_edge(lib):
     z = derive_direct_pafg(g, lib)
     ref = EdgeRef("X", "out", "Y", "in")
     blocks = dict(z.pafg.blocks)
-    blocks["ghost"] = Block("ghost", ref, capacity=4, token_type="f64")
+    blocks["ghost"] = Block("ghost", ref, capacity=4)
     graph = z.pafg.graph.add_vertex("ghost").add_edge("A", "ghost")
     pafg = Pafg(graph, blocks)
     assert not check_association(g, pafg)
@@ -123,7 +123,7 @@ def test_association_false_for_foreign_edge(lib):
 def test_association_rejects_port_mismatch(lib):
     g = chain_graph()
     ref = EdgeRef("A", "bogus", "B", "in")
-    blocks = {"p": Block("p", ref, capacity=4, token_type="f64")}
+    blocks = {"p": Block("p", ref, capacity=4)}
     pafg = Pafg(DirectedGraph.of(["p"]), blocks)
     with pytest.raises(DanglingProvenanceError):
         check_association(g, pafg)
@@ -137,6 +137,13 @@ def test_association_requires_injectivity(lib):
     }
     pafg = Pafg(DirectedGraph.of(["b1", "b2"]), blocks)
     assert not check_association(g, pafg)
+
+
+def test_block_capacity_must_be_a_positive_int():
+    for bad in (0, 2.5, "abc", True):
+        with pytest.raises(IrError):
+            Block("F", ActorRef("F"), kind="fork", capacity=bad)
+    assert Block("F", ActorRef("F"), kind="fork", capacity=1).capacity == 1
 
 
 def test_coordination_must_be_total(lib):
@@ -178,7 +185,7 @@ def test_validator_rejects_passive_interface_block(lib):
     z = derive_direct_pafg(g, lib)
     coord = dict(z.coordination)
     blocks = dict(z.pafg.blocks)
-    blocks["F"] = Block("F", ActorRef("F"), kind="fork", capacity=4, token_type="f64")
+    blocks["F"] = Block("F", ActorRef("F"), kind="fork", capacity=4)
     coord["F"] = PSSV  # F has no producers; nothing could ever write it
     with pytest.raises(IrError):
         validate_coordinated(CoordinatedPafg(Pafg(z.pafg.graph, blocks), coord, g), lib)

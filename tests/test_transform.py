@@ -3,7 +3,9 @@ import random
 import pytest
 
 from graphgen import build_random_app_graph
+from pafg import transform
 from pafg.actors import default_library
+from pafg.apps import ForkCascadeConfig, build_evm_graph, build_fork_cascade, generate_evm_inputs
 from pafg.dataflow import AppGraphBuilder
 from pafg.errors import NotACandidateError, UnknownKindError, UnresolvableRateError
 from pafg.ir import ACTV, PSSV, check_abc, check_association, is_alternating
@@ -32,7 +34,7 @@ def test_derive_chain(lib):
     assert z.coord("A") == ACTV
     assert z.coord("A.out->B.in") == PSSV
     simple = z.pafg.block("A.out->B.in")
-    assert simple.capacity == 100 and simple.token_type == "f64"
+    assert simple.capacity == 100 and z.source.edge("A", "B").token_type == "f64"
 
 
 def test_derive_single_actor(lib):
@@ -181,6 +183,58 @@ def test_fixpoint_idempotent(lib):
     twice, log = passivize_fixpoint(once, lib)
     assert log == []
     assert twice == once
+
+
+def rescan_fixpoint(z, lib):
+    """Reference fixpoint: search every block again after each step and
+    passivize the first candidate by name."""
+    log = []
+    while True:
+        candidates = find_candidates(z, lib)
+        if not candidates:
+            return z, log
+        z, step = passivize(z, lib, candidates[0].block)
+        log.append(step)
+
+
+def assert_fixpoint_matches_rescan(z, lib):
+    """Compare passivize_fixpoint with the reference; return its step log."""
+    ref, ref_log = rescan_fixpoint(z, lib)
+    got, log = passivize_fixpoint(z, lib)
+    assert [s.render() for s in log] == [s.render() for s in ref_log]
+    assert got == ref
+    return log
+
+
+def test_fixpoint_matches_rescan_on_random_graphs(lib):
+    rng = random.Random(515)
+    skipped = 0
+    for _ in range(60):
+        g, _ = build_random_app_graph(rng, max_actors=16)
+        z = derive_direct_pafg(g, lib)
+        log = assert_fixpoint_matches_rescan(z, lib)
+        if len(log) < len(find_candidates(z, lib)):
+            skipped += 1  # a step disqualified a later entry of the initial list
+    assert skipped > 0
+
+
+def test_fixpoint_matches_rescan_on_apps(lib, monkeypatch):
+    calls = []
+
+    def counting_find_candidates(z, lib):
+        calls.append(z)
+        return find_candidates(z, lib)
+
+    # the reference calls this module's find_candidates, not the patched one
+    monkeypatch.setattr(transform, "find_candidates", counting_find_candidates)
+    cfg = generate_evm_inputs(seed=3, max_length=8, num_windows=2)
+    graphs = [build_evm_graph(cfg)] + [
+        build_fork_cascade(ForkCascadeConfig(window_size=8, num_forks=n)) for n in (6, 50)
+    ]
+    for g in graphs:
+        calls.clear()
+        log = assert_fixpoint_matches_rescan(derive_direct_pafg(g, lib), lib)
+        assert log and len(calls) == 1
 
 
 def test_bmr_chain(lib):
