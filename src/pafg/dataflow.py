@@ -9,8 +9,8 @@ from the library when a graph is instantiated for execution.
 
 from dataclasses import dataclass, field
 
-from .errors import ModelError, UnknownKindError
-from .graph import DirectedGraph
+from .errors import DuplicateEdgeError, DuplicateVertexError, ModelError, UnknownKindError
+from .graph import DirectedGraph, check_edge
 
 F64 = "f64"
 I64 = "i64"
@@ -142,17 +142,15 @@ class ActorLibrary:
 
 @dataclass(frozen=True)
 class ApplicationGraph:
-    """Directed graph of actor specs plus per-edge FIFO metadata."""
+    """Directed graph of actor specs plus per-edge FIFO metadata. The two
+    tables are the topology; graph is built from them once and is not a
+    field, so it takes no part in equality."""
 
-    graph: DirectedGraph
     actors: dict
     edges: dict
 
     def __post_init__(self):
-        if set(self.actors) != set(self.graph.vertices):
-            raise ModelError("actor table does not match vertex set")
-        if set(self.edges) != set(self.graph.edges):
-            raise ModelError("edge table does not match edge set")
+        object.__setattr__(self, "graph", DirectedGraph.of(self.actors, self.edges))
         bound = set()
         for key, e in self.edges.items():
             if key != e.key():
@@ -197,25 +195,27 @@ class AppGraphBuilder:
     """
 
     def __init__(self):
-        self._graph = DirectedGraph.empty()
         self._actors = {}
         self._edges = {}
 
     def actor(self, name, kind, **params):
-        self._graph = self._graph.add_vertex(name)
+        if name in self._actors:
+            raise DuplicateVertexError(f"vertex {name!r} already present")
         self._actors[name] = ActorSpec(name, kind, dict(params))
         return self
 
     def edge(self, src_endpoint, snk_endpoint, capacity, token_type=F64):
         src, src_port = _split_endpoint(src_endpoint)
         snk, snk_port = _split_endpoint(snk_endpoint)
-        self._graph = self._graph.add_edge(src, snk)
+        check_edge(self._actors, src, snk)
+        if (src, snk) in self._edges:
+            raise DuplicateEdgeError(f"edge ({src!r}, {snk!r}) already present")
         e = DataflowEdge(src, src_port, snk, snk_port, capacity, token_type)
         self._edges[e.key()] = e
         return self
 
     def build(self):
-        return ApplicationGraph(self._graph, dict(self._actors), dict(self._edges))
+        return ApplicationGraph(dict(self._actors), dict(self._edges))
 
 
 def _split_endpoint(endpoint):

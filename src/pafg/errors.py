@@ -29,10 +29,6 @@ class UnknownVertexError(GraphError):
     pass
 
 
-class UnknownEdgeError(GraphError):
-    pass
-
-
 class ModelError(PafgError):
     """Malformed application graph, actor, or library usage."""
 

@@ -18,7 +18,6 @@ from contextlib import contextmanager
 
 from .dataflow import AppGraphBuilder, F64, I64, TOKEN_TYPES
 from .errors import ParseError, PafgError
-from .graph import DirectedGraph
 from .ir import ACTV, ActorRef, Block, CoordinatedPafg, EdgeRef, PSSV, Pafg
 
 
@@ -175,6 +174,10 @@ def parse_pafg(text, lib=None):
         elif directive == "bedge":
             if len(rest) != 3 or rest[1] != "->":
                 raise ParseError("bedge needs the form: bedge <a> -> <b>", line=lineno)
+            if rest[0] == rest[2]:
+                raise ParseError(f"self-loop on {rest[0]!r}", line=lineno)
+            if (rest[0], rest[2]) in bedges:
+                raise ParseError(f"duplicate bedge {rest[0]} -> {rest[2]}", line=lineno)
             bedges.add((rest[0], rest[2]))
     for lineno, directive, rest in records:
         if directive == "bedge":
@@ -182,8 +185,7 @@ def parse_pafg(text, lib=None):
                 if name not in blocks:
                     raise ParseError(f"bedge references unknown block {name!r}", line=lineno)
     try:
-        pafg = Pafg(DirectedGraph(frozenset(blocks), frozenset(bedges)), blocks)
-        return CoordinatedPafg(pafg, coordination, app_graph)
+        return CoordinatedPafg(Pafg(blocks, frozenset(bedges)), coordination, app_graph)
     except PafgError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -253,7 +255,7 @@ def serialize_pafg(z):
         if b.capacity is not None:
             parts.append(f"capacity={b.capacity}")
         lines.append(" ".join(parts))
-    for src, snk in sorted(z.pafg.graph.edges):
+    for src, snk in sorted(z.pafg.edges):
         lines.append(f"bedge {src} -> {snk}")
     return "\n".join(lines) + "\n"
 

@@ -1,20 +1,25 @@
 """Minimal directed-graph substrate shared by application graphs and PAFGs.
 
-Graphs are immutable values: mutating operations return a new graph, which
-keeps before/after comparison cheap for rewrite passes. Vertices are opaque
-string identifiers; edges are ordered pairs. Self-loops and parallel edges
-are rejected at construction.
+A graph is an immutable value over opaque string vertices and ordered-pair
+edges. Self-loops and edges with an endpoint outside the vertex set are
+rejected at construction, which also builds the pred/succ index once: a
+list of in-edges and of out-edges per vertex, kept only for vertices that
+have edges, so neighbourhood queries look a vertex up instead of scanning
+every edge.
 """
 
 from dataclasses import dataclass
 
-from .errors import (
-    DuplicateEdgeError,
-    DuplicateVertexError,
-    SelfLoopError,
-    UnknownEdgeError,
-    UnknownVertexError,
-)
+from .errors import SelfLoopError, UnknownVertexError
+
+
+def check_edge(vertices, src, snk):
+    """Raise unless (src, snk) joins two distinct vertices of the set."""
+    for v in (src, snk):
+        if v not in vertices:
+            raise UnknownVertexError(f"unknown vertex {v!r} in edge ({src!r}, {snk!r})")
+    if src == snk:
+        raise SelfLoopError(f"self-loop on {src!r}")
 
 
 @dataclass(frozen=True)
@@ -23,61 +28,31 @@ class DirectedGraph:
     edges: frozenset
 
     def __post_init__(self):
-        for src, snk in self.edges:
-            if src == snk:
-                raise SelfLoopError(f"self-loop on {src!r}")
-            if src not in self.vertices or snk not in self.vertices:
-                raise UnknownVertexError(f"edge ({src!r}, {snk!r}) has endpoint outside vertex set")
-
-    @classmethod
-    def empty(cls):
-        return cls(frozenset(), frozenset())
+        ins, outs = {}, {}
+        for e in self.edges:
+            check_edge(self.vertices, *e)
+            outs.setdefault(e[0], []).append(e)
+            ins.setdefault(e[1], []).append(e)
+        object.__setattr__(self, "_ins", ins)
+        object.__setattr__(self, "_outs", outs)
 
     @classmethod
     def of(cls, vertices=(), edges=()):
         return cls(frozenset(vertices), frozenset(edges))
 
-    def add_vertex(self, v):
-        if v in self.vertices:
-            raise DuplicateVertexError(f"vertex {v!r} already present")
-        return DirectedGraph(self.vertices | {v}, self.edges)
-
-    def add_edge(self, src, snk):
-        if src not in self.vertices:
-            raise UnknownVertexError(f"unknown source vertex {src!r}")
-        if snk not in self.vertices:
-            raise UnknownVertexError(f"unknown sink vertex {snk!r}")
-        if src == snk:
-            raise SelfLoopError(f"self-loop on {src!r}")
-        if (src, snk) in self.edges:
-            raise DuplicateEdgeError(f"edge ({src!r}, {snk!r}) already present")
-        return DirectedGraph(self.vertices, self.edges | {(src, snk)})
-
-    def remove_edge(self, src, snk):
-        if (src, snk) not in self.edges:
-            raise UnknownEdgeError(f"edge ({src!r}, {snk!r}) not present")
-        return DirectedGraph(self.vertices, self.edges - {(src, snk)})
-
-    def remove_vertex(self, v):
-        """Remove v along with all of its incident edges."""
-        self._require(v)
-        kept = frozenset(e for e in self.edges if v not in e)
-        return DirectedGraph(self.vertices - {v}, kept)
-
-    def _require(self, v):
+    def _lookup(self, index, v):
         if v not in self.vertices:
             raise UnknownVertexError(f"unknown vertex {v!r}")
+        return index.get(v, ())
 
     def in_edges(self, v):
-        self._require(v)
-        return {e for e in self.edges if e[1] == v}
+        return set(self._lookup(self._ins, v))
 
     def out_edges(self, v):
-        self._require(v)
-        return {e for e in self.edges if e[0] == v}
+        return set(self._lookup(self._outs, v))
 
     def pred(self, v):
-        return {src for src, _ in self.in_edges(v)}
+        return {src for src, _ in self._lookup(self._ins, v)}
 
     def succ(self, v):
-        return {snk for _, snk in self.out_edges(v)}
+        return {snk for _, snk in self._lookup(self._outs, v)}

@@ -68,12 +68,14 @@ class Block:
 
 @dataclass(frozen=True)
 class Pafg:
-    graph: DirectedGraph
+    """Blocks by name plus the (src, dst) block connections. graph is built
+    from the two once and is not a field, so it takes no part in equality."""
+
     blocks: dict
+    edges: frozenset
 
     def __post_init__(self):
-        if set(self.blocks) != set(self.graph.vertices):
-            raise IrError("block table does not match vertex set")
+        object.__setattr__(self, "graph", DirectedGraph.of(self.blocks, self.edges))
         for name, b in self.blocks.items():
             if b.name != name:
                 raise IrError(f"block table key {name!r} does not match block {b.name!r}")
@@ -117,13 +119,13 @@ def block_category(block, lib):
 
 def is_alternating(z):
     """True iff every edge joins one active and one passive block."""
-    return all(z.coord(src) != z.coord(snk) for src, snk in z.pafg.graph.edges)
+    return all(z.coord(src) != z.coord(snk) for src, snk in z.pafg.edges)
 
 
 def check_abc(z):
     """Adjacent-buffer restriction: no edge joins two passive blocks."""
     return not any(
-        z.coord(src) == PSSV and z.coord(snk) == PSSV for src, snk in z.pafg.graph.edges
+        z.coord(src) == PSSV and z.coord(snk) == PSSV for src, snk in z.pafg.edges
     )
 
 

@@ -18,7 +18,6 @@ from .errors import (
     UnknownKindError,
     UnresolvableRateError,
 )
-from .graph import DirectedGraph
 from .ir import (
     ACTV,
     ActorRef,
@@ -39,24 +38,20 @@ def derive_direct_pafg(app_graph, lib):
     result is always alternating and associated."""
     blocks = {}
     coordination = {}
-    vertices = set()
     pafg_edges = set()
     for name, spec in app_graph.actors.items():
         if not lib.has_kind(spec.kind):
             raise UnknownKindError(f"actor {name!r}: unregistered kind {spec.kind!r}")
         blocks[name] = Block(name, ActorRef(name), kind=spec.kind)
         coordination[name] = ACTV
-        vertices.add(name)
     for e in app_graph.edges.values():
         ref = EdgeRef(e.src, e.src_port, e.snk, e.snk_port)
         name = ref.signature()
         blocks[name] = Block(name, ref, capacity=e.capacity)
         coordination[name] = PSSV
-        vertices.add(name)
         pafg_edges.add((e.src, name))
         pafg_edges.add((name, e.snk))
-    pafg = Pafg(DirectedGraph(frozenset(vertices), frozenset(pafg_edges)), blocks)
-    return CoordinatedPafg(pafg, coordination, app_graph)
+    return CoordinatedPafg(Pafg(blocks, frozenset(pafg_edges)), coordination, app_graph)
 
 
 @dataclass(frozen=True)
@@ -114,53 +109,62 @@ class TransformStep:
 def passivize(z, lib, name):
     """Apply the passivization transformation with respect to one simply
     surrounded active buffer block. Returns (new PAFG, step log entry)."""
-    if not is_alternating(z):
-        raise TransformError("passivization is defined on alternating PAFGs only")
+    _require_alternating(z)
     cand, reason = _candidate_for(z, lib, name)
     if cand is None:
         raise NotACandidateError(reason)
-    g = z.pafg.graph
-    removed = cand.removed
-    # Every removed simple block must connect only into the cluster's
-    # one-producer/one-consumer shape; assert rather than assume.
-    for x in removed:
-        if len(g.pred(x)) > 1 or len(g.succ(x)) > 1:
-            raise TransformError(f"simple block {x!r} has multiple producers or consumers")
-
-    input_caps = []
-    for x in sorted(g.pred(name)):
-        b = z.pafg.block(x)
-        if b.capacity is None:
-            raise MissingCapacityError(f"simple block {x!r} has no capacity")
-        input_caps.append(b.capacity)
-    block = z.pafg.block(name)
-    capacity = capacity_rule(block.kind, input_caps)
-
-    new_edges = set()
-    for src, snk in g.edges:
-        if src in removed or snk in removed:
-            continue
-        new_edges.add((src, snk))
-    added = sorted(
-        {(x, name) for x in cand.new_producers} | {(name, y) for y in cand.new_consumers}
-    )
-    new_edges.update(added)
-
-    new_blocks = {}
-    for bname, b in z.pafg.blocks.items():
-        if bname in removed:
-            continue
-        new_blocks[bname] = b
-    new_blocks[name] = Block(name, block.provenance, kind=block.kind, capacity=capacity)
-    coordination = {b: c for b, c in z.coordination.items() if b not in removed}
-    coordination[name] = PSSV
-
-    pafg = Pafg(
-        DirectedGraph(frozenset(new_blocks), frozenset(new_edges)), new_blocks
-    )
-    result = CoordinatedPafg(pafg, coordination, z.source)
-    step = TransformStep(name, sorted(removed), added)
+    result, (step,) = _rewrite(z, [cand])
     return result, step
+
+
+def _require_alternating(z):
+    if not is_alternating(z):
+        raise TransformError("passivization is defined on alternating PAFGs only")
+
+
+def _rewrite(z, candidates):
+    """Passivize, in one rewrite of an alternating PAFG, each candidate in
+    the list whose removed buffers no earlier step took. Such a step reads
+    the same neighbourhood in z as it would after the steps before it.
+    Returns (new PAFG, step log)."""
+    g = z.pafg.graph
+    blocks = dict(z.pafg.blocks)
+    coordination = dict(z.coordination)
+    gone = set()
+    added_edges = set()
+    log = []
+    for cand in candidates:
+        if not gone.isdisjoint(cand.removed):
+            continue  # no longer a candidate: it is next to a passive block
+        name = cand.block
+        # Every removed simple block must connect only into the cluster's
+        # one-producer/one-consumer shape; assert rather than assume.
+        for x in cand.removed:
+            if len(g.pred(x)) > 1 or len(g.succ(x)) > 1:
+                raise TransformError(f"simple block {x!r} has multiple producers or consumers")
+        input_caps = []
+        for x in sorted(g.pred(name)):
+            b = blocks[x]
+            if b.capacity is None:
+                raise MissingCapacityError(f"simple block {x!r} has no capacity")
+            input_caps.append(b.capacity)
+        block = blocks[name]
+        capacity = capacity_rule(block.kind, input_caps)
+        blocks[name] = Block(name, block.provenance, kind=block.kind, capacity=capacity)
+        coordination[name] = PSSV
+        added = sorted(
+            {(x, name) for x in cand.new_producers} | {(name, y) for y in cand.new_consumers}
+        )
+        if any(coordination[src] == coordination[snk] for src, snk in added):
+            raise TransformError("passivization produced a non-alternating PAFG")
+        gone |= cand.removed
+        added_edges.update(added)
+        log.append(TransformStep(name, sorted(cand.removed), added))
+    for x in gone:
+        del blocks[x]
+        del coordination[x]
+    edges = frozenset(e for e in z.pafg.edges if gone.isdisjoint(e)) | added_edges
+    return CoordinatedPafg(Pafg(blocks, edges), coordination, z.source), log
 
 
 def passivize_fixpoint(z, lib, blocks=None):
@@ -168,25 +172,24 @@ def passivize_fixpoint(z, lib, blocks=None):
     by name until none remain; otherwise apply the named blocks in the given
     order. Returns (PAFG, step log).
 
-    One candidate search on the input is enough. A step deletes only the
-    simple buffers next to the passivized block and joins their outer
-    neighbors to that block, which is now passive and non-simple. No block
-    gains a simple neighbor, so the candidate set only shrinks, and the
-    first entry of the initial list that is still a candidate is the first
-    candidate by name of the current PAFG."""
-    log = []
+    One candidate search and one rewrite are enough. A step deletes only
+    the simple buffers next to the passivized block and joins their outer
+    neighbors, which stay active, to that block, which is now passive and
+    non-simple. No block gains a simple neighbor, so the candidate set only
+    shrinks: an entry of the initial list stays a candidate exactly while
+    no earlier step has taken one of its buffers, and the first such entry
+    is the first candidate by name of the current PAFG. Steps whose buffers
+    are disjoint touch disjoint blocks apart from those active outer
+    neighbors, so they commute, and each step's log entry is the same
+    whether it is computed on the initial PAFG or on the intermediate one."""
     if blocks is not None:
+        log = []
         for name in blocks:
             z, step = passivize(z, lib, name)
             log.append(step)
         return z, log
-    for cand in find_candidates(z, lib):
-        try:
-            z, step = passivize(z, lib, cand.block)
-        except NotACandidateError:
-            continue  # an earlier step absorbed one of its simple neighbors
-        log.append(step)
-    return z, log
+    _require_alternating(z)
+    return _rewrite(z, find_candidates(z, lib))
 
 
 @dataclass

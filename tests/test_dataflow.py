@@ -8,7 +8,7 @@ from pafg.actors import (
     default_library,
 )
 from pafg.dataflow import ActorSpec, AppGraphBuilder
-from pafg.errors import ModelError, UnknownKindError
+from pafg.errors import DuplicateEdgeError, ModelError, UnknownKindError, UnknownVertexError
 from pafg.runtime import instantiate
 from pafg.transform import derive_direct_pafg
 
@@ -190,10 +190,18 @@ def test_builder_rejects_double_port_binding():
 
 
 def test_builder_rejects_bad_capacity():
+    # one builder throughout: a rejected edge must leave nothing behind
+    b = AppGraphBuilder().actor("A", "src").actor("B", "snk")
     for bad in (0, -3, 2.5, "abc", True):
-        b = AppGraphBuilder().actor("A", "src").actor("B", "snk")
         with pytest.raises(ModelError):
             b.edge("A.out", "B.in", capacity=bad)
+    with pytest.raises(UnknownVertexError):
+        b.edge("A.out", "C.in", capacity=1)
+    b.edge("A.out", "B.in", capacity=1)
+    with pytest.raises(DuplicateEdgeError):
+        b.edge("A.out", "B.in", capacity=2)
+    g = b.build()
+    assert g.edge("A", "B").capacity == 1 and g.graph.edges == {("A", "B")}
 
 
 def test_builder_rejects_bad_endpoint():

@@ -139,6 +139,14 @@ def test_pafg_rejects_bad_passive_capacity(lib, bad):
     assert err.value.line == lineno
 
 
+@pytest.mark.parametrize("bedge", ["bedge B -> B", "bedge A -> A.out->B.in"])
+def test_pafg_rejects_self_loop_and_repeated_bedge(lib, bedge):
+    lines = serialize_pafg(derive_direct_pafg(chain_graph(), lib)).splitlines() + [bedge]
+    with pytest.raises(ParseError) as err:
+        parse_pafg("\n".join(lines), lib=lib)
+    assert err.value.line == len(lines)
+
+
 def test_sample_round_trip(tmp_path, lib):
     values = [0.1, -1.5, 2.0 / 3.0, 1e-17, 123456.789]
     path = tmp_path / "samples.txt"

@@ -6,7 +6,6 @@ from graphgen import build_random_app_graph
 from pafg.actors import default_library
 from pafg.dataflow import AppGraphBuilder
 from pafg.errors import DanglingProvenanceError, IrError
-from pafg.graph import DirectedGraph
 from pafg.ir import (
     ACTV,
     ActorRef,
@@ -59,7 +58,7 @@ def test_active_active_edge_breaks_alternation(lib):
         "A": Block("A", ActorRef("A"), kind="src"),
         "B": Block("B", ActorRef("B"), kind="fork"),
     }
-    pafg = Pafg(DirectedGraph.of(["A", "B"], [("A", "B")]), blocks)
+    pafg = Pafg(blocks, frozenset({("A", "B")}))
     z = CoordinatedPafg(pafg, {"A": ACTV, "B": ACTV}, g)
     assert not is_alternating(z)
     assert check_abc(z)  # no passive-passive edge either
@@ -73,9 +72,7 @@ def test_adjacent_passive_blocks_fail_abc(lib):
         e1.signature(): Block(e1.signature(), e1, capacity=100),
         e2.signature(): Block(e2.signature(), e2, capacity=100),
     }
-    pafg = Pafg(
-        DirectedGraph.of(blocks, [(e1.signature(), e2.signature())]), blocks
-    )
+    pafg = Pafg(blocks, frozenset({(e1.signature(), e2.signature())}))
     z = CoordinatedPafg(pafg, {n: PSSV for n in blocks}, g)
     assert not check_abc(z)
     assert not is_alternating(z)
@@ -115,8 +112,7 @@ def test_association_false_for_foreign_edge(lib):
     ref = EdgeRef("X", "out", "Y", "in")
     blocks = dict(z.pafg.blocks)
     blocks["ghost"] = Block("ghost", ref, capacity=4)
-    graph = z.pafg.graph.add_vertex("ghost").add_edge("A", "ghost")
-    pafg = Pafg(graph, blocks)
+    pafg = Pafg(blocks, z.pafg.edges | {("A", "ghost")})
     assert not check_association(g, pafg)
 
 
@@ -124,7 +120,7 @@ def test_association_rejects_port_mismatch(lib):
     g = chain_graph()
     ref = EdgeRef("A", "bogus", "B", "in")
     blocks = {"p": Block("p", ref, capacity=4)}
-    pafg = Pafg(DirectedGraph.of(["p"]), blocks)
+    pafg = Pafg(blocks, frozenset())
     with pytest.raises(DanglingProvenanceError):
         check_association(g, pafg)
 
@@ -135,7 +131,7 @@ def test_association_requires_injectivity(lib):
         "b1": Block("b1", ActorRef("B"), kind="fork"),
         "b2": Block("b2", ActorRef("B"), kind="fork"),
     }
-    pafg = Pafg(DirectedGraph.of(["b1", "b2"]), blocks)
+    pafg = Pafg(blocks, frozenset())
     assert not check_association(g, pafg)
 
 
@@ -188,7 +184,7 @@ def test_validator_rejects_passive_interface_block(lib):
     blocks["F"] = Block("F", ActorRef("F"), kind="fork", capacity=4)
     coord["F"] = PSSV  # F has no producers; nothing could ever write it
     with pytest.raises(IrError):
-        validate_coordinated(CoordinatedPafg(Pafg(z.pafg.graph, blocks), coord, g), lib)
+        validate_coordinated(CoordinatedPafg(Pafg(blocks, z.pafg.edges), coord, g), lib)
 
 
 def test_alternating_implies_abc_on_random_graphs(lib):

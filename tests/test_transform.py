@@ -7,8 +7,21 @@ from pafg import transform
 from pafg.actors import default_library
 from pafg.apps import ForkCascadeConfig, build_evm_graph, build_fork_cascade, generate_evm_inputs
 from pafg.dataflow import AppGraphBuilder
-from pafg.errors import NotACandidateError, UnknownKindError, UnresolvableRateError
-from pafg.ir import ACTV, PSSV, check_abc, check_association, is_alternating
+from pafg.errors import (
+    NotACandidateError,
+    TransformError,
+    UnknownKindError,
+    UnresolvableRateError,
+)
+from pafg.ir import (
+    ACTV,
+    PSSV,
+    CoordinatedPafg,
+    Pafg,
+    check_abc,
+    check_association,
+    is_alternating,
+)
 from pafg.transform import (
     assert_step_arithmetic,
     compute_bmr,
@@ -220,10 +233,16 @@ def test_fixpoint_matches_rescan_on_random_graphs(lib):
 
 def test_fixpoint_matches_rescan_on_apps(lib, monkeypatch):
     calls = []
+    built = []
+    pafg_post_init = Pafg.__post_init__
 
     def counting_find_candidates(z, lib):
         calls.append(z)
         return find_candidates(z, lib)
+
+    def counting_post_init(self):
+        built.append(self)
+        pafg_post_init(self)
 
     # the reference calls this module's find_candidates, not the patched one
     monkeypatch.setattr(transform, "find_candidates", counting_find_candidates)
@@ -232,9 +251,31 @@ def test_fixpoint_matches_rescan_on_apps(lib, monkeypatch):
         build_fork_cascade(ForkCascadeConfig(window_size=8, num_forks=n)) for n in (6, 50)
     ]
     for g in graphs:
+        z = derive_direct_pafg(g, lib)
+        log = assert_fixpoint_matches_rescan(z, lib)
         calls.clear()
-        log = assert_fixpoint_matches_rescan(derive_direct_pafg(g, lib), lib)
-        assert log and len(calls) == 1
+        # count PAFG constructions in the fixpoint call alone: one rewrite
+        with monkeypatch.context() as m:
+            m.setattr(Pafg, "__post_init__", counting_post_init)
+            _, again = passivize_fixpoint(z, lib)
+        assert again == log
+        assert log and len(calls) == 1 and len(built) == 1
+        built.clear()
+
+
+def test_non_alternating_input_is_rejected(lib):
+    # the chain's direct PAFG plus an active-active edge A -> C: B is still
+    # a candidate, so only the alternation check can refuse it
+    g = chain_graph()
+    z = derive_direct_pafg(g, lib)
+    bad = CoordinatedPafg(Pafg(z.pafg.blocks, z.pafg.edges | {("A", "C")}), z.coordination, g)
+    assert [c.block for c in find_candidates(bad, lib)] == ["B"]
+    with pytest.raises(TransformError, match="alternating PAFGs only"):
+        passivize(bad, lib, "B")
+    with pytest.raises(TransformError, match="alternating PAFGs only"):
+        passivize_fixpoint(bad, lib)
+    with pytest.raises(TransformError, match="alternating PAFGs only"):
+        passivize_fixpoint(bad, lib, blocks=["B"])
 
 
 def test_bmr_chain(lib):
