@@ -27,13 +27,7 @@ from .ir import (
     is_interface_block,
     validate_coordinated,
 )
-from .kernels import (
-    GainFork,
-    PassiveFork,
-    PassiveInterleave,
-    SimpleFifo,
-    capacity_rule,
-)
+from .kernels import PassiveKernel, capacity_rule
 from .runtime import ExecStats, check_mapping_equivalence, compare_streams, instantiate
 from .transform import (
     BmrReport,
@@ -61,13 +55,10 @@ __all__ = [
     "EdgeRef",
     "ExecStats",
     "F64",
-    "GainFork",
     "I64",
     "PSSV",
     "Pafg",
-    "PassiveFork",
-    "PassiveInterleave",
-    "SimpleFifo",
+    "PassiveKernel",
     "capacity_rule",
     "check_abc",
     "check_association",

@@ -1,17 +1,18 @@
 """Active (rates/ready/invoke) implementations of the built-in actor kinds and
 the default library wiring them to their passive counterparts.
 
-Buffer actors (fork, gain-fork, interleave) have both forms; everything
-else is computational. Sources and sinks carry the graph's external I/O:
-a source is bound to a finite value stream before execution, a sink
-collects what it consumes.
+Buffer actors (fork, gain-fork, interleave) have both forms: each kind is
+one BufferActor declaration, and its passive form is that actor's ring.
+Everything else is computational. Sources and sinks carry the graph's
+external I/O: a source is bound to a finite value stream before
+execution, a sink collects what it consumes.
 """
 
 import math
 
 from .dataflow import ActorLibrary, CfdfActor, F64, I64
 from .errors import ModelError
-from .kernels import GainFork, PassiveFork, PassiveInterleave
+from .kernels import PassiveKernel
 
 
 class SourceActor(CfdfActor):
@@ -50,7 +51,7 @@ class SourceActor(CfdfActor):
         return {"out": [value]}
 
 
-class VarSourceActor(CfdfActor):
+class VarSourceActor(SourceActor):
     """Variable-window source: emits a window length on the control port,
     then that many samples one per firing on the data port.
 
@@ -58,9 +59,7 @@ class VarSourceActor(CfdfActor):
     """
 
     kind = "var-src"
-    input_ports = ()
     output_ports = ("len", "out")
-    is_source = True
 
     _RATES = {
         "emit-length": ({}, {"len": 1, "out": 0}),
@@ -69,21 +68,15 @@ class VarSourceActor(CfdfActor):
 
     def __init__(self, name):
         super().__init__(name)
-        self._values = []
-        self._cursor = 0
         self._remaining = 0
 
     def initial_mode(self):
         return "emit-length"
 
     def bind(self, values):
-        self._values = list(values)
-        self._cursor = 0
+        super().bind(values)
         self._remaining = 0
-        self.mode = "emit-length"
-
-    def ready(self):
-        return self._cursor < len(self._values)
+        self.mode = self.initial_mode()
 
     def rates(self):
         return self._RATES[self.mode]
@@ -145,26 +138,39 @@ class AccumulatorActor(CfdfActor):
         return {}
 
 
-class ForkActor(CfdfActor):
-    """Broadcast: copies the input token to each of its m outputs."""
+class BufferActor(CfdfActor):
+    """A buffer kind declared by its input ports, its fanout and an
+    optional per-token op. Each firing takes one token from each input
+    port, in declared port order, applies op to each, and emits that
+    sequence on every output port out0..out{fanout-1}. passive(capacity)
+    is the same buffer as a ring with the same ports and op."""
 
-    kind = "fork"
-
-    def __init__(self, name, fanout=2):
+    def __init__(self, name, kind, input_ports, fanout, op=None):
         if fanout < 1:
-            raise ModelError(f"{name}: fork fanout must be >= 1")
-        self.fanout = fanout
-        self.input_ports = ("in",)
+            raise ModelError(f"{name}: {kind} fanout must be >= 1")
+        self.kind = kind
+        self.input_ports = tuple(input_ports)
         self.output_ports = tuple(f"out{i}" for i in range(fanout))
-        self._rates = ({"in": 1}, {p: 1 for p in self.output_ports})
+        self.op = op
+        self._rates = (
+            dict.fromkeys(self.input_ports, 1),
+            dict.fromkeys(self.output_ports, len(self.input_ports)),
+        )
         super().__init__(name)
 
     def rates(self):
         return self._rates
 
     def invoke(self, inputs):
-        t = inputs["in"][0]
-        return {p: [t] for p in self.output_ports}
+        seq = []
+        for port in self.input_ports:
+            seq += inputs[port]
+        if self.op is not None:
+            seq = [self.op(t) for t in seq]
+        return dict.fromkeys(self.output_ports, seq)
+
+    def passive(self, capacity):
+        return PassiveKernel(capacity, self.input_ports, self.output_ports, self.op)
 
 
 class GainActor(CfdfActor):
@@ -182,52 +188,6 @@ class GainActor(CfdfActor):
 
     def invoke(self, inputs):
         return {"out": [self.k * inputs["in"][0]]}
-
-
-class GainForkActor(CfdfActor):
-    """Fused constant multiply plus broadcast."""
-
-    kind = "gain-fork"
-
-    def __init__(self, name, k=1.0, fanout=1):
-        if fanout < 1:
-            raise ModelError(f"{name}: gain-fork fanout must be >= 1")
-        self.k = k
-        self.fanout = fanout
-        self.input_ports = ("in",)
-        self.output_ports = tuple(f"out{i}" for i in range(fanout))
-        self._rates = ({"in": 1}, {p: 1 for p in self.output_ports})
-        super().__init__(name)
-
-    def rates(self):
-        return self._rates
-
-    def invoke(self, inputs):
-        v = self.k * inputs["in"][0]
-        return {p: [v] for p in self.output_ports}
-
-
-class InterleaveActor(CfdfActor):
-    """Pairs one token from "re" with one from "im" and emits them as two
-    successive tokens on every output port."""
-
-    kind = "interleave"
-    input_ports = ("re", "im")
-
-    def __init__(self, name, fanout=1):
-        if fanout < 1:
-            raise ModelError(f"{name}: interleave fanout must be >= 1")
-        self.fanout = fanout
-        self.output_ports = tuple(f"out{i}" for i in range(fanout))
-        self._rates = ({"re": 1, "im": 1}, {p: 2 for p in self.output_ports})
-        super().__init__(name)
-
-    def rates(self):
-        return self._rates
-
-    def invoke(self, inputs):
-        pair = [inputs["re"][0], inputs["im"][0]]
-        return {p: list(pair) for p in self.output_ports}
 
 
 class ErrorMagnitudeActor(CfdfActor):
@@ -330,16 +290,22 @@ class RmsRatioActor(CfdfActor):
         return {"out": [math.sqrt(inputs["e"][0]) / math.sqrt(inputs["r"][0])]}
 
 
-def _passive_fork(spec, capacity):
-    return PassiveFork(capacity, fanout=int(spec.param("fanout", 2)))
+def _gain(spec):
+    k = spec.param("k", 1.0)
+    return lambda t: k * t
 
 
-def _passive_gain_fork(spec, capacity):
-    return GainFork(capacity, gain=spec.param("k", 1.0), fanout=int(spec.param("fanout", 1)))
+def _register_buffer(lib, kind, input_ports, fanout, make_op=None):
+    """Register a buffer kind: its input ports, its default fanout and,
+    if given, a function from the actor spec to the per-token op."""
 
+    def active(spec):
+        return BufferActor(
+            spec.name, kind, input_ports, int(spec.param("fanout", fanout)),
+            None if make_op is None else make_op(spec),
+        )
 
-def _passive_interleave(spec, capacity):
-    return PassiveInterleave(capacity, read_fanout=int(spec.param("fanout", 1)))
+    lib.register(kind, active, lambda spec, capacity: active(spec).passive(capacity))
 
 
 def default_library():
@@ -348,22 +314,10 @@ def default_library():
     lib.register("var-src", lambda s: VarSourceActor(s.name))
     lib.register("snk", lambda s: SinkActor(s.name))
     lib.register("acc", lambda s: AccumulatorActor(s.name))
-    lib.register(
-        "fork",
-        lambda s: ForkActor(s.name, fanout=int(s.param("fanout", 2))),
-        _passive_fork,
-    )
     lib.register("gain", lambda s: GainActor(s.name, k=s.param("k", 1.0)))
-    lib.register(
-        "gain-fork",
-        lambda s: GainForkActor(s.name, k=s.param("k", 1.0), fanout=int(s.param("fanout", 1))),
-        _passive_gain_fork,
-    )
-    lib.register(
-        "interleave",
-        lambda s: InterleaveActor(s.name, fanout=int(s.param("fanout", 1))),
-        _passive_interleave,
-    )
+    _register_buffer(lib, "fork", ("in",), fanout=2)
+    _register_buffer(lib, "gain-fork", ("in",), fanout=1, make_op=_gain)
+    _register_buffer(lib, "interleave", ("re", "im"), fanout=1)
     lib.register("err-mag", lambda s: ErrorMagnitudeActor(s.name))
     lib.register("ref-mag", lambda s: ReferenceMagnitudeActor(s.name))
     lib.register("avg", lambda s: WindowAverageActor(s.name))

@@ -59,8 +59,6 @@ class EvmConfig:
     ref_im: list = field(default_factory=list)
     rec_re: list = field(default_factory=list)
     rec_im: list = field(default_factory=list)
-    fork_fanout: int = 2
-    data_capacity: int = None
 
     def validate(self):
         if not self.window_lengths:
@@ -78,15 +76,8 @@ class EvmConfig:
                 raise ModelError(
                     f"{label} has {len(stream)} samples, expected sum of windows = {total}"
                 )
-        if self.fork_fanout != 2:
-            raise ModelError(
-                "the reference EVM topology has exactly two windowed consumers "
-                f"(EA, RFA); fork_fanout must be 2, got {self.fork_fanout}"
-            )
 
     def capacity(self):
-        if self.data_capacity is not None:
-            return self.data_capacity
         # interleavers emit two tokens per firing, so data edges need >= 2
         return max(2, max(self.window_lengths))
 
@@ -98,7 +89,7 @@ def build_evm_graph(cfg):
     b.actor("SRC1", "src", type=I64)
     for name in ("SRC2", "SRC3", "SRC4", "SRC5"):
         b.actor(name, "src")
-    b.actor("FA", "fork", fanout=cfg.fork_fanout)
+    b.actor("FA", "fork", fanout=2)
     b.actor("RFC", "interleave", fanout=2)
     b.actor("RCC", "interleave", fanout=1)
     b.actor("E", "err-mag")
@@ -194,7 +185,7 @@ def evm_oracle_per_window(cfg):
     return out
 
 
-def generate_evm_inputs(seed, max_length, num_windows, fork_fanout=2):
+def generate_evm_inputs(seed, max_length, num_windows):
     """Seeded random EVM inputs: window lengths uniform in 1..max_length,
     samples uniform in [-1, 1). Draw order is lengths, then ref_re,
     ref_im, rec_re, rec_im."""
@@ -208,7 +199,6 @@ def generate_evm_inputs(seed, max_length, num_windows, fork_fanout=2):
         ref_im=streams[1],
         rec_re=streams[2],
         rec_im=streams[3],
-        fork_fanout=fork_fanout,
     )
 
 

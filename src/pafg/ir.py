@@ -106,9 +106,6 @@ class CoordinatedPafg:
     def coord(self, name):
         return self.coordination[name]
 
-    def blocks(self):
-        return self.pafg.blocks
-
 
 def block_category(block, lib):
     """"simple", "computational", or "buffer" (non-simple buffer block)."""

@@ -1,12 +1,13 @@
-"""Executable passive blocks: the multi-read-pointer ring kernel and its
-behavioral specializations (simple FIFO, passive fork, gain-fork, passive
-interleaver).
+"""Executable passive blocks: one multi-read-pointer ring kernel. A simple
+FIFO, a passive fork, a gain-fork and a passive interleaver are the same
+ring with different write ports, read ports and per-token transform.
 
 Pointers are unbounded monotonic counters; slots are addressed index mod
 capacity, which avoids the full/empty wraparound ambiguity. A slot is
-reused only once the slowest read pointer has passed it. The interleaver
-keeps one write pointer per write port and exposes the end of their
-contiguous written prefix as its wptr.
+reused only once the slowest read pointer has passed it. Write port j of
+m stores its i-th token at global index m*i + j and keeps its own next
+index, so each writer may run ahead into its own free slots; wptr is the
+end of the contiguous written prefix, which is all the read ports see.
 """
 
 from .errors import (
@@ -18,30 +19,29 @@ from .errors import (
 
 
 class PassiveKernel:
-    """Bounded token store with one write pointer and one independent read
-    pointer per read port. Every read port observes the exact write
-    sequence (after the optional write transform), first-in first-out.
-    Write and read port names match the corresponding actor's port names
-    so schedulers can bind producer/consumer ports without extra tables."""
+    """Bounded token store with one next index per write port and one
+    independent read pointer per read port. Every read port observes the
+    exact interleaved write sequence (after the optional transform), first
+    in first out. Port names match the corresponding actor's port names so
+    the engine can bind producer/consumer ports without extra tables."""
 
-    write_ports = ("in",)
-    read_ports = ("out",)
-
-    def __init__(self, capacity, write_transform=None):
+    def __init__(self, capacity, write_ports=("in",), read_ports=("out",), transform=None):
         if capacity < 1:
             raise KernelError("capacity must be >= 1")
+        if not write_ports or not read_ports:
+            raise KernelError("a ring needs at least one write port and one read port")
         self.capacity = capacity
+        self.write_ports = write_ports = tuple(write_ports)
+        self.read_ports = read_ports = tuple(read_ports)
         self._slots = [None] * capacity
+        self._stride = m = len(write_ports)
+        self.next = dict(zip(write_ports, range(m)))
         self.wptr = 0
-        self.rptr = [0] * len(self.read_ports)
+        self.rptr = [0] * len(read_ports)
         self._low = 0  # min(self.rptr), kept up to date by read()
-        self._read_index = {name: i for i, name in enumerate(self.read_ports)}
-        self._transform = write_transform
+        self._read_index = dict(zip(read_ports, range(len(read_ports))))
+        self._transform = transform
         self.stores = 0
-
-    def _require_write(self, port):
-        if port not in self.write_ports:
-            raise UnknownPortError(f"unknown write port {port!r}")
 
     def _rindex(self, port):
         try:
@@ -49,27 +49,30 @@ class PassiveKernel:
         except KeyError:
             raise UnknownPortError(f"unknown read port {port!r}") from None
 
-    def _free(self):
-        return self.capacity - (self.wptr - self._low)
-
-    def _store(self, token):
-        wptr = self.wptr
-        if wptr - self._low >= self.capacity:
-            raise BufferFullError(f"ring full (capacity {self.capacity})")
-        if self._transform is not None:
-            token = self._transform(token)
-        self._slots[wptr % self.capacity] = token
-        self.wptr = wptr + 1
-        self.stores += 1
-
     def writable(self, port):
-        """Number of tokens currently admissible on this write port."""
-        self._require_write(port)
-        return self._free()
+        """Number of tokens currently admissible on this write port: its
+        free indices next, next + m, ... below _low + capacity."""
+        try:
+            i = self.next[port]
+        except KeyError:
+            raise UnknownPortError(f"unknown write port {port!r}") from None
+        m = self._stride
+        return (self._low + self.capacity - i + m - 1) // m
 
     def write(self, port, token):
-        self._require_write(port)
-        self._store(token)
+        try:
+            i = self.next[port]
+        except KeyError:
+            raise UnknownPortError(f"unknown write port {port!r}") from None
+        if i - self._low >= self.capacity:
+            raise BufferFullError(f"ring full for {port!r} (capacity {self.capacity})")
+        if self._transform is not None:
+            token = self._transform(token)
+        self._slots[i % self.capacity] = token
+        m = self._stride
+        self.next[port] = i + m
+        self.wptr = i + 1 if m == 1 else min(self.next.values())
+        self.stores += 1
 
     def population(self, port):
         return self.wptr - self.rptr[self._rindex(port)]
@@ -87,72 +90,6 @@ class PassiveKernel:
 
     def populations(self):
         return {p: self.population(p) for p in self.read_ports}
-
-
-class SimpleFifo(PassiveKernel):
-    """Single-reader FIFO backing a dataflow edge."""
-
-    kind = "simple"
-
-
-class PassiveFork(PassiveKernel):
-    """One write port, m read pointers over the same stored stream; the
-    broadcast happens by reading, with no per-output copies."""
-
-    kind = "fork"
-
-    def __init__(self, capacity, fanout):
-        if fanout < 1:
-            raise KernelError("fork fanout must be >= 1")
-        self.read_ports = tuple(f"out{i}" for i in range(fanout))
-        super().__init__(capacity)
-
-
-class GainFork(PassiveKernel):
-    """Fork ring that scales each token by a constant at write time, so
-    the multiplication happens once regardless of the reader count."""
-
-    kind = "gain-fork"
-
-    def __init__(self, capacity, gain, fanout=1):
-        if fanout < 1:
-            raise KernelError("gain-fork fanout must be >= 1")
-        self.gain = gain
-        self.read_ports = tuple(f"out{i}" for i in range(fanout))
-        super().__init__(capacity, write_transform=lambda t: gain * t)
-
-
-class PassiveInterleave(PassiveKernel):
-    """Two write ports feeding one ring: "re" token i occupies global index
-    2i and "im" token i index 2i+1. Each write port keeps its own next
-    index, so either writer may run ahead of the other into its own free
-    slots; wptr is the end of the contiguous written prefix, which is all
-    the read ports see of the interleaved stream."""
-
-    kind = "interleave"
-    write_ports = ("re", "im")
-
-    def __init__(self, capacity, read_fanout=1):
-        if read_fanout < 1:
-            raise KernelError("interleave needs at least one read port")
-        self.read_ports = tuple(f"out{i}" for i in range(read_fanout))
-        super().__init__(capacity)
-        self.next = {"re": 0, "im": 1}
-
-    def writable(self, port):
-        self._require_write(port)
-        # this port's free indices: next, next + 2, ... below _low + capacity
-        return (self._low + self.capacity - self.next[port] + 1) // 2
-
-    def write(self, port, token):
-        self._require_write(port)
-        i = self.next[port]
-        if i - self._low >= self.capacity:
-            raise BufferFullError(f"ring full for {port!r} (capacity {self.capacity})")
-        self._slots[i % self.capacity] = token
-        self.next[port] = i + 2
-        self.wptr = min(self.next.values())
-        self.stores += 1
 
 
 def capacity_rule(kind, input_capacities):

@@ -32,7 +32,7 @@ from .errors import (
     UnboundIoError,
 )
 from .ir import EdgeRef, PSSV, is_alternating, validate_coordinated
-from .kernels import SimpleFifo
+from .kernels import PassiveKernel
 from .transform import compute_bmr
 
 
@@ -247,7 +247,7 @@ def instantiate(z, lib, source_data):
     for name, block in z.pafg.blocks.items():
         if z.coord(name) == PSSV:
             if block.is_simple:
-                kernels[name] = SimpleFifo(block.capacity)
+                kernels[name] = PassiveKernel(block.capacity)
             else:
                 spec = app.actor(block.provenance.name)
                 kernels[name] = lib.make_passive(spec, block.capacity)
@@ -255,16 +255,27 @@ def instantiate(z, lib, source_data):
             spec = app.actor(block.provenance.name)
             actors[name] = lib.make_active(spec)
 
+    # (input ports, output ports) of every block, active or passive: an
+    # application edge may only touch ports its endpoints declare.
+    declared = {name: (a.input_ports, a.output_ports) for name, a in actors.items()}
+    declared.update((name, (k.write_ports, k.read_ports)) for name, k in kernels.items())
+
     # Each application edge is realized either by its surviving simple
     # buffer or, if that buffer was absorbed, by a port of the passivized
     # endpoint's kernel.
     in_bindings = {name: {} for name in actors}
     out_bindings = {name: {} for name in actors}
     for e in app.edges.values():
+        for block, port, side in ((e.src, e.src_port, 1), (e.snk, e.snk_port, 0)):
+            if port not in declared[block][side]:
+                raise RuntimeExecutionError(
+                    f"edge {e.signature()}: {block}.{port} is not a declared port of {block}"
+                )
         simple_name = EdgeRef(e.src, e.src_port, e.snk, e.snk_port).signature()
         if simple_name in kernels:
-            producer_binding = (simple_name, "in")
-            consumer_binding = (simple_name, "out")
+            fifo = kernels[simple_name]
+            producer_binding = (simple_name, fifo.write_ports[0])
+            consumer_binding = (simple_name, fifo.read_ports[0])
         elif e.snk in kernels and e.src in kernels:
             raise RuntimeExecutionError(
                 f"edge {e.signature()}: both endpoints are passive"

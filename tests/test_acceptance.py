@@ -22,7 +22,7 @@ from pafg.apps import (
     generate_evm_inputs,
 )
 from pafg.ir import ACTV, PSSV, check_abc, check_association, is_alternating, validate_coordinated
-from pafg.kernels import PassiveFork, capacity_rule
+from pafg.kernels import PassiveKernel, capacity_rule
 from pafg.runtime import check_mapping_equivalence, compare_streams, instantiate
 from pafg.transform import (
     assert_step_arithmetic,
@@ -216,7 +216,7 @@ def test_criterion_5_copy_count_dominance():
 def test_criterion_6_kernel_property_suites():
     with criterion(6, "ring-buffer invariants and mapping equivalence"):
         rng = random.Random(6000)
-        fork = PassiveFork(5, fanout=3)
+        fork = PassiveKernel(5, read_ports=("out0", "out1", "out2"))
         ports = fork.read_ports
         written = []
         read_count = {p: 0 for p in ports}

@@ -127,13 +127,11 @@ def test_evm_candidates_and_topology(lib):
 
 
 def test_evm_direct_instance_uses_simple_fifos(lib):
-    from pafg.kernels import SimpleFifo
-
     cfg = generate_evm_inputs(seed=5, max_length=8, num_windows=1)
     graph = build_evm_graph(cfg)
     z = derive_direct_pafg(graph, lib)
     inst = instantiate(z, lib, evm_source_data(cfg))
-    fifos = [k for k in inst.kernels.values() if isinstance(k, SimpleFifo)]
+    fifos = [k for k in inst.kernels.values() if (k.write_ports, k.read_ports) == (("in",), ("out",))]
     assert len(fifos) == 15
     assert len(inst.kernels) == 15
 
@@ -147,8 +145,8 @@ def test_evm_passivized_kernels(lib):
     assert z.pafg.block("RFC").capacity == 2 * cap
     assert z.pafg.block("RCC").capacity == 2 * cap
     inst = instantiate(z, lib, evm_source_data(cfg))
-    assert type(inst.kernels["FA"]).__name__ == "PassiveFork"
-    assert type(inst.kernels["RFC"]).__name__ == "PassiveInterleave"
+    assert inst.kernels["FA"].read_ports == ("out0", "out1")
+    assert inst.kernels["RFC"].write_ports == ("re", "im")
 
 
 def test_evm_copy_counts_measured_equal_estimated(lib):
@@ -173,15 +171,6 @@ def test_evm_config_validation():
     with pytest.raises(ModelError):
         EvmConfig(
             window_lengths=[1], ref_re=[1.0], ref_im=[1.0], rec_re=[1.0], rec_im=[]
-        ).validate()
-    with pytest.raises(ModelError):
-        EvmConfig(
-            window_lengths=[1],
-            ref_re=[1.0],
-            ref_im=[1.0],
-            rec_re=[1.0],
-            rec_im=[1.0],
-            fork_fanout=3,
         ).validate()
 
 

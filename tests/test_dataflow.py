@@ -1,7 +1,6 @@
 import pytest
 
 from pafg.actors import (
-    ForkActor,
     GainActor,
     VarSourceActor,
     WindowAverageActor,
@@ -78,7 +77,7 @@ def test_multi_rate_enable_waits_for_full_rate():
 
 
 def test_fork_invoke_broadcasts():
-    fork = ForkActor("f", fanout=2)
+    fork = default_library().make_active(ActorSpec("f", "fork", {"fanout": 2}))
     assert fork.invoke({"in": [7.0]}) == {"out0": [7.0], "out1": [7.0]}
 
 
@@ -101,6 +100,18 @@ def test_var_source_two_mode_cycle():
     assert src.mode == "emit-length"
     assert emitted == [2, 10.0, 20.0]
     assert len(emitted) == 1 + 2
+
+
+def test_var_source_remaining_counts_down():
+    src = VarSourceActor("s")
+    src.bind([2, 10.0, 20.0, 1, 30.0])
+    seen = [src.remaining()]
+    while src.ready():
+        src.invoke({})
+        seen.append(src.remaining())
+    assert seen == [5, 4, 3, 2, 1, 0]
+    src.bind([1, 5.0])
+    assert (src.remaining(), src.mode) == (2, "emit-length")
 
 
 def test_avg_windowed_mean():

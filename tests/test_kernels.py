@@ -3,20 +3,14 @@ import random
 import pytest
 
 from pafg.actors import default_library
-from pafg.dataflow import ActorLibrary
+from pafg.dataflow import ActorLibrary, ActorSpec
 from pafg.errors import (
     BufferEmptyError,
     BufferFullError,
     KernelError,
     UnknownPortError,
 )
-from pafg.kernels import (
-    GainFork,
-    PassiveFork,
-    PassiveInterleave,
-    SimpleFifo,
-    capacity_rule,
-)
+from pafg.kernels import PassiveKernel, capacity_rule
 from pafg.runtime import check_mapping_equivalence
 from pafg.transform import derive_direct_pafg, passivize_fixpoint
 from topologies import fork_graph, gain_fork_graph, gain_then_fork_graph, interleave_graph
@@ -24,21 +18,32 @@ from topologies import fork_graph, gain_fork_graph, gain_then_fork_graph, interl
 LIB = default_library()
 
 
+def ring(kind, capacity, **params):
+    """The passive form of one buffer actor of this kind."""
+    return LIB.make_passive(ActorSpec("B", kind, params), capacity)
+
+
 def test_fifo_order():
-    fifo = SimpleFifo(4)
+    fifo = PassiveKernel(4)
     for v in (1.0, 2.0, 3.0):
         fifo.write("in", v)
     assert [fifo.read("out") for _ in range(3)] == [1.0, 2.0, 3.0]
 
 
 def test_fresh_kernel_counts():
-    fork = PassiveFork(4, fanout=2)
+    fork = ring("fork", 4, fanout=2)
     assert fork.population("out0") == 0
     assert fork.writable("in") == 4
 
 
+def test_ring_needs_capacity_and_ports():
+    for args in ((0,), (4, ()), (4, ("in",), ())):
+        with pytest.raises(KernelError):
+            PassiveKernel(*args)
+
+
 def test_fork_broadcast_population():
-    fork = PassiveFork(8, fanout=2)
+    fork = ring("fork", 8, fanout=2)
     fork.write("in", 7.0)
     assert fork.population("out0") == 1
     assert fork.population("out1") == 1
@@ -47,7 +52,7 @@ def test_fork_broadcast_population():
 
 
 def test_fork_independent_pointers():
-    fork = PassiveFork(8, fanout=2)
+    fork = ring("fork", 8, fanout=2)
     fork.write("in", 1.0)
     fork.write("in", 2.0)
     assert [fork.read("out0"), fork.read("out0")] == [1.0, 2.0]
@@ -55,7 +60,7 @@ def test_fork_independent_pointers():
 
 
 def test_fork_interleaved_reads():
-    fork = PassiveFork(8, fanout=2)
+    fork = ring("fork", 8, fanout=2)
     fork.write("in", 1.0)
     fork.write("in", 2.0)
     seq = [fork.read("out0"), fork.read("out1"), fork.read("out0"), fork.read("out1")]
@@ -63,13 +68,13 @@ def test_fork_interleaved_reads():
 
 
 def test_read_empty_errors():
-    fork = PassiveFork(4, fanout=2)
+    fork = ring("fork", 4, fanout=2)
     with pytest.raises(BufferEmptyError):
         fork.read("out0")
 
 
 def test_write_full_errors():
-    fifo = SimpleFifo(2)
+    fifo = PassiveKernel(2)
     fifo.write("in", 1.0)
     fifo.write("in", 2.0)
     with pytest.raises(BufferFullError):
@@ -78,7 +83,7 @@ def test_write_full_errors():
 
 def test_slowest_reader_limits_space():
     # capacity 4, 3 writes, one read on out0: free space tracks min pointer
-    fork = PassiveFork(4, fanout=2)
+    fork = ring("fork", 4, fanout=2)
     for v in (1.0, 2.0, 3.0):
         fork.write("in", v)
     fork.read("out0")
@@ -88,7 +93,7 @@ def test_slowest_reader_limits_space():
 
 
 def test_drained_kernel_recovers_capacity():
-    fork = PassiveFork(4, fanout=2)
+    fork = ring("fork", 4, fanout=2)
     for v in (1.0, 2.0, 3.0):
         fork.write("in", v)
     for port in ("out0", "out1"):
@@ -98,22 +103,24 @@ def test_drained_kernel_recovers_capacity():
 
 
 def test_unknown_ports():
-    fork = PassiveFork(4, fanout=2)
+    fork = ring("fork", 4, fanout=2)
     with pytest.raises(UnknownPortError):
         fork.write("bogus", 1.0)
+    with pytest.raises(UnknownPortError):
+        fork.writable("bogus")
     with pytest.raises(UnknownPortError):
         fork.population("out9")
 
 
 def test_gain_fork_write_transform():
-    gf = GainFork(4, gain=2.0, fanout=2)
+    gf = ring("gain-fork", 4, k=2.0, fanout=2)
     gf.write("in", 3.0)
     assert gf.read("out0") == 6.0
     assert gf.read("out1") == 6.0
 
 
 def test_interleave_sequencing():
-    il = PassiveInterleave(8, read_fanout=1)
+    il = ring("interleave", 8, fanout=1)
     il.write("re", 1.0)
     il.write("im", 10.0)
     il.write("re", 2.0)
@@ -122,7 +129,7 @@ def test_interleave_sequencing():
 
 
 def test_interleave_writers_run_ahead():
-    il = PassiveInterleave(8)
+    il = ring("interleave", 8)
     assert il.writable("re") == 4
     for v in (1.0, 2.0, 3.0, 4.0):
         il.write("re", v)
@@ -139,7 +146,7 @@ def test_interleave_writers_run_ahead():
 
 
 def test_interleave_index_parity():
-    il = PassiveInterleave(16, read_fanout=2)
+    il = ring("interleave", 16, fanout=2)
     re_vals = [1.0, 2.0, 3.0]
     im_vals = [10.0, 20.0, 30.0]
     for r, i in zip(re_vals, im_vals):
@@ -150,31 +157,57 @@ def test_interleave_index_parity():
     assert stream[1::2] == im_vals
 
 
-@pytest.mark.parametrize("capacity, fanout", [(1, 1), (2, 3), (5, 2), (8, 1), (9, 3)])
-def test_interleave_invariants_under_random_admissible_ops(capacity, fanout):
-    rng = random.Random(capacity * 10 + fanout)
-    il = PassiveInterleave(capacity, read_fanout=fanout)
-    written = {"re": [], "im": []}
-    read_count = dict.fromkeys(il.read_ports, 0)
-    for step in range(3000):
-        choices = [p for p in il.write_ports if il.writable(p) > 0]
-        choices += [p for p in il.read_ports if il.population(p) > 0]
+@pytest.mark.parametrize("kind, params", [
+    ("fork", {"fanout": 3}),
+    ("gain-fork", {"k": 2.0, "fanout": 2}),
+    ("interleave", {"fanout": 2}),
+])
+def test_passive_form_has_the_active_ports(kind, params):
+    spec = ActorSpec("B", kind, params)
+    actor = LIB.make_active(spec)
+    kernel = LIB.make_passive(spec, 4)
+    assert kernel.write_ports == actor.input_ports
+    assert kernel.read_ports == actor.output_ports
+
+
+@pytest.mark.parametrize("write_ports, capacity, fanout", [
+    pytest.param(("in",), 7, 3, id="in-7-3"),
+    pytest.param(("in",), 1, 1, id="in-1-1"),
+    pytest.param(("in",), 4, 2, id="in-4-2"),
+    *(
+        pytest.param(("re", "im"), capacity, fanout, id=f"{capacity}-{fanout}")
+        for capacity, fanout in [(1, 1), (2, 3), (5, 2), (8, 1), (9, 3)]
+    ),
+])
+def test_interleave_invariants_under_random_admissible_ops(write_ports, capacity, fanout):
+    """Every ring interleaves its m write ports; with m = 1 it is a plain
+    FIFO or fork ring."""
+    rng = random.Random(100 * len(write_ports) + 10 * capacity + fanout)
+    kernel = PassiveKernel(capacity, write_ports, tuple(f"out{i}" for i in range(fanout)))
+    m = len(write_ports)
+    written = {port: [] for port in write_ports}
+    read_count = dict.fromkeys(kernel.read_ports, 0)
+    for step in range(4000):
+        choices = [p for p in write_ports if kernel.writable(p) > 0]
+        choices += [p for p in kernel.read_ports if kernel.population(p) > 0]
         op = rng.choice(choices)
-        if op in il.write_ports:
-            il.write(op, float(step))
+        if op in write_ports:
+            kernel.write(op, float(step))
             written[op].append(float(step))
         else:
             n = read_count[op]
-            # the n-th token of every read port is re_{n/2} or im_{n/2}
-            assert il.read(op) == written[("re", "im")[n % 2]][n // 2]
+            # the n-th token of every read port is token n // m of writer n % m
+            assert kernel.read(op) == written[write_ports[n % m]][n // m]
             read_count[op] = n + 1
-        for port in il.write_ports:
-            if il.writable(port) == 0:
+        for port in write_ports:
+            if kernel.writable(port) == 0:
                 with pytest.raises(BufferFullError):
-                    il.write(port, -1.0)
-        assert il.stores == len(written["re"]) + len(written["im"])
-        assert il._low == min(il.rptr)
-        assert 0 <= il.wptr - il._low <= il.capacity
+                    kernel.write(port, -1.0)
+        assert kernel.stores == sum(len(tokens) for tokens in written.values())
+        assert kernel._low == min(kernel.rptr)
+        assert 0 <= kernel.wptr - kernel._low <= kernel.capacity
+        for port in kernel.read_ports:
+            assert 0 <= kernel.population(port) <= kernel.capacity
     assert min(read_count.values()) > 0
 
 
@@ -187,32 +220,6 @@ def test_capacity_rule():
         capacity_rule("fork", [1, 2])
     with pytest.raises(KernelError):
         capacity_rule("interleave", [1])
-
-
-def test_ring_invariants_under_random_admissible_ops():
-    rng = random.Random(42)
-    fork = PassiveFork(7, fanout=3)
-    ports = fork.read_ports
-    written = []
-    read_count = {port: 0 for port in ports}
-    for step in range(5000):
-        choices = []
-        if fork.writable("in") > 0:
-            choices.append(None)
-        for port in ports:
-            if fork.population(port) > 0:
-                choices.append(port)
-        op = rng.choice(choices)
-        if op is None:
-            fork.write("in", float(step))
-            written.append(float(step))
-        else:
-            value = fork.read(op)
-            assert value == written[read_count[op]]
-            read_count[op] += 1
-        assert 0 <= fork.wptr - min(fork.rptr) <= fork.capacity
-        for port in ports:
-            assert 0 <= fork.population(port) <= fork.capacity
 
 
 def direct_and_passivized(graph):
@@ -251,11 +258,11 @@ def test_interleave_mapping_equivalence():
     assert ok, div
 
 
-class DroppingFork(PassiveFork):
+class DroppingFork(PassiveKernel):
     """Stores only every other written token."""
 
-    def __init__(self, capacity, fanout):
-        super().__init__(capacity, fanout)
+    def __init__(self, capacity, write_ports, read_ports):
+        super().__init__(capacity, write_ports, read_ports)
         self._calls = 0
 
     def write(self, port, token):
@@ -264,11 +271,11 @@ class DroppingFork(PassiveFork):
             super().write(port, token)
 
 
-class StallingFork(PassiveFork):
+class StallingFork(PassiveKernel):
     """Admits one token, then reports a full ring for good."""
 
     def writable(self, port):
-        self._require_write(port)
+        super().writable(port)  # rejects an unknown port
         return 0 if self.stores else 1
 
 
@@ -276,11 +283,13 @@ def library_with_fork_kernel(kernel_class):
     lib = ActorLibrary()
     for kind in ("src", "snk"):
         lib.register(kind, LIB.entry(kind).active_factory)
-    lib.register(
-        "fork",
-        LIB.entry("fork").active_factory,
-        lambda spec, capacity: kernel_class(capacity, fanout=spec.param("fanout")),
-    )
+    fork = LIB.entry("fork").active_factory
+
+    def passive(spec, capacity):
+        actor = fork(spec)
+        return kernel_class(capacity, actor.input_ports, actor.output_ports)
+
+    lib.register("fork", fork, passive)
     return lib
 
 

@@ -364,6 +364,35 @@ def test_instantiate_rejects_passive_without_impl(lib):
         instantiate(z2, crippled, {"A": [1.0]})
 
 
+def fork_graph_with_ports(in_port, extra_out_port=None):
+    """S -> F(fork, fanout 2) -> A0, A1, with F's input on in_port and,
+    if given, one more output edge F.extra_out_port -> C."""
+    b = (
+        AppGraphBuilder()
+        .actor("S", "src")
+        .actor("F", "fork", fanout=2)
+        .actor("A0", "acc")
+        .actor("A1", "acc")
+        .edge("S.out", f"F.{in_port}", capacity=4)
+        .edge("F.out0", "A0.in", capacity=4)
+        .edge("F.out1", "A1.in", capacity=4)
+    )
+    if extra_out_port is not None:
+        b.actor("C", "snk").edge(f"F.{extra_out_port}", "C.in", capacity=4)
+    return b.build()
+
+
+@pytest.mark.parametrize("ports, named", [(("bogus",), r"F\.bogus"), (("in", "out7"), r"F\.out7")])
+@pytest.mark.parametrize("optimized", [False, True])
+def test_instantiate_rejects_undeclared_ports(lib, ports, named, optimized):
+    z = derive_direct_pafg(fork_graph_with_ports(*ports), lib)
+    if optimized:
+        z, log = passivize_fixpoint(z, lib)
+        assert [step.block for step in log] == ["F"]
+    with pytest.raises(RuntimeExecutionError, match=named):
+        instantiate(z, lib, {"S": [1.0, 2.0]})
+
+
 def test_compare_streams_divergence():
     equal, div = compare_streams({"S": [1.0, 2.0]}, {"S": [1.0, 2.0]})
     assert equal and div is None
