@@ -15,10 +15,8 @@ from .dataflow import (
 from .graph import DirectedGraph
 from .ir import (
     ACTV,
-    ActorRef,
     Block,
     CoordinatedPafg,
-    EdgeRef,
     PSSV,
     Pafg,
     check_abc,
@@ -42,7 +40,6 @@ from .transform import (
 __all__ = [
     "ACTV",
     "ActorLibrary",
-    "ActorRef",
     "ActorSpec",
     "AppGraphBuilder",
     "ApplicationGraph",
@@ -52,7 +49,6 @@ __all__ = [
     "CoordinatedPafg",
     "DataflowEdge",
     "DirectedGraph",
-    "EdgeRef",
     "ExecStats",
     "F64",
     "I64",

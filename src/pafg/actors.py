@@ -10,7 +10,7 @@ execution, a sink collects what it consumes.
 
 import math
 
-from .dataflow import ActorLibrary, CfdfActor, F64, I64
+from .dataflow import ActorLibrary, CfdfActor, F64, TOKEN_TYPES, is_capacity
 from .errors import ModelError
 from .kernels import PassiveKernel
 
@@ -26,9 +26,8 @@ class SourceActor(CfdfActor):
 
     def __init__(self, name, token_type=F64):
         super().__init__(name)
-        if token_type not in (F64, I64):
+        if token_type not in TOKEN_TYPES:
             raise ModelError(f"{name}: bad token type {token_type!r}")
-        self.token_type = token_type
         self._values = []
         self._cursor = 0
 
@@ -41,9 +40,6 @@ class SourceActor(CfdfActor):
 
     def ready(self):
         return self._cursor < len(self._values)
-
-    def rates(self):
-        return self._RATES
 
     def invoke(self, inputs):
         value = self._values[self._cursor]
@@ -110,9 +106,6 @@ class SinkActor(CfdfActor):
         super().__init__(name)
         self.collected = []
 
-    def rates(self):
-        return self._RATES
-
     def invoke(self, inputs):
         self.collected.append(inputs["in"][0])
         return {}
@@ -130,9 +123,6 @@ class AccumulatorActor(CfdfActor):
         super().__init__(name)
         self.total = 0.0
 
-    def rates(self):
-        return self._RATES
-
     def invoke(self, inputs):
         self.total += inputs["in"][0]
         return {}
@@ -146,20 +136,17 @@ class BufferActor(CfdfActor):
     is the same buffer as a ring with the same ports and op."""
 
     def __init__(self, name, kind, input_ports, fanout, op=None):
-        if fanout < 1:
-            raise ModelError(f"{name}: {kind} fanout must be >= 1")
+        if not is_capacity(fanout):
+            raise ModelError(f"{name}: {kind} fanout {fanout!r} is not an int >= 1")
         self.kind = kind
         self.input_ports = tuple(input_ports)
         self.output_ports = tuple(f"out{i}" for i in range(fanout))
         self.op = op
-        self._rates = (
+        self._RATES = (
             dict.fromkeys(self.input_ports, 1),
             dict.fromkeys(self.output_ports, len(self.input_ports)),
         )
         super().__init__(name)
-
-    def rates(self):
-        return self._rates
 
     def invoke(self, inputs):
         seq = []
@@ -183,9 +170,6 @@ class GainActor(CfdfActor):
         super().__init__(name)
         self.k = k
 
-    def rates(self):
-        return self._RATES
-
     def invoke(self, inputs):
         return {"out": [self.k * inputs["in"][0]]}
 
@@ -199,9 +183,6 @@ class ErrorMagnitudeActor(CfdfActor):
     output_ports = ("out",)
 
     _RATES = ({"ref": 2, "rec": 2}, {"out": 1})
-
-    def rates(self):
-        return self._RATES
 
     def invoke(self, inputs):
         ref_re, ref_im = inputs["ref"]
@@ -219,9 +200,6 @@ class ReferenceMagnitudeActor(CfdfActor):
     output_ports = ("out",)
 
     _RATES = ({"in": 2}, {"out": 1})
-
-    def rates(self):
-        return self._RATES
 
     def invoke(self, inputs):
         re, im = inputs["in"]
@@ -283,9 +261,6 @@ class RmsRatioActor(CfdfActor):
 
     _RATES = ({"e": 1, "r": 1}, {"out": 1})
 
-    def rates(self):
-        return self._RATES
-
     def invoke(self, inputs):
         return {"out": [math.sqrt(inputs["e"][0]) / math.sqrt(inputs["r"][0])]}
 
@@ -301,7 +276,7 @@ def _register_buffer(lib, kind, input_ports, fanout, make_op=None):
 
     def active(spec):
         return BufferActor(
-            spec.name, kind, input_ports, int(spec.param("fanout", fanout)),
+            spec.name, kind, input_ports, spec.param("fanout", fanout),
             None if make_op is None else make_op(spec),
         )
 

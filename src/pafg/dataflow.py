@@ -64,8 +64,9 @@ class CfdfActor:
     An actor is enabled when its input populations and output space cover
     the current mode's rates and ready() holds; the engine makes that test.
 
-    Subclasses define input_ports/output_ports, rate tables per mode, and
-    the token function in invoke().
+    Subclasses define input_ports/output_ports, the token function in
+    invoke() and the rate table _RATES; one with several modes keys _RATES
+    by mode and overrides rates().
     """
 
     kind = None
@@ -82,7 +83,7 @@ class CfdfActor:
 
     def rates(self):
         """(consumption, production) per port for the current mode."""
-        raise NotImplementedError
+        return self._RATES
 
     def ready(self):
         """Extra internal fireability condition (e.g. source data left)."""

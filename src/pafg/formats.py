@@ -9,6 +9,7 @@ line per block and per block connection:
     block <name> kind=<kind|simple> coord=<actv|pssv>
           from=<actor:<name>|edge:<src.port->dst.port>> [capacity=<int>]
     bedge <a> -> <b>
+A block's name is its actor's name or its edge's signature.
 
 Blank lines and '#' comments are ignored. Sample files carry one decimal
 value per line, written with %.17g so float64 values round-trip exactly.
@@ -16,9 +17,9 @@ value per line, written with %.17g so float64 values round-trip exactly.
 
 from contextlib import contextmanager
 
-from .dataflow import AppGraphBuilder, F64, I64, TOKEN_TYPES
+from .dataflow import AppGraphBuilder, F64, I64
 from .errors import ParseError, PafgError
-from .ir import ACTV, ActorRef, Block, CoordinatedPafg, EdgeRef, PSSV, Pafg
+from .ir import ACTV, Block, CoordinatedPafg, PSSV, Pafg
 
 
 def _parse_value(text):
@@ -57,17 +58,6 @@ def _split_lines(text):
             yield lineno, line
 
 
-def _parse_edge_signature(sig, lineno):
-    left, sep, right = sig.partition("->")
-    if not sep:
-        raise ParseError(f"bad edge reference {sig!r}", line=lineno)
-    src, s1, src_port = left.rpartition(".")
-    snk, s2, snk_port = right.rpartition(".")
-    if not (s1 and s2 and src and src_port and snk and snk_port):
-        raise ParseError(f"bad edge reference {sig!r}", line=lineno)
-    return src, src_port, snk, snk_port
-
-
 def _scan(text, allowed):
     for lineno, line in _split_lines(text):
         tokens = line.split()
@@ -104,21 +94,11 @@ def _build_app_graph(records):
                         "edge needs the form: edge <src>.<port> -> <dst>.<port> capacity=<int>",
                         line=lineno,
                     )
-                src, _, src_port = rest[0].rpartition(".")
-                snk, _, snk_port = rest[2].rpartition(".")
-                if not (src and src_port and snk and snk_port):
-                    raise ParseError(f"bad endpoint in {' '.join(rest[:3])!r}", line=lineno)
                 params = _parse_params(rest[3:], lineno)
                 if "capacity" not in params:
                     raise ParseError("edge needs capacity=<int>", line=lineno)
-                token_type = params.get("type", F64)
-                if token_type not in TOKEN_TYPES:
-                    raise ParseError(f"unknown token type {token_type!r}", line=lineno)
                 builder.edge(
-                    f"{src}.{src_port}",
-                    f"{snk}.{snk_port}",
-                    capacity=params["capacity"],
-                    token_type=token_type,
+                    rest[0], rest[2], capacity=params["capacity"], token_type=params.get("type", F64)
                 )
     try:
         return builder.build()
@@ -134,12 +114,24 @@ def parse_graph(text, lib=None):
 
 
 def _check_kinds(graph, lib, records):
+    """With a library, every actor kind must be registered and every edge
+    must join ports its actors declare. The graph's tables keep file order,
+    so the n-th actor or edge record holds the n-th table entry."""
     if lib is None:
         return
-    lines = {rest[0]: lineno for lineno, d, rest in records if d == "actor"}
-    for name, spec in graph.actors.items():
+    ports = {}
+    actor_lines = [lineno for lineno, d, _ in records if d == "actor"]
+    for lineno, spec in zip(actor_lines, graph.actors.values()):
         if not lib.has_kind(spec.kind):
-            raise ParseError(f"unknown actor kind {spec.kind!r}", line=lines.get(name))
+            raise ParseError(f"unknown actor kind {spec.kind!r}", line=lineno)
+        with _at_line(lineno):
+            actor = lib.make_active(spec)
+        ports[spec.name] = (actor.input_ports, actor.output_ports)
+    edge_lines = [lineno for lineno, d, _ in records if d == "edge"]
+    for lineno, e in zip(edge_lines, graph.edges.values()):
+        for name, port, side in ((e.src, e.src_port, 1), (e.snk, e.snk_port, 0)):
+            if port not in ports[name][side]:
+                raise ParseError(f"{name}.{port} is not a declared port of {name}", line=lineno)
 
 
 def serialize_graph(graph):
@@ -164,13 +156,14 @@ def parse_pafg(text, lib=None):
     app_graph = _build_app_graph([r for r in records if r[1] in ("actor", "edge")])
     _check_kinds(app_graph, lib, records)
 
+    edges = {e.signature(): e for e in app_graph.edges.values()}
     blocks = {}
     coordination = {}
     bedges = set()
     for lineno, directive, rest in records:
         if directive == "block":
             with _at_line(lineno):
-                _parse_block(rest, lineno, app_graph, blocks, coordination)
+                _parse_block(rest, lineno, app_graph.actors, edges, blocks, coordination)
         elif directive == "bedge":
             if len(rest) != 3 or rest[1] != "->":
                 raise ParseError("bedge needs the form: bedge <a> -> <b>", line=lineno)
@@ -190,7 +183,9 @@ def parse_pafg(text, lib=None):
         raise ParseError(str(exc)) from exc
 
 
-def _parse_block(rest, lineno, app_graph, blocks, coordination):
+def _parse_block(rest, lineno, actors, edges, blocks, coordination):
+    """One block line. actors maps names to ActorSpecs, edges signatures to
+    DataflowEdges; the block's name must be its provenance's name."""
     if not rest:
         raise ParseError("block needs a name", line=lineno)
     name = rest[0]
@@ -211,9 +206,9 @@ def _parse_block(rest, lineno, app_graph, blocks, coordination):
     if tag == "actor":
         if params["kind"] == "simple":
             raise ParseError("actor-provenance block cannot have kind=simple", line=lineno)
-        if target not in app_graph.actors:
+        if target not in actors:
             raise ParseError(f"provenance references unknown actor {target!r}", line=lineno)
-        spec = app_graph.actors[target]
+        spec = actors[target]
         if spec.kind != params["kind"]:
             raise ParseError(
                 f"block kind {params['kind']!r} disagrees with actor kind {spec.kind!r}",
@@ -222,14 +217,13 @@ def _parse_block(rest, lineno, app_graph, blocks, coordination):
         capacity = params.get("capacity")
         if coord == PSSV and capacity is None:
             raise ParseError("passive block needs capacity=<int>", line=lineno)
-        blocks[name] = Block(name, ActorRef(target), kind=spec.kind, capacity=capacity)
+        block = Block(spec, capacity)
     else:
         if params["kind"] != "simple":
             raise ParseError("edge-provenance block must have kind=simple", line=lineno)
-        src, src_port, snk, snk_port = _parse_edge_signature(target, lineno)
-        edge = app_graph.edges.get((src, snk))
-        if edge is None or (edge.src_port, edge.snk_port) != (src_port, snk_port):
+        if target not in edges:
             raise ParseError(f"provenance references unknown edge {target!r}", line=lineno)
+        edge = edges[target]
         capacity = params.get("capacity", edge.capacity)
         if capacity != edge.capacity:
             raise ParseError(
@@ -237,7 +231,13 @@ def _parse_block(rest, lineno, app_graph, blocks, coordination):
                 f"{edge.capacity}",
                 line=lineno,
             )
-        blocks[name] = Block(name, EdgeRef(src, src_port, snk, snk_port), capacity=edge.capacity)
+        block = Block(edge, capacity)
+    if block.name != name:
+        raise ParseError(
+            f"block {name!r} must be named {block.name!r}, the name of its provenance",
+            line=lineno,
+        )
+    blocks[name] = block
     coordination[name] = coord
 
 
@@ -245,13 +245,8 @@ def serialize_pafg(z):
     lines = [serialize_graph(z.source).rstrip("\n")]
     for name in sorted(z.pafg.blocks):
         b = z.pafg.blocks[name]
-        if b.is_simple:
-            origin = f"edge:{b.provenance.signature()}"
-            kind = "simple"
-        else:
-            origin = f"actor:{b.provenance.name}"
-            kind = b.kind
-        parts = [f"block {name} kind={kind} coord={z.coord(name)} from={origin}"]
+        kind, tag = ("simple", "edge") if b.is_simple else (b.kind, "actor")
+        parts = [f"block {name} kind={kind} coord={z.coord(name)} from={tag}:{name}"]
         if b.capacity is not None:
             parts.append(f"capacity={b.capacity}")
         lines.append(" ".join(parts))

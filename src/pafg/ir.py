@@ -2,8 +2,9 @@
 graph, coordination functions, and the structural validators (alternating
 condition, adjacent-buffer restriction, association).
 
-Block taxonomy. A block whose provenance is an application-graph edge is a
-simple passive buffer; a block with actor provenance is non-simple, and is
+Block taxonomy. A block's provenance is the application graph's own record:
+a DataflowEdge makes it a simple passive buffer named by the edge's
+signature, an ActorSpec a non-simple block named after the actor, which is
 computational or a buffer block depending on whether the actor kind has a
 passive implementation in the library. Simple blocks are always passive,
 computational blocks always active; the coordination function's real
@@ -12,7 +13,7 @@ freedom is the non-simple buffer blocks.
 
 from dataclasses import dataclass
 
-from .dataflow import is_capacity
+from .dataflow import ActorSpec, DataflowEdge, is_capacity
 from .errors import DanglingProvenanceError, IrError
 from .graph import DirectedGraph
 
@@ -21,49 +22,31 @@ ACTV = "actv"
 
 
 @dataclass(frozen=True)
-class EdgeRef:
-    """Provenance link to an application-graph edge."""
-
-    src: str
-    src_port: str
-    snk: str
-    snk_port: str
-
-    def key(self):
-        return (self.src, self.snk)
-
-    def signature(self):
-        return f"{self.src}.{self.src_port}->{self.snk}.{self.snk_port}"
-
-
-@dataclass(frozen=True)
-class ActorRef:
-    """Provenance link to an application-graph actor."""
-
-    name: str
-
-
-@dataclass(frozen=True)
 class Block:
-    name: str
-    provenance: object
-    kind: str = None  # actor kind for non-simple blocks, None for simple
-    capacity: int = None  # tokens, when the block is executed passively
+    """A PAFG block: the actor or edge record it stands for, plus its
+    capacity in tokens when it is executed passively. name and kind are
+    read off the provenance once and are not fields, so they take no part
+    in equality."""
+
+    provenance: object  # ActorSpec (non-simple) or DataflowEdge (simple)
+    capacity: int = None
 
     def __post_init__(self):
-        simple = isinstance(self.provenance, EdgeRef)
-        if not simple and not isinstance(self.provenance, ActorRef):
-            raise IrError(f"block {self.name!r}: bad provenance {self.provenance!r}")
-        if simple and self.kind is not None:
-            raise IrError(f"block {self.name!r}: simple blocks carry no actor kind")
-        if not simple and self.kind is None:
-            raise IrError(f"block {self.name!r}: non-simple blocks need an actor kind")
+        p = self.provenance
+        if isinstance(p, ActorSpec):
+            name, kind = p.name, p.kind
+        elif isinstance(p, DataflowEdge):
+            name, kind = p.signature(), None
+        else:
+            raise IrError(f"bad block provenance {p!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
         if self.capacity is not None and not is_capacity(self.capacity):
-            raise IrError(f"block {self.name!r}: capacity {self.capacity!r} is not an int >= 1")
+            raise IrError(f"block {name!r}: capacity {self.capacity!r} is not an int >= 1")
 
     @property
     def is_simple(self):
-        return isinstance(self.provenance, EdgeRef)
+        return isinstance(self.provenance, DataflowEdge)
 
 
 @dataclass(frozen=True)
@@ -133,29 +116,25 @@ def is_interface_block(pafg, name):
 
 
 def check_association(app_graph, pafg):
-    """True iff every simple block corresponds to an edge of the graph and
-    every non-simple block to an actor, injectively. A provenance link that
-    names an existing edge but disagrees on its ports is corrupt and raises."""
-    seen = set()
+    """True iff every simple block's edge and every non-simple block's actor
+    is the graph's own record. Block names are unique and each is read off
+    its provenance, so the map is injective by construction. A simple block
+    whose edge disagrees with the graph's edge between the same actors is
+    corrupt and raises."""
     for b in pafg.blocks.values():
-        if b.is_simple:
-            ref = b.provenance
-            edge = app_graph.edges.get(ref.key())
-            if edge is None:
+        p = b.provenance
+        if not b.is_simple:
+            if app_graph.actors.get(p.name) != p:
                 return False
-            if (edge.src_port, edge.snk_port) != (ref.src_port, ref.snk_port):
-                raise DanglingProvenanceError(
-                    f"block {b.name!r}: provenance ports {ref.signature()} disagree with "
-                    f"edge {edge.signature()}"
-                )
-            target = ("edge", ref.key())
-        else:
-            if b.provenance.name not in app_graph.actors:
-                return False
-            target = ("actor", b.provenance.name)
-        if target in seen:
+            continue
+        edge = app_graph.edges.get(p.key())
+        if edge is None:
             return False
-        seen.add(target)
+        if edge != p:
+            raise DanglingProvenanceError(
+                f"block {b.name!r}: provenance {p.signature()} disagrees with "
+                f"edge {edge.signature()}"
+            )
     return True
 
 

@@ -31,7 +31,7 @@ from .errors import (
     RuntimeExecutionError,
     UnboundIoError,
 )
-from .ir import EdgeRef, PSSV, is_alternating, validate_coordinated
+from .ir import PSSV, is_alternating, validate_coordinated
 from .kernels import PassiveKernel
 from .transform import compute_bmr
 
@@ -240,20 +240,16 @@ def instantiate(z, lib, source_data):
     if not is_alternating(z):
         raise RuntimeExecutionError("only alternating PAFGs are executable")
     validate_coordinated(z, lib)
-    app = z.source
 
     kernels = {}
     actors = {}
     for name, block in z.pafg.blocks.items():
-        if z.coord(name) == PSSV:
-            if block.is_simple:
-                kernels[name] = PassiveKernel(block.capacity)
-            else:
-                spec = app.actor(block.provenance.name)
-                kernels[name] = lib.make_passive(spec, block.capacity)
+        if z.coord(name) != PSSV:
+            actors[name] = lib.make_active(block.provenance)
+        elif block.is_simple:
+            kernels[name] = PassiveKernel(block.capacity)
         else:
-            spec = app.actor(block.provenance.name)
-            actors[name] = lib.make_active(spec)
+            kernels[name] = lib.make_passive(block.provenance, block.capacity)
 
     # (input ports, output ports) of every block, active or passive: an
     # application edge may only touch ports its endpoints declare.
@@ -265,13 +261,13 @@ def instantiate(z, lib, source_data):
     # endpoint's kernel.
     in_bindings = {name: {} for name in actors}
     out_bindings = {name: {} for name in actors}
-    for e in app.edges.values():
+    for e in z.source.edges.values():
         for block, port, side in ((e.src, e.src_port, 1), (e.snk, e.snk_port, 0)):
             if port not in declared[block][side]:
                 raise RuntimeExecutionError(
                     f"edge {e.signature()}: {block}.{port} is not a declared port of {block}"
                 )
-        simple_name = EdgeRef(e.src, e.src_port, e.snk, e.snk_port).signature()
+        simple_name = e.signature()
         if simple_name in kernels:
             fifo = kernels[simple_name]
             producer_binding = (simple_name, fifo.write_ports[0])

@@ -20,10 +20,8 @@ from .errors import (
 )
 from .ir import (
     ACTV,
-    ActorRef,
     Block,
     CoordinatedPafg,
-    EdgeRef,
     PSSV,
     Pafg,
     block_category,
@@ -42,12 +40,11 @@ def derive_direct_pafg(app_graph, lib):
     for name, spec in app_graph.actors.items():
         if not lib.has_kind(spec.kind):
             raise UnknownKindError(f"actor {name!r}: unregistered kind {spec.kind!r}")
-        blocks[name] = Block(name, ActorRef(name), kind=spec.kind)
+        blocks[name] = Block(spec)
         coordination[name] = ACTV
     for e in app_graph.edges.values():
-        ref = EdgeRef(e.src, e.src_port, e.snk, e.snk_port)
-        name = ref.signature()
-        blocks[name] = Block(name, ref, capacity=e.capacity)
+        name = e.signature()
+        blocks[name] = Block(e, capacity=e.capacity)
         coordination[name] = PSSV
         pafg_edges.add((e.src, name))
         pafg_edges.add((name, e.snk))
@@ -150,7 +147,7 @@ def _rewrite(z, candidates):
             input_caps.append(b.capacity)
         block = blocks[name]
         capacity = capacity_rule(block.kind, input_caps)
-        blocks[name] = Block(name, block.provenance, kind=block.kind, capacity=capacity)
+        blocks[name] = Block(block.provenance, capacity)
         coordination[name] = PSSV
         added = sorted(
             {(x, name) for x in cand.new_producers} | {(name, y) for y in cand.new_consumers}

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from pafg.cli import cli_main
-from pafg.formats import read_samples, serialize_graph, write_samples
-from topologies import chain_graph, ten_plus_four_graph
+from pafg.actors import default_library
+from pafg.formats import read_samples, serialize_graph, serialize_pafg, write_samples
+from pafg.transform import derive_direct_pafg
+from topologies import FORK_GRAPH, chain_graph, rename_block, ten_plus_four_graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -30,6 +32,13 @@ def test_validate_bad_file(tmp_path, capsys):
     bad.write_text("actor A warp\n", encoding="utf-8")
     assert cli_main(["validate", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_validate_rejects_undeclared_port(tmp_path, capsys):
+    bad = tmp_path / "bad.graph"
+    bad.write_text(FORK_GRAPH.format(port="out7"), encoding="utf-8")
+    assert cli_main(["validate", str(bad)]) == 1
+    assert "error: line 7: F.out7" in capsys.readouterr().err
 
 
 def test_missing_file_is_domain_error(tmp_path):
@@ -126,6 +135,22 @@ def test_run_chain(chain_file, tmp_path, capsys):
         "bmr_bytes",
     }
     assert stats["sink_tokens"] == 3
+
+
+def test_run_rejects_renamed_block(tmp_path, capsys):
+    z = derive_direct_pafg(chain_graph(), default_library())
+    pafg_file = tmp_path / "renamed.pafg"
+    pafg_file.write_text(rename_block(serialize_pafg(z), "B", "BB"), encoding="utf-8")
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    write_samples(inputs / "A.txt", [1.0])
+    code = cli_main(
+        ["run", str(pafg_file), "--inputs", str(inputs), "--outputs", str(tmp_path / "out"),
+         "--sink-tokens", "1"]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: line") and "Traceback" not in err
 
 
 def test_run_requires_stop_condition(chain_file, tmp_path):

@@ -16,7 +16,7 @@ from pafg.formats import (
     write_samples,
 )
 from pafg.transform import derive_direct_pafg, passivize_fixpoint
-from topologies import chain_graph, ten_plus_four_graph
+from topologies import FORK_GRAPH, chain_graph, rename_block, ten_plus_four_graph
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +46,12 @@ def test_random_graph_round_trips(lib):
     for _ in range(25):
         g, _ = build_random_app_graph(rng, max_actors=12)
         assert parse_graph(serialize_graph(g), lib=lib) == g
+        direct = derive_direct_pafg(g, lib)
+        for z in (direct, passivize_fixpoint(direct, lib)[0]):
+            text = serialize_pafg(z)
+            parsed = parse_pafg(text, lib=lib)
+            assert parsed == z
+            assert serialize_pafg(parsed) == text
 
 
 def test_pafg_round_trip_direct(lib):
@@ -80,9 +86,14 @@ def test_unknown_directive():
 
 
 def test_edge_needs_capacity():
-    with pytest.raises(ParseError) as err:
-        parse_graph("actor A src\nactor B snk\nedge A.out -> B.in\n")
-    assert err.value.line == 3
+    for edge in (
+        "edge A.out -> B.in",
+        "edge A -> B.in capacity=1",
+        "edge A.out -> B.in capacity=1 type=f32",
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_graph(f"actor A src\nactor B snk\n{edge}\n")
+        assert err.value.line == 3
 
 
 def test_unknown_kind_is_semantic_error(lib):
@@ -112,6 +123,30 @@ def test_pafg_semantic_checks(lib):
         parse_pafg(text + "bedge A -> NOPE\n", lib=lib)
     with pytest.raises(ParseError):
         parse_pafg(text.replace("coord=pssv", "coord=warm", 1), lib=lib)
+
+
+@pytest.mark.parametrize("port", ["out7", "bogus"])
+def test_undeclared_port_is_parse_error(lib, port):
+    text = FORK_GRAPH.format(port=port)
+    with pytest.raises(ParseError) as err:
+        parse_graph(text, lib=lib)
+    assert err.value.line == 7
+    assert f"F.{port}" in str(err.value)
+    lines = serialize_pafg(derive_direct_pafg(parse_graph(text), lib)).splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"edge F.{port} "))
+    with pytest.raises(ParseError) as err:
+        parse_pafg("\n".join(lines), lib=lib)
+    assert err.value.line == lineno
+
+
+@pytest.mark.parametrize("old,new", [("B", "BB"), ("A.out->B.in", "B1")])
+def test_block_must_be_named_after_its_provenance(lib, old, new):
+    text = rename_block(serialize_pafg(derive_direct_pafg(chain_graph(), lib)), old, new)
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(f"block {new} "))
+    with pytest.raises(ParseError) as err:
+        parse_pafg(text, lib=lib)
+    assert err.value.line == lineno
+    assert f"must be named {old!r}" in str(err.value)
 
 
 def test_pafg_simple_capacity_must_match_edge(lib):

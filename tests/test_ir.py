@@ -4,14 +4,12 @@ import pytest
 
 from graphgen import build_random_app_graph
 from pafg.actors import default_library
-from pafg.dataflow import AppGraphBuilder
+from pafg.dataflow import ActorSpec, AppGraphBuilder, DataflowEdge
 from pafg.errors import DanglingProvenanceError, IrError
 from pafg.ir import (
     ACTV,
-    ActorRef,
     Block,
     CoordinatedPafg,
-    EdgeRef,
     PSSV,
     Pafg,
     check_abc,
@@ -54,10 +52,7 @@ def test_empty_pafg_is_alternating(lib):
 
 def test_active_active_edge_breaks_alternation(lib):
     g = chain_graph()
-    blocks = {
-        "A": Block("A", ActorRef("A"), kind="src"),
-        "B": Block("B", ActorRef("B"), kind="fork"),
-    }
+    blocks = {"A": Block(g.actor("A")), "B": Block(g.actor("B"))}
     pafg = Pafg(blocks, frozenset({("A", "B")}))
     z = CoordinatedPafg(pafg, {"A": ACTV, "B": ACTV}, g)
     assert not is_alternating(z)
@@ -66,11 +61,10 @@ def test_active_active_edge_breaks_alternation(lib):
 
 def test_adjacent_passive_blocks_fail_abc(lib):
     g = chain_graph()
-    e1 = EdgeRef("A", "out", "B", "in")
-    e2 = EdgeRef("B", "out0", "C", "in")
+    e1, e2 = g.edge("A", "B"), g.edge("B", "C")
     blocks = {
-        e1.signature(): Block(e1.signature(), e1, capacity=100),
-        e2.signature(): Block(e2.signature(), e2, capacity=100),
+        e1.signature(): Block(e1, capacity=100),
+        e2.signature(): Block(e2, capacity=100),
     }
     pafg = Pafg(blocks, frozenset({(e1.signature(), e2.signature())}))
     z = CoordinatedPafg(pafg, {n: PSSV for n in blocks}, g)
@@ -109,37 +103,52 @@ def test_association_survives_passivization(lib):
 def test_association_false_for_foreign_edge(lib):
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
-    ref = EdgeRef("X", "out", "Y", "in")
+    ghost = Block(DataflowEdge("X", "out", "Y", "in", 4), capacity=4)
     blocks = dict(z.pafg.blocks)
-    blocks["ghost"] = Block("ghost", ref, capacity=4)
-    pafg = Pafg(blocks, z.pafg.edges | {("A", "ghost")})
+    blocks[ghost.name] = ghost
+    pafg = Pafg(blocks, z.pafg.edges | {("A", ghost.name)})
     assert not check_association(g, pafg)
 
 
 def test_association_rejects_port_mismatch(lib):
     g = chain_graph()
-    ref = EdgeRef("A", "bogus", "B", "in")
-    blocks = {"p": Block("p", ref, capacity=4)}
-    pafg = Pafg(blocks, frozenset())
+    p = Block(DataflowEdge("A", "bogus", "B", "in", 100), capacity=100)
+    pafg = Pafg({p.name: p}, frozenset())
     with pytest.raises(DanglingProvenanceError):
         check_association(g, pafg)
 
 
 def test_association_requires_injectivity(lib):
+    # Two blocks for one actor would share its name, which Pafg rejects.
     g = chain_graph()
-    blocks = {
-        "b1": Block("b1", ActorRef("B"), kind="fork"),
-        "b2": Block("b2", ActorRef("B"), kind="fork"),
-    }
-    pafg = Pafg(blocks, frozenset())
-    assert not check_association(g, pafg)
+    b = Block(g.actor("B"))
+    with pytest.raises(IrError):
+        Pafg({"b1": b, "b2": b}, frozenset())
+
+
+def test_association_false_for_foreign_actor_spec(lib):
+    g = chain_graph()
+    z = derive_direct_pafg(g, lib)
+    blocks = dict(z.pafg.blocks)
+    blocks["B"] = Block(ActorSpec("B", "fork", {"fanout": 2}))
+    assert not check_association(g, Pafg(blocks, z.pafg.edges))
+
+
+def test_block_name_and_kind_come_from_provenance(lib):
+    g = chain_graph()
+    actor, simple = Block(g.actor("B")), Block(g.edge("A", "B"))
+    assert (actor.name, actor.kind, actor.is_simple) == ("B", "fork", False)
+    assert (simple.name, simple.kind, simple.is_simple) == ("A.out->B.in", None, True)
+    assert Block(g.actor("B"), 4) == Block(g.actor("B"), 4) != Block(g.actor("B"), 5)
+    with pytest.raises(IrError):
+        Block("B")
 
 
 def test_block_capacity_must_be_a_positive_int():
     for bad in (0, 2.5, "abc", True):
         with pytest.raises(IrError):
-            Block("F", ActorRef("F"), kind="fork", capacity=bad)
-    assert Block("F", ActorRef("F"), kind="fork", capacity=1).capacity == 1
+            Block(ActorSpec("F", "fork"), capacity=bad)
+    assert Block(ActorSpec("F", "fork"), capacity=1).capacity == 1
 
 
 def test_coordination_must_be_total(lib):
@@ -181,7 +190,7 @@ def test_validator_rejects_passive_interface_block(lib):
     z = derive_direct_pafg(g, lib)
     coord = dict(z.coordination)
     blocks = dict(z.pafg.blocks)
-    blocks["F"] = Block("F", ActorRef("F"), kind="fork", capacity=4)
+    blocks["F"] = Block(g.actor("F"), capacity=4)
     coord["F"] = PSSV  # F has no producers; nothing could ever write it
     with pytest.raises(IrError):
         validate_coordinated(CoordinatedPafg(Pafg(blocks, z.pafg.edges), coord, g), lib)

@@ -1,4 +1,4 @@
-"""Fixed topologies shared by transform and acceptance tests."""
+"""Fixed topologies and file texts shared by the tests."""
 
 from pafg.dataflow import AppGraphBuilder
 
@@ -116,3 +116,26 @@ def interleave_graph(fanout=1, capacity=16):
         .edge("im.out", "IL.im", capacity=capacity)
     )
     return _output_sinks(b, "IL", fanout, capacity)
+
+
+# A fanout-2 fork whose third edge leaves port F.{port}; out7 and bogus
+# are undeclared.
+FORK_GRAPH = """actor S src
+actor F fork fanout=2
+actor A snk
+actor B snk
+edge S.out -> F.in capacity=1
+edge F.out0 -> A.in capacity=1
+edge F.{port} -> B.in capacity=1
+"""
+
+
+def rename_block(text, old, new):
+    """Rename a block on its block line and its bedges, keeping its provenance."""
+    lines = []
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens[0] in ("block", "bedge"):
+            line = " ".join(new if t == old else t for t in tokens)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
