@@ -25,7 +25,7 @@ from .ir import (
     is_interface_block,
     validate_coordinated,
 )
-from .kernels import PassiveKernel, capacity_rule
+from .kernels import PassiveKernel
 from .runtime import ExecStats, check_mapping_equivalence, compare_streams, instantiate
 from .transform import (
     BmrReport,
@@ -55,7 +55,6 @@ __all__ = [
     "PSSV",
     "Pafg",
     "PassiveKernel",
-    "capacity_rule",
     "check_abc",
     "check_association",
     "check_mapping_equivalence",

@@ -175,18 +175,6 @@ class ApplicationGraph:
         except KeyError:
             raise ModelError(f"unknown edge ({src!r}, {snk!r})") from None
 
-    def out_edges_of(self, name):
-        return sorted(
-            (self.edges[e] for e in self.graph.out_edges(name)),
-            key=lambda e: e.src_port,
-        )
-
-    def in_edges_of(self, name):
-        return sorted(
-            (self.edges[e] for e in self.graph.in_edges(name)),
-            key=lambda e: e.snk_port,
-        )
-
 
 class AppGraphBuilder:
     """Single-owner builder for ApplicationGraph values.

@@ -9,7 +9,9 @@ line per block and per block connection:
     block <name> kind=<kind|simple> coord=<actv|pssv>
           from=<actor:<name>|edge:<src.port->dst.port>> [capacity=<int>]
     bedge <a> -> <b>
-A block's name is its actor's name or its edge's signature.
+A block's name is its actor's name or its edge's signature. Every actor
+has a block, and the bedge lines list exactly the connections
+ir.block_edges derives from the blocks, once each.
 
 Blank lines and '#' comments are ignored. Sample files carry one decimal
 value per line, written with %.17g so float64 values round-trip exactly.
@@ -19,7 +21,7 @@ from contextlib import contextmanager
 
 from .dataflow import AppGraphBuilder, F64, I64
 from .errors import ParseError, PafgError
-from .ir import ACTV, Block, CoordinatedPafg, PSSV, Pafg
+from .ir import ACTV, Block, CoordinatedPafg, PSSV, Pafg, block_edges
 
 
 def _parse_value(text):
@@ -159,7 +161,7 @@ def parse_pafg(text, lib=None):
     edges = {e.signature(): e for e in app_graph.edges.values()}
     blocks = {}
     coordination = {}
-    bedges = set()
+    bedges = {}  # (a, b) -> line
     for lineno, directive, rest in records:
         if directive == "block":
             with _at_line(lineno):
@@ -167,20 +169,22 @@ def parse_pafg(text, lib=None):
         elif directive == "bedge":
             if len(rest) != 3 or rest[1] != "->":
                 raise ParseError("bedge needs the form: bedge <a> -> <b>", line=lineno)
-            if rest[0] == rest[2]:
-                raise ParseError(f"self-loop on {rest[0]!r}", line=lineno)
-            if (rest[0], rest[2]) in bedges:
-                raise ParseError(f"duplicate bedge {rest[0]} -> {rest[2]}", line=lineno)
-            bedges.add((rest[0], rest[2]))
-    for lineno, directive, rest in records:
-        if directive == "bedge":
-            for name in (rest[0], rest[2]):
-                if name not in blocks:
-                    raise ParseError(f"bedge references unknown block {name!r}", line=lineno)
-    try:
-        return CoordinatedPafg(Pafg(blocks, frozenset(bedges)), coordination, app_graph)
-    except PafgError as exc:
-        raise ParseError(str(exc)) from exc
+            a, b = rest[0], rest[2]
+            if (a, b) in bedges:
+                raise ParseError(f"duplicate bedge {a} -> {b}", line=lineno)
+            bedges[a, b] = lineno
+    for name in app_graph.actors:
+        if name not in blocks:
+            raise ParseError(f"actor {name!r} has no block")
+    implied = block_edges(blocks, app_graph)
+    for (a, b), lineno in bedges.items():
+        if (a, b) not in implied:
+            raise ParseError(f"bedge {a} -> {b} is not a connection the blocks imply", line=lineno)
+    missing = implied - bedges.keys()
+    if missing:
+        a, b = min(missing)
+        raise ParseError(f"missing bedge {a} -> {b}")
+    return CoordinatedPafg(Pafg(blocks, implied), coordination, app_graph)
 
 
 def _parse_block(rest, lineno, actors, edges, blocks, coordination):
@@ -223,15 +227,7 @@ def _parse_block(rest, lineno, actors, edges, blocks, coordination):
             raise ParseError("edge-provenance block must have kind=simple", line=lineno)
         if target not in edges:
             raise ParseError(f"provenance references unknown edge {target!r}", line=lineno)
-        edge = edges[target]
-        capacity = params.get("capacity", edge.capacity)
-        if capacity != edge.capacity:
-            raise ParseError(
-                f"simple block capacity {capacity} disagrees with edge capacity "
-                f"{edge.capacity}",
-                line=lineno,
-            )
-        block = Block(edge, capacity)
+        block = Block(edges[target], params.get("capacity"))
     if block.name != name:
         raise ParseError(
             f"block {name!r} must be named {block.name!r}, the name of its provenance",

@@ -24,9 +24,9 @@ ACTV = "actv"
 @dataclass(frozen=True)
 class Block:
     """A PAFG block: the actor or edge record it stands for, plus its
-    capacity in tokens when it is executed passively. name and kind are
-    read off the provenance once and are not fields, so they take no part
-    in equality."""
+    capacity in tokens when it is executed passively; a simple block's
+    capacity is its edge's. name and kind are read off the provenance once
+    and are not fields, so they take no part in equality."""
 
     provenance: object  # ActorSpec (non-simple) or DataflowEdge (simple)
     capacity: int = None
@@ -37,6 +37,13 @@ class Block:
             name, kind = p.name, p.kind
         elif isinstance(p, DataflowEdge):
             name, kind = p.signature(), None
+            if self.capacity is None:
+                object.__setattr__(self, "capacity", p.capacity)
+            elif self.capacity != p.capacity:
+                raise IrError(
+                    f"simple block {name!r}: capacity {self.capacity!r} disagrees with "
+                    f"edge capacity {p.capacity}"
+                )
         else:
             raise IrError(f"bad block provenance {p!r}")
         object.__setattr__(self, "name", name)
@@ -115,12 +122,29 @@ def is_interface_block(pafg, name):
     return not pafg.graph.in_edges(name) or not pafg.graph.out_edges(name)
 
 
+def block_edges(blocks, app_graph):
+    """The block connections that realize app_graph's edges among blocks:
+    an edge runs through its simple buffer if that buffer is a block, and
+    otherwise straight between its two actors' blocks, one of which has
+    absorbed it."""
+    edges = set()
+    for e in app_graph.edges.values():
+        name = e.signature()
+        if name in blocks:
+            edges.add((e.src, name))
+            edges.add((name, e.snk))
+        else:
+            edges.add((e.src, e.snk))
+    return frozenset(edges)
+
+
 def check_association(app_graph, pafg):
     """True iff every simple block's edge and every non-simple block's actor
-    is the graph's own record. Block names are unique and each is read off
-    its provenance, so the map is injective by construction. A simple block
-    whose edge disagrees with the graph's edge between the same actors is
-    corrupt and raises."""
+    is the graph's own record, every actor has a block, and the block
+    connections are exactly block_edges. Block names are unique and each
+    is read off its provenance, so the map is injective by construction. A
+    simple block whose edge disagrees with the graph's edge between the
+    same actors is corrupt and raises."""
     for b in pafg.blocks.values():
         p = b.provenance
         if not b.is_simple:
@@ -135,7 +159,9 @@ def check_association(app_graph, pafg):
                 f"block {b.name!r}: provenance {p.signature()} disagrees with "
                 f"edge {edge.signature()}"
             )
-    return True
+    if not app_graph.actors.keys() <= pafg.blocks.keys():
+        return False
+    return pafg.edges == block_edges(pafg.blocks, app_graph)
 
 
 def validate_coordinated(z, lib):

@@ -91,19 +91,3 @@ class PassiveKernel:
     def populations(self):
         return {p: self.population(p) for p in self.read_ports}
 
-
-def capacity_rule(kind, input_capacities):
-    """Ring capacity for a newly passivized block, from the capacities of
-    the simple buffers that previously fed it. Fork-style kernels keep the
-    producer-side capacity; the interleaver holds a full interleaved
-    window, i.e. the sum of its two data inputs."""
-    caps = list(input_capacities)
-    if kind in ("simple", "fork", "gain-fork"):
-        if len(caps) != 1:
-            raise KernelError(f"{kind} kernel expects exactly one input buffer, got {len(caps)}")
-        return caps[0]
-    if kind == "interleave":
-        if len(caps) != 2:
-            raise KernelError(f"interleave kernel expects two input buffers, got {len(caps)}")
-        return caps[0] + caps[1]
-    raise KernelError(f"no capacity rule for kind {kind!r}")

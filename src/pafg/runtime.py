@@ -256,9 +256,9 @@ def instantiate(z, lib, source_data):
     declared = {name: (a.input_ports, a.output_ports) for name, a in actors.items()}
     declared.update((name, (k.write_ports, k.read_ports)) for name, k in kernels.items())
 
-    # Each application edge is realized either by its surviving simple
-    # buffer or, if that buffer was absorbed, by a port of the passivized
-    # endpoint's kernel.
+    # validate_coordinated checked association, so each application edge
+    # runs through its surviving simple ring or, absorbed, joins its two
+    # endpoints, which alternation makes one active and one passive.
     in_bindings = {name: {} for name in actors}
     out_bindings = {name: {} for name in actors}
     for e in z.source.edges.values():
@@ -267,29 +267,16 @@ def instantiate(z, lib, source_data):
                 raise RuntimeExecutionError(
                     f"edge {e.signature()}: {block}.{port} is not a declared port of {block}"
                 )
-        simple_name = e.signature()
-        if simple_name in kernels:
-            fifo = kernels[simple_name]
-            producer_binding = (simple_name, fifo.write_ports[0])
-            consumer_binding = (simple_name, fifo.read_ports[0])
-        elif e.snk in kernels and e.src in kernels:
-            raise RuntimeExecutionError(
-                f"edge {e.signature()}: both endpoints are passive"
-            )
-        elif e.snk in kernels:
-            producer_binding = (e.snk, e.snk_port)
-            consumer_binding = None
-        elif e.src in kernels:
-            producer_binding = None
-            consumer_binding = (e.src, e.src_port)
+        ring = e.signature()
+        if ring in kernels:
+            write = (ring, kernels[ring].write_ports[0])
+            read = (ring, kernels[ring].read_ports[0])
         else:
-            # Edge fully absorbed with neither endpoint passive cannot
-            # happen in a PAFG produced by this package's transforms.
-            raise RuntimeExecutionError(f"edge {e.signature()} has no buffer in the PAFG")
-        if producer_binding is not None and e.src in actors:
-            out_bindings[e.src][e.src_port] = producer_binding
-        if consumer_binding is not None and e.snk in actors:
-            in_bindings[e.snk][e.snk_port] = consumer_binding
+            write, read = (e.snk, e.snk_port), (e.src, e.src_port)
+        if e.src in actors:
+            out_bindings[e.src][e.src_port] = write
+        if e.snk in actors:
+            in_bindings[e.snk][e.snk_port] = read
 
     for name, actor in actors.items():
         for port in actor.input_ports:

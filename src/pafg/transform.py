@@ -25,18 +25,18 @@ from .ir import (
     PSSV,
     Pafg,
     block_category,
+    block_edges,
+    check_association,
     is_alternating,
 )
-from .kernels import capacity_rule
 
 
 def derive_direct_pafg(app_graph, lib):
     """Direct PAFG of an application graph: every block active except the
-    per-edge simple buffers, which inherit their edge's capacity. The
-    result is always alternating and associated."""
+    per-edge simple buffers. The result is always alternating and
+    associated."""
     blocks = {}
     coordination = {}
-    pafg_edges = set()
     for name, spec in app_graph.actors.items():
         if not lib.has_kind(spec.kind):
             raise UnknownKindError(f"actor {name!r}: unregistered kind {spec.kind!r}")
@@ -44,22 +44,19 @@ def derive_direct_pafg(app_graph, lib):
         coordination[name] = ACTV
     for e in app_graph.edges.values():
         name = e.signature()
-        blocks[name] = Block(e, capacity=e.capacity)
+        blocks[name] = Block(e)
         coordination[name] = PSSV
-        pafg_edges.add((e.src, name))
-        pafg_edges.add((name, e.snk))
-    return CoordinatedPafg(Pafg(blocks, frozenset(pafg_edges)), coordination, app_graph)
+    pafg = Pafg(blocks, block_edges(blocks, app_graph))
+    return CoordinatedPafg(pafg, coordination, app_graph)
 
 
 @dataclass(frozen=True)
 class PassivizationCandidate:
     """An active non-simple buffer block whose neighbors are all simple
-    passive buffers, together with the sets the rewrite manipulates."""
+    passive buffers, which the rewrite removes."""
 
     block: str
     removed: frozenset  # the adjacent simple blocks
-    new_producers: frozenset
-    new_consumers: frozenset
 
 
 def _candidate_for(z, lib, name):
@@ -76,9 +73,7 @@ def _candidate_for(z, lib, name):
     for neighbor in preds | succs:
         if not z.pafg.block(neighbor).is_simple:
             return None, f"neighbor {neighbor!r} of {name!r} is not a simple passive buffer"
-    new_producers = frozenset(p for x in preds for p in g.pred(x))
-    new_consumers = frozenset(s for x in succs for s in g.succ(x))
-    return PassivizationCandidate(name, frozenset(preds | succs), new_producers, new_consumers), None
+    return PassivizationCandidate(name, frozenset(preds | succs)), None
 
 
 def find_candidates(z, lib):
@@ -106,7 +101,7 @@ class TransformStep:
 def passivize(z, lib, name):
     """Apply the passivization transformation with respect to one simply
     surrounded active buffer block. Returns (new PAFG, step log entry)."""
-    _require_alternating(z)
+    _require_input(z)
     cand, reason = _candidate_for(z, lib, name)
     if cand is None:
         raise NotACandidateError(reason)
@@ -114,60 +109,57 @@ def passivize(z, lib, name):
     return result, step
 
 
-def _require_alternating(z):
+def _require_input(z):
     if not is_alternating(z):
         raise TransformError("passivization is defined on alternating PAFGs only")
+    if not check_association(z.source, z.pafg):
+        raise TransformError("passivization is defined on associated PAFGs only")
 
 
 def _rewrite(z, candidates):
-    """Passivize, in one rewrite of an alternating PAFG, each candidate in
-    the list whose removed buffers no earlier step took. Such a step reads
-    the same neighbourhood in z as it would after the steps before it.
-    Returns (new PAFG, step log)."""
+    """Passivize, in one rewrite of an alternating, associated PAFG, each
+    candidate in the list whose removed buffers no earlier step took. Such
+    a step reads the same neighbourhood in z as it would after the steps
+    before it. A passivized block's ring holds the summed capacities of the
+    input buffers it absorbs. The new block connections are block_edges of
+    the remaining blocks, so each absorbed edge now joins the passivized
+    block to the active block at its other end, and a step's added edges
+    are its block's connections in the result. Returns (new PAFG, step
+    log)."""
     g = z.pafg.graph
     blocks = dict(z.pafg.blocks)
     coordination = dict(z.coordination)
     gone = set()
-    added_edges = set()
-    log = []
+    taken = []
     for cand in candidates:
         if not gone.isdisjoint(cand.removed):
             continue  # no longer a candidate: it is next to a passive block
         name = cand.block
-        # Every removed simple block must connect only into the cluster's
-        # one-producer/one-consumer shape; assert rather than assume.
-        for x in cand.removed:
-            if len(g.pred(x)) > 1 or len(g.succ(x)) > 1:
-                raise TransformError(f"simple block {x!r} has multiple producers or consumers")
-        input_caps = []
-        for x in sorted(g.pred(name)):
-            b = blocks[x]
-            if b.capacity is None:
-                raise MissingCapacityError(f"simple block {x!r} has no capacity")
-            input_caps.append(b.capacity)
-        block = blocks[name]
-        capacity = capacity_rule(block.kind, input_caps)
-        blocks[name] = Block(block.provenance, capacity)
+        capacity = sum(blocks[x].capacity for x in g.pred(name))
+        blocks[name] = Block(blocks[name].provenance, capacity)
         coordination[name] = PSSV
-        added = sorted(
-            {(x, name) for x in cand.new_producers} | {(name, y) for y in cand.new_consumers}
-        )
-        if any(coordination[src] == coordination[snk] for src, snk in added):
-            raise TransformError("passivization produced a non-alternating PAFG")
         gone |= cand.removed
-        added_edges.update(added)
-        log.append(TransformStep(name, sorted(cand.removed), added))
+        taken.append(cand)
     for x in gone:
         del blocks[x]
         del coordination[x]
-    edges = frozenset(e for e in z.pafg.edges if gone.isdisjoint(e)) | added_edges
-    return CoordinatedPafg(Pafg(blocks, edges), coordination, z.source), log
+    pafg = Pafg(blocks, block_edges(blocks, z.source))
+    log = [
+        TransformStep(
+            c.block,
+            sorted(c.removed),
+            sorted(pafg.graph.in_edges(c.block) | pafg.graph.out_edges(c.block)),
+        )
+        for c in taken
+    ]
+    return CoordinatedPafg(pafg, coordination, z.source), log
 
 
 def passivize_fixpoint(z, lib, blocks=None):
-    """Repeatedly passivize. With blocks=None, passivize the first candidate
-    by name until none remain; otherwise apply the named blocks in the given
-    order. Returns (PAFG, step log).
+    """Repeatedly passivize an alternating, associated PAFG. With
+    blocks=None, passivize the first candidate by name until none remain;
+    otherwise apply the named blocks in the given order. Returns (PAFG,
+    step log).
 
     One candidate search and one rewrite are enough. A step deletes only
     the simple buffers next to the passivized block and joins their outer
@@ -178,14 +170,15 @@ def passivize_fixpoint(z, lib, blocks=None):
     is the first candidate by name of the current PAFG. Steps whose buffers
     are disjoint touch disjoint blocks apart from those active outer
     neighbors, so they commute, and each step's log entry is the same
-    whether it is computed on the initial PAFG or on the intermediate one."""
+    whether it is computed on the initial PAFG or on the intermediate one:
+    a block's connections follow from its own application edges alone."""
     if blocks is not None:
         log = []
         for name in blocks:
             z, step = passivize(z, lib, name)
             log.append(step)
         return z, log
-    _require_alternating(z)
+    _require_input(z)
     return _rewrite(z, find_candidates(z, lib))
 
 

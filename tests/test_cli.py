@@ -9,7 +9,7 @@ import pytest
 from pafg.cli import cli_main
 from pafg.actors import default_library
 from pafg.formats import read_samples, serialize_graph, serialize_pafg, write_samples
-from pafg.transform import derive_direct_pafg
+from pafg.transform import derive_direct_pafg, passivize_fixpoint
 from topologies import FORK_GRAPH, chain_graph, rename_block, ten_plus_four_graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -70,6 +70,11 @@ def test_derive_analyze_chain(chain_file, tmp_path, capsys):
     assert "total BMR: 1600 bytes" in out
     assert "alternating: True" in out
     assert "abc: True" in out
+    opt_file = tmp_path / "chain-opt.pafg"
+    assert cli_main(["passivize", str(pafg_file), "--auto", "-o", str(opt_file)]) == 0
+    assert capsys.readouterr().out == (
+        "passivize B removed=A.out->B.in,B.out0->C.in added_edges=(A,B),(B,C)\n"
+    )
 
 
 def test_candidates_and_passivize(tmp_path, capsys):
@@ -137,20 +142,55 @@ def test_run_chain(chain_file, tmp_path, capsys):
     assert stats["sink_tokens"] == 3
 
 
-def test_run_rejects_renamed_block(tmp_path, capsys):
-    z = derive_direct_pafg(chain_graph(), default_library())
-    pafg_file = tmp_path / "renamed.pafg"
-    pafg_file.write_text(rename_block(serialize_pafg(z), "B", "BB"), encoding="utf-8")
+def _run_pafg_text(tmp_path, text):
+    pafg_file = tmp_path / "bad.pafg"
+    pafg_file.write_text(text, encoding="utf-8")
     inputs = tmp_path / "in"
     inputs.mkdir()
     write_samples(inputs / "A.txt", [1.0])
-    code = cli_main(
+    return cli_main(
         ["run", str(pafg_file), "--inputs", str(inputs), "--outputs", str(tmp_path / "out"),
          "--sink-tokens", "1"]
     )
+
+
+def test_run_rejects_renamed_block(tmp_path, capsys):
+    z = derive_direct_pafg(chain_graph(), default_library())
+    code = _run_pafg_text(tmp_path, rename_block(serialize_pafg(z), "B", "BB"))
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: line") and "Traceback" not in err
+
+
+def _without_block_c(text):
+    # actor C and its edge stay; C's block, its simple block and their bedges go
+    return "".join(
+        line for line in text.splitlines(keepends=True)
+        if not line.startswith("block C ") and "B.out0->C.in" not in line
+    )
+
+
+def _bedge_b_to_a(text):
+    return text.replace("bedge B -> C\n", "bedge B -> A\n")
+
+
+@pytest.mark.parametrize(
+    "auto, edit, message",
+    [
+        (False, _without_block_c, "error: actor 'C' has no block"),
+        (True, _bedge_b_to_a, "error: line 10: bedge B -> A"),
+    ],
+    ids=["actor-without-block", "rerouted-bedge"],
+)
+def test_run_rejects_blocks_that_do_not_realize_the_graph(tmp_path, capsys, auto, edit, message):
+    lib = default_library()
+    z = derive_direct_pafg(chain_graph(), lib)
+    if auto:
+        z, _ = passivize_fixpoint(z, lib)
+    code = _run_pafg_text(tmp_path, edit(serialize_pafg(z)))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(message) and "Traceback" not in err
 
 
 def test_run_requires_stop_condition(chain_file, tmp_path):

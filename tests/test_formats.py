@@ -174,14 +174,41 @@ def test_pafg_rejects_bad_passive_capacity(lib, bad):
     assert err.value.line == lineno
 
 
-@pytest.mark.parametrize("bedge", ["bedge B -> B", "bedge A -> A.out->B.in"])
-def test_pafg_rejects_self_loop_and_repeated_bedge(lib, bedge):
-    lines = serialize_pafg(derive_direct_pafg(chain_graph(), lib)).splitlines() + [bedge]
+@pytest.mark.parametrize(
+    "bedge, replaces",
+    [
+        pytest.param("bedge B -> B", None, id="bedge B -> B"),
+        pytest.param("bedge A -> A.out->B.in", None, id="bedge A -> A.out->B.in"),
+        # alternating, but no application edge runs from that buffer to C
+        pytest.param("bedge A.out->B.in -> C", None, id="bedge A.out->B.in -> C"),
+        pytest.param(
+            "bedge B.out0->C.in -> A", "bedge B.out0->C.in -> C", id="rerouted bedge"
+        ),
+    ],
+)
+def test_pafg_rejects_self_loop_and_repeated_bedge(lib, bedge, replaces):
+    lines = serialize_pafg(derive_direct_pafg(chain_graph(), lib)).splitlines()
+    if replaces is None:
+        lines.append(bedge)
+        lineno = len(lines)
+    else:
+        lineno = lines.index(replaces) + 1
+        lines[lineno - 1] = bedge
     with pytest.raises(ParseError) as err:
         parse_pafg("\n".join(lines), lib=lib)
-    assert err.value.line == len(lines)
+    assert err.value.line == lineno
 
 
+def test_pafg_rejects_missing_bedge(lib):
+    text = serialize_pafg(derive_direct_pafg(chain_graph(), lib))
+    with pytest.raises(ParseError, match="missing bedge A -> A.out->B.in"):
+        parse_pafg(text.replace("bedge A -> A.out->B.in\n", ""), lib=lib)
+
+
+def test_pafg_rejects_actor_without_block(lib):
+    text = serialize_pafg(derive_direct_pafg(chain_graph(), lib))
+    with pytest.raises(ParseError, match="actor 'C' has no block"):
+        parse_pafg(text.replace("block C kind=snk coord=actv from=actor:C\n", ""), lib=lib)
 def test_sample_round_trip(tmp_path, lib):
     values = [0.1, -1.5, 2.0 / 3.0, 1e-17, 123456.789]
     path = tmp_path / "samples.txt"

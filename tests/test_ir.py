@@ -12,6 +12,7 @@ from pafg.ir import (
     CoordinatedPafg,
     PSSV,
     Pafg,
+    block_edges,
     check_abc,
     check_association,
     is_alternating,
@@ -134,6 +135,23 @@ def test_association_false_for_foreign_actor_spec(lib):
     assert not check_association(g, Pafg(blocks, z.pafg.edges))
 
 
+def test_association_false_without_an_actor_block(lib):
+    g = chain_graph()
+    z = derive_direct_pafg(g, lib)
+    gone = {"C", "B.out0->C.in"}
+    blocks = {n: b for n, b in z.pafg.blocks.items() if n not in gone}
+    edges = frozenset(e for e in z.pafg.edges if gone.isdisjoint(e))
+    assert not check_association(g, Pafg(blocks, edges))
+
+
+def test_association_false_for_rerouted_connection(lib):
+    g = chain_graph()
+    z, _ = passivize(derive_direct_pafg(g, lib), lib, "B")
+    assert z.pafg.edges == block_edges(z.pafg.blocks, g) == {("A", "B"), ("B", "C")}
+    rerouted = Pafg(z.pafg.blocks, frozenset({("A", "B"), ("B", "A")}))
+    assert not check_association(g, rerouted)
+
+
 def test_block_name_and_kind_come_from_provenance(lib):
     g = chain_graph()
     actor, simple = Block(g.actor("B")), Block(g.edge("A", "B"))
@@ -142,6 +160,13 @@ def test_block_name_and_kind_come_from_provenance(lib):
     assert Block(g.actor("B"), 4) == Block(g.actor("B"), 4) != Block(g.actor("B"), 5)
     with pytest.raises(IrError):
         Block("B")
+
+
+def test_simple_block_capacity_is_its_edges():
+    e = chain_graph().edge("A", "B")
+    assert Block(e) == Block(e, 100) and Block(e).capacity == 100
+    with pytest.raises(IrError, match="disagrees with edge capacity 100"):
+        Block(e, 99)
 
 
 def test_block_capacity_must_be_a_positive_int():

@@ -10,7 +10,7 @@ from pafg.errors import (
     KernelError,
     UnknownPortError,
 )
-from pafg.kernels import PassiveKernel, capacity_rule
+from pafg.kernels import PassiveKernel
 from pafg.runtime import check_mapping_equivalence
 from pafg.transform import derive_direct_pafg, passivize_fixpoint
 from topologies import fork_graph, gain_fork_graph, gain_then_fork_graph, interleave_graph
@@ -209,17 +209,6 @@ def test_interleave_invariants_under_random_admissible_ops(write_ports, capacity
         for port in kernel.read_ports:
             assert 0 <= kernel.population(port) <= kernel.capacity
     assert min(read_count.values()) > 0
-
-
-def test_capacity_rule():
-    assert capacity_rule("fork", [100]) == 100
-    assert capacity_rule("simple", [64]) == 64
-    assert capacity_rule("gain-fork", [1]) == 1
-    assert capacity_rule("interleave", [100, 100]) == 200
-    with pytest.raises(KernelError):
-        capacity_rule("fork", [1, 2])
-    with pytest.raises(KernelError):
-        capacity_rule("interleave", [1])
 
 
 def direct_and_passivized(graph):

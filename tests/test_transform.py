@@ -278,6 +278,24 @@ def test_non_alternating_input_is_rejected(lib):
         passivize_fixpoint(bad, lib, blocks=["B"])
 
 
+def test_non_associated_input_is_rejected(lib):
+    # the chain's direct PAFG without its connection A -> A.out->B.in: still
+    # alternating, and B is still a candidate, so only the association check
+    # can refuse it
+    g = chain_graph()
+    z = derive_direct_pafg(g, lib)
+    edges = z.pafg.edges - {("A", "A.out->B.in")}
+    bad = CoordinatedPafg(Pafg(z.pafg.blocks, edges), z.coordination, g)
+    assert is_alternating(bad) and not check_association(g, bad.pafg)
+    assert [c.block for c in find_candidates(bad, lib)] == ["B"]
+    with pytest.raises(TransformError, match="associated PAFGs only"):
+        passivize(bad, lib, "B")
+    with pytest.raises(TransformError, match="associated PAFGs only"):
+        passivize_fixpoint(bad, lib)
+    with pytest.raises(TransformError, match="associated PAFGs only"):
+        passivize_fixpoint(bad, lib, blocks=["B"])
+
+
 def test_bmr_chain(lib):
     z = derive_direct_pafg(chain_graph(capacity=100), lib)
     assert compute_bmr(z).total_bytes == 1600  # 2 x 100 x 8
