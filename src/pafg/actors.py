@@ -6,6 +6,12 @@ one BufferActor declaration, and its passive form is that actor's ring.
 Everything else is computational. Sources and sinks carry the graph's
 external I/O: a source is bound to a finite value stream before
 execution, a sink collects what it consumes.
+
+Every kind has one token function, its batched invoke(inputs, k): k
+firings in one call, with the same results, in the same order and with
+sums taken left to right, as k single firings. ready() caps k where the
+actor's own state does: a source at its data left, var-src and avg at
+the end of the current run of one mode.
 """
 
 import math
@@ -13,6 +19,24 @@ import math
 from .dataflow import ActorLibrary, CfdfActor, F64, TOKEN_TYPES, is_capacity
 from .errors import ModelError
 from .kernels import PassiveKernel
+
+
+class AlwaysReadyActor(CfdfActor):
+    """A kind whose state never limits a batch: its firings are bounded
+    only by its ports' populations and free space."""
+
+    def ready(self):
+        return math.inf
+
+
+class ModalActor(CfdfActor):
+    """A kind with several modes: _RATES maps each mode to its table."""
+
+    def rates(self):
+        return self._RATES[self.mode]
+
+    def rate_tables(self):
+        return tuple(self._RATES.values())
 
 
 class SourceActor(CfdfActor):
@@ -39,15 +63,18 @@ class SourceActor(CfdfActor):
         return len(self._values) - self._cursor
 
     def ready(self):
-        return self._cursor < len(self._values)
+        return self.remaining()
 
-    def invoke(self, inputs):
-        value = self._values[self._cursor]
-        self._cursor += 1
-        return {"out": [value]}
+    def _take(self, k):
+        c = self._cursor
+        self._cursor = c + k
+        return self._values[c:c + k]
+
+    def invoke(self, inputs, k=1):
+        return {"out": self._take(k)}
 
 
-class VarSourceActor(SourceActor):
+class VarSourceActor(ModalActor, SourceActor):
     """Variable-window source: emits a window length on the control port,
     then that many samples one per firing on the data port.
 
@@ -74,10 +101,12 @@ class VarSourceActor(SourceActor):
         self._remaining = 0
         self.mode = self.initial_mode()
 
-    def rates(self):
-        return self._RATES[self.mode]
+    def ready(self):
+        """One length firing, or the rest of the current window."""
+        left = self.remaining()
+        return min(left, 1 if self.mode == "emit-length" else self._remaining)
 
-    def invoke(self, inputs):
+    def invoke(self, inputs, k=1):
         if self.mode == "emit-length":
             n = int(self._values[self._cursor])
             self._cursor += 1
@@ -86,15 +115,13 @@ class VarSourceActor(SourceActor):
             self._remaining = n
             self.mode = "emit-data" if n > 0 else "emit-length"
             return {"len": [n], "out": []}
-        value = self._values[self._cursor]
-        self._cursor += 1
-        self._remaining -= 1
+        self._remaining -= k
         if self._remaining == 0:
             self.mode = "emit-length"
-        return {"len": [], "out": [value]}
+        return {"len": [], "out": self._take(k)}
 
 
-class SinkActor(CfdfActor):
+class SinkActor(AlwaysReadyActor):
     """Consumes one token per firing and records it."""
 
     kind = "snk"
@@ -106,12 +133,12 @@ class SinkActor(CfdfActor):
         super().__init__(name)
         self.collected = []
 
-    def invoke(self, inputs):
-        self.collected.append(inputs["in"][0])
+    def invoke(self, inputs, k=1):
+        self.collected += inputs["in"]
         return {}
 
 
-class AccumulatorActor(CfdfActor):
+class AccumulatorActor(AlwaysReadyActor):
     """Lightweight terminal consumer keeping a running sum."""
 
     kind = "acc"
@@ -123,12 +150,15 @@ class AccumulatorActor(CfdfActor):
         super().__init__(name)
         self.total = 0.0
 
-    def invoke(self, inputs):
-        self.total += inputs["in"][0]
+    def invoke(self, inputs, k=1):
+        total = self.total
+        for t in inputs["in"]:
+            total += t
+        self.total = total
         return {}
 
 
-class BufferActor(CfdfActor):
+class BufferActor(AlwaysReadyActor):
     """A buffer kind declared by its input ports, its fanout and an
     optional per-token op. Each firing takes one token from each input
     port, in declared port order, applies op to each, and emits that
@@ -148,10 +178,15 @@ class BufferActor(CfdfActor):
         )
         super().__init__(name)
 
-    def invoke(self, inputs):
-        seq = []
-        for port in self.input_ports:
-            seq += inputs[port]
+    def invoke(self, inputs, k=1):
+        ports = self.input_ports
+        m = len(ports)
+        if m == 1:
+            seq = inputs[ports[0]]
+        else:
+            seq = [None] * (m * k)
+            for j, port in enumerate(ports):
+                seq[j::m] = inputs[port]
         if self.op is not None:
             seq = [self.op(t) for t in seq]
         return dict.fromkeys(self.output_ports, seq)
@@ -160,7 +195,7 @@ class BufferActor(CfdfActor):
         return PassiveKernel(capacity, self.input_ports, self.output_ports, self.op)
 
 
-class GainActor(CfdfActor):
+class GainActor(AlwaysReadyActor):
     kind = "gain"
     input_ports = ("in",)
     output_ports = ("out",)
@@ -170,11 +205,12 @@ class GainActor(CfdfActor):
         super().__init__(name)
         self.k = k
 
-    def invoke(self, inputs):
-        return {"out": [self.k * inputs["in"][0]]}
+    def invoke(self, inputs, k=1):
+        gain = self.k
+        return {"out": [gain * t for t in inputs["in"]]}
 
 
-class ErrorMagnitudeActor(CfdfActor):
+class ErrorMagnitudeActor(AlwaysReadyActor):
     """Squared error magnitude of one complex sample: consumes a (re, im)
     pair from each of two interleaved streams."""
 
@@ -184,15 +220,14 @@ class ErrorMagnitudeActor(CfdfActor):
 
     _RATES = ({"ref": 2, "rec": 2}, {"out": 1})
 
-    def invoke(self, inputs):
-        ref_re, ref_im = inputs["ref"]
-        rec_re, rec_im = inputs["rec"]
-        dre = ref_re - rec_re
-        dim = ref_im - rec_im
-        return {"out": [dre * dre + dim * dim]}
+    def invoke(self, inputs, k=1):
+        ref, rec = inputs["ref"], inputs["rec"]
+        dre = [a - b for a, b in zip(ref[0::2], rec[0::2])]
+        dim = [a - b for a, b in zip(ref[1::2], rec[1::2])]
+        return {"out": [x * x + y * y for x, y in zip(dre, dim)]}
 
 
-class ReferenceMagnitudeActor(CfdfActor):
+class ReferenceMagnitudeActor(AlwaysReadyActor):
     """Squared magnitude of one complex sample from an interleaved stream."""
 
     kind = "ref-mag"
@@ -201,12 +236,12 @@ class ReferenceMagnitudeActor(CfdfActor):
 
     _RATES = ({"in": 2}, {"out": 1})
 
-    def invoke(self, inputs):
-        re, im = inputs["in"]
-        return {"out": [re * re + im * im]}
+    def invoke(self, inputs, k=1):
+        seq = inputs["in"]
+        return {"out": [re * re + im * im for re, im in zip(seq[0::2], seq[1::2])]}
 
 
-class WindowAverageActor(CfdfActor):
+class WindowAverageActor(ModalActor):
     """Windowed mean: reads a window length N from the control port, then
     accumulates N samples left to right and emits their mean."""
 
@@ -229,10 +264,11 @@ class WindowAverageActor(CfdfActor):
     def initial_mode(self):
         return "read-length"
 
-    def rates(self):
-        return self._RATES[self.mode]
+    def ready(self):
+        """The accumulate run up to the window's last sample, else one."""
+        return self._remaining - 1 if self.mode == "accumulate" else 1
 
-    def invoke(self, inputs):
+    def invoke(self, inputs, k=1):
         if self.mode == "read-length":
             n = int(inputs["len"][0])
             if n < 1:
@@ -242,8 +278,11 @@ class WindowAverageActor(CfdfActor):
             self._sum = 0.0
             self.mode = "accumulate" if n > 1 else "finish"
             return {"out": []}
-        self._sum += inputs["in"][0]
-        self._remaining -= 1
+        total = self._sum
+        for t in inputs["in"]:
+            total += t
+        self._sum = total
+        self._remaining -= k
         if self.mode == "accumulate":
             self.mode = "accumulate" if self._remaining > 1 else "finish"
             return {"out": []}
@@ -252,7 +291,7 @@ class WindowAverageActor(CfdfActor):
         return {"out": [self._sum / self._n]}
 
 
-class RmsRatioActor(CfdfActor):
+class RmsRatioActor(AlwaysReadyActor):
     """sqrt(mean error power) / sqrt(mean reference power)."""
 
     kind = "rms-ratio"
@@ -261,8 +300,8 @@ class RmsRatioActor(CfdfActor):
 
     _RATES = ({"e": 1, "r": 1}, {"out": 1})
 
-    def invoke(self, inputs):
-        return {"out": [math.sqrt(inputs["e"][0]) / math.sqrt(inputs["r"][0])]}
+    def invoke(self, inputs, k=1):
+        return {"out": [math.sqrt(e) / math.sqrt(r) for e, r in zip(inputs["e"], inputs["r"])]}
 
 
 def _gain(spec):

@@ -59,14 +59,15 @@ class ActorSpec:
 
 class CfdfActor:
     """Behavioral contract for actors: finite modes with fixed per-port
-    rates, a side-effect-free ready() test, and an invoke that consumes and
-    produces exactly the declared counts before selecting the next mode.
-    An actor is enabled when its input populations and output space cover
-    the current mode's rates and ready() holds; the engine makes that test.
+    rates, a side-effect-free ready() count, and a batched invoke that
+    consumes and produces exactly the declared counts of k firings before
+    selecting the next mode. The engine fires k times in one call, where k
+    is at most the firings the input populations and output space admit
+    under the current rates and at most ready().
 
     Subclasses define input_ports/output_ports, the token function in
     invoke() and the rate table _RATES; one with several modes keys _RATES
-    by mode and overrides rates().
+    by mode and overrides rates() and rate_tables().
     """
 
     kind = None
@@ -85,14 +86,22 @@ class CfdfActor:
         """(consumption, production) per port for the current mode."""
         return self._RATES
 
+    def rate_tables(self):
+        """Every (consumption, production) table the actor can fire under."""
+        return (self.rates(),)
+
     def ready(self):
-        """Extra internal fireability condition (e.g. source data left)."""
+        """How many consecutive firings the actor's state allows under its
+        current rate table; 0 means not ready. The default, True, counts as
+        one, so an actor that only knows single firings is fired one at a
+        time and its invoke is called without k."""
         return True
 
-    def invoke(self, inputs):
-        """Fire once: consume the supplied tokens (exactly the declared
-        counts for the current mode), return produced tokens per output
-        port, and advance the mode."""
+    def invoke(self, inputs, k=1):
+        """Fire k times in one call: inputs holds, per input port, the
+        declared count times k tokens in stream order; return the produced
+        tokens per output port, the declared count times k each, and
+        advance the mode. Results equal k single firings in turn."""
         raise NotImplementedError
 
 

@@ -8,6 +8,9 @@ reused only once the slowest read pointer has passed it. Write port j of
 m stores its i-th token at global index m*i + j and keeps its own next
 index, so each writer may run ahead into its own free slots; wptr is the
 end of the contiguous written prefix, which is all the read ports see.
+Tokens move as slices: write_n stores a sequence on one write port and
+read_n takes the next n tokens of one read port, wrapping around the end
+of the slot list; write and read are their one-token forms.
 """
 
 from .errors import (
@@ -49,45 +52,72 @@ class PassiveKernel:
         except KeyError:
             raise UnknownPortError(f"unknown read port {port!r}") from None
 
-    def writable(self, port):
-        """Number of tokens currently admissible on this write port: its
-        free indices next, next + m, ... below _low + capacity."""
+    def _windex(self, port):
         try:
-            i = self.next[port]
+            return self.next[port]
         except KeyError:
             raise UnknownPortError(f"unknown write port {port!r}") from None
+
+    def _free(self, i):
+        """Free indices i, i + m, ... below _low + capacity."""
         m = self._stride
         return (self._low + self.capacity - i + m - 1) // m
 
-    def write(self, port, token):
-        try:
-            i = self.next[port]
-        except KeyError:
-            raise UnknownPortError(f"unknown write port {port!r}") from None
-        if i - self._low >= self.capacity:
+    def writable(self, port):
+        """Number of tokens currently admissible on this write port."""
+        return self._free(self._windex(port))
+
+    def write_n(self, port, tokens):
+        """Store a sequence of tokens on one write port, after the
+        transform. Write port j of m fills every m-th index, so the tokens
+        go to the slots of next, next + m, ... one strided slice per pass
+        around the ring."""
+        i = self._windex(port)
+        n = len(tokens)
+        if n > self._free(i):
             raise BufferFullError(f"ring full for {port!r} (capacity {self.capacity})")
         if self._transform is not None:
-            token = self._transform(token)
-        self._slots[i % self.capacity] = token
-        m = self._stride
-        self.next[port] = i + m
-        self.wptr = i + 1 if m == 1 else min(self.next.values())
-        self.stores += 1
+            tokens = [self._transform(t) for t in tokens]
+        slots, c, m = self._slots, self.capacity, self._stride
+        pos, done = i % c, 0
+        while done < n:
+            # the tokens that fit before the end of the slot list
+            step = min(n - done, (c - pos + m - 1) // m)
+            slots[pos:pos + m * step:m] = tokens[done:done + step]
+            done += step
+            pos += m * step - c
+        self.next[port] = i + m * n
+        self.wptr = i + n if m == 1 else min(self.next.values())
+        self.stores += n
+
+    def write(self, port, token):
+        self.write_n(port, (token,))
 
     def population(self, port):
         return self.wptr - self.rptr[self._rindex(port)]
 
-    def read(self, port):
+    def read_n(self, port, n):
+        """Take the next n tokens of one read port, as a list."""
         rptr = self.rptr
         i = self._rindex(port)
         r = rptr[i]
-        if self.wptr == r:
-            raise BufferEmptyError(f"read port {port!r} is empty")
-        rptr[i] = r + 1
+        if self.wptr - r < n:
+            raise BufferEmptyError(
+                f"read port {port!r} is empty" if self.wptr == r
+                else f"read port {port!r} holds {self.wptr - r} of {n} tokens"
+            )
+        rptr[i] = r + n
         if r == self._low:
             self._low = min(rptr)
-        return self._slots[r % self.capacity]
+        c = self.capacity
+        start = r % c
+        end = start + n
+        if end <= c:
+            return self._slots[start:end]
+        return self._slots[start:] + self._slots[:end - c]
+
+    def read(self, port):
+        return self.read_n(port, 1)[0]
 
     def populations(self):
         return {p: self.population(p) for p in self.read_ports}
-

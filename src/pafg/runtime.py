@@ -7,13 +7,20 @@ The scheduler is a round-robin sweep over the active blocks in block-name
 order (a permutation can be supplied for determinacy experiments). A sweep
 visits each block once and fires it as many times as it stays enabled,
 i.e. while its input populations and output space cover its current rates
-and its ready() holds. The batch size is computed from the populations
-and free spaces when the block is visited and recomputed only when its
-rates change; another block's firing can only add to a block's inputs or
-free its outputs, so every maximal run makes the same firings and ends in
-the same state. A run stopped early (by a sink-token target or a sweep
-bound) leaves a prefix of each sink's complete stream, but how far the
-other blocks got, and so its token-store count, depends on the schedule.
+and its ready() count is nonzero. The batch size is computed from the
+populations and free spaces when the block is visited and recomputed only
+when its rates change; another block's firing can only add to a block's
+inputs or free its outputs, so every maximal run makes the same firings
+and ends in the same state. Each call fires k times at once: k is the
+least of that batch size, ready() and, for a sink, the firings left to
+its target. The engine reads k bursts per input port with one read_n,
+makes one invoke(inputs, k) call (invoke(inputs) when k is 1), checks that
+every output holds k times its declared rate and stores it with one
+write_n. A kernel whose class overrides read or write is driven through
+that method one token at a time. A run stopped early (by a sink-token
+target or a sweep bound) leaves a prefix of each sink's complete stream,
+but how far the other blocks got, and so its token-store count, depends
+on the schedule.
 Instrumentation counts every token stored into passive-block memory.
 
 The same engine is the equivalence harness: an active subgraph and its
@@ -102,37 +109,46 @@ class ExecutionInstance:
             fired = False
             for name, is_sink, _, rates, ready, invoke, ins, outs, bound in stations:
                 table = rates()
-                k = _batch_size(table, ins, outs)
-                while k and ready():
+                avail = _batch_size(table, ins, outs)
+                while avail:
+                    k = ready()
+                    if not k:
+                        break
+                    if k > avail:
+                        k = avail
                     consume, produce = table
+                    if is_sink:
+                        per_firing = sum(consume.get(port, 0) for port, *_ in ins)
+                        if target is not None and per_firing:
+                            # the fewest firings that reach the target
+                            k = min(k, -(-(target - sink_tokens) // per_firing))
                     inputs = {}
-                    for port, _, read, kport in ins:
-                        n = consume.get(port, 0)
-                        inputs[port] = [read(kport)] if n == 1 else [read(kport) for _ in range(n)]
-                    outputs = invoke(inputs)
-                    for port, _, write, kport in outs:
+                    for port, _, read_n, kport in ins:
+                        inputs[port] = read_n(kport, consume.get(port, 0) * k)
+                    outputs = invoke(inputs) if k == 1 else invoke(inputs, k)
+                    for port, _, write_n, kport in outs:
                         values = outputs.get(port, ())
-                        n = produce.get(port, 0)
+                        n = produce.get(port, 0) * k
                         if len(values) != n:
                             raise ContractViolationError(
-                                f"{name}.{port}: produced {len(values)} tokens, declared {n}"
+                                f"{name}.{port}: produced {len(values)} tokens in {k} "
+                                f"firing(s), declared {n}"
                             )
-                        for v in values:
-                            write(kport, v)
+                        write_n(kport, values)
                     if not bound.issuperset(outputs):
                         _check_unbound(name, outputs, bound)
                     fired = True
                     if is_sink:
-                        sink_tokens += sum(consume.get(port, 0) for port, *_ in ins)
+                        sink_tokens += k * per_firing
                         if target is not None and sink_tokens >= target:
                             done = True
                             break
                     new = rates()
                     if new is table or new == table:
-                        k -= 1
+                        avail -= k
                     else:
                         table = new
-                        k = _batch_size(new, ins, outs)
+                        avail = _batch_size(new, ins, outs)
                 if done:
                     break
             sweeps += 1
@@ -165,16 +181,16 @@ class ExecutionInstance:
     def _compile_station(self, name):
         """One block's row of the station table: (name, is_sink, is_source,
         rates, ready, invoke, input ports, output ports, bound output port
-        names), where an input port is (port, population, read, kernel
-        port) and an output port is (port, writable, write, kernel port),
+        names), where an input port is (port, population, read_n, kernel
+        port) and an output port is (port, writable, write_n, kernel port),
         all as bound methods of the block's actor and kernels."""
         actor = self.actors[name]
         ins = tuple(
-            (port, self.kernels[kb].population, self.kernels[kb].read, kp)
+            (port, self.kernels[kb].population, _slice_reader(self.kernels[kb]), kp)
             for port, (kb, kp) in sorted(self.in_bindings[name].items())
         )
         outs = tuple(
-            (port, self.kernels[kb].writable, self.kernels[kb].write, kp)
+            (port, self.kernels[kb].writable, _slice_writer(self.kernels[kb]), kp)
             for port, (kb, kp) in sorted(self.out_bindings[name].items())
         )
         return (
@@ -182,6 +198,29 @@ class ExecutionInstance:
             actor.rates, actor.ready, actor.invoke,
             ins, outs, frozenset(port for port, *_ in outs),
         )
+
+
+def _slice_reader(kernel):
+    """kernel.read_n, or a per-token loop over kernel.read when the
+    kernel's class defines its own read."""
+    if getattr(type(kernel), "read", None) is PassiveKernel.read:
+        return kernel.read_n
+    read = kernel.read
+    return lambda port, n: [read(port) for _ in range(n)]
+
+
+def _slice_writer(kernel):
+    """kernel.write_n, or a per-token loop over kernel.write when the
+    kernel's class defines its own write."""
+    if getattr(type(kernel), "write", None) is PassiveKernel.write:
+        return kernel.write_n
+    write = kernel.write
+
+    def write_n(port, tokens):
+        for token in tokens:
+            write(port, token)
+
+    return write_n
 
 
 def _batch_size(table, ins, outs):

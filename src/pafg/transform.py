@@ -91,11 +91,16 @@ class TransformStep:
     block: str
     removed: list
     added_edges: list
+    raised_capacity: tuple = None  # (summed input capacity, ring capacity) when raised
 
     def render(self):
         removed = ",".join(self.removed)
         added = ",".join(f"({a},{b})" for a, b in self.added_edges)
-        return f"passivize {self.block} removed={removed} added_edges={added}"
+        line = f"passivize {self.block} removed={removed} added_edges={added}"
+        if self.raised_capacity is not None:
+            summed, capacity = self.raised_capacity
+            line += f" capacity={capacity} raised_from={summed}"
+        return line
 
 
 def passivize(z, lib, name):
@@ -105,7 +110,7 @@ def passivize(z, lib, name):
     cand, reason = _candidate_for(z, lib, name)
     if cand is None:
         raise NotACandidateError(reason)
-    result, (step,) = _rewrite(z, [cand])
+    result, (step,) = _rewrite(z, lib, [cand])
     return result, step
 
 
@@ -116,16 +121,42 @@ def _require_input(z):
         raise TransformError("passivization is defined on associated PAFGs only")
 
 
-def _rewrite(z, candidates):
+def _largest_rate(lib, spec, port, side):
+    """The most tokens one firing of the actor moves on a port, over every
+    rate table it can fire under (side 0 consumes, side 1 produces)."""
+    actor = lib.make_active(spec)
+    return max(table[side].get(port, 0) for table in actor.rate_tables())
+
+
+def _burst_bound(z, lib, name):
+    """The least ring capacity that admits one burst of every reader and
+    writer of the passivized block: a reader's largest read, and the index
+    span of a writer's largest write, which on a ring of m write ports is
+    m times the burst. The rates come from the application edges the
+    block's simple buffers stand for."""
+    g = z.pafg.graph
+    stride = len(lib.make_active(z.pafg.block(name).provenance).input_ports)
+    bound = 1
+    for x in g.pred(name):
+        e = z.pafg.block(x).provenance
+        bound = max(bound, stride * _largest_rate(lib, z.source.actor(e.src), e.src_port, 1))
+    for x in g.succ(name):
+        e = z.pafg.block(x).provenance
+        bound = max(bound, _largest_rate(lib, z.source.actor(e.snk), e.snk_port, 0))
+    return bound
+
+
+def _rewrite(z, lib, candidates):
     """Passivize, in one rewrite of an alternating, associated PAFG, each
     candidate in the list whose removed buffers no earlier step took. Such
     a step reads the same neighbourhood in z as it would after the steps
     before it. A passivized block's ring holds the summed capacities of the
-    input buffers it absorbs. The new block connections are block_edges of
-    the remaining blocks, so each absorbed edge now joins the passivized
-    block to the active block at its other end, and a step's added edges
-    are its block's connections in the result. Returns (new PAFG, step
-    log)."""
+    input buffers it absorbs, raised where needed to _burst_bound, so that
+    no reader or writer waits for a burst the ring cannot hold; a raise is
+    logged in the step. The new block connections are block_edges of the
+    remaining blocks, so each absorbed edge now joins the passivized block
+    to the active block at its other end, and a step's added edges are its
+    block's connections in the result. Returns (new PAFG, step log)."""
     g = z.pafg.graph
     blocks = dict(z.pafg.blocks)
     coordination = dict(z.coordination)
@@ -135,11 +166,12 @@ def _rewrite(z, candidates):
         if not gone.isdisjoint(cand.removed):
             continue  # no longer a candidate: it is next to a passive block
         name = cand.block
-        capacity = sum(blocks[x].capacity for x in g.pred(name))
+        summed = sum(blocks[x].capacity for x in g.pred(name))
+        capacity = max(summed, _burst_bound(z, lib, name))
         blocks[name] = Block(blocks[name].provenance, capacity)
         coordination[name] = PSSV
         gone |= cand.removed
-        taken.append(cand)
+        taken.append((cand, None if capacity == summed else (summed, capacity)))
     for x in gone:
         del blocks[x]
         del coordination[x]
@@ -149,8 +181,9 @@ def _rewrite(z, candidates):
             c.block,
             sorted(c.removed),
             sorted(pafg.graph.in_edges(c.block) | pafg.graph.out_edges(c.block)),
+            raised,
         )
-        for c in taken
+        for c, raised in taken
     ]
     return CoordinatedPafg(pafg, coordination, z.source), log
 
@@ -179,7 +212,7 @@ def passivize_fixpoint(z, lib, blocks=None):
             log.append(step)
         return z, log
     _require_input(z)
-    return _rewrite(z, find_candidates(z, lib))
+    return _rewrite(z, lib, find_candidates(z, lib))
 
 
 @dataclass
@@ -229,17 +262,3 @@ def estimate_copy_count(z, produced_per_block):
             f"no production count for active block(s): {', '.join(sorted(missing))}"
         )
     return total
-
-
-def assert_step_arithmetic(before, after, step):
-    """Block/edge-count bookkeeping for one passivization step:
-    |V_b| = |V_a| - |removed| and |E_b| = |E_a| - |E_r| + |added|."""
-    va, vb = before.pafg.graph, after.pafg.graph
-    removed = set(step.removed)
-    e_r = {e for e in va.edges if e[0] in removed or e[1] in removed}
-    if len(vb.vertices) != len(va.vertices) - len(removed):
-        raise TransformError("vertex count arithmetic violated")
-    if len(vb.edges) != len(va.edges) - len(e_r) + len(step.added_edges):
-        raise TransformError("edge count arithmetic violated")
-    if not is_alternating(after):
-        raise TransformError("passivization produced a non-alternating PAFG")

@@ -25,7 +25,6 @@ from pafg.ir import ACTV, PSSV, check_abc, check_association, is_alternating, va
 from pafg.kernels import PassiveKernel
 from pafg.runtime import check_mapping_equivalence, compare_streams, instantiate
 from pafg.transform import (
-    assert_step_arithmetic,
     compute_bmr,
     derive_direct_pafg,
     estimate_copy_count,
@@ -40,6 +39,7 @@ from topologies import (
     interleave_graph,
     ten_plus_four_graph,
 )
+from transform_checks import assert_step_arithmetic
 
 LIB = default_library()
 

@@ -308,3 +308,52 @@ def test_interleave_unpaired_tokens_are_equivalent():
         *direct_and_passivized(interleave_graph()), LIB, {"re": [1.0], "im": [2.0, 3.0]}
     )
     assert ok is True, div
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_slices_match_per_token_reads_and_writes(seed):
+    """Random read_n/write_n sequences, wraparound, stride-2 writers, a
+    transform and read pointers that differ, on one ring; the same
+    operations token by token through read/write on a twin ring."""
+    rng = random.Random(seed)
+    write_ports = rng.choice([("in",), ("re", "im")])
+    read_ports = tuple(f"out{i}" for i in range(rng.randint(1, 3)))
+    transform = rng.choice([None, lambda t: 2.0 * t + 1.0])
+    capacity = rng.randint(1, 9)
+    sliced, reference = (
+        PassiveKernel(capacity, write_ports, read_ports, transform) for _ in range(2)
+    )
+    for step in range(600):
+        port = rng.choice(write_ports + read_ports)
+        if port in write_ports:
+            n = rng.randint(0, reference.writable(port))
+            tokens = [float(100 * step + i) for i in range(n)]
+            sliced.write_n(port, tokens)
+            for token in tokens:
+                reference.write(port, token)
+        else:
+            n = rng.randint(0, reference.population(port))
+            assert sliced.read_n(port, n) == [reference.read(port) for _ in range(n)]
+        assert sliced._slots == reference._slots
+        assert (sliced.wptr, sliced.rptr, sliced._low, sliced.next, sliced.stores) == (
+            reference.wptr, reference.rptr, reference._low, reference.next, reference.stores
+        )
+    assert reference.stores > 0
+
+
+def test_slices_reject_what_does_not_fit():
+    il = ring("interleave", 5)
+    assert il.writable("re") == 3
+    with pytest.raises(BufferFullError):
+        il.write_n("re", [1.0, 2.0, 3.0, 4.0])
+    il.write_n("re", [1.0, 2.0, 3.0])
+    il.write_n("im", [10.0])
+    assert il.population("out0") == 3
+    with pytest.raises(BufferEmptyError, match="holds 3 of 4"):
+        il.read_n("out0", 4)
+    assert il.read_n("out0", 3) == [1.0, 10.0, 2.0]
+    assert il.stores == 4
+    with pytest.raises(UnknownPortError):
+        il.write_n("bogus", [])
+    with pytest.raises(UnknownPortError):
+        il.read_n("out9", 0)

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from graphgen import build_random_app_graph
-from pafg.actors import default_library
 from pafg.apps import (
     EvmConfig,
     Lcg,
@@ -13,7 +12,8 @@ from pafg.apps import (
     evm_source_data,
     generate_evm_inputs,
 )
-from pafg.dataflow import AppGraphBuilder, CfdfActor
+from pafg.actors import AlwaysReadyActor, default_library
+from pafg.dataflow import ActorLibrary, AppGraphBuilder, CfdfActor
 from pafg.errors import (
     ContractViolationError,
     DeadlockError,
@@ -298,6 +298,84 @@ def test_rate_change_recomputes_batch(lib):
     inst = instantiate(z, lib, {"VS": [2, 1.0, 3.0, 3, 3.0, 4.0, 5.0]})
     inst.run(sink_token_target=2, order=["VS", "ID", "AVG", "SNK"])
     assert inst.sink_streams() == {"SNK": [2.0, 4.0]}
+
+
+def record_calls(actor, calls):
+    """Wrap actor.invoke to log (mode, k, window samples left) per call."""
+    invoke = actor.invoke
+
+    def recorded(inputs, k=1):
+        calls.append((actor.mode, k, actor._remaining))
+        return invoke(inputs, k)
+
+    actor.invoke = recorded
+
+
+def test_avg_batch_stops_before_the_last_sample(lib):
+    # every buffer holds a whole window, so only ready() bounds AVG's batch
+    z = derive_direct_pafg(variable_window_graph(length_capacity=4, data_capacity=16), lib)
+    inst = instantiate(z, lib, {"VS": [5, 1.0, 2.0, 3.0, 4.0, 5.0, 2, 6.0, 8.0, 1, 9.0]})
+    calls = []
+    record_calls(inst.actors["AVG"], calls)
+    inst.run()
+    assert inst.sink_streams() == {"SNK": [3.0, 7.0, 9.0]}
+    assert calls == [
+        ("read-length", 1, 0), ("accumulate", 4, 5), ("finish", 1, 1),
+        ("read-length", 1, 0), ("accumulate", 1, 2), ("finish", 1, 1),
+        ("read-length", 1, 0), ("finish", 1, 1),
+    ]
+
+
+def test_var_source_batch_stops_at_the_window_end(lib):
+    z = derive_direct_pafg(variable_window_graph(length_capacity=4, data_capacity=16), lib)
+    inst = instantiate(z, lib, {"VS": [2, 1.0, 3.0, 3, 3.0, 4.0, 5.0, 1, 7.0]})
+    calls = []
+    record_calls(inst.actors["VS"], calls)
+    # one sweep: the whole stream fits VS's buffers, window by window
+    inst.run(max_iterations=1, order=["VS", "ID", "AVG", "SNK"])
+    assert calls == [
+        ("emit-length", 1, 0), ("emit-data", 2, 2),
+        ("emit-length", 1, 0), ("emit-data", 3, 3),
+        ("emit-length", 1, 0), ("emit-data", 1, 1),
+    ]
+    inst.run()
+    assert inst.sink_streams() == {"SNK": [2.0, 4.0, 7.0]}
+
+
+class ShortBatch(AlwaysReadyActor):
+    """A gain-like actor whose batched form drops the first token."""
+
+    kind = "short"
+    input_ports = ("in",)
+    output_ports = ("out",)
+    _RATES = ({"in": 1}, {"out": 1})
+
+    def invoke(self, inputs, k=1):
+        return {"out": inputs["in"][1:] if k > 1 else inputs["in"]}
+
+
+def test_batched_contract_violation_detected(lib):
+    custom = ActorLibrary()
+    for kind in ("src", "snk"):
+        custom.register(kind, lib.entry(kind).active_factory)
+    custom.register("short", lambda s: ShortBatch(s.name))
+    g = (
+        AppGraphBuilder()
+        .actor("A", "src")
+        .actor("B", "short")
+        .actor("C", "snk")
+        .edge("A.out", "B.in", capacity=4)
+        .edge("B.out", "C.in", capacity=4)
+        .build()
+    )
+    z = derive_direct_pafg(g, custom)
+    inst = instantiate(z, custom, {"A": [1.0]})
+    assert inst.run(sink_token_target=1).sink_tokens == 1
+    inst = instantiate(z, custom, {"A": [1.0, 2.0, 3.0]})
+    with pytest.raises(ContractViolationError, match=r"B\.out: produced 2 tokens in 3 firing"):
+        inst.run(sink_token_target=1, order=["A", "B", "C"])
+    assert inst.kernels["A.out->B.in"].population("out") == 0
+    assert inst.kernels["B.out->C.in"].population("out") == 0
 
 
 class OverProducer(CfdfActor):

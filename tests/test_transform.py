@@ -22,8 +22,8 @@ from pafg.ir import (
     check_association,
     is_alternating,
 )
+from pafg.runtime import instantiate
 from pafg.transform import (
-    assert_step_arithmetic,
     compute_bmr,
     derive_direct_pafg,
     estimate_copy_count,
@@ -32,6 +32,7 @@ from pafg.transform import (
     passivize_fixpoint,
 )
 from topologies import chain_graph, gain_fork_cluster_graph, ten_plus_four_graph
+from transform_checks import assert_step_arithmetic
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +314,63 @@ def test_bmr_fork_cluster_reduction(lib):
     assert before == 3 * 32 * 8
     assert after == 32 * 8
     assert (before - after) * 3 == before * 2
+
+
+def burst_graph():
+    """S -> F(fork) -> R(ref-mag) and SNK, with a one-token input buffer:
+    R reads two tokens per firing, more than the input buffer holds."""
+    return (
+        AppGraphBuilder()
+        .actor("S", "src")
+        .actor("F", "fork", fanout=2)
+        .actor("R", "ref-mag")
+        .actor("A", "acc")
+        .actor("SNK", "snk")
+        .edge("S.out", "F.in", capacity=1)
+        .edge("F.out0", "R.in", capacity=2)
+        .edge("F.out1", "SNK.in", capacity=2)
+        .edge("R.out", "A.in", capacity=2)
+        .build()
+    )
+
+
+def test_passivized_ring_holds_the_largest_burst(lib):
+    # the summed input capacity, 1, would leave R waiting for a second
+    # token that S cannot write: the ring is raised to R's burst of 2
+    direct = derive_direct_pafg(burst_graph(), lib)
+    optimized, (step,) = passivize_fixpoint(direct, lib)
+    assert optimized.pafg.block("F").capacity == 2
+    assert step.raised_capacity == (1, 2)
+    assert step.render().endswith(" capacity=2 raised_from=1")
+    data = {"S": [1.0, 2.0, 3.0, 4.0]}
+    runs = []
+    for z in (direct, optimized):
+        inst = instantiate(z, lib, data)
+        assert inst.run(sink_token_target=4).sink_tokens == 4
+        inst.run()
+        runs.append((inst.sink_streams(), inst.actors["A"].total))
+    assert runs[0] == runs[1] == ({"SNK": data["S"]}, 5.0 + 25.0)
+
+
+def test_app_rings_keep_their_summed_capacity(lib):
+    # every reader and writer of the EVM and fork-cascade rings already
+    # fits the absorbed input buffers, so no ring is raised and BMR holds
+    cfg = generate_evm_inputs(seed=3, max_length=64, num_windows=2)
+    graphs = [build_evm_graph(cfg)] + [
+        build_fork_cascade(ForkCascadeConfig(window_size=w, num_forks=6)) for w in (1, 64)
+    ]
+    for g in graphs:
+        direct = derive_direct_pafg(g, lib)
+        optimized, log = passivize_fixpoint(direct, lib)
+        assert log and all(step.raised_capacity is None for step in log)
+        for step in log:
+            summed = sum(e.capacity for e in g.edges.values() if e.snk == step.block)
+            assert optimized.pafg.block(step.block).capacity == summed
+        absorbed_outputs = sum(
+            e.capacity for e in g.edges.values() if e.src in {s.block for s in log}
+        )
+        saving = compute_bmr(direct).total_bytes - compute_bmr(optimized).total_bytes
+        assert saving == 8 * absorbed_outputs
 
 
 def test_estimate_copy_count_fork(lib):
