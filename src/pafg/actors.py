@@ -56,7 +56,8 @@ class SourceActor(CfdfActor):
         self._cursor = 0
 
     def bind(self, values):
-        self._values = list(values)
+        """Emit values from its start; a list is read, not copied."""
+        self._values = values if isinstance(values, list) else list(values)
         self._cursor = 0
 
     def remaining(self):

@@ -3,24 +3,24 @@
 The direct PAFG of a graph is its pure dataflow form, so one engine covers
 both the original and the transformed program: active blocks are driven
 through rates/ready/invoke, passive blocks are the buffers between them.
-The scheduler is a round-robin sweep over the active blocks in block-name
-order (a permutation can be supplied for determinacy experiments). A sweep
-visits each block once and fires it as many times as it stays enabled,
-i.e. while its input populations and output space cover its current rates
-and its ready() count is nonzero. The batch size is computed from the
-populations and free spaces when the block is visited and recomputed only
-when its rates change; another block's firing can only add to a block's
-inputs or free its outputs, so every maximal run makes the same firings
-and ends in the same state. Each call fires k times at once: k is the
-least of that batch size, ready() and, for a sink, the firings left to
-its target. The engine reads k bursts per input port with one read_n,
-makes one invoke(inputs, k) call (invoke(inputs) when k is 1), checks that
-every output holds k times its declared rate and stores it with one
-write_n. A kernel whose class overrides read or write is driven through
-that method one token at a time. A run stopped early (by a sink-token
-target or a sweep bound) leaves a prefix of each sink's complete stream,
-but how far the other blocks got, and so its token-store count, depends
-on the schedule.
+The scheduler is a round-robin sweep over the active blocks in data order
+(see data_order; a permutation can be supplied for determinacy
+experiments), so on an acyclic graph a sweep visits a block after the
+blocks that feed it. A sweep visits each block once and fires it as many
+times as it stays enabled, i.e. while its input populations and output
+space cover its current rates and its ready() count is nonzero. The batch
+size is computed from the populations and free spaces when the block is
+visited and recomputed only when its rates change; another block's firing
+can only add to a block's inputs or free its outputs, so every maximal run
+makes the same firings and ends in the same state. Each call fires k times
+at once: k is the least of that batch size, ready() and, for a sink, the
+firings left to its target. The engine reads k bursts per input port with
+one read_n, makes one invoke(inputs, k) call (invoke(inputs) when k is
+1), checks that every output holds k times its declared rate and stores
+it with one write_n. A run stopped early (by a sink-token target or a
+sweep bound) leaves a prefix of each sink's complete stream, but how far
+the other blocks got, and so its token-store count, depends on the
+schedule.
 Instrumentation counts every token stored into passive-block memory.
 
 The same engine is the equivalence harness: an active subgraph and its
@@ -63,6 +63,7 @@ class ExecutionInstance:
     def __init__(self, z, actors, kernels, in_bindings, out_bindings):
         self.z = z
         self.actors = actors
+        self.order = data_order(z.source.graph, actors)
         self.kernels = kernels
         self.in_bindings = in_bindings
         self.out_bindings = out_bindings
@@ -80,12 +81,13 @@ class ExecutionInstance:
 
     def run(self, sink_token_target=None, max_iterations=None, order=None):
         """Sweep until the stop condition is met. A sweep visits the blocks
-        in order and fires each one as many times as it stays enabled. With
-        a sink-token target, a sweep that fires nothing first is a deadlock,
-        and so is reaching max_iterations sweeps first; without one the run
-        simply stops at quiescence or after max_iterations sweeps."""
+        in order, by default self.order (data order), and fires each one as
+        many times as it stays enabled. With a sink-token target, a sweep
+        that fires nothing first is a deadlock, and so is reaching
+        max_iterations sweeps first; without one the run simply stops at
+        quiescence or after max_iterations sweeps."""
         if order is None:
-            order = sorted(self.actors)
+            order = self.order
         elif set(order) != set(self.actors):
             raise RuntimeExecutionError("order must be a permutation of the active blocks")
         # Bound methods are captured per run, after any per-object wrappers
@@ -186,11 +188,11 @@ class ExecutionInstance:
         all as bound methods of the block's actor and kernels."""
         actor = self.actors[name]
         ins = tuple(
-            (port, self.kernels[kb].population, _slice_reader(self.kernels[kb]), kp)
+            (port, self.kernels[kb].population, self.kernels[kb].read_n, kp)
             for port, (kb, kp) in sorted(self.in_bindings[name].items())
         )
         outs = tuple(
-            (port, self.kernels[kb].writable, _slice_writer(self.kernels[kb]), kp)
+            (port, self.kernels[kb].writable, self.kernels[kb].write_n, kp)
             for port, (kb, kp) in sorted(self.out_bindings[name].items())
         )
         return (
@@ -200,27 +202,24 @@ class ExecutionInstance:
         )
 
 
-def _slice_reader(kernel):
-    """kernel.read_n, or a per-token loop over kernel.read when the
-    kernel's class defines its own read."""
-    if getattr(type(kernel), "read", None) is PassiveKernel.read:
-        return kernel.read_n
-    read = kernel.read
-    return lambda port, n: [read(port) for _ in range(n)]
-
-
-def _slice_writer(kernel):
-    """kernel.write_n, or a per-token loop over kernel.write when the
-    kernel's class defines its own write."""
-    if getattr(type(kernel), "write", None) is PassiveKernel.write:
-        return kernel.write_n
-    write = kernel.write
-
-    def write_n(port, tokens):
-        for token in tokens:
-            write(port, token)
-
-    return write_n
+def data_order(graph, blocks):
+    """The vertices of graph in blocks, in reverse postorder of a depth-first
+    search from each vertex and to each successor in name order: O(V + E),
+    deterministic also on a cycle, and topological on an acyclic graph."""
+    succ = {}  # successors in reverse name order, so the first is popped first
+    for v, w in sorted(graph.edges, reverse=True):
+        succ.setdefault(v, []).append(w)
+    seen, finished = set(), []
+    stack = sorted(graph.vertices, reverse=True)
+    while stack:
+        v = stack.pop()
+        if isinstance(v, tuple):  # popped once every successor of v is done
+            finished.append(v[0])
+        elif v not in seen:
+            seen.add(v)
+            stack.append((v,))
+            stack.extend(succ.get(v, ()))
+    return [v for v in reversed(finished) if v in blocks]
 
 
 def _batch_size(table, ins, outs):

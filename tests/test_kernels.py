@@ -252,12 +252,12 @@ class DroppingFork(PassiveKernel):
 
     def __init__(self, capacity, write_ports, read_ports):
         super().__init__(capacity, write_ports, read_ports)
-        self._calls = 0
+        self._written = 0
 
-    def write(self, port, token):
-        self._calls += 1
-        if self._calls % 2 == 1:
-            super().write(port, token)
+    def write_n(self, port, tokens):
+        kept = [t for i, t in enumerate(tokens, self._written) if i % 2 == 0]
+        self._written += len(tokens)
+        super().write_n(port, kept)
 
 
 class StallingFork(PassiveKernel):

@@ -5,11 +5,14 @@ import pytest
 from graphgen import build_random_app_graph
 from pafg.apps import (
     EvmConfig,
+    ForkCascadeConfig,
     Lcg,
     build_evm_graph,
+    build_fork_cascade,
     evm_oracle_per_window,
     evm_production_counts,
     evm_source_data,
+    fork_cascade_source_data,
     generate_evm_inputs,
 )
 from pafg.actors import AlwaysReadyActor, default_library
@@ -21,7 +24,8 @@ from pafg.errors import (
     RuntimeExecutionError,
     UnboundIoError,
 )
-from pafg.runtime import compare_streams, instantiate
+from pafg.graph import DirectedGraph
+from pafg.runtime import compare_streams, data_order, instantiate
 from pafg.transform import (
     compute_bmr,
     derive_direct_pafg,
@@ -69,7 +73,7 @@ def test_run_to_quiescence(lib):
 def test_iteration_limit(lib):
     z = derive_direct_pafg(gain_chain(), lib)
     inst = instantiate(z, lib, {"SRC": [1.0, 2.0, 3.0, 4.0]})
-    inst.run(max_iterations=1)
+    inst.run(max_iterations=1, order=sorted(inst.actors))
     # in name order (G, SNK, SRC) the first sweep only fills G's input
     assert inst.sink_streams()["SNK"] in ([], [2.0])
 
@@ -185,9 +189,11 @@ def test_iteration_bound_before_target(lib):
     # in name order (G, SNK, SRC) the first sweep moves all three tokens
     # into G's input and the second drains them to the sink
     with pytest.raises(RuntimeExecutionError):
-        inst.run(sink_token_target=3, max_iterations=1)
+        inst.run(sink_token_target=3, max_iterations=1, order=sorted(inst.actors))
     inst = instantiate(z, lib, {"SRC": [1.0, 2.0, 3.0]})
-    assert inst.run(sink_token_target=3, max_iterations=2).sink_tokens == 3
+    assert inst.run(
+        sink_token_target=3, max_iterations=2, order=sorted(inst.actors)
+    ).sink_tokens == 3
 
 
 def test_sink_target_stops_exactly(lib):
@@ -250,6 +256,101 @@ def test_order_must_be_permutation(lib):
     inst = instantiate(z, lib, {"SRC": [1.0]})
     with pytest.raises(RuntimeExecutionError):
         inst.run(order=["SRC", "G"])
+
+
+def both_forms(g, lib):
+    direct = derive_direct_pafg(g, lib)
+    return direct, passivize_fixpoint(direct, lib)[0]
+
+
+def test_default_order_is_data_order(lib):
+    # forks before the gains they feed, the sink before the side branches
+    direct, optimized = both_forms(build_fork_cascade(ForkCascadeConfig(8, num_forks=2)), lib)
+    data = {"SRC": [1.0] * 8}
+    assert instantiate(direct, lib, data).order == [
+        "SRC", "F1", "G1", "F2", "SNK", "ACC2_1", "ACC1_1"
+    ]
+    # passive forks drop out; the order of the rest is kept
+    assert instantiate(optimized, lib, data).order == ["SRC", "G1", "SNK", "ACC2_1", "ACC1_1"]
+
+
+def test_data_order_crosses_a_deep_cascade_in_one_sweep(lib):
+    cfg = ForkCascadeConfig(64, num_forks=50)
+    data = fork_cascade_source_data(cfg)
+    for z in both_forms(build_fork_cascade(cfg), lib):
+        inst = instantiate(z, lib, data)
+        assert inst.run(sink_token_target=64, max_iterations=1).sink_tokens == 64
+        assert inst.sink_streams() == {"SNK": data["SRC"]}
+        # in name order F10 precedes G1, so a sweep moves data one stage
+        inst = instantiate(z, lib, data)
+        with pytest.raises(RuntimeExecutionError):
+            inst.run(sink_token_target=64, max_iterations=1, order=sorted(inst.actors))
+
+
+def order_cases():
+    """Graphs with their source data: the benchmark's shapes at small
+    sizes, and random graphs."""
+    rng = Lcg(5)
+    lengths = [3, 17, 40, 64]
+    evm = EvmConfig(lengths, *([rng.next_sample() for _ in range(sum(lengths))] for _ in range(4)))
+    yield build_evm_graph(evm), evm_source_data(evm)
+    for cfg in (ForkCascadeConfig(64, num_forks=6), ForkCascadeConfig(8, num_forks=12)):
+        yield build_fork_cascade(cfg), fork_cascade_source_data(cfg, seed=5)
+    rng = random.Random(11)
+    for _ in range(8):
+        yield build_random_app_graph(rng, max_actors=14)
+
+
+def test_sweep_order_changes_no_complete_run(lib):
+    # data order (the default), name order and reversed name order
+    for g, data in order_cases():
+        for z in both_forms(g, lib):
+            names = sorted(instantiate(z, lib, data).actors)
+            runs = []
+            for order in (None, names, names[::-1]):
+                inst = instantiate(z, lib, data)
+                stats = inst.run(order=order)
+                runs.append((inst.sink_streams(), stats.token_stores))
+            assert runs[0][0] and runs[1] == runs[0] == runs[2], sorted(g.actors)
+
+
+def test_data_order_of_a_cycle_is_deterministic(lib):
+    # IL feeds G, which feeds IL back
+    g = (
+        AppGraphBuilder()
+        .actor("SRC", "src")
+        .actor("IL", "interleave", fanout=2)
+        .actor("G", "gain", k=1.0)
+        .actor("SNK", "snk")
+        .edge("SRC.out", "IL.re", capacity=2)
+        .edge("G.out", "IL.im", capacity=2)
+        .edge("IL.out0", "G.in", capacity=2)
+        .edge("IL.out1", "SNK.in", capacity=2)
+        .build()
+    )
+    z = derive_direct_pafg(g, lib)
+    assert instantiate(z, lib, {"SRC": [1.0]}).order == ["SRC", "G", "IL", "SNK"]
+    rng = random.Random(3)
+    vertices, edges = list(g.graph.vertices), list(g.graph.edges)
+    for _ in range(10):
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+        shuffled = DirectedGraph.of(vertices, edges)
+        assert data_order(shuffled, {"G", "IL", "SNK", "SRC"}) == ["SRC", "G", "IL", "SNK"]
+        assert data_order(shuffled, {"IL", "SRC"}) == ["SRC", "IL"]
+
+
+def test_one_source_list_serves_both_forms(lib):
+    # a bound list is read, not copied, and no run changes it
+    samples = [float(i) for i in range(40)]
+    data = {"SRC": samples}
+    streams = []
+    for z in both_forms(build_fork_cascade(ForkCascadeConfig(40, num_forks=3)), lib):
+        inst = instantiate(z, lib, data)
+        inst.run()
+        streams.append(inst.sink_streams())
+    assert streams[0] == streams[1] == {"SNK": samples}
+    assert samples == [float(i) for i in range(40)]
 
 
 def test_direct_vs_optimized_streams(lib):
