@@ -1,11 +1,12 @@
 """Active (rates/ready/invoke) implementations of the built-in actor kinds and
 the default library wiring them to their passive counterparts.
 
-Buffer actors (fork, gain-fork, interleave) have both forms: each kind is
-one BufferActor declaration, and its passive form is that actor's ring.
-Everything else is computational. Sources and sinks carry the graph's
-external I/O: a source is bound to a finite value stream before
-execution, a sink collects what it consumes.
+Each kind declares its ports and rate tables once: in its class attributes
+(input_ports, output_ports, _RATES) or, for a buffer kind (fork, gain-fork,
+interleave), by its input ports and fanout, with a BufferActor as its
+active form and a PassiveKernel as its passive form. Everything else is
+computational. Sources and sinks carry the graph's external I/O: a source
+emits a stream bound before execution, a sink collects what it consumes.
 
 Every kind has one token function, its batched invoke(inputs, k): k
 firings in one call, with the same results, in the same order and with
@@ -16,7 +17,7 @@ the end of the current run of one mode.
 
 import math
 
-from .dataflow import ActorLibrary, CfdfActor, F64, TOKEN_TYPES, is_capacity
+from .dataflow import ActorLibrary, CfdfActor, Declaration, F64, TOKEN_TYPES, is_capacity
 from .errors import ModelError
 from .kernels import PassiveKernel
 
@@ -50,10 +51,14 @@ class SourceActor(CfdfActor):
 
     def __init__(self, name, token_type=F64):
         super().__init__(name)
-        if token_type not in TOKEN_TYPES:
-            raise ModelError(f"{name}: bad token type {token_type!r}")
+        self.check(name, token_type)
         self._values = []
         self._cursor = 0
+
+    @staticmethod
+    def check(name, token_type=F64):
+        if token_type not in TOKEN_TYPES:
+            raise ModelError(f"{name}: bad token type {token_type!r}")
 
     def bind(self, values):
         """Emit values from its start; a list is read, not copied."""
@@ -160,23 +165,15 @@ class AccumulatorActor(AlwaysReadyActor):
 
 
 class BufferActor(AlwaysReadyActor):
-    """A buffer kind declared by its input ports, its fanout and an
+    """The active form of a buffer kind, built from its declaration and an
     optional per-token op. Each firing takes one token from each input
     port, in declared port order, applies op to each, and emits that
-    sequence on every output port out0..out{fanout-1}. passive(capacity)
-    is the same buffer as a ring with the same ports and op."""
+    sequence on every output port out0..out{fanout-1}."""
 
-    def __init__(self, name, kind, input_ports, fanout, op=None):
-        if not is_capacity(fanout):
-            raise ModelError(f"{name}: {kind} fanout {fanout!r} is not an int >= 1")
+    def __init__(self, name, kind, declaration, op=None):
         self.kind = kind
-        self.input_ports = tuple(input_ports)
-        self.output_ports = tuple(f"out{i}" for i in range(fanout))
+        self.input_ports, self.output_ports, (self._RATES,) = declaration
         self.op = op
-        self._RATES = (
-            dict.fromkeys(self.input_ports, 1),
-            dict.fromkeys(self.output_ports, len(self.input_ports)),
-        )
         super().__init__(name)
 
     def invoke(self, inputs, k=1):
@@ -192,9 +189,6 @@ class BufferActor(AlwaysReadyActor):
             seq = [self.op(t) for t in seq]
         return dict.fromkeys(self.output_ports, seq)
 
-    def passive(self, capacity):
-        return PassiveKernel(capacity, self.input_ports, self.output_ports, self.op)
-
 
 class GainActor(AlwaysReadyActor):
     kind = "gain"
@@ -204,7 +198,13 @@ class GainActor(AlwaysReadyActor):
 
     def __init__(self, name, k=1.0):
         super().__init__(name)
+        self.check(name, k)
         self.k = k
+
+    @staticmethod
+    def check(name, k=1.0):
+        if not isinstance(k, (int, float)) or isinstance(k, bool):
+            raise ModelError(f"{name}: gain k {k!r} is not an int or float")
 
     def invoke(self, inputs, k=1):
         gain = self.k
@@ -307,34 +307,53 @@ class RmsRatioActor(AlwaysReadyActor):
 
 def _gain(spec):
     k = spec.param("k", 1.0)
+    GainActor.check(spec.name, k)
     return lambda t: k * t
 
 
-def _register_buffer(lib, kind, input_ports, fanout, make_op=None):
-    """Register a buffer kind: its input ports, its default fanout and,
-    if given, a function from the actor spec to the per-token op."""
+def _register(lib, cls, args=lambda spec: ()):
+    """Register a class kind, built as cls(spec.name, *args(spec)) and
+    declared by its class attributes once cls.check accepts the args."""
+    tables = tuple(cls._RATES.values()) if issubclass(cls, ModalActor) else (cls._RATES,)
+    declaration = Declaration(cls.input_ports, cls.output_ports, tables)
 
-    def active(spec):
-        return BufferActor(
-            spec.name, kind, input_ports, spec.param("fanout", fanout),
-            None if make_op is None else make_op(spec),
-        )
+    def declare(spec):
+        cls.check(spec.name, *args(spec))
+        return declaration
 
-    lib.register(kind, active, lambda spec, capacity: active(spec).passive(capacity))
+    lib.register(cls.kind, lambda s: cls(s.name, *args(s)), declare=declare)
+
+
+def _register_buffer(lib, kind, input_ports, fanout, make_op=lambda spec: None):
+    """Register a buffer kind: its input ports, its default fanout and a
+    function from the spec to its per-token op, if any, that vets the op's
+    parameters. The actor and the ring are built from parts(spec)."""
+
+    def parts(spec):
+        n = spec.param("fanout", fanout)
+        if not is_capacity(n):
+            raise ModelError(f"{spec.name}: {kind} fanout {n!r} is not an int >= 1")
+        outs = tuple(f"out{i}" for i in range(n))
+        rates = (dict.fromkeys(input_ports, 1), dict.fromkeys(outs, len(input_ports)))
+        return Declaration(input_ports, outs, (rates,)), make_op(spec)
+
+    def passive(spec, capacity):
+        (ins, outs, _), op = parts(spec)
+        return PassiveKernel(capacity, ins, outs, op)
+
+    lib.register(
+        kind, lambda s: BufferActor(s.name, kind, *parts(s)), passive, lambda s: parts(s)[0]
+    )
 
 
 def default_library():
     lib = ActorLibrary()
-    lib.register("src", lambda s: SourceActor(s.name, token_type=s.param("type", F64)))
-    lib.register("var-src", lambda s: VarSourceActor(s.name))
-    lib.register("snk", lambda s: SinkActor(s.name))
-    lib.register("acc", lambda s: AccumulatorActor(s.name))
-    lib.register("gain", lambda s: GainActor(s.name, k=s.param("k", 1.0)))
+    _register(lib, SourceActor, lambda s: (s.param("type", F64),))
+    _register(lib, GainActor, lambda s: (s.param("k", 1.0),))
+    for cls in (VarSourceActor, SinkActor, AccumulatorActor, ErrorMagnitudeActor,
+                ReferenceMagnitudeActor, WindowAverageActor, RmsRatioActor):
+        _register(lib, cls)
     _register_buffer(lib, "fork", ("in",), fanout=2)
     _register_buffer(lib, "gain-fork", ("in",), fanout=1, make_op=_gain)
     _register_buffer(lib, "interleave", ("re", "im"), fanout=1)
-    lib.register("err-mag", lambda s: ErrorMagnitudeActor(s.name))
-    lib.register("ref-mag", lambda s: ReferenceMagnitudeActor(s.name))
-    lib.register("avg", lambda s: WindowAverageActor(s.name))
-    lib.register("rms-ratio", lambda s: RmsRatioActor(s.name))
     return lib

@@ -1,12 +1,14 @@
 """Application-graph layer: actors with a rates/ready/invoke contract, typed
 FIFO edges, and the actor library that records which kinds also have a
-passive (read/write) implementation.
+passive (read/write) implementation and each kind's declaration: the
+ports and rate tables of its actor for a spec, read without building one.
 
 An ApplicationGraph is a pure value: vertices carry ActorSpecs (kind plus
 construction parameters), not live actor state. Live actors are created
 from the library when a graph is instantiated for execution.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import DuplicateEdgeError, DuplicateVertexError, ModelError, UnknownKindError
@@ -79,6 +81,9 @@ class CfdfActor:
         self.name = name
         self.mode = self.initial_mode()
 
+    # check(name, *args) raises ModelError for arguments the constructor rejects
+    check = staticmethod(lambda name, *args: None)
+
     def initial_mode(self):
         return "run"
 
@@ -105,15 +110,9 @@ class CfdfActor:
         raise NotImplementedError
 
 
-@dataclass
-class ActorLibraryEntry:
-    kind: str
-    active_factory: object
-    passive_factory: object = None
-
-    @property
-    def has_passive_impl(self):
-        return self.passive_factory is not None
+# An actor's ports and every (consumption, production) table it can fire under
+Declaration = namedtuple("Declaration", "input_ports output_ports rate_tables")
+ActorLibraryEntry = namedtuple("ActorLibraryEntry", "kind active_factory passive_factory declare")
 
 
 class ActorLibrary:
@@ -123,10 +122,16 @@ class ActorLibrary:
     def __init__(self):
         self._entries = {}
 
-    def register(self, kind, active_factory, passive_factory=None):
+    def register(self, kind, active_factory, passive_factory=None, declare=None):
+        """declare(spec) gives the kind's Declaration for spec, or raises
+        ModelError for a bad parameter; by default it builds an actor."""
         if kind in self._entries:
             raise ModelError(f"actor kind {kind!r} already registered")
-        self._entries[kind] = ActorLibraryEntry(kind, active_factory, passive_factory)
+        if declare is None:
+            def declare(spec):
+                a = active_factory(spec)
+                return Declaration(a.input_ports, a.output_ports, a.rate_tables())
+        self._entries[kind] = ActorLibraryEntry(kind, active_factory, passive_factory, declare)
 
     def entry(self, kind):
         try:
@@ -138,7 +143,10 @@ class ActorLibrary:
         return kind in self._entries
 
     def is_buffer_actor(self, kind):
-        return self.entry(kind).has_passive_impl
+        return self.entry(kind).passive_factory is not None
+
+    def declare(self, spec):
+        return self.entry(spec.kind).declare(spec)
 
     def make_active(self, spec):
         return self.entry(spec.kind).active_factory(spec)

@@ -13,26 +13,37 @@ A block's name is its actor's name or its edge's signature. Every actor
 has a block, and the bedge lines list exactly the connections
 ir.block_edges derives from the blocks, once each.
 
+A value is an int if int() reads it, else a float if float() does, else a
+string. With a library, an edge must join ports its actors' kinds declare.
+
 Blank lines and '#' comments are ignored. Sample files carry one decimal
 value per line, written with %.17g so float64 values round-trip exactly.
 """
 
-from contextlib import contextmanager
+import re
+import sys
 
 from .dataflow import AppGraphBuilder, F64, I64
 from .errors import ParseError, PafgError
 from .ir import ACTV, Block, CoordinatedPafg, PSSV, Pafg, block_edges
 
+_SPACE = r"[^\S\x1c-\x1f]*"  # what int() and float() strip: isspace() but \x1c-\x1f
+_DIGITS = r"\d(?:_?\d)*"  # Unicode decimal digits, single underscores between them
+# int() refuses more decimal digits than _int_limit() (0 for none, else >= 640); float() doesn't
+_int_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_NUMBER = re.compile(
+    rf"{_SPACE}[+-]?(?:(?P<int>{_DIGITS})|(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})"
+    rf"(?:[eE][+-]?{_DIGITS})?|[iI][nN][fF](?:[iI][nN][iI][tT][yY])?|[nN][aA][nN]){_SPACE}"
+)
+
 
 def _parse_value(text):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
+    m = _NUMBER.fullmatch(text)
+    if m is None:
         return text
+    if m["int"] is None or len(text) > 640 and 0 < _int_limit() < sum(map(str.isdecimal, text)):
+        return float(text)
+    return int(text)
 
 
 def _format_value(value):
@@ -53,38 +64,21 @@ def _parse_params(tokens, lineno):
     return params
 
 
-def _split_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
 def _scan(text, allowed):
-    for lineno, line in _split_lines(text):
-        tokens = line.split()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
         directive = tokens[0]
         if directive not in allowed:
             raise ParseError(f"unknown directive {directive!r}", line=lineno)
         yield lineno, directive, tokens[1:]
 
 
-@contextmanager
-def _at_line(lineno):
-    """Re-raise a domain error from building one line's object as a
-    ParseError that names the line."""
-    try:
-        yield
-    except ParseError:
-        raise
-    except PafgError as exc:
-        raise ParseError(str(exc), line=lineno) from exc
-
-
 def _build_app_graph(records):
     builder = AppGraphBuilder()
-    for lineno, directive, rest in records:
-        with _at_line(lineno):
+    try:
+        for lineno, directive, rest in records:
             if directive == "actor":
                 if len(rest) < 2:
                     raise ParseError("actor needs a name and a kind", line=lineno)
@@ -102,6 +96,10 @@ def _build_app_graph(records):
                 builder.edge(
                     rest[0], rest[2], capacity=params["capacity"], token_type=params.get("type", F64)
                 )
+    except ParseError:
+        raise
+    except PafgError as exc:  # from the builder, about the current line
+        raise ParseError(str(exc), line=lineno) from exc
     try:
         return builder.build()
     except PafgError as exc:
@@ -117,18 +115,17 @@ def parse_graph(text, lib=None):
 
 def _check_kinds(graph, lib, records):
     """With a library, every actor kind must be registered and every edge
-    must join ports its actors declare. The graph's tables keep file order,
-    so the n-th actor or edge record holds the n-th table entry."""
+    must join ports its actors' kinds declare. The graph's tables keep file
+    order, so the n-th actor or edge record holds the n-th table entry."""
     if lib is None:
         return
     ports = {}
     actor_lines = [lineno for lineno, d, _ in records if d == "actor"]
-    for lineno, spec in zip(actor_lines, graph.actors.values()):
-        if not lib.has_kind(spec.kind):
-            raise ParseError(f"unknown actor kind {spec.kind!r}", line=lineno)
-        with _at_line(lineno):
-            actor = lib.make_active(spec)
-        ports[spec.name] = (actor.input_ports, actor.output_ports)
+    try:
+        for lineno, spec in zip(actor_lines, graph.actors.values()):
+            ports[spec.name] = lib.declare(spec)[:2]
+    except PafgError as exc:  # an unknown kind or a parameter the kind rejects
+        raise ParseError(str(exc), line=lineno) from exc
     edge_lines = [lineno for lineno, d, _ in records if d == "edge"]
     for lineno, e in zip(edge_lines, graph.edges.values()):
         for name, port, side in ((e.src, e.src_port, 1), (e.snk, e.snk_port, 0)):
@@ -164,8 +161,7 @@ def parse_pafg(text, lib=None):
     bedges = {}  # (a, b) -> line
     for lineno, directive, rest in records:
         if directive == "block":
-            with _at_line(lineno):
-                _parse_block(rest, lineno, app_graph.actors, edges, blocks, coordination)
+            _parse_block(rest, lineno, app_graph.actors, edges, blocks, coordination)
         elif directive == "bedge":
             if len(rest) != 3 or rest[1] != "->":
                 raise ParseError("bedge needs the form: bedge <a> -> <b>", line=lineno)
@@ -212,22 +208,24 @@ def _parse_block(rest, lineno, actors, edges, blocks, coordination):
             raise ParseError("actor-provenance block cannot have kind=simple", line=lineno)
         if target not in actors:
             raise ParseError(f"provenance references unknown actor {target!r}", line=lineno)
-        spec = actors[target]
-        if spec.kind != params["kind"]:
+        provenance = actors[target]
+        if provenance.kind != params["kind"]:
             raise ParseError(
-                f"block kind {params['kind']!r} disagrees with actor kind {spec.kind!r}",
+                f"block kind {params['kind']!r} disagrees with actor kind {provenance.kind!r}",
                 line=lineno,
             )
-        capacity = params.get("capacity")
-        if coord == PSSV and capacity is None:
+        if coord == PSSV and "capacity" not in params:
             raise ParseError("passive block needs capacity=<int>", line=lineno)
-        block = Block(spec, capacity)
     else:
         if params["kind"] != "simple":
             raise ParseError("edge-provenance block must have kind=simple", line=lineno)
         if target not in edges:
             raise ParseError(f"provenance references unknown edge {target!r}", line=lineno)
-        block = Block(edges[target], params.get("capacity"))
+        provenance = edges[target]
+    try:
+        block = Block(provenance, params.get("capacity"))
+    except PafgError as exc:  # a capacity the block rejects
+        raise ParseError(str(exc), line=lineno) from exc
     if block.name != name:
         raise ParseError(
             f"block {name!r} must be named {block.name!r}, the name of its provenance",

@@ -124,8 +124,7 @@ def _require_input(z):
 def _largest_rate(lib, spec, port, side):
     """The most tokens one firing of the actor moves on a port, over every
     rate table it can fire under (side 0 consumes, side 1 produces)."""
-    actor = lib.make_active(spec)
-    return max(table[side].get(port, 0) for table in actor.rate_tables())
+    return max(table[side].get(port, 0) for table in lib.declare(spec).rate_tables)
 
 
 def _burst_bound(z, lib, name):
@@ -135,7 +134,7 @@ def _burst_bound(z, lib, name):
     m times the burst. The rates come from the application edges the
     block's simple buffers stand for."""
     g = z.pafg.graph
-    stride = len(lib.make_active(z.pafg.block(name).provenance).input_ports)
+    stride = len(lib.declare(z.pafg.block(name).provenance).input_ports)
     bound = 1
     for x in g.pred(name):
         e = z.pafg.block(x).provenance

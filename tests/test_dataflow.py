@@ -6,7 +6,7 @@ from pafg.actors import (
     WindowAverageActor,
     default_library,
 )
-from pafg.dataflow import ActorSpec, AppGraphBuilder
+from pafg.dataflow import ActorLibrary, ActorSpec, AppGraphBuilder, Declaration
 from pafg.errors import DuplicateEdgeError, ModelError, UnknownKindError, UnknownVertexError
 from pafg.runtime import instantiate
 from pafg.transform import derive_direct_pafg
@@ -219,3 +219,88 @@ def test_builder_rejects_bad_endpoint():
     b = AppGraphBuilder().actor("A", "src").actor("B", "snk")
     with pytest.raises(ModelError):
         b.edge("A", "B.in", capacity=1)
+
+
+# One spec per kind of the default library, and per fanout of the buffers.
+DECLARED_SPECS = [
+    ActorSpec("S", "src"),
+    ActorSpec("S", "src", {"type": "i64"}),
+    ActorSpec("V", "var-src"),
+    ActorSpec("K", "snk"),
+    ActorSpec("C", "acc"),
+    ActorSpec("G", "gain", {"k": 3}),
+    *(ActorSpec("F", "fork", {"fanout": n}) for n in (1, 2, 3, 4)),
+    ActorSpec("F", "fork"),
+    ActorSpec("GF", "gain-fork", {"k": 0.5}),
+    ActorSpec("GF", "gain-fork", {"k": 2.0, "fanout": 3}),
+    ActorSpec("IL", "interleave"),
+    ActorSpec("IL", "interleave", {"fanout": 2}),
+    ActorSpec("E", "err-mag"),
+    ActorSpec("R", "ref-mag"),
+    ActorSpec("A", "avg"),
+    ActorSpec("Q", "rms-ratio"),
+]
+
+
+def test_declared_specs_cover_the_library():
+    assert {spec.kind for spec in DECLARED_SPECS} == set(default_library()._entries)
+
+
+@pytest.mark.parametrize("spec", DECLARED_SPECS, ids=lambda s: f"{s.kind}{s.params}")
+def test_declaration_agrees_with_the_actor(spec):
+    lib = default_library()
+    actor = lib.make_active(spec)
+    declared = lib.declare(spec)
+    assert declared == (actor.input_ports, actor.output_ports, actor.rate_tables())
+    if lib.is_buffer_actor(spec.kind):
+        ring = lib.make_passive(spec, 4)
+        assert (ring.write_ports, ring.read_ports) == declared[:2]
+
+
+def test_modal_declaration_lists_every_mode():
+    tables = default_library().declare(ActorSpec("A", "avg")).rate_tables
+    assert [consume["len"] for consume, _ in tables] == [1, 0, 0]
+    assert [produce["out"] for _, produce in tables] == [0, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ActorSpec("S", "src", {"type": "f32"}),
+        ActorSpec("F", "fork", {"fanout": 0}),
+        ActorSpec("F", "fork", {"fanout": "x"}),
+        ActorSpec("IL", "interleave", {"fanout": True}),
+        ActorSpec("G", "gain", {"k": "abc"}),
+        ActorSpec("G", "gain", {"k": True}),
+        ActorSpec("GF", "gain-fork", {"k": "abc"}),
+    ],
+    ids=lambda s: f"{s.kind}{s.params}",
+)
+def test_declaration_and_actor_reject_bad_parameters(spec):
+    lib = default_library()
+    for build in (lib.declare, lib.make_active):
+        with pytest.raises(ModelError, match=f"^{spec.name}: "):
+            build(spec)
+    if lib.is_buffer_actor(spec.kind):
+        with pytest.raises(ModelError):
+            lib.make_passive(spec, 4)
+
+
+@pytest.mark.parametrize("kind", ["gain", "gain-fork"])
+def test_non_numeric_gain_is_rejected_before_running(kind):
+    b = AppGraphBuilder().actor("S", "src").actor("G", kind, k="abc").actor("K", "snk")
+    out = "out" if kind == "gain" else "out0"
+    g = b.edge("S.out", "G.in", capacity=2).edge(f"G.{out}", "K.in", capacity=2).build()
+    lib = default_library()
+    with pytest.raises(ModelError, match="gain k 'abc'"):
+        instantiate(derive_direct_pafg(g, lib), lib, {"S": [1.0]})
+    GainActor.check("G", 2)  # an int gain is a number too
+    with pytest.raises(ModelError):
+        GainActor("G", k=None)
+
+
+def test_declaration_defaults_to_reading_a_new_actor():
+    lib = ActorLibrary()
+    lib.register("ref-mag", default_library().entry("ref-mag").active_factory)
+    declared = lib.declare(ActorSpec("R", "ref-mag"))
+    assert declared == Declaration(("in",), ("out",), (({"in": 2}, {"out": 1}),))

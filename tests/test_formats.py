@@ -1,12 +1,15 @@
 import random
+import sys
 
 import pytest
 
 from graphgen import build_random_app_graph
 from pafg.actors import default_library
 from pafg.apps import ForkCascadeConfig, build_fork_cascade, generate_evm_inputs, build_evm_graph
+from pafg.dataflow import ActorLibrary
 from pafg.errors import ParseError
 from pafg.formats import (
+    _parse_value,
     format_sample,
     parse_graph,
     parse_pafg,
@@ -15,6 +18,8 @@ from pafg.formats import (
     serialize_pafg,
     write_samples,
 )
+from pafg.ir import ACTV
+from pafg.runtime import instantiate
 from pafg.transform import derive_direct_pafg, passivize_fixpoint
 from topologies import FORK_GRAPH, chain_graph, rename_block, ten_plus_four_graph
 
@@ -230,3 +235,110 @@ def test_bad_sample_file(tmp_path):
     with pytest.raises(ParseError) as err:
         read_samples(path)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("12", 12), ("-3", -3), ("+4", 4), ("1_000", 1000), ("007", 7),
+        ("1.5", 1.5), ("1e3", 1000.0), ("inf", float("inf")), ("-inf", float("-inf")),
+        ("Infinity", float("inf")), ("1_0.5", 10.5), (".5", 0.5), ("5.", 5.0),
+        ("0x10", "0x10"), ("actor:F1", "actor:F1"), ("i64", "i64"), ("", ""),
+        ("1__0", "1__0"), ("_1", "_1"), ("1_", "1_"), ("1e", "1e"), (".", "."),
+        ("nan(1)", "nan(1)"), ("infinit", "infinit"), ("\u0663", 3), (" 7 ", 7),
+    ],
+)
+def test_parse_value_types(text, value):
+    parsed = _parse_value(text)
+    assert type(parsed) is type(value) and parsed == value
+
+
+def test_parse_value_nan():
+    parsed = _parse_value("nan")
+    assert isinstance(parsed, float) and parsed != parsed
+
+
+def reference_parse_value(text):
+    """What a value parses to by definition: int() if it accepts the text,
+    else float() if it does, else the text."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def test_parse_value_matches_int_then_float():
+    rng = random.Random(12)
+    alphabet = "0123456789_.eE+-iInNfFtTyYaAx \t\x1c\xa0\u0663\u0130"
+    for _ in range(20000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+        parsed, expected = _parse_value(text), reference_parse_value(text)
+        assert type(parsed) is type(expected), text
+        assert parsed == expected or parsed != parsed and expected != expected, text
+
+
+@pytest.mark.parametrize("limit", [None, 640])
+def test_parse_value_past_the_int_digit_limit(limit):
+    """int() refuses more digits than the interpreter's limit and float()
+    reads them, so a long numeral may be a float."""
+    default = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit is not None and not default:
+        pytest.skip("this interpreter has no int digit limit")
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        for text in ("1" * 5000, "-" + "2_3" * 400, "9" * 640, " 8" + "0" * 700):
+            parsed, expected = _parse_value(text), reference_parse_value(text)
+            assert type(parsed) is type(expected) and parsed == expected
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(default)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("actor S src type=f32", "bad token type 'f32'"),
+        ("actor F fork fanout=0", "fork fanout 0 is not an int >= 1"),
+        ("actor F fork fanout=x", "fork fanout 'x' is not an int >= 1"),
+        ("actor G gain k=abc", "gain k 'abc' is not an int or float"),
+        ("actor G gain-fork k=abc", "gain k 'abc' is not an int or float"),
+    ],
+)
+def test_bad_parameter_is_parse_error_on_its_line(lib, line, message):
+    name, kind = line.split()[1:3]
+    text = f"actor A src\n# {name} follows\n{line}\nactor B snk\n"
+    with pytest.raises(ParseError, match=f"^line 3: {name}: {message}$"):
+        parse_graph(text, lib=lib)
+    assert parse_graph(text).actor(name).kind == kind  # no library, no kind check
+    lines = serialize_pafg(derive_direct_pafg(chain_graph(), lib)).splitlines()
+    lines[1:1] = [line]
+    lines.append(f"block {name} kind={kind} coord=actv from=actor:{name}")
+    with pytest.raises(ParseError, match=f"^line 2: {name}: {message}$"):
+        parse_pafg("\n".join(lines), lib=lib)
+
+
+def test_parse_and_fixpoint_build_no_actor():
+    """Parsing and passivizing read declarations; only instantiate builds
+    actors, one per active block."""
+    base = default_library()
+    built = []
+    lib = ActorLibrary()
+    for kind in ("src", "snk", "acc", "gain", "fork"):
+        e = base.entry(kind)
+        make = e.active_factory
+        lib.register(
+            kind, lambda spec, make=make: built.append(spec.name) or make(spec),
+            e.passive_factory, e.declare,
+        )
+    graph = build_fork_cascade(ForkCascadeConfig(window_size=4, num_forks=3))
+    text = serialize_pafg(derive_direct_pafg(parse_graph(serialize_graph(graph), lib=lib), lib))
+    optimized, log = passivize_fixpoint(parse_pafg(text, lib=lib), lib)
+    parsed = parse_pafg(serialize_pafg(optimized), lib=lib)
+    assert len(log) == 3 and built == []
+    instantiate(parsed, lib, {"SRC": [1.0] * 4})
+    assert sorted(built) == sorted(n for n in parsed.pafg.blocks if parsed.coord(n) == ACTV)
