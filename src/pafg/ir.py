@@ -106,7 +106,8 @@ def block_category(block, lib):
 
 def is_alternating(z):
     """True iff every edge joins one active and one passive block."""
-    return all(z.coord(src) != z.coord(snk) for src, snk in z.pafg.edges)
+    coord = z.coordination
+    return all(coord[src] != coord[snk] for src, snk in z.pafg.edges)
 
 
 def check_abc(z):
@@ -148,13 +149,14 @@ def check_association(app_graph, pafg):
     for b in pafg.blocks.values():
         p = b.provenance
         if not b.is_simple:
-            if app_graph.actors.get(p.name) != p:
+            actor = app_graph.actors.get(p.name)
+            if actor is not p and actor != p:
                 return False
             continue
         edge = app_graph.edges.get(p.key())
         if edge is None:
             return False
-        if edge != p:
+        if edge is not p and edge != p:
             raise DanglingProvenanceError(
                 f"block {b.name!r}: provenance {p.signature()} disagrees with "
                 f"edge {edge.signature()}"
@@ -169,16 +171,19 @@ def validate_coordinated(z, lib):
     coordination (handled at construction), active simple blocks, passive
     computational blocks, and passive interface blocks (which would have
     no producer or no consumer to drive them)."""
+    fed, feeding = set(), set()  # blocks with an input edge, with an output edge
+    for src, snk in z.pafg.edges:
+        feeding.add(src)
+        fed.add(snk)
     for name, b in z.pafg.blocks.items():
-        c = z.coord(name)
-        cat = block_category(b, lib)
-        if cat == "simple" and c != PSSV:
-            raise IrError(f"simple block {name!r} must be coordinated {PSSV}")
-        if cat == "computational" and c != ACTV:
+        if z.coord(name) != PSSV:
+            if b.is_simple:
+                raise IrError(f"simple block {name!r} must be coordinated {PSSV}")
+        elif block_category(b, lib) == "computational":
             raise IrError(f"computational block {name!r} must be coordinated {ACTV}")
-        if c == PSSV and is_interface_block(z.pafg, name):
+        elif name not in fed or name not in feeding:
             raise IrError(f"passive interface block {name!r} is not supported")
-        if c == PSSV and b.capacity is None:
+        elif b.capacity is None:
             raise IrError(f"passive block {name!r} has no capacity")
     if not check_association(z.source, z.pafg):
         raise IrError("PAFG is not associated with its application graph")

@@ -3,24 +3,28 @@
 The direct PAFG of a graph is its pure dataflow form, so one engine covers
 both the original and the transformed program: active blocks are driven
 through rates/ready/invoke, passive blocks are the buffers between them.
-The scheduler is a round-robin sweep over the active blocks in data order
-(see data_order; a permutation can be supplied for determinacy
-experiments), so on an acyclic graph a sweep visits a block after the
-blocks that feed it. A sweep visits each block once and fires it as many
-times as it stays enabled, i.e. while its input populations and output
-space cover its current rates and its ready() count is nonzero. The batch
-size is computed from the populations and free spaces when the block is
-visited and recomputed only when its rates change; another block's firing
-can only add to a block's inputs or free its outputs, so every maximal run
-makes the same firings and ends in the same state. Each call fires k times
-at once: k is the least of that batch size, ready() and, for a sink, the
-firings left to its target. The engine reads k bursts per input port with
-one read_n, makes one invoke(inputs, k) call (invoke(inputs) when k is
-1), checks that every output holds k times its declared rate and stores
-it with one write_n. A run stopped early (by a sink-token target or a
-sweep bound) leaves a prefix of each sink's complete stream, but how far
-the other blocks got, and so its token-store count, depends on the
-schedule.
+Blocks, rings and bindings never change after instantiate, so it builds
+the station table once: a row per active block with its actor and, per
+port in name order, the kernel and kernel port bound to it. Rows hold
+objects, not bound methods, so wrappers installed on them later are
+called; run() only sweeps the rows. The scheduler is a round-robin sweep
+over the active blocks in data order (see data_order; a permutation can
+be supplied for determinacy experiments), so on an acyclic graph a sweep
+visits a block after the blocks that feed it. A sweep visits each block
+once and fires it as many times as it stays enabled, i.e. while its input
+populations and output space cover its current rates and its ready()
+count is nonzero. The batch size is computed from the populations and
+free spaces when the block is visited and recomputed only when its rates
+change; another block's firing can only add to a block's inputs or free
+its outputs, so every maximal run makes the same firings and ends in the
+same state. Each call fires k times at once: k is the least of that batch
+size, ready() and, for a sink, the firings left to its target. The engine
+reads k bursts per input port with one read_n, makes one invoke(inputs,
+k) call (invoke(inputs) when k is 1), checks that every output holds k
+times its declared rate and stores it with one write_n. A run stopped
+early (by a sink-token target or a sweep bound) leaves a prefix of each
+sink's complete stream, but how far the other blocks got, and so its
+token-store count, depends on the schedule.
 Instrumentation counts every token stored into passive-block memory.
 
 The same engine is the equivalence harness: an active subgraph and its
@@ -57,19 +61,21 @@ class ExecStats:
 
 class ExecutionInstance:
     """A coordinated PAFG with kernels allocated for its passive blocks,
-    live actors for its active blocks, and every actor port bound to a
-    kernel port."""
+    live actors for its active blocks, and the station table that binds
+    every actor port to a kernel port: a row (name, actor, is_sink, input
+    ports, output ports, bound output port names) per active block, where
+    a port is (port, kernel, kernel port)."""
 
-    def __init__(self, z, actors, kernels, in_bindings, out_bindings):
+    def __init__(self, z, actors, kernels, stations):
         self.z = z
         self.actors = actors
         self.order = data_order(z.source.graph, actors)
         self.kernels = kernels
-        self.in_bindings = in_bindings
-        self.out_bindings = out_bindings
+        self.stations = stations
         self.sinks = {
             name for name, actor in actors.items() if actor.kind == "snk"
         }
+        self.bmr_bytes = compute_bmr(z).total_bytes
 
     def sink_streams(self):
         return {name: list(self.actors[name].collected) for name in sorted(self.sinks)}
@@ -80,19 +86,19 @@ class ExecutionInstance:
         }
 
     def run(self, sink_token_target=None, max_iterations=None, order=None):
-        """Sweep until the stop condition is met. A sweep visits the blocks
-        in order, by default self.order (data order), and fires each one as
-        many times as it stays enabled. With a sink-token target, a sweep
-        that fires nothing first is a deadlock, and so is reaching
-        max_iterations sweeps first; without one the run simply stops at
-        quiescence or after max_iterations sweeps."""
+        """Sweep the station table until the stop condition is met. A sweep
+        visits the blocks in order, a permutation of them that defaults to
+        self.order (data order), and fires each one as many times as it
+        stays enabled. With a sink-token target, a sweep that fires nothing
+        first is a deadlock, and so is reaching max_iterations sweeps first;
+        without one the run simply stops at quiescence or after
+        max_iterations sweeps. The next run carries on where this one
+        stopped."""
         if order is None:
             order = self.order
-        elif set(order) != set(self.actors):
+        elif len(order) != len(self.actors) or set(order) != set(self.actors):
             raise RuntimeExecutionError("order must be a permutation of the active blocks")
-        # Bound methods are captured per run, after any per-object wrappers
-        # have been installed on the live actors and kernels.
-        stations = [self._compile_station(name) for name in order]
+        stations = [self.stations[name] for name in order]
 
         target = sink_token_target
         sink_tokens = 0
@@ -109,11 +115,11 @@ class ExecutionInstance:
                     )
                 break
             fired = False
-            for name, is_sink, _, rates, ready, invoke, ins, outs, bound in stations:
-                table = rates()
+            for name, actor, is_sink, ins, outs, bound in stations:
+                table = actor.rates()
                 avail = _batch_size(table, ins, outs)
                 while avail:
-                    k = ready()
+                    k = actor.ready()
                     if not k:
                         break
                     if k > avail:
@@ -125,10 +131,10 @@ class ExecutionInstance:
                             # the fewest firings that reach the target
                             k = min(k, -(-(target - sink_tokens) // per_firing))
                     inputs = {}
-                    for port, _, read_n, kport in ins:
-                        inputs[port] = read_n(kport, consume.get(port, 0) * k)
-                    outputs = invoke(inputs) if k == 1 else invoke(inputs, k)
-                    for port, _, write_n, kport in outs:
+                    for port, kernel, kport in ins:
+                        inputs[port] = kernel.read_n(kport, consume.get(port, 0) * k)
+                    outputs = actor.invoke(inputs) if k == 1 else actor.invoke(inputs, k)
+                    for port, kernel, kport in outs:
                         values = outputs.get(port, ())
                         n = produce.get(port, 0) * k
                         if len(values) != n:
@@ -136,7 +142,7 @@ class ExecutionInstance:
                                 f"{name}.{port}: produced {len(values)} tokens in {k} "
                                 f"firing(s), declared {n}"
                             )
-                        write_n(kport, values)
+                        kernel.write_n(kport, values)
                     if not bound.issuperset(outputs):
                         _check_unbound(name, outputs, bound)
                     fired = True
@@ -145,7 +151,7 @@ class ExecutionInstance:
                         if target is not None and sink_tokens >= target:
                             done = True
                             break
-                    new = rates()
+                    new = actor.rates()
                     if new is table or new == table:
                         avail -= k
                     else:
@@ -174,32 +180,11 @@ class ExecutionInstance:
             token_stores=stores,
             wall_seconds=wall,
             throughput_sps=throughput,
-            bmr_bytes=compute_bmr(self.z).total_bytes,
+            bmr_bytes=self.bmr_bytes,
         )
 
     def _total_stores(self):
         return sum(k.stores for k in self.kernels.values())
-
-    def _compile_station(self, name):
-        """One block's row of the station table: (name, is_sink, is_source,
-        rates, ready, invoke, input ports, output ports, bound output port
-        names), where an input port is (port, population, read_n, kernel
-        port) and an output port is (port, writable, write_n, kernel port),
-        all as bound methods of the block's actor and kernels."""
-        actor = self.actors[name]
-        ins = tuple(
-            (port, self.kernels[kb].population, self.kernels[kb].read_n, kp)
-            for port, (kb, kp) in sorted(self.in_bindings[name].items())
-        )
-        outs = tuple(
-            (port, self.kernels[kb].writable, self.kernels[kb].write_n, kp)
-            for port, (kb, kp) in sorted(self.out_bindings[name].items())
-        )
-        return (
-            name, actor.kind == "snk", actor.is_source,
-            actor.rates, actor.ready, actor.invoke,
-            ins, outs, frozenset(port for port, *_ in outs),
-        )
 
 
 def data_order(graph, blocks):
@@ -228,18 +213,18 @@ def _batch_size(table, ins, outs):
     when no port has one."""
     consume, produce = table
     k = None
-    for port, population, _, kport in ins:
+    for port, kernel, kport in ins:
         n = consume.get(port, 0)
         if n:
-            q = population(kport) // n
+            q = kernel.population(kport) // n
             if not q:
                 return 0
             if k is None or q < k:
                 k = q
-    for port, writable, _, kport in outs:
+    for port, kernel, kport in outs:
         n = produce.get(port, 0)
         if n:
-            q = writable(kport) // n
+            q = kernel.writable(kport) // n
             if not q:
                 return 0
             if k is None or q < k:
@@ -256,16 +241,16 @@ def _check_unbound(name, outputs, bound):
 def _diagnose(station):
     """Why a block cannot fire: its first short port and the shortfall, or
     that a source has no data left."""
-    name, _, is_source, rates, ready, _, ins, outs, _ = station
-    if is_source and not ready():
+    name, actor, _, ins, outs, _ = station
+    if actor.is_source and not actor.ready():
         return f"{name} has no data left"
-    consume, produce = rates()
-    for port, population, _, kport in ins:
-        need, have = consume.get(port, 0), population(kport)
+    consume, produce = actor.rates()
+    for port, kernel, kport in ins:
+        need, have = consume.get(port, 0), kernel.population(kport)
         if have < need:
             return f"{name}.{port} needs {need}, has {have}"
-    for port, writable, _, kport in outs:
-        need, have = produce.get(port, 0), writable(kport)
+    for port, kernel, kport in outs:
+        need, have = produce.get(port, 0), kernel.writable(kport)
         if have < need:
             return f"{name}.{port} needs space for {need}, has {have}"
     return f"{name} is not ready"
@@ -273,8 +258,8 @@ def _diagnose(station):
 
 def instantiate(z, lib, source_data):
     """Build an ExecutionInstance: allocate a kernel per passive block,
-    create actors for active blocks, bind ports along the PAFG edges, and
-    bind every source actor to its input stream."""
+    create actors for active blocks, bind ports along the PAFG edges into
+    the station table, and bind every source actor to its input stream."""
     if not is_alternating(z):
         raise RuntimeExecutionError("only alternating PAFGs are executable")
     validate_coordinated(z, lib)
@@ -297,40 +282,49 @@ def instantiate(z, lib, source_data):
     # validate_coordinated checked association, so each application edge
     # runs through its surviving simple ring or, absorbed, joins its two
     # endpoints, which alternation makes one active and one passive.
-    in_bindings = {name: {} for name in actors}
-    out_bindings = {name: {} for name in actors}
+    ins = {name: {} for name in actors}
+    outs = {name: {} for name in actors}
     for e in z.source.edges.values():
         for block, port, side in ((e.src, e.src_port, 1), (e.snk, e.snk_port, 0)):
             if port not in declared[block][side]:
                 raise RuntimeExecutionError(
                     f"edge {e.signature()}: {block}.{port} is not a declared port of {block}"
                 )
-        ring = e.signature()
-        if ring in kernels:
-            write = (ring, kernels[ring].write_ports[0])
-            read = (ring, kernels[ring].read_ports[0])
+        ring = kernels.get(e.signature())
+        if ring is not None:
+            write = (e.src_port, ring, ring.write_ports[0])
+            read = (e.snk_port, ring, ring.read_ports[0])
         else:
-            write, read = (e.snk, e.snk_port), (e.src, e.src_port)
+            write = (e.src_port, kernels.get(e.snk), e.snk_port)
+            read = (e.snk_port, kernels.get(e.src), e.src_port)
         if e.src in actors:
-            out_bindings[e.src][e.src_port] = write
+            outs[e.src][e.src_port] = write
         if e.snk in actors:
-            in_bindings[e.snk][e.snk_port] = read
+            ins[e.snk][e.snk_port] = read
 
+    stations = {}
     for name, actor in actors.items():
+        bound_ins, bound_outs = ins[name], outs[name]
         for port in actor.input_ports:
-            if port not in in_bindings[name]:
+            if port not in bound_ins:
                 raise RuntimeExecutionError(f"input port {name}.{port} is unbound")
         for port in actor.output_ports:
-            if port not in out_bindings[name]:
+            if port not in bound_outs:
                 raise RuntimeExecutionError(f"output port {name}.{port} is unbound")
         if actor.is_source:
             if name not in source_data:
                 raise UnboundIoError(f"source actor {name!r} has no bound input data")
             actor.bind(source_data[name])
+        # a block's ports are distinct, so sorting compares port names only
+        stations[name] = (
+            name, actor, actor.kind == "snk",
+            tuple(sorted(bound_ins.values())), tuple(sorted(bound_outs.values())),
+            frozenset(bound_outs),
+        )
     unknown = set(source_data) - {n for n, a in actors.items() if a.is_source}
     if unknown:
         raise UnboundIoError(f"input data bound to non-source actor(s): {sorted(unknown)}")
-    return ExecutionInstance(z, actors, kernels, in_bindings, out_bindings)
+    return ExecutionInstance(z, actors, kernels, stations)
 
 
 @dataclass

@@ -191,7 +191,7 @@ def test_validator_rejects_active_simple_block(lib):
     coord = dict(z.coordination)
     simple = next(n for n, b in z.pafg.blocks.items() if b.is_simple)
     coord[simple] = ACTV
-    with pytest.raises(IrError):
+    with pytest.raises(IrError, match=rf"simple block '{simple}' must be coordinated pssv"):
         validate_coordinated(CoordinatedPafg(z.pafg, coord, g), lib)
 
 
@@ -200,7 +200,16 @@ def test_validator_rejects_passive_computational_block(lib):
     z = derive_direct_pafg(g, lib)
     coord = dict(z.coordination)
     coord["C"] = PSSV
-    with pytest.raises(IrError):
+    with pytest.raises(IrError, match="computational block 'C' must be coordinated actv"):
+        validate_coordinated(CoordinatedPafg(z.pafg, coord, g), lib)
+
+
+def test_validator_rejects_passive_block_without_capacity(lib):
+    g = chain_graph()
+    z = derive_direct_pafg(g, lib)
+    coord = dict(z.coordination)
+    coord["B"] = PSSV  # the fork's block was derived active, with no capacity
+    with pytest.raises(IrError, match="passive block 'B' has no capacity"):
         validate_coordinated(CoordinatedPafg(z.pafg, coord, g), lib)
 
 
@@ -217,7 +226,7 @@ def test_validator_rejects_passive_interface_block(lib):
     blocks = dict(z.pafg.blocks)
     blocks["F"] = Block(g.actor("F"), capacity=4)
     coord["F"] = PSSV  # F has no producers; nothing could ever write it
-    with pytest.raises(IrError):
+    with pytest.raises(IrError, match="passive interface block 'F' is not supported"):
         validate_coordinated(CoordinatedPafg(Pafg(blocks, z.pafg.edges), coord, g), lib)
 
 

@@ -256,6 +256,12 @@ def test_order_must_be_permutation(lib):
     inst = instantiate(z, lib, {"SRC": [1.0]})
     with pytest.raises(RuntimeExecutionError):
         inst.run(order=["SRC", "G"])
+    # every block is there, but one is repeated
+    z = derive_direct_pafg(build_fork_cascade(ForkCascadeConfig(8, num_forks=2)), lib)
+    inst = instantiate(z, lib, {"SRC": [1.0] * 8})
+    with pytest.raises(RuntimeExecutionError, match="permutation"):
+        inst.run(order=inst.order + [inst.order[0]] * 3)
+    assert inst.sink_streams() == {"SNK": []}
 
 
 def both_forms(g, lib):
@@ -312,6 +318,68 @@ def test_sweep_order_changes_no_complete_run(lib):
                 stats = inst.run(order=order)
                 runs.append((inst.sink_streams(), stats.token_stores))
             assert runs[0][0] and runs[1] == runs[0] == runs[2], sorted(g.actors)
+
+
+def quiescent_run(z, lib, data):
+    """Sink streams and token stores of one run to quiescence."""
+    inst = instantiate(z, lib, data)
+    stats = inst.run()
+    return inst.sink_streams(), stats.token_stores
+
+
+def test_wrappers_installed_after_instantiate_are_called(lib):
+    # the station table holds the live actors and kernels, not their
+    # methods, so per-object wrappers installed later take part in the run
+    for g, data in order_cases():
+        for z in both_forms(g, lib):
+            inst = instantiate(z, lib, data)
+            calls = {}
+
+            def wrap(obj, method):
+                inner = getattr(obj, method)
+
+                def counted(*args):
+                    calls[method] = calls.get(method, 0) + 1
+                    return inner(*args)
+
+                setattr(obj, method, counted)
+
+            for actor in inst.actors.values():
+                wrap(actor, "invoke")
+            for kernel in inst.kernels.values():
+                for method in ("read_n", "population", "writable"):
+                    wrap(kernel, method)
+            stats = inst.run()
+            assert set(calls) == {"invoke", "read_n", "population", "writable"}, calls
+            assert (inst.sink_streams(), stats.token_stores) == quiescent_run(z, lib, data)
+
+
+def test_run_resumes_where_the_last_one_stopped(lib):
+    for g, data in order_cases():
+        for z in both_forms(g, lib):
+            expected = quiescent_run(z, lib, data)
+            total = sum(len(stream) for stream in expected[0].values())
+            inst = instantiate(z, lib, data)
+            first = inst.run(sink_token_target=total // 2)
+            assert first.sink_tokens == total // 2
+            second = inst.run()
+            assert first.sink_tokens + second.sink_tokens == total
+            streams = inst.sink_streams()
+            assert (streams, first.token_stores + second.token_stores) == expected
+
+
+def test_runs_in_different_orders_share_one_instance(lib):
+    # the rows carry no run state: a second run in another order carries
+    # on from the first
+    for g, data in order_cases():
+        for z in both_forms(g, lib):
+            expected = quiescent_run(z, lib, data)
+            inst = instantiate(z, lib, data)
+            names = sorted(inst.actors)
+            first = inst.run(max_iterations=1, order=names[::-1])
+            second = inst.run(order=names)
+            streams = inst.sink_streams()
+            assert (streams, first.token_stores + second.token_stores) == expected
 
 
 def test_data_order_of_a_cycle_is_deterministic(lib):
