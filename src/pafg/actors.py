@@ -213,7 +213,9 @@ class GainActor(AlwaysReadyActor):
 
 class ErrorMagnitudeActor(AlwaysReadyActor):
     """Squared error magnitude of one complex sample: consumes a (re, im)
-    pair from each of two interleaved streams."""
+    pair from each of two interleaved streams. invoke makes one pass, with
+    the same operations in the same order as separate lists of the re and
+    im differences would, so every output is the same to the bit."""
 
     kind = "err-mag"
     input_ports = ("ref", "rec")
@@ -222,10 +224,9 @@ class ErrorMagnitudeActor(AlwaysReadyActor):
     _RATES = ({"ref": 2, "rec": 2}, {"out": 1})
 
     def invoke(self, inputs, k=1):
-        ref, rec = inputs["ref"], inputs["rec"]
-        dre = [a - b for a, b in zip(ref[0::2], rec[0::2])]
-        dim = [a - b for a, b in zip(ref[1::2], rec[1::2])]
-        return {"out": [x * x + y * y for x, y in zip(dre, dim)]}
+        ref, rec = iter(inputs["ref"]), iter(inputs["rec"])
+        return {"out": [(a - c) * (a - c) + (b - d) * (b - d)
+                        for a, b, c, d in zip(ref, ref, rec, rec)]}
 
 
 class ReferenceMagnitudeActor(AlwaysReadyActor):

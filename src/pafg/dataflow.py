@@ -27,7 +27,9 @@ def is_capacity(value):
 
 @dataclass(frozen=True)
 class DataflowEdge:
-    """A single-producer single-consumer FIFO channel between actor ports."""
+    """A single-producer single-consumer FIFO channel between actor ports.
+    signature, "src.port->snk.port", is set once and is not a field, so it
+    takes no part in equality."""
 
     src: str
     src_port: str
@@ -41,12 +43,11 @@ class DataflowEdge:
             raise ModelError(f"edge {self.key()}: capacity {self.capacity!r} is not an int >= 1")
         if self.token_type not in TOKEN_TYPES:
             raise ModelError(f"edge {self.key()}: unknown token type {self.token_type!r}")
+        signature = f"{self.src}.{self.src_port}->{self.snk}.{self.snk_port}"
+        object.__setattr__(self, "signature", signature)
 
     def key(self):
         return (self.src, self.snk)
-
-    def signature(self):
-        return f"{self.src}.{self.src_port}->{self.snk}.{self.snk_port}"
 
 
 @dataclass(frozen=True)

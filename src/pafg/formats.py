@@ -155,7 +155,7 @@ def parse_pafg(text, lib=None):
     app_graph = _build_app_graph([r for r in records if r[1] in ("actor", "edge")])
     _check_kinds(app_graph, lib, records)
 
-    edges = {e.signature(): e for e in app_graph.edges.values()}
+    edges = {e.signature: e for e in app_graph.edges.values()}
     blocks = {}
     coordination = {}
     bedges = {}  # (a, b) -> line

@@ -36,7 +36,7 @@ class Block:
         if isinstance(p, ActorSpec):
             name, kind = p.name, p.kind
         elif isinstance(p, DataflowEdge):
-            name, kind = p.signature(), None
+            name, kind = p.signature, None
             if self.capacity is None:
                 object.__setattr__(self, "capacity", p.capacity)
             elif self.capacity != p.capacity:
@@ -130,7 +130,7 @@ def block_edges(blocks, app_graph):
     absorbed it."""
     edges = set()
     for e in app_graph.edges.values():
-        name = e.signature()
+        name = e.signature
         if name in blocks:
             edges.add((e.src, name))
             edges.add((name, e.snk))
@@ -158,8 +158,8 @@ def check_association(app_graph, pafg):
             return False
         if edge is not p and edge != p:
             raise DanglingProvenanceError(
-                f"block {b.name!r}: provenance {p.signature()} disagrees with "
-                f"edge {edge.signature()}"
+                f"block {b.name!r}: provenance {p.signature} disagrees with "
+                f"edge {edge.signature}"
             )
     if not app_graph.actors.keys() <= pafg.blocks.keys():
         return False

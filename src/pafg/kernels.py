@@ -10,7 +10,9 @@ index, so each writer may run ahead into its own free slots; wptr is the
 end of the contiguous written prefix, which is all the read ports see.
 Tokens move as slices: write_n stores a sequence on one write port and
 read_n takes the next n tokens of one read port, wrapping around the end
-of the slot list; write and read are their one-token forms.
+of the slot list; write and read are their one-token forms. write_n copies
+each token once, straight into its slot, and keeps no reference to the
+caller's sequence.
 """
 
 from .errors import (
@@ -70,8 +72,8 @@ class PassiveKernel:
     def write_n(self, port, tokens):
         """Store a sequence of tokens on one write port, after the
         transform. Write port j of m fills every m-th index, so the tokens
-        go to the slots of next, next + m, ... one strided slice per pass
-        around the ring."""
+        go to the slots of next, next + m, ... in one strided slice, or in
+        two when the write wraps round the end of the slot list."""
         i = self._windex(port)
         n = len(tokens)
         if n > self._free(i):
@@ -79,13 +81,15 @@ class PassiveKernel:
         if self._transform is not None:
             tokens = [self._transform(t) for t in tokens]
         slots, c, m = self._slots, self.capacity, self._stride
-        pos, done = i % c, 0
-        while done < n:
-            # the tokens that fit before the end of the slot list
-            step = min(n - done, (c - pos + m - 1) // m)
-            slots[pos:pos + m * step:m] = tokens[done:done + step]
-            done += step
-            pos += m * step - c
+        pos = i % c
+        fit = (c - pos + m - 1) // m  # the tokens that fit before the end
+        if n <= fit:
+            slots[pos:pos + m * n:m] = tokens
+        else:
+            # the free indices span at most capacity, so one wrap suffices
+            slots[pos::m] = tokens[:fit]
+            pos += m * fit - c
+            slots[pos:pos + m * (n - fit):m] = tokens[fit:]
         self.next[port] = i + m * n
         self.wptr = i + n if m == 1 else min(self.next.values())
         self.stores += n

@@ -32,6 +32,8 @@ passive replacement are two realizations of one stream mapping, checked by
 running both PAFGs on the same source streams and comparing sink streams.
 """
 
+import marshal
+import struct
 import time
 from dataclasses import asdict, dataclass
 
@@ -288,9 +290,9 @@ def instantiate(z, lib, source_data):
         for block, port, side in ((e.src, e.src_port, 1), (e.snk, e.snk_port, 0)):
             if port not in declared[block][side]:
                 raise RuntimeExecutionError(
-                    f"edge {e.signature()}: {block}.{port} is not a declared port of {block}"
+                    f"edge {e.signature}: {block}.{port} is not a declared port of {block}"
                 )
-        ring = kernels.get(e.signature())
+        ring = kernels.get(e.signature)
         if ring is not None:
             write = (e.src_port, ring, ring.write_ports[0])
             read = (e.snk_port, ring, ring.read_ports[0])
@@ -335,19 +337,47 @@ class StreamDivergence:
     right: object
 
 
+def _token_bits(token):
+    """A token's type and value bits: the bytes marshal (format 2) writes,
+    or, for a type marshal refuses (a float subclass such as
+    numpy.float64), the type and the IEEE-754 bits or else the value."""
+    try:
+        return marshal.dumps(token, 2)
+    except ValueError:
+        return type(token), struct.pack("<d", token) if isinstance(token, float) else token
+
+
+def _same_bits(left, right):
+    """Whether marshal writes two token lists as the same bytes, in C."""
+    try:
+        return marshal.dumps(left, 2) == marshal.dumps(right, 2)
+    except ValueError:
+        return False
+
+
 def compare_streams(a, b):
-    """Element-wise bit-exact comparison of two sink-stream maps. Returns
-    (equal, first divergence or None); a length mismatch diverges at the
-    first missing index."""
+    """Element-wise bit-exact comparison of two sink-stream maps. Two tokens
+    match when they have the same type and the same value bits (see
+    _token_bits: a float's IEEE-754 bits, an int's value), so 0.0 and -0.0
+    differ, 1 and 1.0 differ, and a NaN matches only the same NaN bits.
+    Returns (equal, first divergence or None); a length mismatch diverges
+    at the first missing index."""
     if set(a) != set(b):
         raise RuntimeExecutionError(
             f"sink sets differ: {sorted(a)} vs {sorted(b)}"
         )
     for sink in sorted(a):
         left, right = a[sink], b[sink]
-        for i in range(min(len(left), len(right))):
-            if left[i] != right[i]:
-                return False, StreamDivergence(sink, i, left[i], right[i])
+        # 4096 tokens at a time keep the byte strings small; a chunk that
+        # differs is searched token by token
+        for j in range(0, max(len(left), len(right)), 4096):
+            if not _same_bits(left[j:j + 4096], right[j:j + 4096]):
+                break
+        else:
+            continue
+        for i, (x, y) in enumerate(zip(left[j:], right[j:]), j):
+            if _token_bits(x) != _token_bits(y):
+                return False, StreamDivergence(sink, i, x, y)
         if len(left) != len(right):
             i = min(len(left), len(right))
             return False, StreamDivergence(

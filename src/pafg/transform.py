@@ -43,7 +43,7 @@ def derive_direct_pafg(app_graph, lib):
         blocks[name] = Block(spec)
         coordination[name] = ACTV
     for e in app_graph.edges.values():
-        name = e.signature()
+        name = e.signature
         blocks[name] = Block(e)
         coordination[name] = PSSV
     pafg = Pafg(blocks, block_edges(blocks, app_graph))

@@ -1,6 +1,12 @@
+import math
+import random
+import struct
+
 import pytest
 
 from pafg.actors import (
+    AccumulatorActor,
+    ErrorMagnitudeActor,
     GainActor,
     VarSourceActor,
     WindowAverageActor,
@@ -138,6 +144,59 @@ def test_avg_rejects_bad_length():
     avg = WindowAverageActor("a")
     with pytest.raises(ModelError):
         avg.invoke({"len": [0]})
+
+
+def test_acc_and_avg_sum_left_to_right():
+    """1e16 + 1.0 rounds back to 1e16, so the sum left to right is 0.0; a
+    compensated sum (math.fsum, or sum() from Python 3.12) gives 1.0."""
+    values = [1e16, 1.0, -1e16]
+    assert math.fsum(values) == 1.0
+    acc = AccumulatorActor("a")
+    acc.invoke({"in": values}, 3)
+    assert acc.total == 0.0
+    avg = WindowAverageActor("a")
+    avg.invoke({"len": [3]})
+    avg.invoke({"in": values[:2]}, 2)
+    assert avg.invoke({"in": values[2:]}) == {"out": [0.0]}
+
+
+def _err_mag_three_passes(ref, rec):
+    dre = [a - b for a, b in zip(ref[0::2], rec[0::2])]
+    dim = [a - b for a, b in zip(ref[1::2], rec[1::2])]
+    return [x * x + y * y for x, y in zip(dre, dim)]
+
+
+_EDGE_VALUES = (0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 1e308, -1e308,
+                1.7976931348623157e308)
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_err_mag_batch_matches_single_firings_and_three_passes(seed):
+    rng = random.Random(seed)
+
+    def token():
+        pick = rng.random()
+        if pick < 0.3:
+            return rng.choice(_EDGE_VALUES)
+        if pick < 0.5:
+            return rng.choice((-1, 1)) * rng.uniform(0.5, 1.0) * 1e308
+        return rng.uniform(-10.0, 10.0)
+
+    k = rng.randint(1, 40)
+    ref = [token() for _ in range(2 * k)]
+    rec = [token() for _ in range(2 * k)]
+    actor = ErrorMagnitudeActor("E")
+    batch = actor.invoke({"ref": ref, "rec": rec}, k)["out"]
+    singles = [
+        actor.invoke({"ref": ref[2 * i:2 * i + 2], "rec": rec[2 * i:2 * i + 2]})["out"][0]
+        for i in range(k)
+    ]
+    assert len(batch) == k
+    assert _bits(batch) == _bits(singles) == _bits(_err_mag_three_passes(ref, rec))
 
 
 def test_rate_conformance_across_modes():

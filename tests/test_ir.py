@@ -64,10 +64,10 @@ def test_adjacent_passive_blocks_fail_abc(lib):
     g = chain_graph()
     e1, e2 = g.edge("A", "B"), g.edge("B", "C")
     blocks = {
-        e1.signature(): Block(e1, capacity=100),
-        e2.signature(): Block(e2, capacity=100),
+        e1.signature: Block(e1, capacity=100),
+        e2.signature: Block(e2, capacity=100),
     }
-    pafg = Pafg(blocks, frozenset({(e1.signature(), e2.signature())}))
+    pafg = Pafg(blocks, frozenset({(e1.signature, e2.signature)}))
     z = CoordinatedPafg(pafg, {n: PSSV for n in blocks}, g)
     assert not check_abc(z)
     assert not is_alternating(z)

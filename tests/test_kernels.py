@@ -357,3 +357,26 @@ def test_slices_reject_what_does_not_fit():
         il.write_n("bogus", [])
     with pytest.raises(UnknownPortError):
         il.read_n("out9", 0)
+
+
+@pytest.mark.parametrize("change", [list.clear, lambda t: t.__setitem__(slice(None), [-1.0] * len(t))],
+                         ids=["cleared", "overwritten"])
+@pytest.mark.parametrize("wraps", [False, True], ids=["fits", "wraps"])
+@pytest.mark.parametrize("write_ports", [("in",), ("re", "im")], ids=["m1", "m2"])
+def test_ring_keeps_no_reference_to_the_written_list(write_ports, wraps, change):
+    """write_n copies the tokens into the slots, so changing the caller's
+    list afterwards changes nothing the ring returns."""
+    m = len(write_ports)
+    kernel = PassiveKernel(8, write_ports)
+    if wraps:
+        # every writer and the reader move to index 6, two slots before the end
+        for port in write_ports:
+            kernel.write_n(port, [0.0] * (6 // m))
+        kernel.read_n("out", 6)
+    batches = [[float(10 * j + i) for i in range(8 // m)] for j in range(m)]
+    expected = [t for tokens in zip(*batches) for t in tokens]
+    for port, tokens in zip(write_ports, batches):
+        kernel.write_n(port, tokens)
+    for tokens in batches:
+        change(tokens)
+    assert kernel.read_n("out", 8) == expected

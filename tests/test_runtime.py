@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -649,6 +650,58 @@ def test_compare_streams_divergence():
     assert not equal and div.index == 1 and div.left is None
     with pytest.raises(RuntimeExecutionError):
         compare_streams({"S": []}, {"T": []})
+
+
+NAN = float("nan")
+
+
+class _Float(float):
+    """A float subclass, which marshal does not write (like numpy.float64)."""
+
+
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@pytest.mark.parametrize("left, right, equal", [
+    (0.0, -0.0, False),
+    (1, 1.0, False),
+    (True, 1, False),
+    (NAN, NAN, True),
+    (NAN, _from_bits(0x7FF8000000000000), True),
+    (_from_bits(0x7FF8000000000000), _from_bits(0x7FF8000000000001), False),
+    (_Float(0.0), _Float(-0.0), False),
+    (_Float(1.0), 1.0, False),
+    (_Float(1.0), _Float(1.0), True),
+], ids=["signed-zero", "int-float", "bool-int", "same-nan", "nan-same-bits", "nan-other-bits",
+        "subclass-signed-zero", "subclass-float", "subclass-same"])
+def test_compare_streams_is_bit_exact(left, right, equal):
+    """Tokens match only with the same type and the same value bits."""
+    a, b = {"S": [2.0, left, 3.0]}, {"S": [2.0, right, 3.0]}
+    if equal:
+        assert compare_streams(a, b) == (True, None)
+    else:
+        ok, div = compare_streams(a, b)
+        assert not ok and (div.index, div.left, div.right) == (1, left, right)
+        assert type(div.left) is type(left) and type(div.right) is type(right)
+
+
+@pytest.mark.parametrize("index", [0, 4095, 4096, 9999])
+def test_compare_streams_finds_the_first_divergence_in_a_long_stream(index):
+    left = [float(i) for i in range(10_000)]
+    right = [float(i) for i in range(10_000)]
+    assert compare_streams({"S": left}, {"S": right}) == (True, None)
+    right[index] = -0.0 if index == 0 else -right[index]
+    right[-1] = 0.5
+    ok, div = compare_streams({"S": left}, {"S": right})
+    assert not ok and (div.index, div.left, div.right) == (index, left[index], right[index])
+
+
+@pytest.mark.parametrize("length", [4096, 8192, 9999])
+def test_compare_streams_long_length_mismatch(length):
+    left = [float(i) for i in range(10_000)]
+    ok, div = compare_streams({"S": left}, {"S": left[:length]})
+    assert not ok and (div.index, div.left, div.right) == (length, left[length], None)
 
 
 def test_different_parameters_diverge(lib):
