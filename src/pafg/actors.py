@@ -328,15 +328,20 @@ def _register(lib, cls, args=lambda spec: ()):
 def _register_buffer(lib, kind, input_ports, fanout, make_op=lambda spec: None):
     """Register a buffer kind: its input ports, its default fanout and a
     function from the spec to its per-token op, if any, that vets the op's
-    parameters. The actor and the ring are built from parts(spec)."""
+    parameters. The actor and the ring are built from parts(spec), with one
+    shared Declaration per fanout."""
+    declarations = {}
 
     def parts(spec):
         n = spec.param("fanout", fanout)
-        if not is_capacity(n):
+        if not is_capacity(n):  # before the lookup: True and 2.0 hash like 1 and 2
             raise ModelError(f"{spec.name}: {kind} fanout {n!r} is not an int >= 1")
-        outs = tuple(f"out{i}" for i in range(n))
-        rates = (dict.fromkeys(input_ports, 1), dict.fromkeys(outs, len(input_ports)))
-        return Declaration(input_ports, outs, (rates,)), make_op(spec)
+        declaration = declarations.get(n)
+        if declaration is None:
+            outs = tuple(f"out{i}" for i in range(n))
+            rates = (dict.fromkeys(input_ports, 1), dict.fromkeys(outs, len(input_ports)))
+            declaration = declarations[n] = Declaration(input_ports, outs, (rates,))
+        return declaration, make_op(spec)
 
     def passive(spec, capacity):
         (ins, outs, _), op = parts(spec)

@@ -66,16 +66,10 @@ class EvmConfig:
         if any(n < 1 for n in self.window_lengths):
             raise ModelError("window lengths must be >= 1")
         total = sum(self.window_lengths)
-        for label, stream in (
-            ("ref_re", self.ref_re),
-            ("ref_im", self.ref_im),
-            ("rec_re", self.rec_re),
-            ("rec_im", self.rec_im),
-        ):
-            if len(stream) != total:
-                raise ModelError(
-                    f"{label} has {len(stream)} samples, expected sum of windows = {total}"
-                )
+        for label in ("ref_re", "ref_im", "rec_re", "rec_im"):
+            n = len(getattr(self, label))
+            if n != total:
+                raise ModelError(f"{label} has {n} samples, expected sum of windows = {total}")
 
     def capacity(self):
         # interleavers emit two tokens per firing, so data edges need >= 2

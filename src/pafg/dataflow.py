@@ -170,6 +170,10 @@ class ApplicationGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "graph", DirectedGraph.of(self.actors, self.edges))
+        edges = self.edges.values()
+        outs, ins = {(e.src, e.src_port) for e in edges}, {(e.snk, e.snk_port) for e in edges}
+        if len(outs) == len(ins) == len(edges) and list(self.edges) == [e.key() for e in edges]:
+            return  # every key and port checked at once; the scan below names a fault
         bound = set()
         for key, e in self.edges.items():
             if key != e.key():
@@ -205,10 +209,11 @@ class AppGraphBuilder:
         self._actors = {}
         self._edges = {}
 
-    def actor(self, name, kind, **params):
+    def actor(self, name, kind, params=None, /, **kwargs):
+        """Parameters come as a dict, keywords or both; any name is allowed."""
         if name in self._actors:
             raise DuplicateVertexError(f"vertex {name!r} already present")
-        self._actors[name] = ActorSpec(name, kind, dict(params))
+        self._actors[name] = ActorSpec(name, kind, {**(params or {}), **kwargs})
         return self
 
     def edge(self, src_endpoint, snk_endpoint, capacity, token_type=F64):

@@ -10,8 +10,8 @@ line per block and per block connection:
           from=<actor:<name>|edge:<src.port->dst.port>> [capacity=<int>]
     bedge <a> -> <b>
 A block's name is its actor's name or its edge's signature. Every actor
-has a block, and the bedge lines list exactly the connections
-ir.block_edges derives from the blocks, once each.
+has a block, and the bedge lines list exactly the connections the PAFG
+derives from its blocks (ir.block_edges), once each.
 
 A value is an int if int() reads it, else a float if float() does, else a
 string. With a library, an edge must join ports its actors' kinds declare.
@@ -25,7 +25,7 @@ import sys
 
 from .dataflow import AppGraphBuilder, F64, I64
 from .errors import ParseError, PafgError
-from .ir import ACTV, Block, CoordinatedPafg, PSSV, Pafg, block_edges
+from .ir import ACTV, Block, CoordinatedPafg, PSSV, Pafg
 
 _SPACE = r"[^\S\x1c-\x1f]*"  # what int() and float() strip: isspace() but \x1c-\x1f
 _DIGITS = r"\d(?:_?\d)*"  # Unicode decimal digits, single underscores between them
@@ -38,6 +38,10 @@ _NUMBER = re.compile(
 
 
 def _parse_value(text):
+    if text.isdecimal() and len(text) <= 640:  # plain decimals and words skip the regex
+        return int(text)
+    if text[:1].isalpha() and text[0] not in "iInN":  # no number starts with another letter
+        return text
     m = _NUMBER.fullmatch(text)
     if m is None:
         return text
@@ -83,7 +87,7 @@ def _build_app_graph(records):
                 if len(rest) < 2:
                     raise ParseError("actor needs a name and a kind", line=lineno)
                 name, kind = rest[0], rest[1]
-                builder.actor(name, kind, **_parse_params(rest[2:], lineno))
+                builder.actor(name, kind, _parse_params(rest[2:], lineno))
             else:  # edge
                 if len(rest) < 4 or rest[1] != "->":
                     raise ParseError(
@@ -172,7 +176,8 @@ def parse_pafg(text, lib=None):
     for name in app_graph.actors:
         if name not in blocks:
             raise ParseError(f"actor {name!r} has no block")
-    implied = block_edges(blocks, app_graph)
+    pafg = Pafg(blocks, app_graph)
+    implied = pafg.edges  # derived from the blocks
     for (a, b), lineno in bedges.items():
         if (a, b) not in implied:
             raise ParseError(f"bedge {a} -> {b} is not a connection the blocks imply", line=lineno)
@@ -180,7 +185,7 @@ def parse_pafg(text, lib=None):
     if missing:
         a, b = min(missing)
         raise ParseError(f"missing bedge {a} -> {b}")
-    return CoordinatedPafg(Pafg(blocks, implied), coordination, app_graph)
+    return CoordinatedPafg(pafg, coordination)
 
 
 def _parse_block(rest, lineno, actors, edges, blocks, coordination):

@@ -1,11 +1,11 @@
 """Minimal directed-graph substrate shared by application graphs and PAFGs.
 
 A graph is an immutable value over opaque string vertices and ordered-pair
-edges. Self-loops and edges with an endpoint outside the vertex set are
-rejected at construction, which also builds the pred/succ index once: a
+edges. Construction builds the pred/succ index once, as ins and outs: a
 list of in-edges and of out-edges per vertex, kept only for vertices that
 have edges, so neighbourhood queries look a vertex up instead of scanning
-every edge.
+every edge. It rejects self-loops and edges with an endpoint outside the
+vertex set, all at once; the first bad edge in sorted order is named.
 """
 
 from dataclasses import dataclass
@@ -30,11 +30,13 @@ class DirectedGraph:
     def __post_init__(self):
         ins, outs = {}, {}
         for e in self.edges:
-            check_edge(self.vertices, *e)
             outs.setdefault(e[0], []).append(e)
             ins.setdefault(e[1], []).append(e)
-        object.__setattr__(self, "_ins", ins)
-        object.__setattr__(self, "_outs", outs)
+        if not self.vertices >= outs.keys() | ins.keys() or any(a == b for a, b in self.edges):
+            for e in sorted(self.edges):
+                check_edge(self.vertices, *e)
+        object.__setattr__(self, "ins", ins)
+        object.__setattr__(self, "outs", outs)
 
     @classmethod
     def of(cls, vertices=(), edges=()):
@@ -46,13 +48,13 @@ class DirectedGraph:
         return index.get(v, ())
 
     def in_edges(self, v):
-        return set(self._lookup(self._ins, v))
+        return set(self._lookup(self.ins, v))
 
     def out_edges(self, v):
-        return set(self._lookup(self._outs, v))
+        return set(self._lookup(self.outs, v))
 
     def pred(self, v):
-        return {src for src, _ in self._lookup(self._ins, v)}
+        return {src for src, _ in self._lookup(self.ins, v)}
 
     def succ(self, v):
-        return {snk for _, snk in self._lookup(self._outs, v)}
+        return {snk for _, snk in self._lookup(self.outs, v)}

@@ -8,7 +8,9 @@ signature, an ActorSpec a non-simple block named after the actor, which is
 computational or a buffer block depending on whether the actor kind has a
 passive implementation in the library. Simple blocks are always passive,
 computational blocks always active; the coordination function's real
-freedom is the non-simple buffer blocks.
+freedom is the non-simple buffer blocks. A PAFG derives its block
+connections from its blocks and application graph once, when it is built,
+so association reduces to provenance and actor coverage.
 """
 
 from dataclasses import dataclass
@@ -25,8 +27,8 @@ ACTV = "actv"
 class Block:
     """A PAFG block: the actor or edge record it stands for, plus its
     capacity in tokens when it is executed passively; a simple block's
-    capacity is its edge's. name and kind are read off the provenance once
-    and are not fields, so they take no part in equality."""
+    capacity is its edge's. name, kind and is_simple are read off the
+    provenance once and are not fields, so they take no part in equality."""
 
     provenance: object  # ActorSpec (non-simple) or DataflowEdge (simple)
     capacity: int = None
@@ -34,9 +36,9 @@ class Block:
     def __post_init__(self):
         p = self.provenance
         if isinstance(p, ActorSpec):
-            name, kind = p.name, p.kind
+            name, kind, simple = p.name, p.kind, False
         elif isinstance(p, DataflowEdge):
-            name, kind = p.signature, None
+            name, kind, simple = p.signature, None, True
             if self.capacity is None:
                 object.__setattr__(self, "capacity", p.capacity)
             elif self.capacity != p.capacity:
@@ -48,27 +50,26 @@ class Block:
             raise IrError(f"bad block provenance {p!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "is_simple", simple)
         if self.capacity is not None and not is_capacity(self.capacity):
             raise IrError(f"block {name!r}: capacity {self.capacity!r} is not an int >= 1")
-
-    @property
-    def is_simple(self):
-        return isinstance(self.provenance, DataflowEdge)
 
 
 @dataclass(frozen=True)
 class Pafg:
-    """Blocks by name plus the (src, dst) block connections. graph is built
-    from the two once and is not a field, so it takes no part in equality."""
+    """Blocks by name over the application graph they realize. The (src,
+    dst) block connections, edges = block_edges(blocks, source), and graph
+    are derived once and are not fields, so they take no part in equality."""
 
     blocks: dict
-    edges: frozenset
+    source: object  # ApplicationGraph
 
     def __post_init__(self):
-        object.__setattr__(self, "graph", DirectedGraph.of(self.blocks, self.edges))
         for name, b in self.blocks.items():
             if b.name != name:
                 raise IrError(f"block table key {name!r} does not match block {b.name!r}")
+        object.__setattr__(self, "edges", block_edges(self.blocks, self.source))
+        object.__setattr__(self, "graph", DirectedGraph.of(self.blocks, self.edges))
 
     def block(self, name):
         try:
@@ -79,15 +80,18 @@ class Pafg:
 
 @dataclass(frozen=True)
 class CoordinatedPafg:
-    """A PAFG plus its coordination function, carrying the application
-    graph the provenance links point back to."""
+    """A PAFG plus its coordination function. source, the application
+    graph the provenance links point back to, is the PAFG's own."""
 
     pafg: Pafg
     coordination: dict
-    source: object  # ApplicationGraph
+
+    @property
+    def source(self):
+        return self.pafg.source
 
     def __post_init__(self):
-        if set(self.coordination) != set(self.pafg.blocks):
+        if self.coordination.keys() != self.pafg.blocks.keys():
             raise IrError("coordination function domain does not equal the block set")
         for name, c in self.coordination.items():
             if c not in (PSSV, ACTV):
@@ -95,13 +99,6 @@ class CoordinatedPafg:
 
     def coord(self, name):
         return self.coordination[name]
-
-
-def block_category(block, lib):
-    """"simple", "computational", or "buffer" (non-simple buffer block)."""
-    if block.is_simple:
-        return "simple"
-    return "buffer" if lib.is_buffer_actor(block.kind) else "computational"
 
 
 def is_alternating(z):
@@ -112,15 +109,14 @@ def is_alternating(z):
 
 def check_abc(z):
     """Adjacent-buffer restriction: no edge joins two passive blocks."""
-    return not any(
-        z.coord(src) == PSSV and z.coord(snk) == PSSV for src, snk in z.pafg.edges
-    )
+    coord = z.coordination
+    return not any(coord[src] == PSSV and coord[snk] == PSSV for src, snk in z.pafg.edges)
 
 
 def is_interface_block(pafg, name):
     """A block with no input edges or no output edges."""
     pafg.block(name)
-    return not pafg.graph.in_edges(name) or not pafg.graph.out_edges(name)
+    return name not in pafg.graph.ins or name not in pafg.graph.outs
 
 
 def block_edges(blocks, app_graph):
@@ -140,12 +136,14 @@ def block_edges(blocks, app_graph):
 
 
 def check_association(app_graph, pafg):
-    """True iff every simple block's edge and every non-simple block's actor
-    is the graph's own record, every actor has a block, and the block
-    connections are exactly block_edges. Block names are unique and each
-    is read off its provenance, so the map is injective by construction. A
-    simple block whose edge disagrees with the graph's edge between the
-    same actors is corrupt and raises."""
+    """True iff pafg's application graph is app_graph, every simple block's
+    edge and every non-simple block's actor is the graph's own record, and
+    every actor has a block; the connections are block_edges by
+    construction, and unique block names read off the provenance make the
+    map injective. A simple block whose edge disagrees with the graph's
+    edge between the same actors is corrupt and raises."""
+    if pafg.source is not app_graph and pafg.source != app_graph:
+        return False
     for b in pafg.blocks.values():
         p = b.provenance
         if not b.is_simple:
@@ -153,7 +151,7 @@ def check_association(app_graph, pafg):
             if actor is not p and actor != p:
                 return False
             continue
-        edge = app_graph.edges.get(p.key())
+        edge = app_graph.edges.get((p.src, p.snk))
         if edge is None:
             return False
         if edge is not p and edge != p:
@@ -161,9 +159,7 @@ def check_association(app_graph, pafg):
                 f"block {b.name!r}: provenance {p.signature} disagrees with "
                 f"edge {edge.signature}"
             )
-    if not app_graph.actors.keys() <= pafg.blocks.keys():
-        return False
-    return pafg.edges == block_edges(pafg.blocks, app_graph)
+    return app_graph.actors.keys() <= pafg.blocks.keys()
 
 
 def validate_coordinated(z, lib):
@@ -171,17 +167,14 @@ def validate_coordinated(z, lib):
     coordination (handled at construction), active simple blocks, passive
     computational blocks, and passive interface blocks (which would have
     no producer or no consumer to drive them)."""
-    fed, feeding = set(), set()  # blocks with an input edge, with an output edge
-    for src, snk in z.pafg.edges:
-        feeding.add(src)
-        fed.add(snk)
+    coord = z.coordination
     for name, b in z.pafg.blocks.items():
-        if z.coord(name) != PSSV:
+        if coord[name] != PSSV:
             if b.is_simple:
                 raise IrError(f"simple block {name!r} must be coordinated {PSSV}")
-        elif block_category(b, lib) == "computational":
+        elif not b.is_simple and not lib.is_buffer_actor(b.kind):
             raise IrError(f"computational block {name!r} must be coordinated {ACTV}")
-        elif name not in fed or name not in feeding:
+        elif is_interface_block(z.pafg, name):
             raise IrError(f"passive interface block {name!r} is not supported")
         elif b.capacity is None:
             raise IrError(f"passive block {name!r} has no capacity")

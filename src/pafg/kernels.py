@@ -6,8 +6,9 @@ Pointers are unbounded monotonic counters; slots are addressed index mod
 capacity, which avoids the full/empty wraparound ambiguity. A slot is
 reused only once the slowest read pointer has passed it. Write port j of
 m stores its i-th token at global index m*i + j and keeps its own next
-index, so each writer may run ahead into its own free slots; wptr is the
-end of the contiguous written prefix, which is all the read ports see.
+index, so each writer may run ahead into its own free slots; wptr, all
+the read ports see, is the contiguous written prefix cut to whole groups
+of m, so a ring of m write ports needs capacity m or more.
 Tokens move as slices: write_n stores a sequence on one write port and
 read_n takes the next n tokens of one read port, wrapping around the end
 of the slot list; write and read are their one-token forms. write_n copies
@@ -23,28 +24,35 @@ from .errors import (
 )
 
 
+_IN, _OUT, _OUT_INDEX = ("in",), ("out",), {"out": 0}  # the simple ring's; never written
+
+
 class PassiveKernel:
     """Bounded token store with one next index per write port and one
     independent read pointer per read port. Every read port observes the
     exact interleaved write sequence (after the optional transform), first
     in first out. Port names match the corresponding actor's port names so
-    the engine can bind producer/consumer ports without extra tables."""
+    the engine can bind producer/consumer ports without extra tables. A
+    simple ring (the default ports) shares constant port maps."""
 
-    def __init__(self, capacity, write_ports=("in",), read_ports=("out",), transform=None):
+    def __init__(self, capacity, write_ports=_IN, read_ports=_OUT, transform=None):
         if capacity < 1:
             raise KernelError("capacity must be >= 1")
         if not write_ports or not read_ports:
             raise KernelError("a ring needs at least one write port and one read port")
-        self.capacity = capacity
         self.write_ports = write_ports = tuple(write_ports)
         self.read_ports = read_ports = tuple(read_ports)
-        self._slots = [None] * capacity
         self._stride = m = len(write_ports)
-        self.next = dict(zip(write_ports, range(m)))
+        if capacity < m:
+            raise KernelError(f"a ring with {m} write ports needs capacity >= {m}, got {capacity}")
+        self.capacity = capacity
+        self._slots = [None] * capacity
+        simple = write_ports is _IN and read_ports is _OUT  # tuple() keeps a tuple as it is
+        self.next = {"in": 0} if simple else dict(zip(write_ports, range(m)))
         self.wptr = 0
         self.rptr = [0] * len(read_ports)
-        self._low = 0  # min(self.rptr), kept up to date by read()
-        self._read_index = dict(zip(read_ports, range(len(read_ports))))
+        self._low = 0  # min(self.rptr), kept up to date by read_n()
+        self._read_index = _OUT_INDEX if simple else dict(zip(read_ports, range(len(read_ports))))
         self._transform = transform
         self.stores = 0
 
@@ -91,7 +99,7 @@ class PassiveKernel:
             pos += m * fit - c
             slots[pos:pos + m * (n - fit):m] = tokens[fit:]
         self.next[port] = i + m * n
-        self.wptr = i + n if m == 1 else min(self.next.values())
+        self.wptr = i + n if m == 1 else (w := min(self.next.values())) - w % m  # whole groups
         self.stores += n
 
     def write(self, port, token):

@@ -3,29 +3,23 @@
 The direct PAFG of a graph is its pure dataflow form, so one engine covers
 both the original and the transformed program: active blocks are driven
 through rates/ready/invoke, passive blocks are the buffers between them.
-Blocks, rings and bindings never change after instantiate, so it builds
-the station table once: a row per active block with its actor and, per
-port in name order, the kernel and kernel port bound to it. Rows hold
-objects, not bound methods, so wrappers installed on them later are
-called; run() only sweeps the rows. The scheduler is a round-robin sweep
-over the active blocks in data order (see data_order; a permutation can
-be supplied for determinacy experiments), so on an acyclic graph a sweep
-visits a block after the blocks that feed it. A sweep visits each block
-once and fires it as many times as it stays enabled, i.e. while its input
-populations and output space cover its current rates and its ready()
-count is nonzero. The batch size is computed from the populations and
-free spaces when the block is visited and recomputed only when its rates
-change; another block's firing can only add to a block's inputs or free
-its outputs, so every maximal run makes the same firings and ends in the
-same state. Each call fires k times at once: k is the least of that batch
-size, ready() and, for a sink, the firings left to its target. The engine
-reads k bursts per input port with one read_n, makes one invoke(inputs,
-k) call (invoke(inputs) when k is 1), checks that every output holds k
-times its declared rate and stores it with one write_n. A run stopped
-early (by a sink-token target or a sweep bound) leaves a prefix of each
-sink's complete stream, but how far the other blocks got, and so its
-token-store count, depends on the schedule.
-Instrumentation counts every token stored into passive-block memory.
+instantiate builds the station table once, from the blocks and the block
+connections the PAFG derives from them: a row per active block with its
+actor and, per port in name order, the kernel and kernel port bound to it.
+Rows hold objects, not bound methods, so wrappers installed on them later
+are called. run() sweeps the rows round-robin in data order (data_order;
+a permutation can be supplied), so on an acyclic graph a block is visited
+after the blocks that feed it, and fires each block while its input
+populations and output space cover its current rates and ready() is
+nonzero; the batch size is recomputed only when its rates change. Another
+block's firing only adds inputs or frees outputs, so every maximal run
+makes the same firings. A call fires k times: k is the least of that batch
+size, ready() and, for a sink, the firings left to its target, with one
+read_n per input port, one invoke(inputs, k) (invoke(inputs) when k is 1),
+a check that every output holds k times its declared rate and one write_n
+per output. A run stopped early (sink-token target or sweep bound) leaves
+a prefix of each sink's stream, but its token-store count, which counts
+every token stored into passive-block memory, depends on the schedule.
 
 The same engine is the equivalence harness: an active subgraph and its
 passive replacement are two realizations of one stream mapping, checked by
@@ -74,9 +68,7 @@ class ExecutionInstance:
         self.order = data_order(z.source.graph, actors)
         self.kernels = kernels
         self.stations = stations
-        self.sinks = {
-            name for name, actor in actors.items() if actor.kind == "snk"
-        }
+        self.sinks = {name for name, actor in actors.items() if actor.kind == "snk"}
         self.bmr_bytes = compute_bmr(z).total_bytes
 
     def sink_streams(self):
@@ -191,11 +183,10 @@ class ExecutionInstance:
 
 def data_order(graph, blocks):
     """The vertices of graph in blocks, in reverse postorder of a depth-first
-    search from each vertex and to each successor in name order: O(V + E),
-    deterministic also on a cycle, and topological on an acyclic graph."""
-    succ = {}  # successors in reverse name order, so the first is popped first
-    for v, w in sorted(graph.edges, reverse=True):
-        succ.setdefault(v, []).append(w)
+    search from each vertex and to each successor in name order: O(V + E)
+    apart from sorting each vertex's successors, deterministic also on a
+    cycle, and topological on an acyclic graph."""
+    outs = graph.outs
     seen, finished = set(), []
     stack = sorted(graph.vertices, reverse=True)
     while stack:
@@ -204,8 +195,8 @@ def data_order(graph, blocks):
             finished.append(v[0])
         elif v not in seen:
             seen.add(v)
-            stack.append((v,))
-            stack.extend(succ.get(v, ()))
+            stack.append((v,))  # then its successors, the first by name on top
+            stack += sorted([w for _, w in outs.get(v, ())], reverse=True)
     return [v for v in reversed(finished) if v in blocks]
 
 
@@ -268,8 +259,9 @@ def instantiate(z, lib, source_data):
 
     kernels = {}
     actors = {}
+    coord = z.coordination
     for name, block in z.pafg.blocks.items():
-        if z.coord(name) != PSSV:
+        if coord[name] != PSSV:
             actors[name] = lib.make_active(block.provenance)
         elif block.is_simple:
             kernels[name] = PassiveKernel(block.capacity)
@@ -307,12 +299,14 @@ def instantiate(z, lib, source_data):
     stations = {}
     for name, actor in actors.items():
         bound_ins, bound_outs = ins[name], outs[name]
-        for port in actor.input_ports:
-            if port not in bound_ins:
-                raise RuntimeExecutionError(f"input port {name}.{port} is unbound")
-        for port in actor.output_ports:
-            if port not in bound_outs:
-                raise RuntimeExecutionError(f"output port {name}.{port} is unbound")
+        # every bound port is declared, so a port is unbound iff a count differs
+        if len(bound_ins) != len(actor.input_ports) or len(bound_outs) != len(actor.output_ports):
+            for port in actor.input_ports:
+                if port not in bound_ins:
+                    raise RuntimeExecutionError(f"input port {name}.{port} is unbound")
+            for port in actor.output_ports:
+                if port not in bound_outs:
+                    raise RuntimeExecutionError(f"output port {name}.{port} is unbound")
         if actor.is_source:
             if name not in source_data:
                 raise UnboundIoError(f"source actor {name!r} has no bound input data")
@@ -363,9 +357,7 @@ def compare_streams(a, b):
     Returns (equal, first divergence or None); a length mismatch diverges
     at the first missing index."""
     if set(a) != set(b):
-        raise RuntimeExecutionError(
-            f"sink sets differ: {sorted(a)} vs {sorted(b)}"
-        )
+        raise RuntimeExecutionError(f"sink sets differ: {sorted(a)} vs {sorted(b)}")
     for sink in sorted(a):
         left, right = a[sink], b[sink]
         # 4096 tokens at a time keep the byte strings small; a chunk that

@@ -2,10 +2,11 @@
 
 derive_direct_pafg turns an application graph into its direct PAFG: one
 passive simple buffer per edge, one active block per actor, and the two
-connecting edges per buffer. passivize flips a simply surrounded active
-buffer block to passive form, deleting its adjacent simple buffers and
-rewiring their outer neighbors straight onto the block. The analyses
-compute buffer memory (BMR) and the token-store count per iteration.
+connecting edges per buffer, which the PAFG derives from its blocks.
+passivize flips a simply surrounded active buffer block to passive form,
+deleting its adjacent simple buffers and rewiring their outer neighbors
+straight onto the block. The analyses compute buffer memory (BMR) and the
+token-store count per iteration.
 """
 
 from dataclasses import dataclass, field
@@ -24,8 +25,6 @@ from .ir import (
     CoordinatedPafg,
     PSSV,
     Pafg,
-    block_category,
-    block_edges,
     check_association,
     is_alternating,
 )
@@ -46,8 +45,7 @@ def derive_direct_pafg(app_graph, lib):
         name = e.signature
         blocks[name] = Block(e)
         coordination[name] = PSSV
-    pafg = Pafg(blocks, block_edges(blocks, app_graph))
-    return CoordinatedPafg(pafg, coordination, app_graph)
+    return CoordinatedPafg(Pafg(blocks, app_graph), coordination)
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,7 @@ def _candidate_for(z, lib, name):
     block = z.pafg.block(name)
     if z.coord(name) != ACTV:
         return None, f"block {name!r} is not active"
-    if block_category(block, lib) != "buffer":
+    if block.is_simple or not lib.is_buffer_actor(block.kind):
         return None, f"block {name!r} is not a non-simple buffer block"
     g = z.pafg.graph
     preds = g.pred(name)
@@ -79,7 +77,7 @@ def _candidate_for(z, lib, name):
 def find_candidates(z, lib):
     """All simply surrounded active buffer blocks, ordered by name."""
     out = []
-    for name in sorted(z.pafg.blocks):
+    for name in sorted(n for n, b in z.pafg.blocks.items() if not b.is_simple):
         cand, _ = _candidate_for(z, lib, name)
         if cand is not None:
             out.append(cand)
@@ -124,24 +122,24 @@ def _require_input(z):
 def _largest_rate(lib, spec, port, side):
     """The most tokens one firing of the actor moves on a port, over every
     rate table it can fire under (side 0 consumes, side 1 produces)."""
-    return max(table[side].get(port, 0) for table in lib.declare(spec).rate_tables)
+    return max([table[side].get(port, 0) for table in lib.declare(spec).rate_tables])
 
 
 def _burst_bound(z, lib, name):
     """The least ring capacity that admits one burst of every reader and
     writer of the passivized block: a reader's largest read, and the index
     span of a writer's largest write, which on a ring of m write ports is
-    m times the burst. The rates come from the application edges the
-    block's simple buffers stand for."""
-    g = z.pafg.graph
-    stride = len(lib.declare(z.pafg.block(name).provenance).input_ports)
+    m times the burst. The rates come from the block's application edges,
+    which its simple buffers stand for."""
+    actors, edges, g = z.source.actors, z.source.edges, z.source.graph
+    stride = len(lib.declare(actors[name]).input_ports)
     bound = 1
-    for x in g.pred(name):
-        e = z.pafg.block(x).provenance
-        bound = max(bound, stride * _largest_rate(lib, z.source.actor(e.src), e.src_port, 1))
-    for x in g.succ(name):
-        e = z.pafg.block(x).provenance
-        bound = max(bound, _largest_rate(lib, z.source.actor(e.snk), e.snk_port, 0))
+    for key in g.ins.get(name, ()):
+        e = edges[key]
+        bound = max(bound, stride * _largest_rate(lib, actors[e.src], e.src_port, 1))
+    for key in g.outs.get(name, ()):
+        e = edges[key]
+        bound = max(bound, _largest_rate(lib, actors[e.snk], e.snk_port, 0))
     return bound
 
 
@@ -152,7 +150,7 @@ def _rewrite(z, lib, candidates):
     before it. A passivized block's ring holds the summed capacities of the
     input buffers it absorbs, raised where needed to _burst_bound, so that
     no reader or writer waits for a burst the ring cannot hold; a raise is
-    logged in the step. The new block connections are block_edges of the
+    logged in the step. The new PAFG derives its block connections from the
     remaining blocks, so each absorbed edge now joins the passivized block
     to the active block at its other end, and a step's added edges are its
     block's connections in the result. Returns (new PAFG, step log)."""
@@ -174,17 +172,13 @@ def _rewrite(z, lib, candidates):
     for x in gone:
         del blocks[x]
         del coordination[x]
-    pafg = Pafg(blocks, block_edges(blocks, z.source))
+    pafg = Pafg(blocks, z.source)
+    ins, outs = pafg.graph.ins, pafg.graph.outs  # a passivized block has both
     log = [
-        TransformStep(
-            c.block,
-            sorted(c.removed),
-            sorted(pafg.graph.in_edges(c.block) | pafg.graph.out_edges(c.block)),
-            raised,
-        )
+        TransformStep(c.block, sorted(c.removed), sorted(ins[c.block] + outs[c.block]), raised)
         for c, raised in taken
     ]
-    return CoordinatedPafg(pafg, coordination, z.source), log
+    return CoordinatedPafg(pafg, coordination), log
 
 
 def passivize_fixpoint(z, lib, blocks=None):
@@ -229,8 +223,9 @@ def compute_bmr(z):
     """Buffer memory requirement: capacity times token width summed over
     every passive block, simple or not."""
     report = BmrReport()
+    coord = z.coordination
     for name, b in z.pafg.blocks.items():
-        if z.coord(name) != PSSV:
+        if coord[name] != PSSV:
             continue
         if b.capacity is None:
             raise MissingCapacityError(f"passive block {name!r} has no capacity")

@@ -41,6 +41,15 @@ def test_validate_rejects_undeclared_port(tmp_path, capsys):
     assert "error: line 7: F.out7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["kind", "name"])
+def test_validate_accepts_parameter_named_like_a_builder_argument(tmp_path, capsys, key):
+    path = tmp_path / "param.graph"
+    path.write_text(f"actor A src {key}=x\nactor B snk\nedge A.out -> B.in capacity=4\n",
+                    encoding="utf-8")
+    assert cli_main(["validate", str(path)]) == 0
+    assert "ok" in capsys.readouterr().out
+
+
 def test_missing_file_is_domain_error(tmp_path):
     assert cli_main(["validate", str(tmp_path / "nope.graph")]) == 1
 

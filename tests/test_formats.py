@@ -253,6 +253,17 @@ def test_parse_value_types(text, value):
     assert type(parsed) is type(value) and parsed == value
 
 
+@pytest.mark.parametrize("key", ["kind", "name"])
+def test_actor_parameter_named_like_a_builder_argument(lib, key):
+    # parameters reach the builder as one dict, so kind= and name= are
+    # parameters like any other
+    text = f"actor A src {key}=x\nactor B snk\nedge A.out -> B.in capacity=4\n"
+    g = parse_graph(text, lib=lib)
+    assert g.actor("A").kind == "src" and g.actor("A").name == "A"
+    assert g.actor("A").params == {key: "x"}
+    assert parse_graph(serialize_graph(g), lib=lib) == g
+
+
 def test_parse_value_nan():
     parsed = _parse_value("nan")
     assert isinstance(parsed, float) and parsed != parsed

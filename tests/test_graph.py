@@ -53,6 +53,17 @@ def test_unknown_endpoint_rejected():
         DirectedGraph.of(["A", "B"], [("A", "C")])
 
 
+def test_first_bad_edge_in_sorted_order_is_named():
+    # a frozenset's order follows string hashing; the edge named must not
+    with pytest.raises(UnknownVertexError, match=r"unknown vertex 'Y' in edge \('A', 'Y'\)"):
+        DirectedGraph.of(["A", "B"], [("B", "Z"), ("A", "Y")])
+    with pytest.raises(SelfLoopError, match="self-loop on 'A'"):
+        DirectedGraph.of(["A", "B"], [("B", "Z"), ("A", "A")])
+    many = [(f"X{i:02d}", "A") for i in range(20)] + [("Y", "Y")]
+    with pytest.raises(UnknownVertexError, match=r"in edge \('X00', 'A'\)"):
+        DirectedGraph.of(["A", "Y"], many)
+
+
 def test_duplicate_edge_rejected():
     b = AppGraphBuilder().actor("A", "src").actor("B", "snk").edge("A.out", "B.in", capacity=1)
     with pytest.raises(DuplicateEdgeError):

@@ -5,7 +5,7 @@ import pytest
 from graphgen import build_random_app_graph
 from pafg.actors import default_library
 from pafg.dataflow import ActorSpec, AppGraphBuilder, DataflowEdge
-from pafg.errors import DanglingProvenanceError, IrError
+from pafg.errors import DanglingProvenanceError, IrError, UnknownVertexError
 from pafg.ir import (
     ACTV,
     Block,
@@ -19,7 +19,8 @@ from pafg.ir import (
     is_interface_block,
     validate_coordinated,
 )
-from pafg.transform import derive_direct_pafg, passivize
+from pafg.formats import parse_pafg, serialize_pafg
+from pafg.transform import derive_direct_pafg, passivize, passivize_fixpoint
 
 
 @pytest.fixture(scope="module")
@@ -52,25 +53,26 @@ def test_empty_pafg_is_alternating(lib):
 
 
 def test_active_active_edge_breaks_alternation(lib):
+    # without their simple buffers, the actors' blocks connect directly
     g = chain_graph()
-    blocks = {"A": Block(g.actor("A")), "B": Block(g.actor("B"))}
-    pafg = Pafg(blocks, frozenset({("A", "B")}))
-    z = CoordinatedPafg(pafg, {"A": ACTV, "B": ACTV}, g)
+    blocks = {name: Block(spec) for name, spec in g.actors.items()}
+    pafg = Pafg(blocks, g)
+    assert pafg.edges == {("A", "B"), ("B", "C")}
+    z = CoordinatedPafg(pafg, dict.fromkeys(blocks, ACTV))
     assert not is_alternating(z)
     assert check_abc(z)  # no passive-passive edge either
 
 
 def test_adjacent_passive_blocks_fail_abc(lib):
+    # the fork made passive while its simple buffers stay: passive-passive
     g = chain_graph()
-    e1, e2 = g.edge("A", "B"), g.edge("B", "C")
-    blocks = {
-        e1.signature: Block(e1, capacity=100),
-        e2.signature: Block(e2, capacity=100),
-    }
-    pafg = Pafg(blocks, frozenset({(e1.signature, e2.signature)}))
-    z = CoordinatedPafg(pafg, {n: PSSV for n in blocks}, g)
-    assert not check_abc(z)
-    assert not is_alternating(z)
+    z = derive_direct_pafg(g, lib)
+    blocks = dict(z.pafg.blocks, B=Block(g.actor("B"), capacity=100))
+    coord = dict(z.coordination, B=PSSV)
+    z2 = CoordinatedPafg(Pafg(blocks, g), coord)
+    assert ("A.out->B.in", "B") in z2.pafg.edges
+    assert not check_abc(z2)
+    assert not is_alternating(z2)
 
 
 def test_single_block_pafg_satisfies_abc(lib):
@@ -107,14 +109,18 @@ def test_association_false_for_foreign_edge(lib):
     ghost = Block(DataflowEdge("X", "out", "Y", "in", 4), capacity=4)
     blocks = dict(z.pafg.blocks)
     blocks[ghost.name] = ghost
-    pafg = Pafg(blocks, z.pafg.edges | {("A", ghost.name)})
+    pafg = Pafg(blocks, g)
+    assert pafg.edges == z.pafg.edges  # g has no edge through the ghost
     assert not check_association(g, pafg)
 
 
 def test_association_rejects_port_mismatch(lib):
     g = chain_graph()
+    z = derive_direct_pafg(g, lib)
     p = Block(DataflowEdge("A", "bogus", "B", "in", 100), capacity=100)
-    pafg = Pafg({p.name: p}, frozenset())
+    blocks = {n: b for n, b in z.pafg.blocks.items() if n != "A.out->B.in"}
+    blocks[p.name] = p
+    pafg = Pafg(blocks, g)
     with pytest.raises(DanglingProvenanceError):
         check_association(g, pafg)
 
@@ -124,7 +130,7 @@ def test_association_requires_injectivity(lib):
     g = chain_graph()
     b = Block(g.actor("B"))
     with pytest.raises(IrError):
-        Pafg({"b1": b, "b2": b}, frozenset())
+        Pafg({"b1": b, "b2": b}, g)
 
 
 def test_association_false_for_foreign_actor_spec(lib):
@@ -132,24 +138,42 @@ def test_association_false_for_foreign_actor_spec(lib):
     z = derive_direct_pafg(g, lib)
     blocks = dict(z.pafg.blocks)
     blocks["B"] = Block(ActorSpec("B", "fork", {"fanout": 2}))
-    assert not check_association(g, Pafg(blocks, z.pafg.edges))
+    assert not check_association(g, Pafg(blocks, g))
 
 
 def test_association_false_without_an_actor_block(lib):
+    # an isolated actor without a block leaves no connection dangling, so
+    # only the association check can notice it
+    g = AppGraphBuilder().actor("A", "src").actor("D", "snk").build()
+    z = derive_direct_pafg(g, lib)
+    assert not check_association(g, Pafg({"A": z.pafg.block("A")}, g))
+    # an actor with an edge but no block leaves a connection without an end
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
     gone = {"C", "B.out0->C.in"}
     blocks = {n: b for n, b in z.pafg.blocks.items() if n not in gone}
-    edges = frozenset(e for e in z.pafg.edges if gone.isdisjoint(e))
-    assert not check_association(g, Pafg(blocks, edges))
+    with pytest.raises(UnknownVertexError, match="unknown vertex 'C'"):
+        Pafg(blocks, g)
 
 
 def test_association_false_for_rerouted_connection(lib):
+    # a PAFG's connections are derived, so a rerouted one can only come from
+    # another application graph: equal actors, the fork's output rerouted
     g = chain_graph()
     z, _ = passivize(derive_direct_pafg(g, lib), lib, "B")
     assert z.pafg.edges == block_edges(z.pafg.blocks, g) == {("A", "B"), ("B", "C")}
-    rerouted = Pafg(z.pafg.blocks, frozenset({("A", "B"), ("B", "A")}))
-    assert not check_association(g, rerouted)
+    rerouted = (
+        AppGraphBuilder()
+        .actor("A", "src")
+        .actor("B", "fork", fanout=1)
+        .actor("C", "snk")
+        .edge("A.out", "B.in", capacity=100)
+        .edge("B.out0", "A.out", capacity=100)
+        .build()
+    )
+    assert rerouted.actors == g.actors and rerouted != g
+    assert not check_association(rerouted, z.pafg)
+    assert not check_association(g, Pafg(z.pafg.blocks, rerouted))
 
 
 def test_block_name_and_kind_come_from_provenance(lib):
@@ -182,7 +206,7 @@ def test_coordination_must_be_total(lib):
     partial = dict(z.coordination)
     partial.pop("A")
     with pytest.raises(IrError):
-        CoordinatedPafg(z.pafg, partial, g)
+        CoordinatedPafg(z.pafg, partial)
 
 
 def test_validator_rejects_active_simple_block(lib):
@@ -192,7 +216,7 @@ def test_validator_rejects_active_simple_block(lib):
     simple = next(n for n, b in z.pafg.blocks.items() if b.is_simple)
     coord[simple] = ACTV
     with pytest.raises(IrError, match=rf"simple block '{simple}' must be coordinated pssv"):
-        validate_coordinated(CoordinatedPafg(z.pafg, coord, g), lib)
+        validate_coordinated(CoordinatedPafg(z.pafg, coord), lib)
 
 
 def test_validator_rejects_passive_computational_block(lib):
@@ -201,7 +225,7 @@ def test_validator_rejects_passive_computational_block(lib):
     coord = dict(z.coordination)
     coord["C"] = PSSV
     with pytest.raises(IrError, match="computational block 'C' must be coordinated actv"):
-        validate_coordinated(CoordinatedPafg(z.pafg, coord, g), lib)
+        validate_coordinated(CoordinatedPafg(z.pafg, coord), lib)
 
 
 def test_validator_rejects_passive_block_without_capacity(lib):
@@ -210,7 +234,7 @@ def test_validator_rejects_passive_block_without_capacity(lib):
     coord = dict(z.coordination)
     coord["B"] = PSSV  # the fork's block was derived active, with no capacity
     with pytest.raises(IrError, match="passive block 'B' has no capacity"):
-        validate_coordinated(CoordinatedPafg(z.pafg, coord, g), lib)
+        validate_coordinated(CoordinatedPafg(z.pafg, coord), lib)
 
 
 def test_validator_rejects_passive_interface_block(lib):
@@ -227,7 +251,7 @@ def test_validator_rejects_passive_interface_block(lib):
     blocks["F"] = Block(g.actor("F"), capacity=4)
     coord["F"] = PSSV  # F has no producers; nothing could ever write it
     with pytest.raises(IrError, match="passive interface block 'F' is not supported"):
-        validate_coordinated(CoordinatedPafg(Pafg(blocks, z.pafg.edges), coord, g), lib)
+        validate_coordinated(CoordinatedPafg(Pafg(blocks, g), coord), lib)
 
 
 def test_alternating_implies_abc_on_random_graphs(lib):
@@ -239,3 +263,20 @@ def test_alternating_implies_abc_on_random_graphs(lib):
         assert check_abc(z)
         assert check_association(g, z.pafg)
         validate_coordinated(z, lib)
+
+
+def test_association_holds_by_construction_on_random_graphs(lib):
+    # every way to build a PAFG derives its connections from its blocks
+    rng = random.Random(23)
+    for _ in range(40):
+        g, _ = build_random_app_graph(rng, max_actors=16)
+        direct = derive_direct_pafg(g, lib)
+        optimized, _ = passivize_fixpoint(direct, lib)
+        parsed = parse_pafg(serialize_pafg(optimized), lib=lib)
+        for z in (direct, optimized, parsed):
+            assert z.pafg.edges == block_edges(z.pafg.blocks, z.source)
+            assert z.pafg.graph.edges == z.pafg.edges
+            assert check_association(z.source, z.pafg)
+            validate_coordinated(z, lib)
+        assert direct.source is g and optimized.source is g
+        assert parsed == optimized and parsed.source == g

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from pafg.actors import default_library
-from pafg.dataflow import ActorLibrary, ActorSpec
+from pafg.dataflow import ActorLibrary, ActorSpec, AppGraphBuilder
 from pafg.errors import (
     BufferEmptyError,
     BufferFullError,
@@ -11,7 +11,7 @@ from pafg.errors import (
     UnknownPortError,
 )
 from pafg.kernels import PassiveKernel
-from pafg.runtime import check_mapping_equivalence
+from pafg.runtime import check_mapping_equivalence, instantiate
 from pafg.transform import derive_direct_pafg, passivize_fixpoint
 from topologies import fork_graph, gain_fork_graph, gain_then_fork_graph, interleave_graph
 
@@ -133,13 +133,13 @@ def test_interleave_writers_run_ahead():
     assert il.writable("re") == 4
     for v in (1.0, 2.0, 3.0, 4.0):
         il.write("re", v)
-        assert il.population("out0") == 1
+        assert il.population("out0") == 0  # no whole (re, im) pair yet
     assert il.writable("re") == 0
     with pytest.raises(BufferFullError):
         il.write("re", 5.0)
     assert il.writable("im") == 4
     il.write("im", 10.0)
-    assert il.population("out0") == 3
+    assert il.population("out0") == 2  # the pair (1.0, 10.0); 2.0 waits for its partner
     for v in (20.0, 30.0, 40.0):
         il.write("im", v)
     assert [il.read("out0") for _ in range(8)] == [1.0, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0]
@@ -183,8 +183,13 @@ def test_interleave_invariants_under_random_admissible_ops(write_ports, capacity
     """Every ring interleaves its m write ports; with m = 1 it is a plain
     FIFO or fork ring."""
     rng = random.Random(100 * len(write_ports) + 10 * capacity + fanout)
-    kernel = PassiveKernel(capacity, write_ports, tuple(f"out{i}" for i in range(fanout)))
+    read_ports = tuple(f"out{i}" for i in range(fanout))
     m = len(write_ports)
+    if capacity < m:  # a whole group of m tokens never fits
+        with pytest.raises(KernelError, match=f"{m} write ports needs capacity >= {m}"):
+            PassiveKernel(capacity, write_ports, read_ports)
+        return
+    kernel = PassiveKernel(capacity, write_ports, read_ports)
     written = {port: [] for port in write_ports}
     read_count = dict.fromkeys(kernel.read_ports, 0)
     for step in range(4000):
@@ -206,6 +211,7 @@ def test_interleave_invariants_under_random_admissible_ops(write_ports, capacity
         assert kernel.stores == sum(len(tokens) for tokens in written.values())
         assert kernel._low == min(kernel.rptr)
         assert 0 <= kernel.wptr - kernel._low <= kernel.capacity
+        assert kernel.wptr % m == 0  # the read ports see whole groups only
         for port in kernel.read_ports:
             assert 0 <= kernel.population(port) <= kernel.capacity
     assert min(read_count.values()) > 0
@@ -310,6 +316,28 @@ def test_interleave_unpaired_tokens_are_equivalent():
     assert ok is True, div
 
 
+def test_interleave_does_not_expose_an_unpaired_re_token():
+    # the mirror case: "re" is the longer stream. The active interleave
+    # emits whole pairs only, so the passive ring must not show 3.0 either
+    graph = (
+        AppGraphBuilder()
+        .actor("R", "src")
+        .actor("I", "src")
+        .actor("IL", "interleave")
+        .actor("K", "snk")
+        .edge("R.out", "IL.re", capacity=4)
+        .edge("I.out", "IL.im", capacity=4)
+        .edge("IL.out0", "K.in", capacity=4)
+        .build()
+    )
+    direct, passivized = direct_and_passivized(graph)
+    data = {"R": [1.0, 3.0], "I": [2.0]}
+    assert check_mapping_equivalence(direct, passivized, LIB, data) == (True, None)
+    instance = instantiate(passivized, LIB, data)
+    instance.run()
+    assert instance.sink_streams() == {"K": [1.0, 2.0]}
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_slices_match_per_token_reads_and_writes(seed):
     """Random read_n/write_n sequences, wraparound, stride-2 writers, a
@@ -320,6 +348,10 @@ def test_slices_match_per_token_reads_and_writes(seed):
     read_ports = tuple(f"out{i}" for i in range(rng.randint(1, 3)))
     transform = rng.choice([None, lambda t: 2.0 * t + 1.0])
     capacity = rng.randint(1, 9)
+    if capacity < len(write_ports):
+        with pytest.raises(KernelError, match="needs capacity >= 2"):
+            PassiveKernel(capacity, write_ports, read_ports, transform)
+        capacity = len(write_ports)
     sliced, reference = (
         PassiveKernel(capacity, write_ports, read_ports, transform) for _ in range(2)
     )
@@ -348,10 +380,10 @@ def test_slices_reject_what_does_not_fit():
         il.write_n("re", [1.0, 2.0, 3.0, 4.0])
     il.write_n("re", [1.0, 2.0, 3.0])
     il.write_n("im", [10.0])
-    assert il.population("out0") == 3
-    with pytest.raises(BufferEmptyError, match="holds 3 of 4"):
-        il.read_n("out0", 4)
-    assert il.read_n("out0", 3) == [1.0, 10.0, 2.0]
+    assert il.population("out0") == 2  # whole (re, im) pairs only
+    with pytest.raises(BufferEmptyError, match="holds 2 of 3"):
+        il.read_n("out0", 3)
+    assert il.read_n("out0", 2) == [1.0, 10.0]
     assert il.stores == 4
     with pytest.raises(UnknownPortError):
         il.write_n("bogus", [])

@@ -6,7 +6,7 @@ from graphgen import build_random_app_graph
 from pafg import transform
 from pafg.actors import default_library
 from pafg.apps import ForkCascadeConfig, build_evm_graph, build_fork_cascade, generate_evm_inputs
-from pafg.dataflow import AppGraphBuilder
+from pafg.dataflow import ActorSpec, AppGraphBuilder
 from pafg.errors import (
     NotACandidateError,
     TransformError,
@@ -16,6 +16,7 @@ from pafg.errors import (
 from pafg.ir import (
     ACTV,
     PSSV,
+    Block,
     CoordinatedPafg,
     Pafg,
     check_abc,
@@ -265,11 +266,11 @@ def test_fixpoint_matches_rescan_on_apps(lib, monkeypatch):
 
 
 def test_non_alternating_input_is_rejected(lib):
-    # the chain's direct PAFG plus an active-active edge A -> C: B is still
-    # a candidate, so only the alternation check can refuse it
+    # the chain's direct PAFG with its buffer B -> C coordinated active: B is
+    # still a candidate, so only the alternation check can refuse it
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
-    bad = CoordinatedPafg(Pafg(z.pafg.blocks, z.pafg.edges | {("A", "C")}), z.coordination, g)
+    bad = CoordinatedPafg(z.pafg, dict(z.coordination, **{"B.out0->C.in": ACTV}))
     assert [c.block for c in find_candidates(bad, lib)] == ["B"]
     with pytest.raises(TransformError, match="alternating PAFGs only"):
         passivize(bad, lib, "B")
@@ -280,13 +281,13 @@ def test_non_alternating_input_is_rejected(lib):
 
 
 def test_non_associated_input_is_rejected(lib):
-    # the chain's direct PAFG without its connection A -> A.out->B.in: still
-    # alternating, and B is still a candidate, so only the association check
-    # can refuse it
+    # the chain's direct PAFG with the fork's block standing for another
+    # fork of the same name: still alternating, and B is still a candidate,
+    # so only the association check can refuse it
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
-    edges = z.pafg.edges - {("A", "A.out->B.in")}
-    bad = CoordinatedPafg(Pafg(z.pafg.blocks, edges), z.coordination, g)
+    blocks = dict(z.pafg.blocks, B=Block(ActorSpec("B", "fork", {"fanout": 2})))
+    bad = CoordinatedPafg(Pafg(blocks, g), z.coordination)
     assert is_alternating(bad) and not check_association(g, bad.pafg)
     assert [c.block for c in find_candidates(bad, lib)] == ["B"]
     with pytest.raises(TransformError, match="associated PAFGs only"):
