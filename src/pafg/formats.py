@@ -14,40 +14,29 @@ has a block, and the bedge lines list exactly the connections the PAFG
 derives from its blocks (ir.block_edges), once each.
 
 A value is an int if int() reads it, else a float if float() does, else a
-string. With a library, an edge must join ports its actors' kinds declare.
+string. An edge takes no key but capacity and type. With a library, an
+edge must join ports its actors' kinds declare.
 
 Blank lines and '#' comments are ignored. Sample files carry one decimal
 value per line, written with %.17g so float64 values round-trip exactly.
 """
 
-import re
-import sys
-
 from .dataflow import AppGraphBuilder, F64, I64
 from .errors import ParseError, PafgError
 from .ir import ACTV, Block, CoordinatedPafg, PSSV, Pafg
 
-_SPACE = r"[^\S\x1c-\x1f]*"  # what int() and float() strip: isspace() but \x1c-\x1f
-_DIGITS = r"\d(?:_?\d)*"  # Unicode decimal digits, single underscores between them
-# int() refuses more decimal digits than _int_limit() (0 for none, else >= 640); float() doesn't
-_int_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-_NUMBER = re.compile(
-    rf"{_SPACE}[+-]?(?:(?P<int>{_DIGITS})|(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})"
-    rf"(?:[eE][+-]?{_DIGITS})?|[iI][nN][fF](?:[iI][nN][iI][tT][yY])?|[nN][aA][nN]){_SPACE}"
-)
-
 
 def _parse_value(text):
-    if text.isdecimal() and len(text) <= 640:  # plain decimals and words skip the regex
-        return int(text)
     if text[:1].isalpha() and text[0] not in "iInN":  # no number starts with another letter
         return text
-    m = _NUMBER.fullmatch(text)
-    if m is None:
-        return text
-    if m["int"] is None or len(text) > 640 and 0 < _int_limit() < sum(map(str.isdecimal, text)):
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
         return float(text)
-    return int(text)
+    except ValueError:
+        return text
 
 
 def _format_value(value):
@@ -95,6 +84,9 @@ def _build_app_graph(records):
                         line=lineno,
                     )
                 params = _parse_params(rest[3:], lineno)
+                unknown = params.keys() - {"capacity", "type"}
+                if unknown:
+                    raise ParseError(f"unknown edge key {min(unknown)!r}", line=lineno)
                 if "capacity" not in params:
                     raise ParseError("edge needs capacity=<int>", line=lineno)
                 builder.edge(
@@ -173,10 +165,10 @@ def parse_pafg(text, lib=None):
             if (a, b) in bedges:
                 raise ParseError(f"duplicate bedge {a} -> {b}", line=lineno)
             bedges[a, b] = lineno
-    for name in app_graph.actors:
-        if name not in blocks:
-            raise ParseError(f"actor {name!r} has no block")
-    pafg = Pafg(blocks, app_graph)
+    try:
+        pafg = Pafg(blocks, app_graph)
+    except PafgError as exc:  # an actor without a block
+        raise ParseError(str(exc)) from exc
     implied = pafg.edges  # derived from the blocks
     for (a, b), lineno in bedges.items():
         if (a, b) not in implied:

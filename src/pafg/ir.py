@@ -1,6 +1,6 @@
 """Passive-active flowgraph IR: blocks with provenance into an application
 graph, coordination functions, and the structural validators (alternating
-condition, adjacent-buffer restriction, association).
+condition, adjacent-buffer restriction).
 
 Block taxonomy. A block's provenance is the application graph's own record:
 a DataflowEdge makes it a simple passive buffer named by the edge's
@@ -8,9 +8,10 @@ signature, an ActorSpec a non-simple block named after the actor, which is
 computational or a buffer block depending on whether the actor kind has a
 passive implementation in the library. Simple blocks are always passive,
 computational blocks always active; the coordination function's real
-freedom is the non-simple buffer blocks. A PAFG derives its block
-connections from its blocks and application graph once, when it is built,
-so association reduces to provenance and actor coverage.
+freedom is the non-simple buffer blocks. A PAFG is associated with its
+application graph by construction: when it is built it checks that every
+block's provenance is the graph's own record and that every actor has a
+block, and derives its block connections from the blocks and the graph.
 """
 
 from dataclasses import dataclass
@@ -57,17 +58,29 @@ class Block:
 
 @dataclass(frozen=True)
 class Pafg:
-    """Blocks by name over the application graph they realize. The (src,
-    dst) block connections, edges = block_edges(blocks, source), and graph
-    are derived once and are not fields, so they take no part in equality."""
+    """Blocks by name over the application graph they realize: each block's
+    provenance is the graph's own record, and every actor has a block. The
+    (src, dst) block connections, edges = block_edges(blocks, source), and
+    graph are derived once and are not fields, so they take no part in
+    equality."""
 
     blocks: dict
     source: object  # ApplicationGraph
 
     def __post_init__(self):
+        actors, edges = self.source.actors, self.source.edges
         for name, b in self.blocks.items():
             if b.name != name:
                 raise IrError(f"block table key {name!r} does not match block {b.name!r}")
+            p = b.provenance
+            own = edges.get((p.src, p.snk)) if b.is_simple else actors.get(name)
+            if own is not p and own != p:
+                raise DanglingProvenanceError(
+                    f"block {name!r}: provenance is not its application graph's own record"
+                )
+        if not actors.keys() <= self.blocks.keys():
+            name = next(n for n in actors if n not in self.blocks)
+            raise IrError(f"actor {name!r} has no block")
         object.__setattr__(self, "edges", block_edges(self.blocks, self.source))
         object.__setattr__(self, "graph", DirectedGraph.of(self.blocks, self.edges))
 
@@ -136,30 +149,9 @@ def block_edges(blocks, app_graph):
 
 
 def check_association(app_graph, pafg):
-    """True iff pafg's application graph is app_graph, every simple block's
-    edge and every non-simple block's actor is the graph's own record, and
-    every actor has a block; the connections are block_edges by
-    construction, and unique block names read off the provenance make the
-    map injective. A simple block whose edge disagrees with the graph's
-    edge between the same actors is corrupt and raises."""
-    if pafg.source is not app_graph and pafg.source != app_graph:
-        return False
-    for b in pafg.blocks.values():
-        p = b.provenance
-        if not b.is_simple:
-            actor = app_graph.actors.get(p.name)
-            if actor is not p and actor != p:
-                return False
-            continue
-        edge = app_graph.edges.get((p.src, p.snk))
-        if edge is None:
-            return False
-        if edge is not p and edge != p:
-            raise DanglingProvenanceError(
-                f"block {b.name!r}: provenance {p.signature} disagrees with "
-                f"edge {edge.signature}"
-            )
-    return app_graph.actors.keys() <= pafg.blocks.keys()
+    """True iff pafg realizes app_graph. Every Pafg is associated with its
+    own application graph by construction, so this compares the graphs."""
+    return pafg.source is app_graph or pafg.source == app_graph
 
 
 def validate_coordinated(z, lib):
@@ -178,5 +170,3 @@ def validate_coordinated(z, lib):
             raise IrError(f"passive interface block {name!r} is not supported")
         elif b.capacity is None:
             raise IrError(f"passive block {name!r} has no capacity")
-    if not check_association(z.source, z.pafg):
-        raise IrError("PAFG is not associated with its application graph")

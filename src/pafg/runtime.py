@@ -266,14 +266,17 @@ def instantiate(z, lib, source_data):
         elif block.is_simple:
             kernels[name] = PassiveKernel(block.capacity)
         else:
-            kernels[name] = lib.make_passive(block.provenance, block.capacity)
+            try:
+                kernels[name] = lib.make_passive(block.provenance, block.capacity)
+            except KernelError as exc:  # a capacity the ring rejects
+                raise KernelError(f"passive block {name!r}: {exc}") from exc
 
     # (input ports, output ports) of every block, active or passive: an
     # application edge may only touch ports its endpoints declare.
     declared = {name: (a.input_ports, a.output_ports) for name, a in actors.items()}
     declared.update((name, (k.write_ports, k.read_ports)) for name, k in kernels.items())
 
-    # validate_coordinated checked association, so each application edge
+    # every PAFG is associated by construction, so each application edge
     # runs through its surviving simple ring or, absorbed, joins its two
     # endpoints, which alternation makes one active and one passive.
     ins = {name: {} for name in actors}

@@ -25,7 +25,6 @@ from .ir import (
     CoordinatedPafg,
     PSSV,
     Pafg,
-    check_association,
     is_alternating,
 )
 
@@ -68,10 +67,12 @@ def _candidate_for(z, lib, name):
     succs = g.succ(name)
     if not preds or not succs:
         return None, f"block {name!r} is an interface block"
-    for neighbor in preds | succs:
-        if not z.pafg.block(neighbor).is_simple:
-            return None, f"neighbor {neighbor!r} of {name!r} is not a simple passive buffer"
-    return PassivizationCandidate(name, frozenset(preds | succs)), None
+    neighbors = preds | succs
+    blocks = z.pafg.blocks
+    if not all(blocks[n].is_simple for n in neighbors):
+        neighbor = min(n for n in neighbors if not blocks[n].is_simple)
+        return None, f"neighbor {neighbor!r} of {name!r} is not a simple passive buffer"
+    return PassivizationCandidate(name, frozenset(neighbors)), None
 
 
 def find_candidates(z, lib):
@@ -115,8 +116,6 @@ def passivize(z, lib, name):
 def _require_input(z):
     if not is_alternating(z):
         raise TransformError("passivization is defined on alternating PAFGs only")
-    if not check_association(z.source, z.pafg):
-        raise TransformError("passivization is defined on associated PAFGs only")
 
 
 def _largest_rate(lib, spec, port, side):

@@ -10,7 +10,13 @@ from pafg.cli import cli_main
 from pafg.actors import default_library
 from pafg.formats import read_samples, serialize_graph, serialize_pafg, write_samples
 from pafg.transform import derive_direct_pafg, passivize_fixpoint
-from topologies import FORK_GRAPH, chain_graph, rename_block, ten_plus_four_graph
+from topologies import (
+    FORK_GRAPH,
+    chain_graph,
+    interleave_graph,
+    rename_block,
+    ten_plus_four_graph,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -200,6 +206,32 @@ def test_run_rejects_blocks_that_do_not_realize_the_graph(tmp_path, capsys, auto
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(message) and "Traceback" not in err
+
+
+def test_run_names_the_passive_block_whose_ring_cannot_be_built(tmp_path, capsys):
+    # a passive interleave's ring has 2 write ports, so capacity=1 parses
+    # but cannot be built; the error names the block
+    lib = default_library()
+    z, _ = passivize_fixpoint(derive_direct_pafg(interleave_graph(), lib), lib)
+    line = next(ln for ln in serialize_pafg(z).splitlines() if ln.startswith("block IL "))
+    pafg_file = tmp_path / "il.pafg"
+    pafg_file.write_text(
+        serialize_pafg(z).replace(line, line.rsplit(" ", 1)[0] + " capacity=1"), encoding="utf-8"
+    )
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    write_samples(inputs / "re.txt", [1.0])
+    write_samples(inputs / "im.txt", [2.0])
+    code = cli_main(
+        ["run", str(pafg_file), "--inputs", str(inputs), "--outputs", str(tmp_path / "out"),
+         "--sink-tokens", "2"]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(
+        "error: passive block 'IL': a ring with 2 write ports needs capacity >= 2, got 1"
+    )
+    assert "Traceback" not in err
 
 
 def test_run_requires_stop_condition(chain_file, tmp_path):

@@ -101,6 +101,15 @@ def test_edge_needs_capacity():
         assert err.value.line == 3
 
 
+@pytest.mark.parametrize("keys", ["color=red", "type=f64 color=red", "capacity_=1"])
+def test_edge_rejects_unknown_key(lib, keys):
+    text = f"actor S src\nactor A snk\nedge S.out -> A.in capacity=1 {keys}\n"
+    key = next(k for k, _ in (t.split("=") for t in keys.split()) if k != "type")
+    for parse in (parse_graph, parse_pafg):
+        with pytest.raises(ParseError, match=f"line 3: unknown edge key '{key}'"):
+            parse(text, lib=lib)
+
+
 def test_unknown_kind_is_semantic_error(lib):
     with pytest.raises(ParseError) as err:
         parse_graph("actor A warp\n", lib=lib)

@@ -5,7 +5,7 @@ import pytest
 from graphgen import build_random_app_graph
 from pafg.actors import default_library
 from pafg.dataflow import ActorSpec, AppGraphBuilder, DataflowEdge
-from pafg.errors import DanglingProvenanceError, IrError, UnknownVertexError
+from pafg.errors import DanglingProvenanceError, IrError
 from pafg.ir import (
     ACTV,
     Block,
@@ -104,14 +104,14 @@ def test_association_survives_passivization(lib):
 
 
 def test_association_false_for_foreign_edge(lib):
+    # g has no edge through the ghost, so a PAFG cannot hold its block
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
     ghost = Block(DataflowEdge("X", "out", "Y", "in", 4), capacity=4)
     blocks = dict(z.pafg.blocks)
     blocks[ghost.name] = ghost
-    pafg = Pafg(blocks, g)
-    assert pafg.edges == z.pafg.edges  # g has no edge through the ghost
-    assert not check_association(g, pafg)
+    with pytest.raises(DanglingProvenanceError, match=r"block 'X\.out->Y\.in': provenance"):
+        Pafg(blocks, g)
 
 
 def test_association_rejects_port_mismatch(lib):
@@ -120,9 +120,8 @@ def test_association_rejects_port_mismatch(lib):
     p = Block(DataflowEdge("A", "bogus", "B", "in", 100), capacity=100)
     blocks = {n: b for n, b in z.pafg.blocks.items() if n != "A.out->B.in"}
     blocks[p.name] = p
-    pafg = Pafg(blocks, g)
-    with pytest.raises(DanglingProvenanceError):
-        check_association(g, pafg)
+    with pytest.raises(DanglingProvenanceError, match=r"block 'A\.bogus->B\.in': provenance"):
+        Pafg(blocks, g)
 
 
 def test_association_requires_injectivity(lib):
@@ -138,21 +137,27 @@ def test_association_false_for_foreign_actor_spec(lib):
     z = derive_direct_pafg(g, lib)
     blocks = dict(z.pafg.blocks)
     blocks["B"] = Block(ActorSpec("B", "fork", {"fanout": 2}))
-    assert not check_association(g, Pafg(blocks, g))
+    with pytest.raises(DanglingProvenanceError, match="block 'B': provenance"):
+        Pafg(blocks, g)
+    blocks["Z"] = Block(ActorSpec("Z", "snk"))  # no actor of that name at all
+    del blocks["B"]
+    with pytest.raises(DanglingProvenanceError, match="block 'Z': provenance"):
+        Pafg(blocks, g)
 
 
 def test_association_false_without_an_actor_block(lib):
-    # an isolated actor without a block leaves no connection dangling, so
-    # only the association check can notice it
+    # an isolated actor without a block leaves no connection dangling
     g = AppGraphBuilder().actor("A", "src").actor("D", "snk").build()
     z = derive_direct_pafg(g, lib)
-    assert not check_association(g, Pafg({"A": z.pafg.block("A")}, g))
-    # an actor with an edge but no block leaves a connection without an end
+    with pytest.raises(IrError, match="actor 'D' has no block"):
+        Pafg({"A": z.pafg.block("A")}, g)
+    # an actor with an edge but no block is named before its connections
+    # are derived
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
     gone = {"C", "B.out0->C.in"}
     blocks = {n: b for n, b in z.pafg.blocks.items() if n not in gone}
-    with pytest.raises(UnknownVertexError, match="unknown vertex 'C'"):
+    with pytest.raises(IrError, match="actor 'C' has no block"):
         Pafg(blocks, g)
 
 

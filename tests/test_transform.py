@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from pafg.actors import default_library
 from pafg.apps import ForkCascadeConfig, build_evm_graph, build_fork_cascade, generate_evm_inputs
 from pafg.dataflow import ActorSpec, AppGraphBuilder
 from pafg.errors import (
+    DanglingProvenanceError,
     NotACandidateError,
     TransformError,
     UnknownKindError,
@@ -34,6 +39,8 @@ from pafg.transform import (
 )
 from topologies import chain_graph, gain_fork_cluster_graph, ten_plus_four_graph
 from transform_checks import assert_step_arithmetic
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -282,20 +289,46 @@ def test_non_alternating_input_is_rejected(lib):
 
 def test_non_associated_input_is_rejected(lib):
     # the chain's direct PAFG with the fork's block standing for another
-    # fork of the same name: still alternating, and B is still a candidate,
-    # so only the association check can refuse it
+    # fork of the same name would be alternating with B still a candidate,
+    # so the PAFG refuses it when it is built and passivize never sees it
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
     blocks = dict(z.pafg.blocks, B=Block(ActorSpec("B", "fork", {"fanout": 2})))
-    bad = CoordinatedPafg(Pafg(blocks, g), z.coordination)
-    assert is_alternating(bad) and not check_association(g, bad.pafg)
-    assert [c.block for c in find_candidates(bad, lib)] == ["B"]
-    with pytest.raises(TransformError, match="associated PAFGs only"):
-        passivize(bad, lib, "B")
-    with pytest.raises(TransformError, match="associated PAFGs only"):
-        passivize_fixpoint(bad, lib)
-    with pytest.raises(TransformError, match="associated PAFGs only"):
-        passivize_fixpoint(bad, lib, blocks=["B"])
+    with pytest.raises(DanglingProvenanceError, match="block 'B': provenance"):
+        Pafg(blocks, g)
+
+
+REFUSED_BETWEEN_TWO_PASSIVE_BLOCKS = """
+from pafg.actors import default_library
+from pafg.dataflow import AppGraphBuilder
+from pafg.errors import NotACandidateError
+from pafg.transform import derive_direct_pafg, passivize, passivize_fixpoint
+
+b = AppGraphBuilder().actor("S", "src").actor("K", "snk")
+for name in "FGH":
+    b.actor(name, "fork", fanout=1)
+b.edge("S.out", "F.in", capacity=4).edge("F.out0", "G.in", capacity=4)
+b.edge("G.out0", "H.in", capacity=4).edge("H.out0", "K.in", capacity=4)
+lib = default_library()
+z, log = passivize_fixpoint(derive_direct_pafg(b.build(), lib), lib)
+assert [step.block for step in log] == ["F", "H"]
+try:
+    passivize(z, lib, "G")
+except NotACandidateError as exc:
+    print(exc)
+"""
+
+
+def test_refused_passivize_names_the_least_neighbor_by_name():
+    # G's neighbours F and H are both passive; the message must not depend
+    # on the order in which a set of strings iterates
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", REFUSED_BETWEEN_TWO_PASSIVE_BLOCKS],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC)),
+        )
+        assert proc.stdout == "neighbor 'F' of 'G' is not a simple passive buffer\n", seed
 
 
 def test_bmr_chain(lib):
