@@ -61,10 +61,6 @@ class NotACandidateError(TransformError):
     pass
 
 
-class MissingCapacityError(TransformError):
-    pass
-
-
 class UnresolvableRateError(TransformError):
     pass
 

@@ -9,9 +9,10 @@ line per block and per block connection:
     block <name> kind=<kind|simple> coord=<actv|pssv>
           from=<actor:<name>|edge:<src.port->dst.port>> [capacity=<int>]
     bedge <a> -> <b>
-A block's name is its actor's name or its edge's signature. Every actor
-has a block, and the bedge lines list exactly the connections the PAFG
-derives from its blocks (ir.block_edges), once each.
+A block's name is its actor's name or its edge's signature, and its kind
+is its actor's kind or simple. Every actor has a block, the coordination
+is one a CoordinatedPafg accepts, and the bedge lines list exactly the
+connections the PAFG derives from its blocks (ir.block_edges), once each.
 
 A value is an int if int() reads it, else a float if float() does, else a
 string. An edge takes no key but capacity and type. With a library, an
@@ -21,14 +22,14 @@ Blank lines and '#' comments are ignored. Sample files carry one decimal
 value per line, written with %.17g so float64 values round-trip exactly.
 """
 
-from .dataflow import AppGraphBuilder, F64, I64
+from .dataflow import AppGraphBuilder, DataflowEdge, F64, I64
 from .errors import ParseError, PafgError
 from .ir import ACTV, Block, CoordinatedPafg, PSSV, Pafg
 
 
 def _parse_value(text):
-    if text[:1].isalpha() and text[0] not in "iInN":  # no number starts with another letter
-        return text
+    if text[:1].isalpha() and text.strip().lower() not in ("inf", "infinity", "nan"):
+        return text  # the only words float() reads that start with a letter
     try:
         return int(text)
     except ValueError:
@@ -151,13 +152,16 @@ def parse_pafg(text, lib=None):
     app_graph = _build_app_graph([r for r in records if r[1] in ("actor", "edge")])
     _check_kinds(app_graph, lib, records)
 
-    edges = {e.signature: e for e in app_graph.edges.values()}
+    origins = {}  # from= value -> (its record, the kind= word of its block line)
+    for record in (*app_graph.actors.values(), *app_graph.edges.values()):
+        kind, origin = _block_words(record)
+        origins[origin] = record, kind
     blocks = {}
     coordination = {}
     bedges = {}  # (a, b) -> line
     for lineno, directive, rest in records:
         if directive == "block":
-            _parse_block(rest, lineno, app_graph.actors, edges, blocks, coordination)
+            _parse_block(rest, lineno, origins, blocks, coordination)
         elif directive == "bedge":
             if len(rest) != 3 or rest[1] != "->":
                 raise ParseError("bedge needs the form: bedge <a> -> <b>", line=lineno)
@@ -166,10 +170,10 @@ def parse_pafg(text, lib=None):
                 raise ParseError(f"duplicate bedge {a} -> {b}", line=lineno)
             bedges[a, b] = lineno
     try:
-        pafg = Pafg(blocks, app_graph)
-    except PafgError as exc:  # an actor without a block
+        z = CoordinatedPafg(Pafg(blocks, app_graph), coordination)
+    except PafgError as exc:  # about a block or an actor, not a line
         raise ParseError(str(exc)) from exc
-    implied = pafg.edges  # derived from the blocks
+    implied = z.pafg.edges  # derived from the blocks
     for (a, b), lineno in bedges.items():
         if (a, b) not in implied:
             raise ParseError(f"bedge {a} -> {b} is not a connection the blocks imply", line=lineno)
@@ -177,12 +181,19 @@ def parse_pafg(text, lib=None):
     if missing:
         a, b = min(missing)
         raise ParseError(f"missing bedge {a} -> {b}")
-    return CoordinatedPafg(pafg, coordination)
+    return z
 
 
-def _parse_block(rest, lineno, actors, edges, blocks, coordination):
-    """One block line. actors maps names to ActorSpecs, edges signatures to
-    DataflowEdges; the block's name must be its provenance's name."""
+def _block_words(record):
+    """The kind= and from= words of the block line for an actor or edge."""
+    if isinstance(record, DataflowEdge):
+        return "simple", f"edge:{record.signature}"
+    return record.kind, f"actor:{record.name}"
+
+
+def _parse_block(rest, lineno, origins, blocks, coordination):
+    """One block line, read by the rule serialize_pafg writes it with
+    (_block_words); the block's name must be its record's name."""
     if not rest:
         raise ParseError("block needs a name", line=lineno)
     name = rest[0]
@@ -194,31 +205,17 @@ def _parse_block(rest, lineno, actors, edges, blocks, coordination):
             raise ParseError(f"block needs {required}=...", line=lineno)
     coord = params["coord"]
     if coord not in (PSSV, ACTV):
-        raise ParseError(f"bad coordination {coord!r}", line=lineno)
-
-    origin = str(params["from"])
-    tag, sep, target = origin.partition(":")
-    if not sep or tag not in ("actor", "edge"):
-        raise ParseError(f"bad provenance {origin!r}", line=lineno)
-    if tag == "actor":
-        if params["kind"] == "simple":
-            raise ParseError("actor-provenance block cannot have kind=simple", line=lineno)
-        if target not in actors:
-            raise ParseError(f"provenance references unknown actor {target!r}", line=lineno)
-        provenance = actors[target]
-        if provenance.kind != params["kind"]:
-            raise ParseError(
-                f"block kind {params['kind']!r} disagrees with actor kind {provenance.kind!r}",
-                line=lineno,
-            )
-        if coord == PSSV and "capacity" not in params:
-            raise ParseError("passive block needs capacity=<int>", line=lineno)
-    else:
-        if params["kind"] != "simple":
-            raise ParseError("edge-provenance block must have kind=simple", line=lineno)
-        if target not in edges:
-            raise ParseError(f"provenance references unknown edge {target!r}", line=lineno)
-        provenance = edges[target]
+        raise ParseError(f"coord={coord!r} is neither {ACTV} nor {PSSV}", line=lineno)
+    origin = params["from"]
+    if origin not in origins:
+        raise ParseError(f"from={origin!r} names no actor or edge of the graph", line=lineno)
+    provenance, kind = origins[origin]
+    if params["kind"] != kind:
+        raise ParseError(
+            f"kind={params['kind']!r} disagrees with {origin}, whose kind is {kind!r}", line=lineno
+        )
+    if coord == PSSV and kind != "simple" and "capacity" not in params:
+        raise ParseError("passive block needs capacity=<int>", line=lineno)
     try:
         block = Block(provenance, params.get("capacity"))
     except PafgError as exc:  # a capacity the block rejects
@@ -236,8 +233,8 @@ def serialize_pafg(z):
     lines = [serialize_graph(z.source).rstrip("\n")]
     for name in sorted(z.pafg.blocks):
         b = z.pafg.blocks[name]
-        kind, tag = ("simple", "edge") if b.is_simple else (b.kind, "actor")
-        parts = [f"block {name} kind={kind} coord={z.coord(name)} from={tag}:{name}"]
+        kind, origin = _block_words(b.provenance)
+        parts = [f"block {name} kind={kind} coord={z.coord(name)} from={origin}"]
         if b.capacity is not None:
             parts.append(f"capacity={b.capacity}")
         lines.append(" ".join(parts))

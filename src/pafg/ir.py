@@ -12,6 +12,10 @@ freedom is the non-simple buffer blocks. A PAFG is associated with its
 application graph by construction: when it is built it checks that every
 block's provenance is the graph's own record and that every actor has a
 block, and derives its block connections from the blocks and the graph.
+A coordinated PAFG checks when it is built that every block is actv or
+pssv, a simple block passive, and a passive non-simple block has a
+capacity, a producer and a consumer. validate_coordinated checks the one
+rule that needs the library: a computational block is active.
 """
 
 from dataclasses import dataclass
@@ -93,8 +97,9 @@ class Pafg:
 
 @dataclass(frozen=True)
 class CoordinatedPafg:
-    """A PAFG plus its coordination function. source, the application
-    graph the provenance links point back to, is the PAFG's own."""
+    """A PAFG plus its coordination function, checked when it is built.
+    source, the application graph the provenance links point back to, is
+    the PAFG's own."""
 
     pafg: Pafg
     coordination: dict
@@ -104,11 +109,22 @@ class CoordinatedPafg:
         return self.pafg.source
 
     def __post_init__(self):
-        if self.coordination.keys() != self.pafg.blocks.keys():
+        blocks = self.pafg.blocks
+        if self.coordination.keys() != blocks.keys():
             raise IrError("coordination function domain does not equal the block set")
         for name, c in self.coordination.items():
-            if c not in (PSSV, ACTV):
+            b = blocks[name]
+            if c == PSSV:
+                if b.is_simple:
+                    continue  # its edge gives it a capacity, a producer and a consumer
+                if b.capacity is None:
+                    raise IrError(f"passive block {name!r} has no capacity")
+                if is_interface_block(self.pafg, name):
+                    raise IrError(f"passive interface block {name!r} is not supported")
+            elif c != ACTV:
                 raise IrError(f"block {name!r}: bad coordination value {c!r}")
+            elif b.is_simple:
+                raise IrError(f"simple block {name!r} must be coordinated {PSSV}")
 
     def coord(self, name):
         return self.coordination[name]
@@ -155,18 +171,10 @@ def check_association(app_graph, pafg):
 
 
 def validate_coordinated(z, lib):
-    """Reject ill-formed coordinated PAFGs: non-total or mistyped
-    coordination (handled at construction), active simple blocks, passive
-    computational blocks, and passive interface blocks (which would have
-    no producer or no consumer to drive them)."""
+    """The one coordination rule that needs the library: a block whose kind
+    has no passive implementation is computational and must be active. A
+    CoordinatedPafg checks the rest of its coordination when it is built."""
     coord = z.coordination
     for name, b in z.pafg.blocks.items():
-        if coord[name] != PSSV:
-            if b.is_simple:
-                raise IrError(f"simple block {name!r} must be coordinated {PSSV}")
-        elif not b.is_simple and not lib.is_buffer_actor(b.kind):
+        if coord[name] == PSSV and not b.is_simple and not lib.is_buffer_actor(b.kind):
             raise IrError(f"computational block {name!r} must be coordinated {ACTV}")
-        elif is_interface_block(z.pafg, name):
-            raise IrError(f"passive interface block {name!r} is not supported")
-        elif b.capacity is None:
-            raise IrError(f"passive block {name!r} has no capacity")

@@ -278,9 +278,10 @@ def instantiate(z, lib, source_data):
 
     # every PAFG is associated by construction, so each application edge
     # runs through its surviving simple ring or, absorbed, joins its two
-    # endpoints, which alternation makes one active and one passive.
-    ins = {name: {} for name in actors}
-    outs = {name: {} for name in actors}
+    # endpoints, which alternation makes one active and one passive. Every
+    # actor's block gets its bindings; a passive block's are only counted.
+    ins = {name: {} for name in z.source.actors}
+    outs = {name: {} for name in z.source.actors}
     for e in z.source.edges.values():
         for block, port, side in ((e.src, e.src_port, 1), (e.snk, e.snk_port, 0)):
             if port not in declared[block][side]:
@@ -294,22 +295,23 @@ def instantiate(z, lib, source_data):
         else:
             write = (e.src_port, kernels.get(e.snk), e.snk_port)
             read = (e.snk_port, kernels.get(e.src), e.src_port)
-        if e.src in actors:
-            outs[e.src][e.src_port] = write
-        if e.snk in actors:
-            ins[e.snk][e.snk_port] = read
+        outs[e.src][e.src_port] = write
+        ins[e.snk][e.snk_port] = read
+
+    # every bound port is declared, so a port is unbound iff a count differs
+    for name, bound_ins in ins.items():
+        (in_ports, out_ports), bound_outs = declared[name], outs[name]
+        if len(bound_ins) != len(in_ports) or len(bound_outs) != len(out_ports):
+            for port in in_ports:
+                if port not in bound_ins:
+                    raise RuntimeExecutionError(f"input port {name}.{port} is unbound")
+            for port in out_ports:
+                if port not in bound_outs:
+                    raise RuntimeExecutionError(f"output port {name}.{port} is unbound")
 
     stations = {}
     for name, actor in actors.items():
         bound_ins, bound_outs = ins[name], outs[name]
-        # every bound port is declared, so a port is unbound iff a count differs
-        if len(bound_ins) != len(actor.input_ports) or len(bound_outs) != len(actor.output_ports):
-            for port in actor.input_ports:
-                if port not in bound_ins:
-                    raise RuntimeExecutionError(f"input port {name}.{port} is unbound")
-            for port in actor.output_ports:
-                if port not in bound_outs:
-                    raise RuntimeExecutionError(f"output port {name}.{port} is unbound")
         if actor.is_source:
             if name not in source_data:
                 raise UnboundIoError(f"source actor {name!r} has no bound input data")

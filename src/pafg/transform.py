@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .dataflow import TOKEN_BYTES
 from .errors import (
-    MissingCapacityError,
     NotACandidateError,
     TransformError,
     UnknownKindError,
@@ -221,15 +220,10 @@ class BmrReport:
 def compute_bmr(z):
     """Buffer memory requirement: capacity times token width summed over
     every passive block, simple or not."""
-    report = BmrReport()
     coord = z.coordination
-    for name, b in z.pafg.blocks.items():
-        if coord[name] != PSSV:
-            continue
-        if b.capacity is None:
-            raise MissingCapacityError(f"passive block {name!r} has no capacity")
-        report.per_block[name] = b.capacity * TOKEN_BYTES
-    return report
+    return BmrReport(
+        {n: b.capacity * TOKEN_BYTES for n, b in z.pafg.blocks.items() if coord[n] == PSSV}
+    )
 
 
 def estimate_copy_count(z, produced_per_block):

@@ -223,6 +223,61 @@ def test_pafg_rejects_actor_without_block(lib):
     text = serialize_pafg(derive_direct_pafg(chain_graph(), lib))
     with pytest.raises(ParseError, match="actor 'C' has no block"):
         parse_pafg(text.replace("block C kind=snk coord=actv from=actor:C\n", ""), lib=lib)
+@pytest.mark.parametrize(
+    "line, fault",
+    [
+        ("block", "block needs a name"),
+        ("block A kind=src coord=actv from=actor:A", "duplicate block 'A'"),
+        ("block B kind=fork coord=actv from=actor:B color", "got 'color'"),
+        ("block B kind=fork kind=fork coord=actv from=actor:B", "duplicate key 'kind'"),
+        ("block B coord=actv from=actor:B", "block needs kind="),
+        ("block B kind=fork from=actor:B", "block needs coord="),
+        ("block B kind=fork coord=actv", "block needs from="),
+        ("block B kind=fork coord=warm from=actor:B", "coord='warm'"),
+        ("block B kind=fork coord=actv from=B", "from='B'"),
+        ("block B kind=fork coord=actv from=node:B", "from='node:B'"),
+        ("block B kind=fork coord=actv from=actor:NOPE", "from='actor:NOPE'"),
+        ("block B kind=fork coord=actv from=edge:A.out->C.in", "from='edge:A.out->C.in'"),
+        ("block B kind=fork coord=actv from=7", "from=7"),
+        ("block B kind=simple coord=actv from=actor:B", "kind='simple' disagrees"),
+        ("block B kind=gain coord=actv from=actor:B", "kind='gain' disagrees"),
+        ("block B kind=fork coord=pssv from=edge:A.out->B.in", "kind='fork' disagrees"),
+        ("block B kind=fork coord=pssv from=actor:B", "needs capacity="),
+        ("block B kind=fork coord=pssv from=actor:B capacity=0", "capacity 0"),
+        ("block B kind=snk coord=actv from=actor:C", "must be named 'C'"),
+    ],
+)
+def test_block_line_rejection_names_its_line_and_key(lib, line, fault):
+    lines = serialize_pafg(derive_direct_pafg(chain_graph(), lib)).splitlines()
+    lineno = lines.index("block B kind=fork coord=actv from=actor:B") + 1
+    lines[lineno - 1] = line
+    with pytest.raises(ParseError) as err:
+        parse_pafg("\n".join(lines), lib=lib)
+    assert err.value.line == lineno
+    assert fault in str(err.value)
+
+
+INTERFACE_RING = """actor F fork fanout=1
+actor C snk
+edge F.out0 -> C.in capacity=4 type=f64
+block C kind=snk coord=actv from=actor:C
+block F kind=fork coord=pssv from=actor:F capacity=4
+bedge F -> C
+"""
+
+
+def test_ill_formed_coordination_is_rejected_naming_its_block(lib):
+    direct = serialize_pafg(derive_direct_pafg(chain_graph(), lib))
+    active_simple = direct.replace("kind=simple coord=pssv", "kind=simple coord=actv", 1)
+    for text, message in (
+        (active_simple, "simple block 'A.out->B.in' must be coordinated pssv"),
+        (INTERFACE_RING, "passive interface block 'F' is not supported"),
+    ):
+        with pytest.raises(ParseError, match=f"^{message}$") as err:
+            parse_pafg(text, lib=lib)
+        assert err.value.line is None
+
+
 def test_sample_round_trip(tmp_path, lib):
     values = [0.1, -1.5, 2.0 / 3.0, 1e-17, 123456.789]
     path = tmp_path / "samples.txt"
@@ -255,6 +310,7 @@ def test_bad_sample_file(tmp_path):
         ("0x10", "0x10"), ("actor:F1", "actor:F1"), ("i64", "i64"), ("", ""),
         ("1__0", "1__0"), ("_1", "_1"), ("1_", "1_"), ("1e", "1e"), (".", "."),
         ("nan(1)", "nan(1)"), ("infinit", "infinit"), ("\u0663", 3), (" 7 ", 7),
+        ("INF", float("inf")), ("interleave", "interleave"), ("name", "name"), ("nano", "nano"),
     ],
 )
 def test_parse_value_types(text, value):

@@ -212,6 +212,8 @@ def test_coordination_must_be_total(lib):
     partial.pop("A")
     with pytest.raises(IrError):
         CoordinatedPafg(z.pafg, partial)
+    with pytest.raises(IrError, match="block 'A': bad coordination value 'warm'"):
+        CoordinatedPafg(z.pafg, dict(z.coordination, A="warm"))
 
 
 def test_validator_rejects_active_simple_block(lib):
@@ -221,16 +223,29 @@ def test_validator_rejects_active_simple_block(lib):
     simple = next(n for n, b in z.pafg.blocks.items() if b.is_simple)
     coord[simple] = ACTV
     with pytest.raises(IrError, match=rf"simple block '{simple}' must be coordinated pssv"):
-        validate_coordinated(CoordinatedPafg(z.pafg, coord), lib)
+        CoordinatedPafg(z.pafg, coord)
 
 
 def test_validator_rejects_passive_computational_block(lib):
-    g = chain_graph()
+    # a well-formed passive block but for its kind, which only the library
+    # knows has no passive implementation
+    g = (
+        AppGraphBuilder()
+        .actor("A", "src")
+        .actor("G", "gain", k=2.0)
+        .actor("C", "snk")
+        .edge("A.out", "G.in", capacity=4)
+        .edge("G.out", "C.in", capacity=4)
+        .build()
+    )
     z = derive_direct_pafg(g, lib)
-    coord = dict(z.coordination)
-    coord["C"] = PSSV
-    with pytest.raises(IrError, match="computational block 'C' must be coordinated actv"):
-        validate_coordinated(CoordinatedPafg(z.pafg, coord), lib)
+    blocks = {n: b for n, b in z.pafg.blocks.items() if not b.is_simple}
+    blocks["G"] = Block(g.actor("G"), capacity=4)
+    coord = dict.fromkeys(blocks, ACTV) | {"G": PSSV}
+    z = CoordinatedPafg(Pafg(blocks, g), coord)  # alternating, and accepted
+    assert is_alternating(z)
+    with pytest.raises(IrError, match="computational block 'G' must be coordinated actv"):
+        validate_coordinated(z, lib)
 
 
 def test_validator_rejects_passive_block_without_capacity(lib):
@@ -239,7 +254,7 @@ def test_validator_rejects_passive_block_without_capacity(lib):
     coord = dict(z.coordination)
     coord["B"] = PSSV  # the fork's block was derived active, with no capacity
     with pytest.raises(IrError, match="passive block 'B' has no capacity"):
-        validate_coordinated(CoordinatedPafg(z.pafg, coord), lib)
+        CoordinatedPafg(z.pafg, coord)
 
 
 def test_validator_rejects_passive_interface_block(lib):
@@ -256,7 +271,7 @@ def test_validator_rejects_passive_interface_block(lib):
     blocks["F"] = Block(g.actor("F"), capacity=4)
     coord["F"] = PSSV  # F has no producers; nothing could ever write it
     with pytest.raises(IrError, match="passive interface block 'F' is not supported"):
-        validate_coordinated(CoordinatedPafg(Pafg(blocks, g), coord), lib)
+        CoordinatedPafg(Pafg(blocks, g), coord)
 
 
 def test_alternating_implies_abc_on_random_graphs(lib):

@@ -26,6 +26,7 @@ from pafg.errors import (
     UnboundIoError,
 )
 from pafg.graph import DirectedGraph
+from pafg.ir import ACTV, PSSV, Block, CoordinatedPafg, Pafg
 from pafg.runtime import compare_streams, data_order, instantiate
 from pafg.transform import (
     compute_bmr,
@@ -639,6 +640,93 @@ def test_instantiate_rejects_undeclared_ports(lib, ports, named, optimized):
         assert [step.block for step in log] == ["F"]
     with pytest.raises(RuntimeExecutionError, match=named):
         instantiate(z, lib, {"S": [1.0, 2.0]})
+
+
+def fork_with_an_unbound_output():
+    """S -> F(fork, fanout 3) -> A, B: F.out2 has no edge."""
+    return (
+        AppGraphBuilder()
+        .actor("S", "src")
+        .actor("F", "fork", fanout=3)
+        .actor("A", "snk")
+        .actor("B", "snk")
+        .edge("S.out", "F.in", capacity=4)
+        .edge("F.out0", "A.in", capacity=4)
+        .edge("F.out1", "B.in", capacity=4)
+        .build()
+    )
+
+
+def interleave_with_an_unbound_input():
+    """R -> IL.re, IL.out0 -> K: IL.im has no edge."""
+    return (
+        AppGraphBuilder()
+        .actor("R", "src")
+        .actor("IL", "interleave")
+        .actor("K", "snk")
+        .edge("R.out", "IL.re", capacity=4)
+        .edge("IL.out0", "K.in", capacity=4)
+        .build()
+    )
+
+
+@pytest.mark.parametrize(
+    "build, data, message",
+    [
+        (fork_with_an_unbound_output, {"S": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]},
+         "output port F.out2 is unbound"),
+        (interleave_with_an_unbound_input, {"R": [1.0, 2.0]}, "input port IL.im is unbound"),
+    ],
+)
+@pytest.mark.parametrize("optimized", [False, True])
+def test_instantiate_rejects_unbound_ports(lib, build, data, message, optimized):
+    # active, the buffer is an actor; passivized, it is a ring whose
+    # unbound port would keep its other readers or writers waiting forever
+    z = derive_direct_pafg(build(), lib)
+    if optimized:
+        z, log = passivize_fixpoint(z, lib)
+        assert len(log) == 1 and z.coord(log[0].block) == PSSV
+    with pytest.raises(RuntimeExecutionError, match=f"^{message}$"):
+        instantiate(z, lib, data)
+
+
+def test_instantiate_rejects_a_non_alternating_pafg(lib):
+    g = gain_chain()
+    blocks = {name: Block(spec) for name, spec in g.actors.items()}  # no buffers
+    z = CoordinatedPafg(Pafg(blocks, g), dict.fromkeys(blocks, ACTV))
+    with pytest.raises(RuntimeExecutionError, match="only alternating PAFGs are executable"):
+        instantiate(z, lib, {"SRC": [1.0]})
+
+
+class StrayEmitter(AlwaysReadyActor):
+    """A gain-like actor that also emits on a port it does not declare."""
+
+    kind = "stray"
+    input_ports = ("in",)
+    output_ports = ("out",)
+    _RATES = ({"in": 1}, {"out": 1})
+
+    def invoke(self, inputs, k=1):
+        return {"out": inputs["in"], "spare": inputs["in"]}
+
+
+def test_tokens_on_an_undeclared_port_are_a_contract_violation(lib):
+    custom = ActorLibrary()
+    for kind in ("src", "snk"):
+        custom.register(kind, lib.entry(kind).active_factory)
+    custom.register("stray", lambda s: StrayEmitter(s.name))
+    g = (
+        AppGraphBuilder()
+        .actor("A", "src")
+        .actor("B", "stray")
+        .actor("C", "snk")
+        .edge("A.out", "B.in", capacity=4)
+        .edge("B.out", "C.in", capacity=4)
+        .build()
+    )
+    inst = instantiate(derive_direct_pafg(g, custom), custom, {"A": [1.0]})
+    with pytest.raises(ContractViolationError, match=r"^B: .* unbound port\(s\) \['spare'\]$"):
+        inst.run(sink_token_target=1)
 
 
 def test_compare_streams_divergence():

@@ -167,6 +167,10 @@ def test_passivize_rejects_non_candidates(lib):
         passivize(z2, lib, "J4")  # neighbor is now a passive non-simple block
     with pytest.raises(NotACandidateError):
         passivize(z2, lib, "J3")  # already passive
+    g = AppGraphBuilder().actor("F", "fork", fanout=1).actor("C", "snk")
+    z3 = derive_direct_pafg(g.edge("F.out0", "C.in", capacity=4).build(), lib)
+    with pytest.raises(NotACandidateError, match="block 'F' is an interface block"):
+        passivize(z3, lib, "F")  # no producer
 
 
 def test_fixpoint_auto_matches_manual_order(lib):
@@ -273,11 +277,26 @@ def test_fixpoint_matches_rescan_on_apps(lib, monkeypatch):
 
 
 def test_non_alternating_input_is_rejected(lib):
-    # the chain's direct PAFG with its buffer B -> C coordinated active: B is
-    # still a candidate, so only the alternation check can refuse it
-    g = chain_graph()
+    # the chain's direct PAFG beside a source D wired straight to a sink E,
+    # without the simple buffer between them: B is still a candidate, so
+    # only the alternation check can refuse it
+    g = (
+        AppGraphBuilder()
+        .actor("A", "src")
+        .actor("B", "fork", fanout=1)
+        .actor("C", "snk")
+        .actor("D", "src")
+        .actor("E", "snk")
+        .edge("A.out", "B.in", capacity=100)
+        .edge("B.out0", "C.in", capacity=100)
+        .edge("D.out", "E.in", capacity=100)
+        .build()
+    )
     z = derive_direct_pafg(g, lib)
-    bad = CoordinatedPafg(z.pafg, dict(z.coordination, **{"B.out0->C.in": ACTV}))
+    blocks = dict(z.pafg.blocks)
+    del blocks["D.out->E.in"]
+    bad = CoordinatedPafg(Pafg(blocks, g), {n: z.coord(n) for n in blocks})
+    assert ("D", "E") in bad.pafg.edges and not is_alternating(bad)
     assert [c.block for c in find_candidates(bad, lib)] == ["B"]
     with pytest.raises(TransformError, match="alternating PAFGs only"):
         passivize(bad, lib, "B")
