@@ -15,16 +15,19 @@ is one a CoordinatedPafg accepts, and the bedge lines list exactly the
 connections the PAFG derives from its blocks (ir.block_edges), once each.
 
 A value is an int if int() reads it, else a float if float() does, else a
-string. An edge takes no key but capacity and type. With a library, an
-edge must join ports its actors' kinds declare.
+string. An edge takes no key but capacity and type. With a library, each
+actor line must declare a registered kind with parameters it accepts and
+each edge line must join ports its actors' kinds declare, checked as the
+line is read, so the first faulty line is the one reported; and a PAFG
+block whose kind has no passive implementation must be actv.
 
 Blank lines and '#' comments are ignored. Sample files carry one decimal
 value per line, written with %.17g so float64 values round-trip exactly.
 """
 
-from .dataflow import AppGraphBuilder, DataflowEdge, F64, I64
+from .dataflow import ActorSpec, AppGraphBuilder, DataflowEdge, F64, I64
 from .errors import ParseError, PafgError
-from .ir import ACTV, Block, CoordinatedPafg, PSSV, Pafg
+from .ir import ACTV, Block, CoordinatedPafg, PSSV, Pafg, validate_coordinated
 
 
 def _parse_value(text):
@@ -69,15 +72,23 @@ def _scan(text, allowed):
         yield lineno, directive, tokens[1:]
 
 
-def _build_app_graph(records):
+def _build_app_graph(records, lib=None):
+    """The application graph of the actor and edge records. With a library,
+    each actor line is declared and each edge's two ports checked against
+    its actors' declarations as the line is read, so a fault is reported at
+    the first line that has one."""
     builder = AppGraphBuilder()
+    ports = {}  # actor -> (input ports, output ports), with a library
     try:
         for lineno, directive, rest in records:
             if directive == "actor":
                 if len(rest) < 2:
                     raise ParseError("actor needs a name and a kind", line=lineno)
                 name, kind = rest[0], rest[1]
-                builder.actor(name, kind, _parse_params(rest[2:], lineno))
+                params = _parse_params(rest[2:], lineno)
+                builder.actor(name, kind, params)
+                if lib is not None:
+                    ports[name] = lib.declare(ActorSpec(name, kind, params))[:2]
             else:  # edge
                 if len(rest) < 4 or rest[1] != "->":
                     raise ParseError(
@@ -93,9 +104,16 @@ def _build_app_graph(records):
                 builder.edge(
                     rest[0], rest[2], capacity=params["capacity"], token_type=params.get("type", F64)
                 )
+                if lib is not None:
+                    for endpoint, side in ((rest[0], 1), (rest[2], 0)):
+                        actor, _, port = endpoint.rpartition(".")
+                        if port not in ports[actor][side]:
+                            raise ParseError(
+                                f"{actor}.{port} is not a declared port of {actor}", line=lineno
+                            )
     except ParseError:
         raise
-    except PafgError as exc:  # from the builder, about the current line
+    except PafgError as exc:  # from the builder or the library, about the current line
         raise ParseError(str(exc), line=lineno) from exc
     try:
         return builder.build()
@@ -104,30 +122,7 @@ def _build_app_graph(records):
 
 
 def parse_graph(text, lib=None):
-    records = list(_scan(text, ("actor", "edge")))
-    graph = _build_app_graph(records)
-    _check_kinds(graph, lib, records)
-    return graph
-
-
-def _check_kinds(graph, lib, records):
-    """With a library, every actor kind must be registered and every edge
-    must join ports its actors' kinds declare. The graph's tables keep file
-    order, so the n-th actor or edge record holds the n-th table entry."""
-    if lib is None:
-        return
-    ports = {}
-    actor_lines = [lineno for lineno, d, _ in records if d == "actor"]
-    try:
-        for lineno, spec in zip(actor_lines, graph.actors.values()):
-            ports[spec.name] = lib.declare(spec)[:2]
-    except PafgError as exc:  # an unknown kind or a parameter the kind rejects
-        raise ParseError(str(exc), line=lineno) from exc
-    edge_lines = [lineno for lineno, d, _ in records if d == "edge"]
-    for lineno, e in zip(edge_lines, graph.edges.values()):
-        for name, port, side in ((e.src, e.src_port, 1), (e.snk, e.snk_port, 0)):
-            if port not in ports[name][side]:
-                raise ParseError(f"{name}.{port} is not a declared port of {name}", line=lineno)
+    return _build_app_graph(_scan(text, ("actor", "edge")), lib)
 
 
 def serialize_graph(graph):
@@ -149,8 +144,7 @@ def serialize_graph(graph):
 
 def parse_pafg(text, lib=None):
     records = list(_scan(text, ("actor", "edge", "block", "bedge")))
-    app_graph = _build_app_graph([r for r in records if r[1] in ("actor", "edge")])
-    _check_kinds(app_graph, lib, records)
+    app_graph = _build_app_graph([r for r in records if r[1] in ("actor", "edge")], lib)
 
     origins = {}  # from= value -> (its record, the kind= word of its block line)
     for record in (*app_graph.actors.values(), *app_graph.edges.values()):
@@ -171,6 +165,8 @@ def parse_pafg(text, lib=None):
             bedges[a, b] = lineno
     try:
         z = CoordinatedPafg(Pafg(blocks, app_graph), coordination)
+        if lib is not None:
+            validate_coordinated(z, lib)
     except PafgError as exc:  # about a block or an actor, not a line
         raise ParseError(str(exc)) from exc
     implied = z.pafg.edges  # derived from the blocks

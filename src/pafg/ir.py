@@ -15,7 +15,8 @@ block, and derives its block connections from the blocks and the graph.
 A coordinated PAFG checks when it is built that every block is actv or
 pssv, a simple block passive, and a passive non-simple block has a
 capacity, a producer and a consumer. validate_coordinated checks the one
-rule that needs the library: a computational block is active.
+rule that needs the library, a computational block is active, for
+parse_pafg with a library and for instantiate.
 """
 
 from dataclasses import dataclass

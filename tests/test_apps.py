@@ -174,6 +174,22 @@ def test_evm_config_validation():
         ).validate()
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("window_size", "window size must be >= 1"),
+        ("num_forks", "need at least one fork"),
+        ("fanout", "fork fanout must be >= 1"),
+        ("num_windows", "need at least one window"),
+    ],
+)
+def test_fork_cascade_config_validation(field, message):
+    cfg = ForkCascadeConfig(window_size=4)
+    setattr(cfg, field, 0)
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        build_fork_cascade(cfg)
+
+
 def test_fork_cascade_topology(lib):
     cfg = ForkCascadeConfig(window_size=16)
     graph = build_fork_cascade(cfg)

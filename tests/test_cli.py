@@ -12,6 +12,7 @@ from pafg.formats import read_samples, serialize_graph, serialize_pafg, write_sa
 from pafg.transform import derive_direct_pafg, passivize_fixpoint
 from topologies import (
     FORK_GRAPH,
+    PASSIVE_GAIN_PAFG,
     chain_graph,
     interleave_graph,
     rename_block,
@@ -90,6 +91,15 @@ def test_derive_analyze_chain(chain_file, tmp_path, capsys):
     assert capsys.readouterr().out == (
         "passivize B removed=A.out->B.in,B.out0->C.in added_edges=(A,B),(B,C)\n"
     )
+
+
+def test_analyze_rejects_a_passive_computational_block(tmp_path, capsys):
+    pafg_file = tmp_path / "gain.pafg"
+    pafg_file.write_text(PASSIVE_GAIN_PAFG, encoding="utf-8")
+    assert cli_main(["analyze", str(pafg_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: computational block 'G' must be coordinated actv\n"
 
 
 def test_candidates_and_passivize(tmp_path, capsys):

@@ -12,7 +12,7 @@ from pafg.actors import (
     WindowAverageActor,
     default_library,
 )
-from pafg.dataflow import ActorLibrary, ActorSpec, AppGraphBuilder, Declaration
+from pafg.dataflow import ActorLibrary, ActorSpec, AppGraphBuilder, ApplicationGraph, Declaration
 from pafg.errors import DuplicateEdgeError, ModelError, UnknownKindError, UnknownVertexError
 from pafg.runtime import instantiate
 from pafg.transform import derive_direct_pafg
@@ -106,6 +106,13 @@ def test_var_source_two_mode_cycle():
     assert src.mode == "emit-length"
     assert emitted == [2, 10.0, 20.0]
     assert len(emitted) == 1 + 2
+
+
+def test_var_source_rejects_a_negative_window_length():
+    src = VarSourceActor("s")
+    src.bind([-1, 10.0])
+    with pytest.raises(ModelError, match="^s: negative window length -1$"):
+        src.invoke({})
 
 
 def test_var_source_remaining_counts_down():
@@ -220,6 +227,10 @@ def test_library_buffer_actors():
     assert not lib.is_buffer_actor("gain")
     with pytest.raises(UnknownKindError):
         lib.is_buffer_actor("warp")
+    with pytest.raises(UnknownKindError, match="actor kind 'gain' has no passive implementation"):
+        lib.make_passive(ActorSpec("G", "gain", {"k": 2.0}), 4)
+    with pytest.raises(ModelError, match="actor kind 'fork' already registered"):
+        lib.register("fork", lib.entry("fork").active_factory)
 
 
 def test_library_make_active():
@@ -244,6 +255,17 @@ def test_builder_round_trip():
     assert set(g.actors) == {"A", "B", "C"}
     assert g.edge("A", "B").snk_port == "in"
     assert g.actor("B").param("k") == 2.0
+    with pytest.raises(ModelError, match="unknown actor 'Z'"):
+        g.actor("Z")
+    with pytest.raises(ModelError, match=r"unknown edge \('B', 'A'\)"):
+        g.edge("B", "A")
+
+
+def test_edge_table_key_must_match_its_edge():
+    g = chain_builder().build()
+    edges = {("A", "C"): g.edge("A", "B"), ("B", "C"): g.edge("B", "C")}
+    with pytest.raises(ModelError, match=r"edge table key \('A', 'C'\) does not match"):
+        ApplicationGraph(g.actors, edges)
 
 
 def test_builder_rejects_double_port_binding():

@@ -5,9 +5,16 @@ import pytest
 
 from graphgen import build_random_app_graph
 from pafg.actors import default_library
-from pafg.apps import ForkCascadeConfig, build_fork_cascade, generate_evm_inputs, build_evm_graph
+from pafg.apps import (
+    ForkCascadeConfig,
+    build_evm_graph,
+    build_fork_cascade,
+    evm_source_data,
+    fork_cascade_source_data,
+    generate_evm_inputs,
+)
 from pafg.dataflow import ActorLibrary
-from pafg.errors import ParseError
+from pafg.errors import PafgError, ParseError
 from pafg.formats import (
     _parse_value,
     format_sample,
@@ -21,7 +28,13 @@ from pafg.formats import (
 from pafg.ir import ACTV
 from pafg.runtime import instantiate
 from pafg.transform import derive_direct_pafg, passivize_fixpoint
-from topologies import FORK_GRAPH, chain_graph, rename_block, ten_plus_four_graph
+from topologies import (
+    FORK_GRAPH,
+    PASSIVE_GAIN_PAFG,
+    chain_graph,
+    rename_block,
+    ten_plus_four_graph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -91,14 +104,48 @@ def test_unknown_directive():
 
 
 def test_edge_needs_capacity():
-    for edge in (
-        "edge A.out -> B.in",
-        "edge A -> B.in capacity=1",
-        "edge A.out -> B.in capacity=1 type=f32",
+    for edge, message in (
+        ("edge A.out -> B.in", "edge needs the form"),
+        ("edge A -> B.in capacity=1", "endpoint 'A' is not of the form actor.port"),
+        ("edge A.out -> B.in capacity=1 type=f32", "unknown token type 'f32'"),
+        ("edge A.out -> B.in type=f64", "edge needs capacity=<int>"),
+        ("actor C", "actor needs a name and a kind"),
     ):
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match=message) as err:
             parse_graph(f"actor A src\nactor B snk\n{edge}\n")
         assert err.value.line == 3
+
+
+def test_port_bound_twice_is_rejected_without_a_line(lib):
+    text = (
+        "actor A src\nactor B snk\nactor C snk\n"
+        "edge A.out -> B.in capacity=1\nedge A.out -> C.in capacity=1\n"
+    )
+    with pytest.raises(ParseError, match="^port A.out bound to more than one edge$") as err:
+        parse_graph(text, lib=lib)
+    assert err.value.line is None
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # each line has a fault; the first in file order is the one reported
+        ("actor A nosuchkind\nactor B snk\nedge A.out -> B.in\n",
+         "line 1: unknown actor kind 'nosuchkind'"),
+        ("actor A src\nactor B snk\nedge A.bogus -> B.in capacity=1\nedge A.out -> C.in\n",
+         "line 3: A.bogus is not a declared port of A"),
+        ("actor A src\nactor B nosuchkind\nactor A snk\n", "line 2: unknown actor kind"),
+        ("actor A src\nactor A snk\nactor B nosuchkind\n", "line 2: vertex 'A' already present"),
+        # a line's own fault comes before a fault of the whole graph
+        ("actor A src\nactor B snk\nactor C snk\nedge A.out -> B.in capacity=1\n"
+         "edge A.out -> C.bogus capacity=1\n", "line 5: C.bogus is not a declared port of C"),
+    ],
+    ids=["kind-before-edge-form", "port-before-edge-form", "kind-before-duplicate",
+         "duplicate-before-kind", "port-before-port-bound-twice"],
+)
+def test_first_faulty_line_is_reported(lib, text, message):
+    with pytest.raises(ParseError, match=f"^{message}"):
+        parse_graph(text, lib=lib)
 
 
 @pytest.mark.parametrize("keys", ["color=red", "type=f64 color=red", "capacity_=1"])
@@ -192,6 +239,7 @@ def test_pafg_rejects_bad_passive_capacity(lib, bad):
     "bedge, replaces",
     [
         pytest.param("bedge B -> B", None, id="bedge B -> B"),
+        pytest.param("bedge A B", None, id="bedge A B"),
         pytest.param("bedge A -> A.out->B.in", None, id="bedge A -> A.out->B.in"),
         # alternating, but no application edge runs from that buffer to C
         pytest.param("bedge A.out->B.in -> C", None, id="bedge A.out->B.in -> C"),
@@ -272,10 +320,12 @@ def test_ill_formed_coordination_is_rejected_naming_its_block(lib):
     for text, message in (
         (active_simple, "simple block 'A.out->B.in' must be coordinated pssv"),
         (INTERFACE_RING, "passive interface block 'F' is not supported"),
+        (PASSIVE_GAIN_PAFG, "computational block 'G' must be coordinated actv"),
     ):
         with pytest.raises(ParseError, match=f"^{message}$") as err:
             parse_pafg(text, lib=lib)
         assert err.value.line is None
+    parse_pafg(PASSIVE_GAIN_PAFG)  # without a library no kind is known to be computational
 
 
 def test_sample_round_trip(tmp_path, lib):
@@ -295,10 +345,10 @@ def test_format_sample_precision():
 
 def test_bad_sample_file(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("1.0\nnope\n", encoding="utf-8")
+    path.write_text("1.0\n\nnope\n", encoding="utf-8")  # a blank line is skipped but counted
     with pytest.raises(ParseError) as err:
         read_samples(path)
-    assert err.value.line == 2
+    assert err.value.line == 3
 
 
 @pytest.mark.parametrize(
@@ -418,3 +468,74 @@ def test_parse_and_fixpoint_build_no_actor():
     assert len(log) == 3 and built == []
     instantiate(parsed, lib, {"SRC": [1.0] * 4})
     assert sorted(built) == sorted(n for n in parsed.pafg.blocks if parsed.coord(n) == ACTV)
+
+
+# Words a mutant puts in place of a token, or of a key's value
+MUTANT_WORDS = (
+    "kind=x", "name=x", "capacity=0", "type=i64", "coord=pssv", "fanout=3", "nan", "True", "->", "#",
+)
+
+
+def mutate(rng, lines):
+    """One to three mutations of a file's lines: a line deleted, duplicated
+    or swapped with another, or a token or a key's value replaced."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(4)
+        if op == 0:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            tokens = lines[i].split()
+            t = rng.randrange(len(tokens))
+            word = rng.choice(MUTANT_WORDS)
+            key, sep, _ = tokens[t].partition("=")
+            if sep and rng.random() < 0.5:
+                word = f"{key}={word.rpartition('=')[2]}"
+            tokens[t] = word
+            lines[i] = " ".join(tokens)
+    return lines
+
+
+def mutation_sources(lib):
+    """(lines, source data) of the direct and optimized PAFG files of a
+    small EVM graph and a small fork cascade."""
+    evm = generate_evm_inputs(seed=3, max_length=8, num_windows=2)
+    cascade = ForkCascadeConfig(window_size=8, num_forks=3)
+    sources = []
+    for graph, data in (
+        (build_evm_graph(evm), evm_source_data(evm)),
+        (build_fork_cascade(cascade), fork_cascade_source_data(cascade)),
+    ):
+        direct = derive_direct_pafg(graph, lib)
+        for z in (direct, passivize_fixpoint(direct, lib)[0]):
+            sources.append((serialize_pafg(z).splitlines(), data))
+    return sources
+
+
+def run_mutant(lib, text, data):
+    """Parse, instantiate and run a mutant; a source the data does not
+    name gets two tokens."""
+    z = parse_pafg(text, lib=lib)
+    sources = [n for n, spec in z.source.actors.items() if spec.kind in ("src", "var-src")]
+    inst = instantiate(z, lib, {n: data.get(n, [1, 2]) for n in sources})
+    inst.run(max_iterations=50)
+
+
+def test_mutated_pafg_files_run_or_raise_a_pafg_error(lib):
+    rng = random.Random(2018)
+    sources = mutation_sources(lib)
+    for _ in range(400):
+        lines, data = rng.choice(sources)
+        text = "\n".join(mutate(rng, lines)) + "\n"
+        try:
+            run_mutant(lib, text, data)
+        except PafgError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__}: {exc}\n{text}")

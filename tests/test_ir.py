@@ -88,6 +88,8 @@ def test_interface_blocks(lib):
     g = AppGraphBuilder().actor("A", "src").build()
     z2 = derive_direct_pafg(g, lib)
     assert is_interface_block(z2.pafg, "A")  # isolated
+    with pytest.raises(IrError, match="unknown block 'NOPE'"):
+        is_interface_block(z.pafg, "NOPE")
 
 
 def test_direct_pafg_is_associated(lib):

@@ -122,6 +122,42 @@ def test_deadlock_names_missing_output_space(lib):
     }
 
 
+class Stalled(CfdfActor):
+    """A gain-like actor whose state never lets it fire."""
+
+    kind = "stalled"
+    input_ports = ("in",)
+    output_ports = ("out",)
+    _RATES = ({"in": 1}, {"out": 1})
+
+    def ready(self):
+        return 0
+
+
+def test_deadlock_names_a_block_that_is_not_ready(lib):
+    custom = ActorLibrary()
+    for kind in ("src", "snk"):
+        custom.register(kind, lib.entry(kind).active_factory)
+    custom.register("stalled", lambda s: Stalled(s.name))
+    g = (
+        AppGraphBuilder()
+        .actor("A", "src")
+        .actor("B", "stalled")
+        .actor("C", "snk")
+        .edge("A.out", "B.in", capacity=4)
+        .edge("B.out", "C.in", capacity=4)
+        .build()
+    )
+    inst = instantiate(derive_direct_pafg(g, custom), custom, {"A": [1.0]})
+    with pytest.raises(DeadlockError) as err:
+        inst.run(sink_token_target=1)
+    assert err.value.blocked == {
+        "A": "A has no data left",
+        "B": "B is not ready",
+        "C": "C.in needs 1, has 0",
+    }
+
+
 def test_conservation(lib):
     g = gain_fork_cluster_graph(capacity=8)
     # G is an interface block with no feeding edge; give it a source

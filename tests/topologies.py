@@ -130,6 +130,21 @@ edge F.{port} -> B.in capacity=1
 """
 
 
+# A gain made a passive block: well-formed but for its kind, which only
+# the library knows has no passive implementation.
+PASSIVE_GAIN_PAFG = """actor A src
+actor C snk
+actor G gain k=2.0
+edge A.out -> G.in capacity=4 type=f64
+edge G.out -> C.in capacity=4 type=f64
+block A kind=src coord=actv from=actor:A
+block C kind=snk coord=actv from=actor:C
+block G kind=gain coord=pssv from=actor:G capacity=4
+bedge A -> G
+bedge G -> C
+"""
+
+
 def rename_block(text, old, new):
     """Rename a block on its block line and its bedges, keeping its provenance."""
     lines = []
