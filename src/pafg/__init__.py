@@ -20,7 +20,6 @@ from .ir import (
     PSSV,
     Pafg,
     check_abc,
-    check_association,
     is_alternating,
     is_interface_block,
     validate_coordinated,
@@ -56,7 +55,6 @@ __all__ = [
     "Pafg",
     "PassiveKernel",
     "check_abc",
-    "check_association",
     "check_mapping_equivalence",
     "compare_streams",
     "compute_bmr",

@@ -10,8 +10,8 @@ emits a stream bound before execution, a sink collects what it consumes.
 
 Every kind has one token function, its batched invoke(inputs, k): k
 firings in one call, with the same results, in the same order and with
-sums taken left to right, as k single firings. ready() caps k where the
-actor's own state does: a source at its data left, var-src and avg at
+sums taken left to right, as k single firings. ready() caps k only where
+the actor's own state does: a source at its data left, var-src and avg at
 the end of the current run of one mode.
 """
 
@@ -20,14 +20,6 @@ import math
 from .dataflow import ActorLibrary, CfdfActor, Declaration, F64, TOKEN_TYPES, is_capacity
 from .errors import ModelError
 from .kernels import PassiveKernel
-
-
-class AlwaysReadyActor(CfdfActor):
-    """A kind whose state never limits a batch: its firings are bounded
-    only by its ports' populations and free space."""
-
-    def ready(self):
-        return math.inf
 
 
 class ModalActor(CfdfActor):
@@ -127,7 +119,7 @@ class VarSourceActor(ModalActor, SourceActor):
         return {"len": [], "out": self._take(k)}
 
 
-class SinkActor(AlwaysReadyActor):
+class SinkActor(CfdfActor):
     """Consumes one token per firing and records it."""
 
     kind = "snk"
@@ -144,7 +136,7 @@ class SinkActor(AlwaysReadyActor):
         return {}
 
 
-class AccumulatorActor(AlwaysReadyActor):
+class AccumulatorActor(CfdfActor):
     """Lightweight terminal consumer keeping a running sum."""
 
     kind = "acc"
@@ -164,7 +156,7 @@ class AccumulatorActor(AlwaysReadyActor):
         return {}
 
 
-class BufferActor(AlwaysReadyActor):
+class BufferActor(CfdfActor):
     """The active form of a buffer kind, built from its declaration and an
     optional per-token op. Each firing takes one token from each input
     port, in declared port order, applies op to each, and emits that
@@ -190,7 +182,7 @@ class BufferActor(AlwaysReadyActor):
         return dict.fromkeys(self.output_ports, seq)
 
 
-class GainActor(AlwaysReadyActor):
+class GainActor(CfdfActor):
     kind = "gain"
     input_ports = ("in",)
     output_ports = ("out",)
@@ -211,7 +203,7 @@ class GainActor(AlwaysReadyActor):
         return {"out": [gain * t for t in inputs["in"]]}
 
 
-class ErrorMagnitudeActor(AlwaysReadyActor):
+class ErrorMagnitudeActor(CfdfActor):
     """Squared error magnitude of one complex sample: consumes a (re, im)
     pair from each of two interleaved streams. invoke makes one pass, with
     the same operations in the same order as separate lists of the re and
@@ -229,7 +221,7 @@ class ErrorMagnitudeActor(AlwaysReadyActor):
                         for a, b, c, d in zip(ref, ref, rec, rec)]}
 
 
-class ReferenceMagnitudeActor(AlwaysReadyActor):
+class ReferenceMagnitudeActor(CfdfActor):
     """Squared magnitude of one complex sample from an interleaved stream."""
 
     kind = "ref-mag"
@@ -293,7 +285,7 @@ class WindowAverageActor(ModalActor):
         return {"out": [self._sum / self._n]}
 
 
-class RmsRatioActor(AlwaysReadyActor):
+class RmsRatioActor(CfdfActor):
     """sqrt(mean error power) / sqrt(mean reference power)."""
 
     kind = "rms-ratio"

@@ -183,6 +183,8 @@ def generate_evm_inputs(seed, max_length, num_windows):
     """Seeded random EVM inputs: window lengths uniform in 1..max_length,
     samples uniform in [-1, 1). Draw order is lengths, then ref_re,
     ref_im, rec_re, rec_im."""
+    if max_length < 1:
+        raise ModelError(f"window length must be >= 1, got {max_length}")
     rng = Lcg(seed)
     lengths = [rng.next_int(1, max_length) for _ in range(num_windows)]
     total = sum(lengths)

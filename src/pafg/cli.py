@@ -21,9 +21,16 @@ from .apps import (
 )
 from .errors import PafgError
 from .formats import parse_graph, parse_pafg, read_samples, serialize_pafg, write_samples
-from .ir import check_abc, check_association, is_alternating
+from .ir import check_abc, is_alternating
 from .runtime import compare_streams, instantiate
 from .transform import compute_bmr, derive_direct_pafg, find_candidates, passivize_fixpoint
+
+
+def count(text):
+    """An int of at least 1, or a usage error."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
 
 
 def _build_parser():
@@ -58,8 +65,8 @@ def _build_parser():
     p.add_argument("--inputs", required=True, help="directory with <source>.txt sample files")
     p.add_argument("--outputs", required=True, help="directory for <sink>.txt sample files")
     stop = p.add_mutually_exclusive_group(required=True)
-    stop.add_argument("--sink-tokens", type=int)
-    stop.add_argument("--iterations", type=int)
+    stop.add_argument("--sink-tokens", type=count)
+    stop.add_argument("--iterations", type=count)
     p.add_argument("--stats", help="write run statistics to this JSON file")
 
     p = sub.add_parser("bench", help="run a built-in benchmark, direct vs optimized")
@@ -114,7 +121,6 @@ def cmd_analyze(args, lib):
     print(f"total BMR: {report.total_bytes} bytes")
     print(f"alternating: {is_alternating(z)}")
     print(f"abc: {check_abc(z)}")
-    print(f"associated: {check_association(z.source, z.pafg)}")
     return 0
 
 

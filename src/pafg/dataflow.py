@@ -8,6 +8,7 @@ construction parameters), not live actor state. Live actors are created
 from the library when a graph is instantiated for execution.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -98,10 +99,9 @@ class CfdfActor:
 
     def ready(self):
         """How many consecutive firings the actor's state allows under its
-        current rate table; 0 means not ready. The default, True, counts as
-        one, so an actor that only knows single firings is fired one at a
-        time and its invoke is called without k."""
-        return True
+        current rate table; 0 means not ready. The default is unbounded; an
+        actor that only knows single firings returns 1."""
+        return math.inf
 
     def invoke(self, inputs, k=1):
         """Fire k times in one call: inputs holds, per input port, the

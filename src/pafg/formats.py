@@ -15,11 +15,11 @@ is one a CoordinatedPafg accepts, and the bedge lines list exactly the
 connections the PAFG derives from its blocks (ir.block_edges), once each.
 
 A value is an int if int() reads it, else a float if float() does, else a
-string. An edge takes no key but capacity and type. With a library, each
-actor line must declare a registered kind with parameters it accepts and
-each edge line must join ports its actors' kinds declare, checked as the
-line is read, so the first faulty line is the one reported; and a PAFG
-block whose kind has no passive implementation must be actv.
+string. An edge takes no key but capacity and type. Every file is read
+against a library: each actor line must declare a registered kind with
+parameters it accepts and each edge line must join ports its actors'
+kinds declare, checked as the line is read, so the first faulty line is
+the one reported; and a PAFG's blocks must meet validate_coordinated.
 
 Blank lines and '#' comments are ignored. Sample files carry one decimal
 value per line, written with %.17g so float64 values round-trip exactly.
@@ -72,13 +72,13 @@ def _scan(text, allowed):
         yield lineno, directive, tokens[1:]
 
 
-def _build_app_graph(records, lib=None):
-    """The application graph of the actor and edge records. With a library,
-    each actor line is declared and each edge's two ports checked against
-    its actors' declarations as the line is read, so a fault is reported at
-    the first line that has one."""
+def _build_app_graph(records, lib):
+    """The application graph of the actor and edge records. Each actor line
+    is declared and each edge's two ports checked against its actors'
+    declarations as the line is read, so a fault is reported at the first
+    line that has one."""
     builder = AppGraphBuilder()
-    ports = {}  # actor -> (input ports, output ports), with a library
+    ports = {}  # actor -> (input ports, output ports)
     try:
         for lineno, directive, rest in records:
             if directive == "actor":
@@ -87,8 +87,7 @@ def _build_app_graph(records, lib=None):
                 name, kind = rest[0], rest[1]
                 params = _parse_params(rest[2:], lineno)
                 builder.actor(name, kind, params)
-                if lib is not None:
-                    ports[name] = lib.declare(ActorSpec(name, kind, params))[:2]
+                ports[name] = lib.declare(ActorSpec(name, kind, params))[:2]
             else:  # edge
                 if len(rest) < 4 or rest[1] != "->":
                     raise ParseError(
@@ -104,13 +103,12 @@ def _build_app_graph(records, lib=None):
                 builder.edge(
                     rest[0], rest[2], capacity=params["capacity"], token_type=params.get("type", F64)
                 )
-                if lib is not None:
-                    for endpoint, side in ((rest[0], 1), (rest[2], 0)):
-                        actor, _, port = endpoint.rpartition(".")
-                        if port not in ports[actor][side]:
-                            raise ParseError(
-                                f"{actor}.{port} is not a declared port of {actor}", line=lineno
-                            )
+                for endpoint, side in ((rest[0], 1), (rest[2], 0)):
+                    actor, _, port = endpoint.rpartition(".")
+                    if port not in ports[actor][side]:
+                        raise ParseError(
+                            f"{actor}.{port} is not a declared port of {actor}", line=lineno
+                        )
     except ParseError:
         raise
     except PafgError as exc:  # from the builder or the library, about the current line
@@ -121,7 +119,7 @@ def _build_app_graph(records, lib=None):
         raise ParseError(str(exc)) from exc
 
 
-def parse_graph(text, lib=None):
+def parse_graph(text, lib):
     return _build_app_graph(_scan(text, ("actor", "edge")), lib)
 
 
@@ -142,7 +140,7 @@ def serialize_graph(graph):
     return "\n".join(lines) + "\n"
 
 
-def parse_pafg(text, lib=None):
+def parse_pafg(text, lib):
     records = list(_scan(text, ("actor", "edge", "block", "bedge")))
     app_graph = _build_app_graph([r for r in records if r[1] in ("actor", "edge")], lib)
 
@@ -165,8 +163,7 @@ def parse_pafg(text, lib=None):
             bedges[a, b] = lineno
     try:
         z = CoordinatedPafg(Pafg(blocks, app_graph), coordination)
-        if lib is not None:
-            validate_coordinated(z, lib)
+        validate_coordinated(z, lib)
     except PafgError as exc:  # about a block or an actor, not a line
         raise ParseError(str(exc)) from exc
     implied = z.pafg.edges  # derived from the blocks

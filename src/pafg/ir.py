@@ -14,9 +14,9 @@ block's provenance is the graph's own record and that every actor has a
 block, and derives its block connections from the blocks and the graph.
 A coordinated PAFG checks when it is built that every block is actv or
 pssv, a simple block passive, and a passive non-simple block has a
-capacity, a producer and a consumer. validate_coordinated checks the one
-rule that needs the library, a computational block is active, for
-parse_pafg with a library and for instantiate.
+capacity, a producer and a consumer. validate_coordinated checks, for
+parse_pafg and instantiate, the rules that need the library: a
+computational block is active, and a passive ring has a slot per write port.
 """
 
 from dataclasses import dataclass
@@ -172,10 +172,17 @@ def check_association(app_graph, pafg):
 
 
 def validate_coordinated(z, lib):
-    """The one coordination rule that needs the library: a block whose kind
-    has no passive implementation is computational and must be active. A
-    CoordinatedPafg checks the rest of its coordination when it is built."""
+    """The coordination rules that need the library: a computational block
+    (its kind has no passive form) is active, and a passive ring has a slot
+    per write port (its kind's input ports). CoordinatedPafg checks the rest."""
     coord = z.coordination
     for name, b in z.pafg.blocks.items():
-        if coord[name] == PSSV and not b.is_simple and not lib.is_buffer_actor(b.kind):
-            raise IrError(f"computational block {name!r} must be coordinated {ACTV}")
+        if coord[name] == PSSV and not b.is_simple:
+            if not lib.is_buffer_actor(b.kind):
+                raise IrError(f"computational block {name!r} must be coordinated {ACTV}")
+            m = len(lib.declare(b.provenance).input_ports)
+            if b.capacity < m:
+                raise IrError(
+                    f"passive block {name!r}: a ring with {m} write ports needs capacity "
+                    f">= {m}, got {b.capacity}"
+                )

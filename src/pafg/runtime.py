@@ -15,11 +15,11 @@ nonzero; the batch size is recomputed only when its rates change. Another
 block's firing only adds inputs or frees outputs, so every maximal run
 makes the same firings. A call fires k times: k is the least of that batch
 size, ready() and, for a sink, the firings left to its target, with one
-read_n per input port, one invoke(inputs, k) (invoke(inputs) when k is 1),
-a check that every output holds k times its declared rate and one write_n
-per output. A run stopped early (sink-token target or sweep bound) leaves
-a prefix of each sink's stream, but its token-store count, which counts
-every token stored into passive-block memory, depends on the schedule.
+read_n per input port, one invoke(inputs, k), a check that every output
+holds k times its declared rate and one write_n per output. A run stopped
+early (sink-token target or sweep bound) leaves a prefix of each sink's
+stream, but its token-store count, which counts every token stored into
+passive-block memory, depends on the schedule.
 
 The same engine is the equivalence harness: an active subgraph and its
 passive replacement are two realizations of one stream mapping, checked by
@@ -127,7 +127,7 @@ class ExecutionInstance:
                     inputs = {}
                     for port, kernel, kport in ins:
                         inputs[port] = kernel.read_n(kport, consume.get(port, 0) * k)
-                    outputs = actor.invoke(inputs) if k == 1 else actor.invoke(inputs, k)
+                    outputs = actor.invoke(inputs, k)
                     for port, kernel, kport in outs:
                         values = outputs.get(port, ())
                         n = produce.get(port, 0) * k
@@ -266,10 +266,7 @@ def instantiate(z, lib, source_data):
         elif block.is_simple:
             kernels[name] = PassiveKernel(block.capacity)
         else:
-            try:
-                kernels[name] = lib.make_passive(block.provenance, block.capacity)
-            except KernelError as exc:  # a capacity the ring rejects
-                raise KernelError(f"passive block {name!r}: {exc}") from exc
+            kernels[name] = lib.make_passive(block.provenance, block.capacity)
 
     # (input ports, output ports) of every block, active or passive: an
     # application edge may only touch ports its endpoints declare.

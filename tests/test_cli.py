@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from topologies import (
     FORK_GRAPH,
     PASSIVE_GAIN_PAFG,
     chain_graph,
-    interleave_graph,
+    interleave_ring_pafg,
     rename_block,
     ten_plus_four_graph,
 )
@@ -67,6 +69,7 @@ def test_module_entry_point_reports_errors(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=60,
     )
     assert proc.returncode == 1
@@ -218,30 +221,23 @@ def test_run_rejects_blocks_that_do_not_realize_the_graph(tmp_path, capsys, auto
     assert err.startswith(message) and "Traceback" not in err
 
 
-def test_run_names_the_passive_block_whose_ring_cannot_be_built(tmp_path, capsys):
-    # a passive interleave's ring has 2 write ports, so capacity=1 parses
-    # but cannot be built; the error names the block
-    lib = default_library()
-    z, _ = passivize_fixpoint(derive_direct_pafg(interleave_graph(), lib), lib)
-    line = next(ln for ln in serialize_pafg(z).splitlines() if ln.startswith("block IL "))
+RING_BELOW_WRITE_PORTS = (
+    "error: passive block 'IL': a ring with 2 write ports needs capacity >= 2, got 1\n"
+)
+
+
+def test_analyze_rejects_a_ring_below_its_write_port_count(tmp_path, capsys):
+    # a passive interleave's ring has 2 write ports, so capacity=1 is
+    # refused when the file is read, naming the block
     pafg_file = tmp_path / "il.pafg"
-    pafg_file.write_text(
-        serialize_pafg(z).replace(line, line.rsplit(" ", 1)[0] + " capacity=1"), encoding="utf-8"
-    )
-    inputs = tmp_path / "in"
-    inputs.mkdir()
-    write_samples(inputs / "re.txt", [1.0])
-    write_samples(inputs / "im.txt", [2.0])
-    code = cli_main(
-        ["run", str(pafg_file), "--inputs", str(inputs), "--outputs", str(tmp_path / "out"),
-         "--sink-tokens", "2"]
-    )
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith(
-        "error: passive block 'IL': a ring with 2 write ports needs capacity >= 2, got 1"
-    )
-    assert "Traceback" not in err
+    pafg_file.write_text(interleave_ring_pafg(capacity=1), encoding="utf-8")
+    assert cli_main(["analyze", str(pafg_file)]) == 1
+    assert capsys.readouterr() == ("", RING_BELOW_WRITE_PORTS)
+
+
+def test_run_names_the_passive_block_whose_ring_cannot_be_built(tmp_path, capsys):
+    assert _run_pafg_text(tmp_path, interleave_ring_pafg(capacity=1)) == 1
+    assert capsys.readouterr() == ("", RING_BELOW_WRITE_PORTS)
 
 
 def test_run_requires_stop_condition(chain_file, tmp_path):
@@ -250,6 +246,24 @@ def test_run_requires_stop_condition(chain_file, tmp_path):
     assert cli_main(
         ["run", str(pafg_file), "--inputs", "x", "--outputs", "y"]
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "stop", [["--sink-tokens", "-3"], ["--sink-tokens", "0"], ["--iterations", "-1"],
+             ["--iterations", "0"]],
+    ids=["sink-tokens-negative", "sink-tokens-0", "iterations-negative", "iterations-0"],
+)
+def test_run_count_below_one_is_a_usage_error(chain_file, tmp_path, capsys, stop):
+    pafg_file = tmp_path / "chain.pafg"
+    cli_main(["derive", str(chain_file), "-o", str(pafg_file)])
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    write_samples(inputs / "A.txt", [1.0, 2.0])
+    out = tmp_path / "out"
+    code = cli_main(["run", str(pafg_file), "--inputs", str(inputs), "--outputs", str(out), *stop])
+    assert code == 2
+    assert f"argument {stop[0]}: must be >= 1, got {stop[1]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_with_iteration_stop(chain_file, tmp_path):
@@ -318,3 +332,45 @@ def test_bench_forkcascade(tmp_path, capsys):
     assert stats["direct"]["bmr_bytes"] == 18 * 16 * 8
     assert stats["optimized"]["bmr_bytes"] == 6 * 16 * 8
     assert stats["direct"]["token_stores"] - stats["optimized"]["token_stores"] == 6 * 2 * 16
+
+
+def test_bench_evm_rejects_window_0(capsys):
+    assert cli_main(["bench", "evm", "--window", "0"]) == 1
+    assert capsys.readouterr().err == "error: window length must be >= 1, got 0\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+WALL_CLOCK = re.compile(r'("(?:wall_seconds|throughput_sps)": )[^,]*')
+
+
+def test_readme_command_line_transcript_is_what_the_cli_prints(tmp_path, monkeypatch, capsys):
+    """Replay the README's command-line block in a fresh directory: write
+    the files its cat and printf lines show, run each pafg line, and
+    compare what it prints with the lines below it, wall-clock values
+    aside."""
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Command line\n\n```\n(.*?)```", text, re.S)
+    steps = []  # (command, the lines shown after it)
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            steps.append((line[2:], []))
+        elif line:
+            steps[-1][1].append(line)
+    monkeypatch.chdir(tmp_path)
+    for command, shown in steps:
+        words = shlex.split(command)
+        if words[0] == "cat":
+            Path(words[1]).write_text("\n".join(shown) + "\n", encoding="utf-8")
+            continue
+        if words[0] == "mkdir":  # mkdir <dirs> && printf '<text>' > <file>
+            split = words.index("&&")
+            for d in words[1:split]:
+                Path(d).mkdir()
+            Path(words[-1]).write_text(words[split + 2].replace("\\n", "\n"), encoding="utf-8")
+            continue
+        assert words[0] == "pafg"
+        assert cli_main(words[1:]) == 0, command
+        printed = capsys.readouterr().out.splitlines()
+        assert [WALL_CLOCK.sub(r"\1_", ln) for ln in printed] == [
+            WALL_CLOCK.sub(r"\1_", ln) for ln in shown
+        ], command

@@ -13,7 +13,7 @@ from pafg.apps import (
     fork_cascade_source_data,
     generate_evm_inputs,
 )
-from pafg.dataflow import ActorLibrary
+from pafg.dataflow import ActorLibrary, AppGraphBuilder
 from pafg.errors import PafgError, ParseError
 from pafg.formats import (
     _parse_value,
@@ -32,6 +32,7 @@ from topologies import (
     FORK_GRAPH,
     PASSIVE_GAIN_PAFG,
     chain_graph,
+    interleave_ring_pafg,
     rename_block,
     ten_plus_four_graph,
 )
@@ -92,18 +93,18 @@ def test_pafg_round_trip_evm(lib):
     assert parse_pafg(serialize_pafg(opt), lib=lib) == opt
 
 
-def test_parse_error_carries_line_number():
+def test_parse_error_carries_line_number(lib):
     with pytest.raises(ParseError) as err:
-        parse_graph("actor A src\nedge A.out -> B.in capacity=4\n")
+        parse_graph("actor A src\nedge A.out -> B.in capacity=4\n", lib=lib)
     assert err.value.line == 2
 
 
-def test_unknown_directive():
+def test_unknown_directive(lib):
     with pytest.raises(ParseError):
-        parse_graph("vertex A src\n")
+        parse_graph("vertex A src\n", lib=lib)
 
 
-def test_edge_needs_capacity():
+def test_edge_needs_capacity(lib):
     for edge, message in (
         ("edge A.out -> B.in", "edge needs the form"),
         ("edge A -> B.in capacity=1", "endpoint 'A' is not of the form actor.port"),
@@ -112,7 +113,7 @@ def test_edge_needs_capacity():
         ("actor C", "actor needs a name and a kind"),
     ):
         with pytest.raises(ParseError, match=message) as err:
-            parse_graph(f"actor A src\nactor B snk\n{edge}\n")
+            parse_graph(f"actor A src\nactor B snk\n{edge}\n", lib=lib)
         assert err.value.line == 3
 
 
@@ -163,9 +164,9 @@ def test_unknown_kind_is_semantic_error(lib):
     assert err.value.line == 1
 
 
-def test_duplicate_actor_is_semantic_error():
+def test_duplicate_actor_is_semantic_error(lib):
     with pytest.raises(ParseError) as err:
-        parse_graph("actor A src\nactor A src\n")
+        parse_graph("actor A src\nactor A src\n", lib=lib)
     assert err.value.line == 2
 
 
@@ -193,7 +194,14 @@ def test_undeclared_port_is_parse_error(lib, port):
         parse_graph(text, lib=lib)
     assert err.value.line == 7
     assert f"F.{port}" in str(err.value)
-    lines = serialize_pafg(derive_direct_pafg(parse_graph(text), lib)).splitlines()
+    # the builder checks no ports, so it can build the faulty graph
+    g = (
+        AppGraphBuilder()
+        .actor("S", "src").actor("F", "fork", fanout=2).actor("A", "snk").actor("B", "snk")
+        .edge("S.out", "F.in", 1).edge("F.out0", "A.in", 1).edge(f"F.{port}", "B.in", 1)
+        .build()
+    )
+    lines = serialize_pafg(derive_direct_pafg(g, lib)).splitlines()
     lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"edge F.{port} "))
     with pytest.raises(ParseError) as err:
         parse_pafg("\n".join(lines), lib=lib)
@@ -321,11 +329,12 @@ def test_ill_formed_coordination_is_rejected_naming_its_block(lib):
         (active_simple, "simple block 'A.out->B.in' must be coordinated pssv"),
         (INTERFACE_RING, "passive interface block 'F' is not supported"),
         (PASSIVE_GAIN_PAFG, "computational block 'G' must be coordinated actv"),
+        (interleave_ring_pafg(capacity=1),
+         "passive block 'IL': a ring with 2 write ports needs capacity >= 2, got 1"),
     ):
         with pytest.raises(ParseError, match=f"^{message}$") as err:
             parse_pafg(text, lib=lib)
         assert err.value.line is None
-    parse_pafg(PASSIVE_GAIN_PAFG)  # without a library no kind is known to be computational
 
 
 def test_sample_round_trip(tmp_path, lib):
@@ -440,7 +449,6 @@ def test_bad_parameter_is_parse_error_on_its_line(lib, line, message):
     text = f"actor A src\n# {name} follows\n{line}\nactor B snk\n"
     with pytest.raises(ParseError, match=f"^line 3: {name}: {message}$"):
         parse_graph(text, lib=lib)
-    assert parse_graph(text).actor(name).kind == kind  # no library, no kind check
     lines = serialize_pafg(derive_direct_pafg(chain_graph(), lib)).splitlines()
     lines[1:1] = [line]
     lines.append(f"block {name} kind={kind} coord=actv from=actor:{name}")
@@ -472,7 +480,8 @@ def test_parse_and_fixpoint_build_no_actor():
 
 # Words a mutant puts in place of a token, or of a key's value
 MUTANT_WORDS = (
-    "kind=x", "name=x", "capacity=0", "type=i64", "coord=pssv", "fanout=3", "nan", "True", "->", "#",
+    "kind=x", "name=x", "capacity=0", "capacity=1", "type=i64", "coord=pssv", "fanout=3", "nan",
+    "True", "->", "#",
 )
 
 

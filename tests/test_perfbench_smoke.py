@@ -14,6 +14,7 @@ def test_perfbench_self_test():
         cwd=ROOT,
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

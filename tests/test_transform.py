@@ -344,7 +344,7 @@ def test_refused_passivize_names_the_least_neighbor_by_name():
     for seed in ("0", "1"):
         proc = subprocess.run(
             [sys.executable, "-c", REFUSED_BETWEEN_TWO_PASSIVE_BLOCKS],
-            capture_output=True, text=True, check=True,
+            capture_output=True, text=True, encoding="utf-8", check=True,
             env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC)),
         )
         assert proc.stdout == "neighbor 'F' of 'G' is not a simple passive buffer\n", seed

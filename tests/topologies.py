@@ -1,6 +1,9 @@
 """Fixed topologies and file texts shared by the tests."""
 
+from pafg.actors import default_library
 from pafg.dataflow import AppGraphBuilder
+from pafg.formats import serialize_pafg
+from pafg.transform import derive_direct_pafg, passivize_fixpoint
 
 
 def ten_plus_four_graph():
@@ -116,6 +119,16 @@ def interleave_graph(fanout=1, capacity=16):
         .edge("im.out", "IL.im", capacity=capacity)
     )
     return _output_sinks(b, "IL", fanout, capacity)
+
+
+def interleave_ring_pafg(capacity):
+    """The passivized interleave graph's PAFG file with capacity=<capacity>
+    on the ring IL, which has 2 write ports."""
+    lib = default_library()
+    z, _ = passivize_fixpoint(derive_direct_pafg(interleave_graph(), lib), lib)
+    text = serialize_pafg(z)
+    line = next(ln for ln in text.splitlines() if ln.startswith("block IL "))
+    return text.replace(line, line.rsplit(" ", 1)[0] + f" capacity={capacity}")
 
 
 # A fanout-2 fork whose third edge leaves port F.{port}; out7 and bogus
