@@ -1,12 +1,14 @@
 """Active (rates/ready/invoke) implementations of the built-in actor kinds and
 the default library wiring them to their passive counterparts.
 
-Each kind declares its ports and rate tables once: in its class attributes
-(input_ports, output_ports, _RATES) or, for a buffer kind (fork, gain-fork,
-interleave), by its input ports and fanout, with a BufferActor as its
-active form and a PassiveKernel as its passive form. Everything else is
-computational. Sources and sinks carry the graph's external I/O: a source
-emits a stream bound before execution, a sink collects what it consumes.
+Each kind states its ports and rates once: in its class attributes (read
+by declaration_of) or, for a buffer kind (fork, gain-fork, interleave), by
+its input ports and fanout, with a BufferActor and a PassiveKernel as its
+active and passive forms; every other kind is computational. It names its
+parameters and their defaults once, where it is registered, and refuses
+any other. Only var-src and avg have modes (ModalActor). A source
+(is_source) emits a stream bound before execution, and a sink (is_sink)
+collects what it consumes.
 
 Every kind has one token function, its batched invoke(inputs, k): k
 firings in one call, with the same results, in the same order and with
@@ -17,19 +19,17 @@ the end of the current run of one mode.
 
 import math
 
-from .dataflow import ActorLibrary, CfdfActor, Declaration, F64, TOKEN_TYPES, is_capacity
+from .dataflow import ActorLibrary, CfdfActor, Declaration, F64, TOKEN_TYPES
+from .dataflow import declaration_of, is_capacity
 from .errors import ModelError
 from .kernels import PassiveKernel
 
 
 class ModalActor(CfdfActor):
-    """A kind with several modes: _RATES maps each mode to its table."""
+    """A kind with several modes: self.mode, set by the kind, keys _RATES."""
 
     def rates(self):
         return self._RATES[self.mode]
-
-    def rate_tables(self):
-        return tuple(self._RATES.values())
 
 
 class SourceActor(CfdfActor):
@@ -44,8 +44,8 @@ class SourceActor(CfdfActor):
     def __init__(self, name, token_type=F64):
         super().__init__(name)
         self.check(name, token_type)
-        self._values = []
-        self._cursor = 0
+        self.token_type = token_type
+        self.bind([])
 
     @staticmethod
     def check(name, token_type=F64):
@@ -87,17 +87,10 @@ class VarSourceActor(ModalActor, SourceActor):
         "emit-data": ({}, {"len": 0, "out": 1}),
     }
 
-    def __init__(self, name):
-        super().__init__(name)
-        self._remaining = 0
-
-    def initial_mode(self):
-        return "emit-length"
-
     def bind(self, values):
         super().bind(values)
         self._remaining = 0
-        self.mode = self.initial_mode()
+        self.mode = "emit-length"
 
     def ready(self):
         """One length firing, or the rest of the current window."""
@@ -125,6 +118,7 @@ class SinkActor(CfdfActor):
     kind = "snk"
     input_ports = ("in",)
     output_ports = ()
+    is_sink = True
     _RATES = ({"in": 1}, {})
 
     def __init__(self, name):
@@ -251,12 +245,10 @@ class WindowAverageActor(ModalActor):
 
     def __init__(self, name):
         super().__init__(name)
+        self.mode = "read-length"
         self._n = 0
         self._remaining = 0
         self._sum = 0.0
-
-    def initial_mode(self):
-        return "read-length"
 
     def ready(self):
         """The accumulate run up to the window's last sample, else one."""
@@ -298,34 +290,42 @@ class RmsRatioActor(CfdfActor):
         return {"out": [math.sqrt(e) / math.sqrt(r) for e, r in zip(inputs["e"], inputs["r"])]}
 
 
-def _gain(spec):
-    k = spec.param("k", 1.0)
-    GainActor.check(spec.name, k)
+def _gain(name, k):
+    GainActor.check(name, k)
     return lambda t: k * t
 
 
-def _register(lib, cls, args=lambda spec: ()):
-    """Register a class kind, built as cls(spec.name, *args(spec)) and
-    declared by its class attributes once cls.check accepts the args."""
-    tables = tuple(cls._RATES.values()) if issubclass(cls, ModalActor) else (cls._RATES,)
-    declaration = Declaration(cls.input_ports, cls.output_ports, tables)
+def _args(spec, params):
+    """spec's values of params, a kind's parameters and their defaults, in
+    order; any other parameter is a ModelError that names the least one."""
+    values = {**params, **spec.params}
+    if len(values) > len(params):
+        key = min(values.keys() - params)
+        raise ModelError(f"{spec.name}: {spec.kind} takes no parameter {key!r}")
+    return values.values()
+
+
+def _register(lib, cls, **params):
+    """Register a class kind that takes params, built as cls(name, *values)
+    and declared by its class attributes once cls.check accepts values."""
+    declaration = declaration_of(cls)
 
     def declare(spec):
-        cls.check(spec.name, *args(spec))
+        cls.check(spec.name, *_args(spec, params))
         return declaration
 
-    lib.register(cls.kind, lambda s: cls(s.name, *args(s)), declare=declare)
+    lib.register(cls.kind, lambda s: cls(s.name, *_args(s, params)), declare=declare)
 
 
-def _register_buffer(lib, kind, input_ports, fanout, make_op=lambda spec: None):
-    """Register a buffer kind: its input ports, its default fanout and a
-    function from the spec to its per-token op, if any, that vets the op's
-    parameters. The actor and the ring are built from parts(spec), with one
-    shared Declaration per fanout."""
+def _register_buffer(lib, kind, input_ports, fanout, make_op=lambda name: None, **params):
+    """Register a buffer kind: its input ports, its default fanout, and
+    make_op(name, *values), which vets params and returns the per-token op,
+    if any. Actor and ring are built from parts(spec), one Declaration per fanout."""
     declarations = {}
+    params = {"fanout": fanout, **params}
 
     def parts(spec):
-        n = spec.param("fanout", fanout)
+        n, *values = _args(spec, params)
         if not is_capacity(n):  # before the lookup: True and 2.0 hash like 1 and 2
             raise ModelError(f"{spec.name}: {kind} fanout {n!r} is not an int >= 1")
         declaration = declarations.get(n)
@@ -333,25 +333,24 @@ def _register_buffer(lib, kind, input_ports, fanout, make_op=lambda spec: None):
             outs = tuple(f"out{i}" for i in range(n))
             rates = (dict.fromkeys(input_ports, 1), dict.fromkeys(outs, len(input_ports)))
             declaration = declarations[n] = Declaration(input_ports, outs, (rates,))
-        return declaration, make_op(spec)
+        return declaration, make_op(spec.name, *values)
 
     def passive(spec, capacity):
         (ins, outs, _), op = parts(spec)
         return PassiveKernel(capacity, ins, outs, op)
 
-    lib.register(
-        kind, lambda s: BufferActor(s.name, kind, *parts(s)), passive, lambda s: parts(s)[0]
-    )
+    lib.register(kind, lambda s: BufferActor(s.name, kind, *parts(s)), passive,
+                 lambda s: parts(s)[0])
 
 
 def default_library():
     lib = ActorLibrary()
-    _register(lib, SourceActor, lambda s: (s.param("type", F64),))
-    _register(lib, GainActor, lambda s: (s.param("k", 1.0),))
+    _register(lib, SourceActor, type=F64)
+    _register(lib, GainActor, k=1.0)
     for cls in (VarSourceActor, SinkActor, AccumulatorActor, ErrorMagnitudeActor,
                 ReferenceMagnitudeActor, WindowAverageActor, RmsRatioActor):
         _register(lib, cls)
     _register_buffer(lib, "fork", ("in",), fanout=2)
-    _register_buffer(lib, "gain-fork", ("in",), fanout=1, make_op=_gain)
+    _register_buffer(lib, "gain-fork", ("in",), fanout=1, make_op=_gain, k=1.0)
     _register_buffer(lib, "interleave", ("re", "im"), fanout=1)
     return lib

@@ -129,10 +129,9 @@ def cmd_run(args, lib):
     inputs_dir = Path(args.inputs)
     source_data = {}
     for name, spec in z.source.actors.items():
-        if spec.kind in ("src", "var-src"):
-            source_data[name] = read_samples(
-                inputs_dir / f"{name}.txt", token_type=spec.param("type", "f64")
-            )
+        actor = lib.make_active(spec)
+        if actor.is_source:
+            source_data[name] = read_samples(inputs_dir / f"{name}.txt", actor.token_type)
     instance = instantiate(z, lib, source_data)
     stats = instance.run(
         sink_token_target=args.sink_tokens, max_iterations=args.iterations

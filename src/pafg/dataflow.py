@@ -62,40 +62,33 @@ class ActorSpec:
 
 
 class CfdfActor:
-    """Behavioral contract for actors: finite modes with fixed per-port
-    rates, a side-effect-free ready() count, and a batched invoke that
-    consumes and produces exactly the declared counts of k firings before
-    selecting the next mode. The engine fires k times in one call, where k
-    is at most the firings the input populations and output space admit
-    under the current rates and at most ready().
+    """Behavioral contract for actors: fixed per-port rates, a side-effect-
+    free ready() count, and a batched invoke that consumes and produces
+    exactly the declared counts of k firings. The engine fires k times in
+    one call, where k is at most the firings the input populations and
+    output space admit under the current rates and at most ready().
 
     Subclasses define input_ports/output_ports, the token function in
-    invoke() and the rate table _RATES; one with several modes keys _RATES
-    by mode and overrides rates() and rate_tables().
+    invoke() and the rate table _RATES, which declaration_of reads; a kind
+    with several modes is a ModalActor. A source sets is_source and has
+    bind(values) and token_type; a sink sets is_sink and fills collected.
     """
 
     kind = None
     input_ports = ()
     output_ports = ()
-    is_source = False  # sources additionally expose bind(values)
+    is_source = False
+    is_sink = False
 
     def __init__(self, name):
         self.name = name
-        self.mode = self.initial_mode()
 
     # check(name, *args) raises ModelError for arguments the constructor rejects
     check = staticmethod(lambda name, *args: None)
 
-    def initial_mode(self):
-        return "run"
-
     def rates(self):
         """(consumption, production) per port for the current mode."""
         return self._RATES
-
-    def rate_tables(self):
-        """Every (consumption, production) table the actor can fire under."""
-        return (self.rates(),)
 
     def ready(self):
         """How many consecutive firings the actor's state allows under its
@@ -107,13 +100,21 @@ class CfdfActor:
         """Fire k times in one call: inputs holds, per input port, the
         declared count times k tokens in stream order; return the produced
         tokens per output port, the declared count times k each, and
-        advance the mode. Results equal k single firings in turn."""
+        advance the actor's state. Results equal k single firings in turn."""
         raise NotImplementedError
 
 
 # An actor's ports and every (consumption, production) table it can fire under
 Declaration = namedtuple("Declaration", "input_ports output_ports rate_tables")
 ActorLibraryEntry = namedtuple("ActorLibraryEntry", "kind active_factory passive_factory declare")
+
+
+def declaration_of(actor):
+    """The Declaration an actor or actor class states: its ports and its
+    _RATES, one table, or a dict of one table per mode."""
+    rates = actor._RATES
+    tables = tuple(rates.values()) if isinstance(rates, dict) else (rates,)
+    return Declaration(actor.input_ports, actor.output_ports, tables)
 
 
 class ActorLibrary:
@@ -125,13 +126,13 @@ class ActorLibrary:
 
     def register(self, kind, active_factory, passive_factory=None, declare=None):
         """declare(spec) gives the kind's Declaration for spec, or raises
-        ModelError for a bad parameter; by default it builds an actor."""
+        ModelError for a bad or unknown parameter; by default it is the
+        declaration_of a new actor."""
         if kind in self._entries:
             raise ModelError(f"actor kind {kind!r} already registered")
         if declare is None:
             def declare(spec):
-                a = active_factory(spec)
-                return Declaration(a.input_ports, a.output_ports, a.rate_tables())
+                return declaration_of(active_factory(spec))
         self._entries[kind] = ActorLibraryEntry(kind, active_factory, passive_factory, declare)
 
     def entry(self, kind):

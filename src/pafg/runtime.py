@@ -68,7 +68,7 @@ class ExecutionInstance:
         self.order = data_order(z.source.graph, actors)
         self.kernels = kernels
         self.stations = stations
-        self.sinks = {name for name, actor in actors.items() if actor.kind == "snk"}
+        self.sinks = {name for name, actor in actors.items() if actor.is_sink}
         self.bmr_bytes = compute_bmr(z).total_bytes
 
     def sink_streams(self):
@@ -315,7 +315,7 @@ def instantiate(z, lib, source_data):
             actor.bind(source_data[name])
         # a block's ports are distinct, so sorting compares port names only
         stations[name] = (
-            name, actor, actor.kind == "snk",
+            name, actor, actor.is_sink,
             tuple(sorted(bound_ins.values())), tuple(sorted(bound_outs.values())),
             frozenset(bound_outs),
         )

@@ -34,4 +34,4 @@ def kahn_streams(graph, lib, source_data):
                 for port, values in actor.invoke(inputs).items():
                     outs[name][port].extend(values)
                 fired = True
-    return {name: a.collected for name, a in actors.items() if a.kind == "snk"}
+    return {name: a.collected for name, a in actors.items() if a.is_sink}

@@ -50,13 +50,20 @@ def test_validate_rejects_undeclared_port(tmp_path, capsys):
     assert "error: line 7: F.out7" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["kind", "name"])
-def test_validate_accepts_parameter_named_like_a_builder_argument(tmp_path, capsys, key):
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("actor A src kind=x", "src takes no parameter 'kind'"),
+        ("actor A src name=x", "src takes no parameter 'name'"),
+        ("actor A snk k=2 fanout=9", "snk takes no parameter 'fanout'"),
+    ],
+    ids=["kind", "name", "snk"],
+)
+def test_validate_rejects_a_parameter_the_kind_does_not_take(tmp_path, capsys, line, message):
     path = tmp_path / "param.graph"
-    path.write_text(f"actor A src {key}=x\nactor B snk\nedge A.out -> B.in capacity=4\n",
-                    encoding="utf-8")
-    assert cli_main(["validate", str(path)]) == 0
-    assert "ok" in capsys.readouterr().out
+    path.write_text(f"{line}\nactor B snk\n", encoding="utf-8")
+    assert cli_main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: line 1: A: {message}\n")
 
 
 def test_missing_file_is_domain_error(tmp_path):
