@@ -158,7 +158,7 @@ class BufferActor(CfdfActor):
 
     def __init__(self, name, kind, declaration, op=None):
         self.kind = kind
-        self.input_ports, self.output_ports, (self._RATES,) = declaration
+        self.input_ports, self.output_ports, (self._RATES,), _ = declaration
         self.op = op
         super().__init__(name)
 
@@ -307,12 +307,14 @@ def _args(spec, params):
 
 def _register(lib, cls, **params):
     """Register a class kind that takes params, built as cls(name, *values)
-    and declared by its class attributes once cls.check accepts values."""
+    and declared by its class attributes once cls.check accepts values; a
+    type parameter is the type of every token the kind emits."""
     declaration = declaration_of(cls)
+    typed = {t: declaration._replace(token_type=t) for t in TOKEN_TYPES if "type" in params}
 
     def declare(spec):
         cls.check(spec.name, *_args(spec, params))
-        return declaration
+        return typed.get(spec.params.get("type", params.get("type")), declaration)
 
     lib.register(cls.kind, lambda s: cls(s.name, *_args(s, params)), declare=declare)
 
@@ -336,7 +338,7 @@ def _register_buffer(lib, kind, input_ports, fanout, make_op=lambda name: None, 
         return declaration, make_op(spec.name, *values)
 
     def passive(spec, capacity):
-        (ins, outs, _), op = parts(spec)
+        (ins, outs, *_), op = parts(spec)
         return PassiveKernel(capacity, ins, outs, op)
 
     lib.register(kind, lambda s: BufferActor(s.name, kind, *parts(s)), passive,

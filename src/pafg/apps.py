@@ -189,13 +189,7 @@ def generate_evm_inputs(seed, max_length, num_windows):
     lengths = [rng.next_int(1, max_length) for _ in range(num_windows)]
     total = sum(lengths)
     streams = [[rng.next_sample() for _ in range(total)] for _ in range(4)]
-    return EvmConfig(
-        window_lengths=lengths,
-        ref_re=streams[0],
-        ref_im=streams[1],
-        rec_re=streams[2],
-        rec_im=streams[3],
-    )
+    return EvmConfig(lengths, *streams)
 
 
 @dataclass

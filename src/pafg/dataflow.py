@@ -1,11 +1,12 @@
 """Application-graph layer: actors with a rates/ready/invoke contract, typed
 FIFO edges, and the actor library that records which kinds also have a
-passive (read/write) implementation and each kind's declaration: the
-ports and rate tables of its actor for a spec, read without building one.
+passive (read/write) implementation and each kind's declaration: the ports,
+rate tables and token type of its actor for a spec, read without building
+one and checked once per spec and library.
 
-An ApplicationGraph is a pure value: vertices carry ActorSpecs (kind plus
-construction parameters), not live actor state. Live actors are created
-from the library when a graph is instantiated for execution.
+An ApplicationGraph is a pure value of slotted records: ActorSpecs (kind
+plus construction parameters, not live actor state) and DataflowEdges.
+Live actors are created from the library when a graph is instantiated.
 """
 
 import math
@@ -26,11 +27,11 @@ def is_capacity(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DataflowEdge:
     """A single-producer single-consumer FIFO channel between actor ports.
-    signature, "src.port->snk.port", is set once and is not a field, so it
-    takes no part in equality."""
+    signature, "src.port->snk.port", is set once and takes no part in
+    equality, hashing or repr."""
 
     src: str
     src_port: str
@@ -38,27 +39,35 @@ class DataflowEdge:
     snk_port: str
     capacity: int
     token_type: str = F64
+    signature: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_capacity(self.capacity):
             raise ModelError(f"edge {self.key()}: capacity {self.capacity!r} is not an int >= 1")
         if self.token_type not in TOKEN_TYPES:
             raise ModelError(f"edge {self.key()}: unknown token type {self.token_type!r}")
-        signature = f"{self.src}.{self.src_port}->{self.snk}.{self.snk_port}"
-        object.__setattr__(self, "signature", signature)
+        self.signature = f"{self.src}.{self.src_port}->{self.snk}.{self.snk_port}"
 
     def key(self):
         return (self.src, self.snk)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ActorSpec:
+    """An actor's name, kind and construction parameters. declaration and
+    declared_by keep ActorLibrary.declare's result, outside equality and repr."""
+
     name: str
     kind: str
     params: dict = field(default_factory=dict)
+    declaration: tuple = field(default=None, init=False, repr=False, compare=False)
+    declared_by: object = field(default=None, init=False, repr=False, compare=False)
 
     def param(self, key, default=None):
         return self.params.get(key, default)
+
+    def __reduce__(self):  # a copy or pickle leaves the declaration behind
+        return ActorSpec, (self.name, self.kind, self.params)
 
 
 class CfdfActor:
@@ -104,8 +113,9 @@ class CfdfActor:
         raise NotImplementedError
 
 
-# An actor's ports and every (consumption, production) table it can fire under
-Declaration = namedtuple("Declaration", "input_ports output_ports rate_tables")
+# An actor's ports, every (consumption, production) table and its token type, if fixed
+Declaration = namedtuple("Declaration", "input_ports output_ports rate_tables token_type",
+                         defaults=(None,))
 ActorLibraryEntry = namedtuple("ActorLibraryEntry", "kind active_factory passive_factory declare")
 
 
@@ -148,7 +158,12 @@ class ActorLibrary:
         return self.entry(kind).passive_factory is not None
 
     def declare(self, spec):
-        return self.entry(spec.kind).declare(spec)
+        """spec's Declaration, checked once per spec and library: the first
+        one is kept on the spec and returned again."""
+        if spec.declared_by is not self:
+            spec.declaration = self.entry(spec.kind).declare(spec)
+            spec.declared_by = self
+        return spec.declaration
 
     def make_active(self, spec):
         return self.entry(spec.kind).active_factory(spec)
@@ -203,32 +218,31 @@ class AppGraphBuilder:
     """Single-owner builder for ApplicationGraph values.
 
     Endpoints are written "actor.port", e.g. builder.edge("A.out", "B.in",
-    capacity=16).
+    capacity=16). actors and edges hold the records added so far, in order.
     """
 
     def __init__(self):
-        self._actors = {}
-        self._edges = {}
+        self.actors = {}
+        self.edges = {}
 
     def actor(self, name, kind, params=None, /, **kwargs):
         """Parameters come as a dict, keywords or both; any name is allowed."""
-        if name in self._actors:
+        if name in self.actors:
             raise DuplicateVertexError(f"vertex {name!r} already present")
-        self._actors[name] = ActorSpec(name, kind, {**(params or {}), **kwargs})
+        self.actors[name] = ActorSpec(name, kind, {**(params or {}), **kwargs})
         return self
 
     def edge(self, src_endpoint, snk_endpoint, capacity, token_type=F64):
         src, src_port = _split_endpoint(src_endpoint)
         snk, snk_port = _split_endpoint(snk_endpoint)
-        check_edge(self._actors, src, snk)
-        if (src, snk) in self._edges:
+        check_edge(self.actors, src, snk)
+        if (src, snk) in self.edges:
             raise DuplicateEdgeError(f"edge ({src!r}, {snk!r}) already present")
-        e = DataflowEdge(src, src_port, snk, snk_port, capacity, token_type)
-        self._edges[e.key()] = e
+        self.edges[src, snk] = DataflowEdge(src, src_port, snk, snk_port, capacity, token_type)
         return self
 
     def build(self):
-        return ApplicationGraph(dict(self._actors), dict(self._edges))
+        return ApplicationGraph(dict(self.actors), dict(self.edges))
 
 
 def _split_endpoint(endpoint):

@@ -16,17 +16,17 @@ connections the PAFG derives from its blocks (ir.block_edges), once each.
 
 A value is an int if int() reads it, else a float if float() does, else a
 string. An edge takes no key but capacity and type. Every file is read
-against a library: each actor line must declare a registered kind with
-parameters it accepts and each edge line must join ports its actors'
-kinds declare, checked as the line is read, so the first faulty line is
-the one reported; and a PAFG's blocks must meet validate_coordinated.
+against a library as each line is read, so the first faulty line is the
+one reported: an actor line must declare a registered kind with parameters
+it accepts, an edge line join declared ports with the token type its
+source's kind fixes, if any; and a PAFG's blocks meet validate_coordinated.
 
 Blank lines and '#' comments are ignored. Sample files carry one decimal
 value per line, written with %.17g so float64 values round-trip exactly.
 """
 
-from .dataflow import ActorSpec, AppGraphBuilder, DataflowEdge, F64, I64
-from .errors import ParseError, PafgError
+from .dataflow import AppGraphBuilder, DataflowEdge, F64, I64
+from .errors import ModelError, ParseError, PafgError
 from .ir import ACTV, Block, CoordinatedPafg, PSSV, Pafg, validate_coordinated
 
 
@@ -63,7 +63,7 @@ def _parse_params(tokens, lineno):
 
 def _scan(text, allowed):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
         if not tokens:
             continue
         directive = tokens[0]
@@ -74,21 +74,18 @@ def _scan(text, allowed):
 
 def _build_app_graph(records, lib):
     """The application graph of the actor and edge records. Each actor line
-    is declared and each edge's two ports checked against its actors'
-    declarations as the line is read, so a fault is reported at the first
-    line that has one."""
+    is declared, and each edge's two ports and its source's token type are
+    checked against its actors' declarations, as the line is read, so a
+    fault is reported at the first line that has one."""
     builder = AppGraphBuilder()
-    ports = {}  # actor -> (input ports, output ports)
     try:
         for lineno, directive, rest in records:
             if directive == "actor":
                 if len(rest) < 2:
                     raise ParseError("actor needs a name and a kind", line=lineno)
-                name, kind = rest[0], rest[1]
-                params = _parse_params(rest[2:], lineno)
-                builder.actor(name, kind, params)
-                ports[name] = lib.declare(ActorSpec(name, kind, params))[:2]
-            else:  # edge
+                builder.actor(rest[0], rest[1], _parse_params(rest[2:], lineno))
+                lib.declare(builder.actors[rest[0]])
+            elif directive == "edge":
                 if len(rest) < 4 or rest[1] != "->":
                     raise ParseError(
                         "edge needs the form: edge <src>.<port> -> <dst>.<port> capacity=<int>",
@@ -100,18 +97,19 @@ def _build_app_graph(records, lib):
                     raise ParseError(f"unknown edge key {min(unknown)!r}", line=lineno)
                 if "capacity" not in params:
                     raise ParseError("edge needs capacity=<int>", line=lineno)
-                builder.edge(
-                    rest[0], rest[2], capacity=params["capacity"], token_type=params.get("type", F64)
-                )
-                for endpoint, side in ((rest[0], 1), (rest[2], 0)):
-                    actor, _, port = endpoint.rpartition(".")
-                    if port not in ports[actor][side]:
-                        raise ParseError(
-                            f"{actor}.{port} is not a declared port of {actor}", line=lineno
-                        )
+                builder.edge(rest[0], rest[2], params["capacity"], params.get("type", F64))
+                e = next(reversed(builder.edges.values()))  # the edge just added
+                src, snk = lib.declare(builder.actors[e.src]), lib.declare(builder.actors[e.snk])
+                for actor, port, ports in ((e.src, e.src_port, src.output_ports),
+                                           (e.snk, e.snk_port, snk.input_ports)):
+                    if port not in ports:
+                        raise ModelError(f"{actor}.{port} is not a declared port of {actor}")
+                if src.token_type not in (None, e.token_type):
+                    raise ModelError(f"{e.src}.{e.src_port} emits {src.token_type} tokens, but "
+                                     f"the edge has type={e.token_type}")
     except ParseError:
         raise
-    except PafgError as exc:  # from the builder or the library, about the current line
+    except PafgError as exc:  # a fault of the current line
         raise ParseError(str(exc), line=lineno) from exc
     try:
         return builder.build()
@@ -142,7 +140,7 @@ def serialize_graph(graph):
 
 def parse_pafg(text, lib):
     records = list(_scan(text, ("actor", "edge", "block", "bedge")))
-    app_graph = _build_app_graph([r for r in records if r[1] in ("actor", "edge")], lib)
+    app_graph = _build_app_graph(records, lib)
 
     origins = {}  # from= value -> (its record, the kind= word of its block line)
     for record in (*app_graph.actors.values(), *app_graph.edges.values()):
@@ -167,14 +165,13 @@ def parse_pafg(text, lib):
     except PafgError as exc:  # about a block or an actor, not a line
         raise ParseError(str(exc)) from exc
     implied = z.pafg.edges  # derived from the blocks
+    if bedges.keys() == implied:
+        return z  # every bedge line checked at once; the scan below names a fault
     for (a, b), lineno in bedges.items():
         if (a, b) not in implied:
             raise ParseError(f"bedge {a} -> {b} is not a connection the blocks imply", line=lineno)
-    missing = implied - bedges.keys()
-    if missing:
-        a, b = min(missing)
-        raise ParseError(f"missing bedge {a} -> {b}")
-    return z
+    a, b = min(implied - bedges.keys())
+    raise ParseError(f"missing bedge {a} -> {b}")
 
 
 def _block_words(record):

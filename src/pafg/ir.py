@@ -1,6 +1,6 @@
-"""Passive-active flowgraph IR: blocks with provenance into an application
-graph, coordination functions, and the structural validators (alternating
-condition, adjacent-buffer restriction).
+"""Passive-active flowgraph IR: blocks, slotted values with provenance into
+an application graph, coordination functions, and the structural
+validators (alternating condition, adjacent-buffer restriction).
 
 Block taxonomy. A block's provenance is the application graph's own record:
 a DataflowEdge makes it a simple passive buffer named by the edge's
@@ -19,7 +19,7 @@ parse_pafg and instantiate, the rules that need the library: a
 computational block is active, and a passive ring has a slot per write port.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dataflow import ActorSpec, DataflowEdge, is_capacity
 from .errors import DanglingProvenanceError, IrError
@@ -29,36 +29,36 @@ PSSV = "pssv"
 ACTV = "actv"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Block:
     """A PAFG block: the actor or edge record it stands for, plus its
     capacity in tokens when it is executed passively; a simple block's
     capacity is its edge's. name, kind and is_simple are read off the
-    provenance once and are not fields, so they take no part in equality."""
+    provenance once and take no part in equality, hashing or repr."""
 
     provenance: object  # ActorSpec (non-simple) or DataflowEdge (simple)
     capacity: int = None
+    name: str = field(init=False, repr=False, compare=False)
+    kind: str = field(init=False, repr=False, compare=False)
+    is_simple: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.provenance
         if isinstance(p, ActorSpec):
-            name, kind, simple = p.name, p.kind, False
+            self.name, self.kind, self.is_simple = p.name, p.kind, False
         elif isinstance(p, DataflowEdge):
-            name, kind, simple = p.signature, None, True
+            self.name, self.kind, self.is_simple = p.signature, None, True
             if self.capacity is None:
-                object.__setattr__(self, "capacity", p.capacity)
+                self.capacity = p.capacity
             elif self.capacity != p.capacity:
                 raise IrError(
-                    f"simple block {name!r}: capacity {self.capacity!r} disagrees with "
+                    f"simple block {self.name!r}: capacity {self.capacity!r} disagrees with "
                     f"edge capacity {p.capacity}"
                 )
         else:
             raise IrError(f"bad block provenance {p!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "is_simple", simple)
         if self.capacity is not None and not is_capacity(self.capacity):
-            raise IrError(f"block {name!r}: capacity {self.capacity!r} is not an int >= 1")
+            raise IrError(f"block {self.name!r}: capacity {self.capacity!r} is not an int >= 1")
 
 
 @dataclass(frozen=True)

@@ -186,7 +186,7 @@ def data_order(graph, blocks):
     search from each vertex and to each successor in name order: O(V + E)
     apart from sorting each vertex's successors, deterministic also on a
     cycle, and topological on an acyclic graph."""
-    outs = graph.outs
+    succ = {v: sorted([w for _, w in es], reverse=True) for v, es in graph.outs.items()}
     seen, finished = set(), []
     stack = sorted(graph.vertices, reverse=True)
     while stack:
@@ -196,7 +196,7 @@ def data_order(graph, blocks):
         elif v not in seen:
             seen.add(v)
             stack.append((v,))  # then its successors, the first by name on top
-            stack += sorted([w for _, w in outs.get(v, ())], reverse=True)
+            stack += succ.get(v, ())
     return [v for v in reversed(finished) if v in blocks]
 
 
@@ -259,19 +259,19 @@ def instantiate(z, lib, source_data):
 
     kernels = {}
     actors = {}
+    # (input ports, output ports) of every actor's block, active or passive:
+    # an application edge may only touch ports its endpoints declare.
+    declared = {}
     coord = z.coordination
     for name, block in z.pafg.blocks.items():
         if coord[name] != PSSV:
-            actors[name] = lib.make_active(block.provenance)
+            actor = actors[name] = lib.make_active(block.provenance)
+            declared[name] = actor.input_ports, actor.output_ports
         elif block.is_simple:
             kernels[name] = PassiveKernel(block.capacity)
         else:
-            kernels[name] = lib.make_passive(block.provenance, block.capacity)
-
-    # (input ports, output ports) of every block, active or passive: an
-    # application edge may only touch ports its endpoints declare.
-    declared = {name: (a.input_ports, a.output_ports) for name, a in actors.items()}
-    declared.update((name, (k.write_ports, k.read_ports)) for name, k in kernels.items())
+            ring = kernels[name] = lib.make_passive(block.provenance, block.capacity)
+            declared[name] = ring.write_ports, ring.read_ports
 
     # every PAFG is associated by construction, so each application edge
     # runs through its surviving simple ring or, absorbed, joins its two

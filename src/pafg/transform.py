@@ -76,12 +76,10 @@ def _candidate_for(z, lib, name):
 
 def find_candidates(z, lib):
     """All simply surrounded active buffer blocks, ordered by name."""
-    out = []
-    for name in sorted(n for n, b in z.pafg.blocks.items() if not b.is_simple):
-        cand, _ = _candidate_for(z, lib, name)
-        if cand is not None:
-            out.append(cand)
-    return out
+    coord = z.coordination
+    names = sorted([n for n, b in z.pafg.blocks.items()
+                    if coord[n] == ACTV and not b.is_simple and lib.is_buffer_actor(b.kind)])
+    return [cand for cand, _ in (_candidate_for(z, lib, n) for n in names) if cand is not None]
 
 
 @dataclass
@@ -117,28 +115,23 @@ def _require_input(z):
         raise TransformError("passivization is defined on alternating PAFGs only")
 
 
-def _largest_rate(lib, spec, port, side):
-    """The most tokens one firing of the actor moves on a port, over every
-    rate table it can fire under (side 0 consumes, side 1 produces)."""
-    return max([table[side].get(port, 0) for table in lib.declare(spec).rate_tables])
-
-
 def _burst_bound(z, lib, name):
     """The least ring capacity that admits one burst of every reader and
     writer of the passivized block: a reader's largest read, and the index
     span of a writer's largest write, which on a ring of m write ports is
-    m times the burst. The rates come from the block's application edges,
-    which its simple buffers stand for."""
+    m times the burst, each over every rate table its actor can fire under.
+    The rates come from the block's application edges, which its simple
+    buffers stand for."""
     actors, edges, g = z.source.actors, z.source.edges, z.source.graph
     stride = len(lib.declare(actors[name]).input_ports)
-    bound = 1
+    bursts = [1]
     for key in g.ins.get(name, ()):
         e = edges[key]
-        bound = max(bound, stride * _largest_rate(lib, actors[e.src], e.src_port, 1))
+        bursts += [stride * t[1].get(e.src_port, 0) for t in lib.declare(actors[e.src]).rate_tables]
     for key in g.outs.get(name, ()):
         e = edges[key]
-        bound = max(bound, _largest_rate(lib, actors[e.snk], e.snk_port, 0))
-    return bound
+        bursts += [t[0].get(e.snk_port, 0) for t in lib.declare(actors[e.snk]).rate_tables]
+    return max(bursts)
 
 
 def _rewrite(z, lib, candidates):

@@ -1,6 +1,10 @@
+import copy
 import math
+import pickle
 import random
 import struct
+from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -12,10 +16,20 @@ from pafg.actors import (
     WindowAverageActor,
     default_library,
 )
-from pafg.dataflow import ActorLibrary, ActorSpec, AppGraphBuilder, ApplicationGraph, Declaration
+from pafg.apps import ForkCascadeConfig, build_fork_cascade, fork_cascade_source_data
+from pafg.dataflow import (
+    ActorLibrary,
+    ActorSpec,
+    AppGraphBuilder,
+    ApplicationGraph,
+    DataflowEdge,
+    Declaration,
+)
 from pafg.errors import DuplicateEdgeError, ModelError, UnknownKindError, UnknownVertexError
+from pafg.formats import parse_pafg, serialize_pafg
+from pafg.ir import validate_coordinated
 from pafg.runtime import instantiate
-from pafg.transform import derive_direct_pafg
+from pafg.transform import derive_direct_pafg, passivize_fixpoint
 
 
 def one_block_instance(block, kind, source_data=None, capacity=4, **params):
@@ -261,6 +275,36 @@ def test_builder_round_trip():
         g.edge("B", "A")
 
 
+def test_records_are_values():
+    """Equality, hashing and repr read the declared fields only: the derived
+    signature and a spec's declaration are neither compared nor shown."""
+    e = DataflowEdge("A", "out", "B", "in", 4)
+    same = DataflowEdge("A", "out", "B", "in", 4, "f64")
+    assert e == same and hash(e) == hash(same) and {e: 1}[same] == 1
+    assert e != DataflowEdge("A", "out", "B", "in", 5)
+    assert e != DataflowEdge("A", "out", "B", "in", 4, "i64")
+    assert repr(e) == (
+        "DataflowEdge(src='A', src_port='out', snk='B', snk_port='in', capacity=4, token_type='f64')"
+    )
+    assert e.signature == "A.out->B.in"
+    object.__setattr__(same, "signature", "another")
+    assert e == same and hash(e) == hash(same)
+    assert [f.name for f in fields(DataflowEdge) if f.compare] == [
+        "src", "src_port", "snk", "snk_port", "capacity", "token_type"
+    ]
+
+    spec = ActorSpec("F", "fork", {"fanout": 2})
+    assert spec == ActorSpec("F", "fork", {"fanout": 2}) != ActorSpec("F", "fork", {"fanout": 3})
+    assert repr(spec) == "ActorSpec(name='F', kind='fork', params={'fanout': 2})"
+    default_library().declare(spec)
+    assert spec == ActorSpec("F", "fork", {"fanout": 2})
+    assert repr(spec) == "ActorSpec(name='F', kind='fork', params={'fanout': 2})"
+    assert pickle.loads(pickle.dumps(spec)) == spec == copy.deepcopy(spec)
+    assert [f.name for f in fields(ActorSpec) if f.compare] == ["name", "kind", "params"]
+    with pytest.raises(TypeError):
+        hash(ActorSpec("A", "src", {}))  # its params are a dict
+
+
 def test_edge_table_key_must_match_its_edge():
     g = chain_builder().build()
     edges = {("A", "C"): g.edge("A", "B"), ("B", "C"): g.edge("B", "C")}
@@ -384,6 +428,41 @@ def test_non_numeric_gain_is_rejected_before_running(kind):
     GainActor.check("G", 2)  # an int gain is a number too
     with pytest.raises(ModelError):
         GainActor("G", k=None)
+
+
+def counting_library(counts):
+    """The default kinds of a fork cascade, each counting its declaration
+    checks by actor name."""
+    base, lib = default_library(), ActorLibrary()
+    for kind in ("src", "fork", "gain", "acc", "snk"):
+        e = base.entry(kind)
+
+        def declare(spec, declare=e.declare):
+            counts[spec.name] += 1
+            return declare(spec)
+
+        lib.register(kind, e.active_factory, e.passive_factory, declare)
+    return lib
+
+
+def test_each_spec_is_declared_once_per_library():
+    cascade = ForkCascadeConfig(window_size=4, num_forks=3)
+    graph, data = build_fork_cascade(cascade), fork_cascade_source_data(cascade)
+    text = serialize_pafg(derive_direct_pafg(graph, default_library()))
+    once = Counter(dict.fromkeys(graph.actors, 1))
+    counts = Counter()
+    lib = counting_library(counts)
+    z = parse_pafg(text, lib)
+    optimized, log = passivize_fixpoint(z, lib)
+    instantiate(optimized, lib, data)
+    assert len(log) == 3 and counts == once
+    # the same specs, read by a second library: checked afresh, once each
+    counts = Counter()
+    lib = counting_library(counts)
+    optimized, _ = passivize_fixpoint(z, lib)
+    validate_coordinated(optimized, lib)
+    instantiate(optimized, lib, data)
+    assert counts == once
 
 
 def test_declaration_defaults_to_reading_a_new_actor():

@@ -149,6 +149,20 @@ def test_first_faulty_line_is_reported(lib, text, message):
         parse_graph(text, lib=lib)
 
 
+@pytest.mark.parametrize("src, edge", [("type=i64", "type=f64"), ("type=i64", ""),
+                                       ("", "type=i64"), ("type=f64", "type=i64")])
+def test_source_type_must_match_its_edge(lib, src, edge):
+    """A src emits tokens of its type, so its out-edge must carry that type."""
+    emitted, carried = (word.partition("=")[2] or "f64" for word in (src, edge))
+    text = f"actor S src {src}\nactor B snk\nedge S.out -> B.in capacity=4 {edge}\n"
+    message = f"^line 3: S.out emits {emitted} tokens, but the edge has type={carried}$"
+    for parse in (parse_graph, parse_pafg):
+        with pytest.raises(ParseError, match=message):
+            parse(text, lib=lib)
+    text = f"actor S src type={emitted}\nactor B snk\nedge S.out -> B.in capacity=4 type={emitted}\n"
+    assert parse_graph(text, lib=lib).edge("S", "B").token_type == emitted
+
+
 @pytest.mark.parametrize("keys", ["color=red", "type=f64 color=red", "capacity_=1"])
 def test_edge_rejects_unknown_key(lib, keys):
     text = f"actor S src\nactor A snk\nedge S.out -> A.in capacity=1 {keys}\n"
@@ -481,8 +495,8 @@ def test_parse_and_fixpoint_build_no_actor():
 
 # Words a mutant puts in place of a token, or of a key's value
 MUTANT_WORDS = (
-    "kind=x", "name=x", "capacity=0", "capacity=1", "type=i64", "coord=pssv", "fanout=3", "nan",
-    "True", "->", "#",
+    "kind=x", "name=x", "capacity=0", "capacity=1", "type=i64", "type=f64", "coord=pssv",
+    "fanout=3", "nan", "True", "->", "#",
 )
 
 

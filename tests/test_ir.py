@@ -1,4 +1,6 @@
+import pickle
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -193,11 +195,38 @@ def test_block_name_and_kind_come_from_provenance(lib):
         Block("B")
 
 
+def test_blocks_are_values(lib):
+    """Equality, hashing and repr read provenance and capacity only: name,
+    kind and is_simple, read off the provenance, are neither compared nor
+    shown."""
+    e = chain_graph().edge("A", "B")
+    simple = Block(e)
+    assert simple == Block(DataflowEdge("A", "out", "B", "in", 100)) == Block(e, 100)
+    assert hash(simple) == hash(Block(e, 100)) and {simple: 1}[Block(e)] == 1
+    assert repr(simple) == f"Block(provenance={e!r}, capacity=100)"
+    ring = Block(ActorSpec("B", "fork", {"fanout": 1}), 4)
+    assert ring == Block(ActorSpec("B", "fork", {"fanout": 1}), 4) != Block(ring.provenance, 5)
+    assert repr(ring) == (
+        "Block(provenance=ActorSpec(name='B', kind='fork', params={'fanout': 1}), capacity=4)"
+    )
+    with pytest.raises(TypeError):
+        hash(ring)  # its provenance's params are a dict
+    other = Block(e)
+    object.__setattr__(other, "name", "renamed")
+    object.__setattr__(other, "is_simple", False)
+    assert other == simple and hash(other) == hash(simple)
+    assert [f.name for f in fields(Block) if f.compare] == ["provenance", "capacity"]
+    z = parse_pafg(serialize_pafg(derive_direct_pafg(chain_graph(), lib)), lib)
+    assert pickle.loads(pickle.dumps(z)) == z
+
+
 def test_simple_block_capacity_is_its_edges():
     e = chain_graph().edge("A", "B")
     assert Block(e) == Block(e, 100) and Block(e).capacity == 100
     with pytest.raises(IrError, match="disagrees with edge capacity 100"):
         Block(e, 99)
+    with pytest.raises(IrError, match="capacity 100.0 is not an int >= 1"):
+        Block(e, 100.0)
 
 
 def test_block_capacity_must_be_a_positive_int():
