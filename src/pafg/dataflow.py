@@ -63,9 +63,6 @@ class ActorSpec:
     declaration: tuple = field(default=None, init=False, repr=False, compare=False)
     declared_by: object = field(default=None, init=False, repr=False, compare=False)
 
-    def param(self, key, default=None):
-        return self.params.get(key, default)
-
     def __reduce__(self):  # a copy or pickle leaves the declaration behind
         return ActorSpec, (self.name, self.kind, self.params)
 

@@ -9,13 +9,13 @@ line per block and per block connection:
     block <name> kind=<kind|simple> coord=<actv|pssv>
           from=<actor:<name>|edge:<src.port->dst.port>> [capacity=<int>]
     bedge <a> -> <b>
-A block's name is its actor's name or its edge's signature, and its kind
-is its actor's kind or simple. Every actor has a block, the coordination
-is one a CoordinatedPafg accepts, and the bedge lines list exactly the
-connections the PAFG derives from its blocks (ir.block_edges), once each.
+A block's name is its actor's name or its edge's signature, its kind its
+actor's kind or simple. It is pssv iff it has a capacity, as a simple block
+has its edge's. Every actor has a block, and the bedge lines list exactly
+the connections the PAFG derives from its blocks (ir.block_edges), once.
 
 A value is an int if int() reads it, else a float if float() does, else a
-string. An edge takes no key but capacity and type. Every file is read
+string. An edge or a block takes no key but those above. Every file is read
 against a library as each line is read, so the first faulty line is the
 one reported: an actor line must declare a registered kind with parameters
 it accepts, an edge line join declared ports with the token type its
@@ -147,11 +147,10 @@ def parse_pafg(text, lib):
         kind, origin = _block_words(record)
         origins[origin] = record, kind
     blocks = {}
-    coordination = {}
     bedges = {}  # (a, b) -> line
     for lineno, directive, rest in records:
         if directive == "block":
-            _parse_block(rest, lineno, origins, blocks, coordination)
+            _parse_block(rest, lineno, origins, blocks)
         elif directive == "bedge":
             if len(rest) != 3 or rest[1] != "->":
                 raise ParseError("bedge needs the form: bedge <a> -> <b>", line=lineno)
@@ -160,7 +159,7 @@ def parse_pafg(text, lib):
                 raise ParseError(f"duplicate bedge {a} -> {b}", line=lineno)
             bedges[a, b] = lineno
     try:
-        z = CoordinatedPafg(Pafg(blocks, app_graph), coordination)
+        z = CoordinatedPafg(Pafg(blocks, app_graph))
         validate_coordinated(z, lib)
     except PafgError as exc:  # about a block or an actor, not a line
         raise ParseError(str(exc)) from exc
@@ -181,15 +180,19 @@ def _block_words(record):
     return record.kind, f"actor:{record.name}"
 
 
-def _parse_block(rest, lineno, origins, blocks, coordination):
+def _parse_block(rest, lineno, origins, blocks):
     """One block line, read by the rule serialize_pafg writes it with
-    (_block_words); the block's name must be its record's name."""
+    (_block_words); the block's name must be its record's name, and it is
+    pssv iff it has a capacity."""
     if not rest:
         raise ParseError("block needs a name", line=lineno)
     name = rest[0]
     if name in blocks:
         raise ParseError(f"duplicate block {name!r}", line=lineno)
     params = _parse_params(rest[1:], lineno)
+    unknown = params.keys() - {"kind", "coord", "from", "capacity"}
+    if unknown:
+        raise ParseError(f"unknown block key {min(unknown)!r}", line=lineno)
     for required in ("kind", "coord", "from"):
         if required not in params:
             raise ParseError(f"block needs {required}=...", line=lineno)
@@ -204,8 +207,13 @@ def _parse_block(rest, lineno, origins, blocks, coordination):
         raise ParseError(
             f"kind={params['kind']!r} disagrees with {origin}, whose kind is {kind!r}", line=lineno
         )
-    if coord == PSSV and kind != "simple" and "capacity" not in params:
+    if kind == "simple":
+        if coord == ACTV:
+            raise ParseError(f"simple block {name!r} must be coordinated {PSSV}", line=lineno)
+    elif coord == PSSV and "capacity" not in params:
         raise ParseError("passive block needs capacity=<int>", line=lineno)
+    elif coord == ACTV and "capacity" in params:
+        raise ParseError("active block takes no capacity=<int>", line=lineno)
     try:
         block = Block(provenance, params.get("capacity"))
     except PafgError as exc:  # a capacity the block rejects
@@ -216,7 +224,6 @@ def _parse_block(rest, lineno, origins, blocks, coordination):
             line=lineno,
         )
     blocks[name] = block
-    coordination[name] = coord
 
 
 def serialize_pafg(z):

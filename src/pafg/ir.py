@@ -12,9 +12,9 @@ freedom is the non-simple buffer blocks. A PAFG is associated with its
 application graph by construction: when it is built it checks that every
 block's provenance is the graph's own record and that every actor has a
 block, and derives its block connections from the blocks and the graph.
-A coordinated PAFG checks when it is built that every block is actv or
-pssv, a simple block passive, and a passive non-simple block has a
-capacity, a producer and a consumer. validate_coordinated checks, for
+A coordinated PAFG derives its coordination from the blocks, as a passive
+block is the one that stores data, and checks that a passive non-simple
+block has a producer and a consumer. validate_coordinated checks, for
 parse_pafg and instantiate, the rules that need the library: a
 computational block is active, and a passive ring has a slot per write port.
 """
@@ -98,12 +98,12 @@ class Pafg:
 
 @dataclass(frozen=True)
 class CoordinatedPafg:
-    """A PAFG plus its coordination function, checked when it is built.
-    source, the application graph the provenance links point back to, is
-    the PAFG's own."""
+    """A PAFG and its coordination function, derived once when it is built
+    and not a field: a block is pssv iff it has a capacity, so every simple
+    block is passive. source, the application graph the provenance links
+    point back to, is the PAFG's own."""
 
     pafg: Pafg
-    coordination: dict
 
     @property
     def source(self):
@@ -111,21 +111,11 @@ class CoordinatedPafg:
 
     def __post_init__(self):
         blocks = self.pafg.blocks
-        if self.coordination.keys() != blocks.keys():
-            raise IrError("coordination function domain does not equal the block set")
-        for name, c in self.coordination.items():
-            b = blocks[name]
-            if c == PSSV:
-                if b.is_simple:
-                    continue  # its edge gives it a capacity, a producer and a consumer
-                if b.capacity is None:
-                    raise IrError(f"passive block {name!r} has no capacity")
-                if is_interface_block(self.pafg, name):
-                    raise IrError(f"passive interface block {name!r} is not supported")
-            elif c != ACTV:
-                raise IrError(f"block {name!r}: bad coordination value {c!r}")
-            elif b.is_simple:
-                raise IrError(f"simple block {name!r} must be coordinated {PSSV}")
+        for name, b in blocks.items():
+            if not b.is_simple and b.capacity is not None and is_interface_block(self.pafg, name):
+                raise IrError(f"passive interface block {name!r} is not supported")
+        coordination = {n: ACTV if b.capacity is None else PSSV for n, b in blocks.items()}
+        object.__setattr__(self, "coordination", coordination)
 
     def coord(self, name):
         return self.coordination[name]

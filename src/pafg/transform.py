@@ -33,17 +33,13 @@ def derive_direct_pafg(app_graph, lib):
     per-edge simple buffers. The result is always alternating and
     associated."""
     blocks = {}
-    coordination = {}
     for name, spec in app_graph.actors.items():
         if not lib.has_kind(spec.kind):
             raise UnknownKindError(f"actor {name!r}: unregistered kind {spec.kind!r}")
         blocks[name] = Block(spec)
-        coordination[name] = ACTV
     for e in app_graph.edges.values():
-        name = e.signature
-        blocks[name] = Block(e)
-        coordination[name] = PSSV
-    return CoordinatedPafg(Pafg(blocks, app_graph), coordination)
+        blocks[e.signature] = Block(e)
+    return CoordinatedPafg(Pafg(blocks, app_graph))
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,6 @@ def _rewrite(z, lib, candidates):
     block's connections in the result. Returns (new PAFG, step log)."""
     g = z.pafg.graph
     blocks = dict(z.pafg.blocks)
-    coordination = dict(z.coordination)
     gone = set()
     taken = []
     for cand in candidates:
@@ -156,20 +151,18 @@ def _rewrite(z, lib, candidates):
         name = cand.block
         summed = sum(blocks[x].capacity for x in g.pred(name))
         capacity = max(summed, _burst_bound(z, lib, name))
-        blocks[name] = Block(blocks[name].provenance, capacity)
-        coordination[name] = PSSV
+        blocks[name] = Block(blocks[name].provenance, capacity)  # now passive
         gone |= cand.removed
         taken.append((cand, None if capacity == summed else (summed, capacity)))
     for x in gone:
         del blocks[x]
-        del coordination[x]
     pafg = Pafg(blocks, z.source)
     ins, outs = pafg.graph.ins, pafg.graph.outs  # a passivized block has both
     log = [
         TransformStep(c.block, sorted(c.removed), sorted(ins[c.block] + outs[c.block]), raised)
         for c, raised in taken
     ]
-    return CoordinatedPafg(pafg, coordination), log
+    return CoordinatedPafg(pafg), log
 
 
 def passivize_fixpoint(z, lib, blocks=None):

@@ -268,7 +268,7 @@ def test_builder_round_trip():
     g = chain_builder().build()
     assert set(g.actors) == {"A", "B", "C"}
     assert g.edge("A", "B").snk_port == "in"
-    assert g.actor("B").param("k") == 2.0
+    assert g.actor("B").params["k"] == 2.0
     with pytest.raises(ModelError, match="unknown actor 'Z'"):
         g.actor("Z")
     with pytest.raises(ModelError, match=r"unknown edge \('B', 'A'\)"):

@@ -51,7 +51,7 @@ def test_parse_two_actor_graph(lib):
     """
     g = parse_graph(text, lib=lib)
     assert set(g.actors) == {"A", "B"}
-    assert g.actor("A").param("k") == 2.0
+    assert g.actor("A").params["k"] == 2.0
     assert g.edge("A", "B").capacity == 16
 
 
@@ -314,6 +314,8 @@ def test_pafg_rejects_actor_without_block(lib):
         ("block B kind=fork coord=pssv from=edge:A.out->B.in", "kind='fork' disagrees"),
         ("block B kind=fork coord=pssv from=actor:B", "needs capacity="),
         ("block B kind=fork coord=pssv from=actor:B capacity=0", "capacity 0"),
+        ("block B kind=fork coord=actv from=actor:B capacity=4", "active block takes no capacity="),
+        ("block B kind=fork coord=actv from=actor:B zone=1 color=red", "unknown block key 'color'"),
         ("block B kind=snk coord=actv from=actor:C", "must be named 'C'"),
     ],
 )
@@ -337,18 +339,23 @@ bedge F -> C
 
 
 def test_ill_formed_coordination_is_rejected_naming_its_block(lib):
+    # an active simple block is a fault of its own line; the rest need the
+    # whole PAFG or the library, and name only the block
     direct = serialize_pafg(derive_direct_pafg(chain_graph(), lib))
     active_simple = direct.replace("kind=simple coord=pssv", "kind=simple coord=actv", 1)
-    for text, message in (
-        (active_simple, "simple block 'A.out->B.in' must be coordinated pssv"),
-        (INTERFACE_RING, "passive interface block 'F' is not supported"),
-        (PASSIVE_GAIN_PAFG, "computational block 'G' must be coordinated actv"),
+    lineno = next(i for i, line in enumerate(active_simple.splitlines(), 1)
+                  if "coord=actv from=edge:" in line)
+    for text, message, line in (
+        (active_simple, "simple block 'A.out->B.in' must be coordinated pssv", lineno),
+        (INTERFACE_RING, "passive interface block 'F' is not supported", None),
+        (PASSIVE_GAIN_PAFG, "computational block 'G' must be coordinated actv", None),
         (interleave_ring_pafg(capacity=1),
-         "passive block 'IL': a ring with 2 write ports needs capacity >= 2, got 1"),
+         "passive block 'IL': a ring with 2 write ports needs capacity >= 2, got 1", None),
     ):
-        with pytest.raises(ParseError, match=f"^{message}$") as err:
+        with pytest.raises(ParseError) as err:
             parse_pafg(text, lib=lib)
-        assert err.value.line is None
+        assert err.value.line == line
+        assert str(err.value) == (message if line is None else f"line {line}: {message}")
 
 
 def test_sample_round_trip(tmp_path, lib):
@@ -502,19 +509,32 @@ MUTANT_WORDS = (
 
 def mutate(rng, lines):
     """One to three mutations of a file's lines: a line deleted, duplicated
-    or swapped with another, a token or a key's value replaced, or the
-    capacity of a passive ring (a pssv non-simple block) set to 0 or 1."""
+    or swapped with another, a token or a key's value replaced, the
+    capacity of a passive ring (a pssv non-simple block) set to 0 or 1, the
+    type= of a src actor's out-edge flipped, or a capacity= put on an active
+    non-simple block."""
     lines = list(lines)
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(lines))
-        op = rng.randrange(5)
+        op = rng.randrange(7)
         rings = [j for j, line in enumerate(lines)
                  if "coord=pssv" in line and "kind=simple" not in line]
+        words = [line.split() for line in lines]
+        srcs = tuple(w[1] + "." for w in words if w[0] == "actor" and w[2:3] == ["src"])
+        src_edges = [j for j, w in enumerate(words) if w[0] == "edge" and w[1].startswith(srcs)]
+        actives = [j for j, line in enumerate(lines)
+                   if "coord=actv" in line and "kind=simple" not in line]
         if op == 4 and rings:
             j = rng.choice(rings)
             capacity = f"capacity={rng.randint(0, 1)}"
             lines[j] = " ".join(capacity if t.startswith("capacity=") else t
                                 for t in lines[j].split())
+        elif op == 5 and src_edges:
+            j = rng.choice(src_edges)
+            flip = {"type=f64": "type=i64", "type=i64": "type=f64"}
+            lines[j] = " ".join(flip.get(t, t) for t in lines[j].split())
+        elif op == 6 and actives:
+            lines[rng.choice(actives)] += f" capacity={rng.randint(1, 8)}"
         elif op == 0:
             del lines[i]
         elif op == 1:
@@ -562,15 +582,19 @@ def run_mutant(lib, text, data):
 def test_mutated_pafg_files_run_or_raise_a_pafg_error(lib):
     rng = random.Random(2018)
     sources = mutation_sources(lib)
-    ring_rule = 0
+    # each rule a targeted mutation aims at: a passive interleave below its
+    # two write ports, a src whose type differs from its out-edge's, and an
+    # active block given a capacity
+    reached = dict.fromkeys(("write ports needs capacity", "tokens, but the edge has type=",
+                             "active block takes no capacity="), 0)
     for _ in range(400):
         lines, data = rng.choice(sources)
         text = "\n".join(mutate(rng, lines)) + "\n"
         try:
             run_mutant(lib, text, data)
         except PafgError as exc:
-            ring_rule += "write ports needs capacity" in str(exc)
+            for rule in reached:
+                reached[rule] += rule in str(exc)
         except Exception as exc:
             pytest.fail(f"{type(exc).__name__}: {exc}\n{text}")
-    # a passive interleave below its two write ports is among the mutants
-    assert ring_rule >= 1
+    assert all(reached.values()), reached

@@ -60,7 +60,8 @@ def test_active_active_edge_breaks_alternation(lib):
     blocks = {name: Block(spec) for name, spec in g.actors.items()}
     pafg = Pafg(blocks, g)
     assert pafg.edges == {("A", "B"), ("B", "C")}
-    z = CoordinatedPafg(pafg, dict.fromkeys(blocks, ACTV))
+    z = CoordinatedPafg(pafg)
+    assert z.coordination == dict.fromkeys(blocks, ACTV)  # no block has a capacity
     assert not is_alternating(z)
     assert check_abc(z)  # no passive-passive edge either
 
@@ -70,8 +71,8 @@ def test_adjacent_passive_blocks_fail_abc(lib):
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
     blocks = dict(z.pafg.blocks, B=Block(g.actor("B"), capacity=100))
-    coord = dict(z.coordination, B=PSSV)
-    z2 = CoordinatedPafg(Pafg(blocks, g), coord)
+    z2 = CoordinatedPafg(Pafg(blocks, g))
+    assert z2.coord("B") == PSSV
     assert ("A.out->B.in", "B") in z2.pafg.edges
     assert not check_abc(z2)
     assert not is_alternating(z2)
@@ -236,27 +237,6 @@ def test_block_capacity_must_be_a_positive_int():
     assert Block(ActorSpec("F", "fork"), capacity=1).capacity == 1
 
 
-def test_coordination_must_be_total(lib):
-    g = chain_graph()
-    z = derive_direct_pafg(g, lib)
-    partial = dict(z.coordination)
-    partial.pop("A")
-    with pytest.raises(IrError):
-        CoordinatedPafg(z.pafg, partial)
-    with pytest.raises(IrError, match="block 'A': bad coordination value 'warm'"):
-        CoordinatedPafg(z.pafg, dict(z.coordination, A="warm"))
-
-
-def test_validator_rejects_active_simple_block(lib):
-    g = chain_graph()
-    z = derive_direct_pafg(g, lib)
-    coord = dict(z.coordination)
-    simple = next(n for n, b in z.pafg.blocks.items() if b.is_simple)
-    coord[simple] = ACTV
-    with pytest.raises(IrError, match=rf"simple block '{simple}' must be coordinated pssv"):
-        CoordinatedPafg(z.pafg, coord)
-
-
 def test_validator_rejects_passive_computational_block(lib):
     # a well-formed passive block but for its kind, which only the library
     # knows has no passive implementation
@@ -271,21 +251,11 @@ def test_validator_rejects_passive_computational_block(lib):
     )
     z = derive_direct_pafg(g, lib)
     blocks = {n: b for n, b in z.pafg.blocks.items() if not b.is_simple}
-    blocks["G"] = Block(g.actor("G"), capacity=4)
-    coord = dict.fromkeys(blocks, ACTV) | {"G": PSSV}
-    z = CoordinatedPafg(Pafg(blocks, g), coord)  # alternating, and accepted
+    blocks["G"] = Block(g.actor("G"), capacity=4)  # its capacity makes it passive
+    z = CoordinatedPafg(Pafg(blocks, g))  # alternating, and accepted
     assert is_alternating(z)
     with pytest.raises(IrError, match="computational block 'G' must be coordinated actv"):
         validate_coordinated(z, lib)
-
-
-def test_validator_rejects_passive_block_without_capacity(lib):
-    g = chain_graph()
-    z = derive_direct_pafg(g, lib)
-    coord = dict(z.coordination)
-    coord["B"] = PSSV  # the fork's block was derived active, with no capacity
-    with pytest.raises(IrError, match="passive block 'B' has no capacity"):
-        CoordinatedPafg(z.pafg, coord)
 
 
 def test_validator_rejects_passive_interface_block(lib):
@@ -297,12 +267,10 @@ def test_validator_rejects_passive_interface_block(lib):
         .build()
     )
     z = derive_direct_pafg(g, lib)
-    coord = dict(z.coordination)
     blocks = dict(z.pafg.blocks)
-    blocks["F"] = Block(g.actor("F"), capacity=4)
-    coord["F"] = PSSV  # F has no producers; nothing could ever write it
+    blocks["F"] = Block(g.actor("F"), capacity=4)  # passive, with no producer to write it
     with pytest.raises(IrError, match="passive interface block 'F' is not supported"):
-        CoordinatedPafg(Pafg(blocks, g), coord)
+        CoordinatedPafg(Pafg(blocks, g))
 
 
 def test_alternating_implies_abc_on_random_graphs(lib):

@@ -27,7 +27,7 @@ from pafg.errors import (
     UnboundIoError,
 )
 from pafg.graph import DirectedGraph
-from pafg.ir import ACTV, PSSV, Block, CoordinatedPafg, Pafg
+from pafg.ir import PSSV, Block, CoordinatedPafg, Pafg
 from pafg.runtime import compare_streams, data_order, instantiate
 from pafg.transform import (
     compute_bmr,
@@ -778,7 +778,7 @@ def test_instantiate_rejects_unbound_ports(lib, build, data, message, optimized)
 def test_instantiate_rejects_a_non_alternating_pafg(lib):
     g = gain_chain()
     blocks = {name: Block(spec) for name, spec in g.actors.items()}  # no buffers
-    z = CoordinatedPafg(Pafg(blocks, g), dict.fromkeys(blocks, ACTV))
+    z = CoordinatedPafg(Pafg(blocks, g))
     with pytest.raises(RuntimeExecutionError, match="only alternating PAFGs are executable"):
         instantiate(z, lib, {"SRC": [1.0]})
 

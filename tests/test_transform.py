@@ -295,7 +295,7 @@ def test_non_alternating_input_is_rejected(lib):
     z = derive_direct_pafg(g, lib)
     blocks = dict(z.pafg.blocks)
     del blocks["D.out->E.in"]
-    bad = CoordinatedPafg(Pafg(blocks, g), {n: z.coord(n) for n in blocks})
+    bad = CoordinatedPafg(Pafg(blocks, g))
     assert ("D", "E") in bad.pafg.edges and not is_alternating(bad)
     assert [c.block for c in find_candidates(bad, lib)] == ["B"]
     with pytest.raises(TransformError, match="alternating PAFGs only"):
