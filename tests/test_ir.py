@@ -7,7 +7,7 @@ import pytest
 from graphgen import build_random_app_graph
 from pafg.actors import default_library
 from pafg.dataflow import ActorSpec, AppGraphBuilder, DataflowEdge
-from pafg.errors import DanglingProvenanceError, IrError
+from pafg.errors import DanglingProvenanceError, IrError, ParseError
 from pafg.ir import (
     ACTV,
     Block,
@@ -235,6 +235,41 @@ def test_block_capacity_must_be_a_positive_int():
         with pytest.raises(IrError):
             Block(ActorSpec("F", "fork"), capacity=bad)
     assert Block(ActorSpec("F", "fork"), capacity=1).capacity == 1
+
+
+def _reparsed_line(text, old, new, lib):
+    """parse_pafg on text with `old` at the start of its first line that has it
+    replaced by `new`; returns the ParseError and that line's number."""
+    lines = text.splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(old))
+    lines[lineno - 1] = new + lines[lineno - 1][len(old):]
+    with pytest.raises(ParseError) as err:
+        parse_pafg("\n".join(lines) + "\n", lib=lib)
+    return err.value, lineno
+
+
+def test_validator_rejects_active_simple_block(lib):
+    # a simple block has its edge's capacity, so it is derived passive and no
+    # PAFG can make it active; a file that says so is refused at its line
+    z = derive_direct_pafg(chain_graph(), lib)
+    simple = [n for n, b in z.pafg.blocks.items() if b.is_simple]
+    assert simple and all(z.coord(n) == PSSV for n in simple)
+    name = simple[0]
+    old = f"block {name} kind=simple coord=pssv"
+    err, lineno = _reparsed_line(serialize_pafg(z), old, old.replace("pssv", "actv"), lib)
+    assert err.line == lineno
+    assert str(err) == f"line {lineno}: simple block {name!r} must be coordinated pssv"
+
+
+def test_validator_rejects_passive_block_without_capacity(lib):
+    # the fork's block has no capacity, so it is derived active; a file that
+    # makes it passive without giving it one is refused at its line
+    z = derive_direct_pafg(chain_graph(), lib)
+    assert z.pafg.blocks["B"].capacity is None and z.coord("B") == ACTV
+    old = "block B kind=fork coord=actv from=actor:B"
+    err, lineno = _reparsed_line(serialize_pafg(z), old, old.replace("actv", "pssv"), lib)
+    assert err.line == lineno
+    assert str(err) == f"line {lineno}: passive block needs capacity=<int>"
 
 
 def test_validator_rejects_passive_computational_block(lib):
