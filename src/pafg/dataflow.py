@@ -185,8 +185,13 @@ class ApplicationGraph:
         object.__setattr__(self, "graph", DirectedGraph.of(self.actors, self.edges))
         edges = self.edges.values()
         outs, ins = {(e.src, e.src_port) for e in edges}, {(e.snk, e.snk_port) for e in edges}
-        if len(outs) == len(ins) == len(edges) and list(self.edges) == [e.key() for e in edges]:
-            return  # every key and port checked at once; the scan below names a fault
+        if (list(self.actors) == [a.name for a in self.actors.values()]
+                and len(outs) == len(ins) == len(edges)
+                and list(self.edges) == [e.key() for e in edges]):
+            return  # every key and port checked at once; the scans below name a fault
+        for key, a in self.actors.items():
+            if key != a.name:
+                raise ModelError(f"actor table key {key!r} does not match actor {a.name!r}")
         bound = set()
         for key, e in self.edges.items():
             if key != e.key():

@@ -3,16 +3,17 @@
 derive_direct_pafg turns an application graph into its direct PAFG: one
 passive simple buffer per edge, one active block per actor, and the two
 connecting edges per buffer, which the PAFG derives from its blocks.
-passivize flips a simply surrounded active buffer block to passive form,
-deleting its adjacent simple buffers and rewiring their outer neighbors
-straight onto the block. The analyses compute buffer memory (BMR) and the
-token-store count per iteration.
+passivize_fixpoint flips simply surrounded active buffer blocks (every
+candidate, or the named ones) to passive form in one rewrite, deleting
+their simple buffers and joining their outer neighbors straight to them.
+The analyses compute buffer memory (BMR) and token stores per iteration.
 """
 
 from dataclasses import dataclass, field
 
 from .dataflow import TOKEN_BYTES
 from .errors import (
+    IrError,
     NotACandidateError,
     TransformError,
     UnknownKindError,
@@ -51,22 +52,24 @@ class PassivizationCandidate:
     removed: frozenset  # the adjacent simple blocks
 
 
-def _candidate_for(z, lib, name):
+def _candidate_for(z, lib, name, step_of={}):
+    """The candidate that name is in z, or None and the reason it is not,
+    in the PAFG that earlier steps of a rewrite give: step_of maps each
+    block they passivized to itself, and each simple block they removed to
+    the block whose step removed it, now the neighbor in its place."""
     block = z.pafg.block(name)
-    if z.coord(name) != ACTV:
+    if z.coord(name) != ACTV or name in step_of:
         return None, f"block {name!r} is not active"
     if block.is_simple or not lib.is_buffer_actor(block.kind):
         return None, f"block {name!r} is not a non-simple buffer block"
-    g = z.pafg.graph
-    preds = g.pred(name)
-    succs = g.succ(name)
+    preds, succs = z.pafg.graph.pred(name), z.pafg.graph.succ(name)
     if not preds or not succs:
         return None, f"block {name!r} is an interface block"
     neighbors = preds | succs
     blocks = z.pafg.blocks
-    if not all(blocks[n].is_simple for n in neighbors):
-        neighbor = min(n for n in neighbors if not blocks[n].is_simple)
-        return None, f"neighbor {neighbor!r} of {name!r} is not a simple passive buffer"
+    others = [step_of.get(n, n) for n in neighbors if n in step_of or not blocks[n].is_simple]
+    if others:
+        return None, f"neighbor {min(others)!r} of {name!r} is not a simple passive buffer"
     return PassivizationCandidate(name, frozenset(neighbors)), None
 
 
@@ -96,19 +99,10 @@ class TransformStep:
 
 
 def passivize(z, lib, name):
-    """Apply the passivization transformation with respect to one simply
-    surrounded active buffer block. Returns (new PAFG, step log entry)."""
-    _require_input(z)
-    cand, reason = _candidate_for(z, lib, name)
-    if cand is None:
-        raise NotACandidateError(reason)
-    result, (step,) = _rewrite(z, lib, [cand])
+    """Passivize one simply surrounded active buffer block: the one-name
+    case of passivize_fixpoint. Returns (new PAFG, step log entry)."""
+    result, (step,) = passivize_fixpoint(z, lib, [name])
     return result, step
-
-
-def _require_input(z):
-    if not is_alternating(z):
-        raise TransformError("passivization is defined on alternating PAFGs only")
 
 
 def _burst_bound(z, lib, name):
@@ -130,66 +124,62 @@ def _burst_bound(z, lib, name):
     return max(bursts)
 
 
-def _rewrite(z, lib, candidates):
-    """Passivize, in one rewrite of an alternating, associated PAFG, each
-    candidate in the list whose removed buffers no earlier step took. Such
-    a step reads the same neighbourhood in z as it would after the steps
-    before it. A passivized block's ring holds the summed capacities of the
-    input buffers it absorbs, raised where needed to _burst_bound, so that
-    no reader or writer waits for a burst the ring cannot hold; a raise is
-    logged in the step. The new PAFG derives its block connections from the
-    remaining blocks, so each absorbed edge now joins the passivized block
-    to the active block at its other end, and a step's added edges are its
-    block's connections in the result. Returns (new PAFG, step log)."""
-    g = z.pafg.graph
-    blocks = dict(z.pafg.blocks)
-    gone = set()
-    taken = []
-    for cand in candidates:
-        if not gone.isdisjoint(cand.removed):
-            continue  # no longer a candidate: it is next to a passive block
-        name = cand.block
-        summed = sum(blocks[x].capacity for x in g.pred(name))
-        capacity = max(summed, _burst_bound(z, lib, name))
-        blocks[name] = Block(blocks[name].provenance, capacity)  # now passive
-        gone |= cand.removed
-        taken.append((cand, None if capacity == summed else (summed, capacity)))
-    for x in gone:
-        del blocks[x]
-    pafg = Pafg(blocks, z.source)
-    ins, outs = pafg.graph.ins, pafg.graph.outs  # a passivized block has both
-    log = [
-        TransformStep(c.block, sorted(c.removed), sorted(ins[c.block] + outs[c.block]), raised)
-        for c, raised in taken
-    ]
-    return CoordinatedPafg(pafg), log
+def _named_candidate(z, lib, name, step_of):
+    """_candidate_for's candidate after the steps in step_of, or its raise."""
+    if step_of.get(name, name) != name:
+        raise IrError(f"unknown block {name!r}")  # an earlier step removed it
+    cand, reason = _candidate_for(z, lib, name, step_of)
+    if cand is None:
+        raise NotACandidateError(reason)
+    return cand
 
 
 def passivize_fixpoint(z, lib, blocks=None):
-    """Repeatedly passivize an alternating, associated PAFG. With
-    blocks=None, passivize the first candidate by name until none remain;
-    otherwise apply the named blocks in the given order. Returns (PAFG,
-    step log).
+    """Passivize an alternating, associated PAFG in one rewrite: with
+    blocks=None, the first candidate by name until none remain; otherwise
+    the named blocks in order, raising at the first that passivize would
+    refuse. Returns (PAFG, step log).
 
-    One candidate search and one rewrite are enough. A step deletes only
-    the simple buffers next to the passivized block and joins their outer
-    neighbors, which stay active, to that block, which is now passive and
-    non-simple. No block gains a simple neighbor, so the candidate set only
-    shrinks: an entry of the initial list stays a candidate exactly while
-    no earlier step has taken one of its buffers, and the first such entry
-    is the first candidate by name of the current PAFG. Steps whose buffers
-    are disjoint touch disjoint blocks apart from those active outer
-    neighbors, so they commute, and each step's log entry is the same
-    whether it is computed on the initial PAFG or on the intermediate one:
-    a block's connections follow from its own application edges alone."""
-    if blocks is not None:
-        log = []
-        for name in blocks:
-            z, step = passivize(z, lib, name)
-            log.append(step)
-        return z, log
-    _require_input(z)
-    return _rewrite(z, lib, find_candidates(z, lib))
+    One candidate search is enough. A step deletes only the simple buffers
+    next to the passivized block and joins their outer neighbors, which
+    stay active, to that block, now passive and non-simple. No block gains
+    a simple neighbor, so the candidate set only shrinks: an entry of the
+    initial list stays a candidate exactly while no earlier step has taken
+    one of its buffers, and the first such entry is the first candidate by
+    name of the current PAFG. A named block reads there as in the initial
+    PAFG but where a step removed or passivized it or took its buffer,
+    which step_of records. Steps with disjoint buffers touch disjoint
+    blocks but for those active outer neighbors, so they commute, and a
+    step's log entry is the same on the initial PAFG as on the current
+    one: a block's connections follow from its own application edges. A
+    passivized block's ring holds the summed capacities of the input
+    buffers it absorbs, raised where needed to _burst_bound so that no
+    reader or writer waits for a burst the ring cannot hold."""
+    if not is_alternating(z):
+        raise TransformError("passivization is defined on alternating PAFGs only")
+    g = z.pafg.graph
+    table = dict(z.pafg.blocks)
+    step_of = {}  # see _candidate_for
+    candidates = find_candidates(z, lib) if blocks is None else (
+        _named_candidate(z, lib, name, step_of) for name in blocks)
+    log = []
+    for cand in candidates:
+        if not step_of.keys().isdisjoint(cand.removed):
+            continue  # no longer a candidate: it is next to a passive block
+        name = cand.block
+        summed = sum(table[x].capacity for x in g.pred(name))
+        capacity = max(summed, _burst_bound(z, lib, name))
+        table[name] = Block(table[name].provenance, capacity)  # now passive
+        step_of.update(dict.fromkeys(cand.removed | {name}, name))
+        for x in cand.removed:
+            del table[x]
+        raised = None if capacity == summed else (summed, capacity)
+        log.append(TransformStep(name, sorted(cand.removed), None, raised))
+    pafg = Pafg(table, z.source)
+    ins, outs = pafg.graph.ins, pafg.graph.outs  # a passivized block has both
+    for step in log:
+        step.added_edges = sorted(ins[step.block] + outs[step.block])
+    return CoordinatedPafg(pafg), log
 
 
 @dataclass
@@ -222,10 +212,8 @@ def estimate_copy_count(z, produced_per_block):
     total = 0
     missing = []
     for name in z.pafg.blocks:
-        if z.coord(name) != ACTV:
-            continue
-        if not z.pafg.graph.out_edges(name):
-            continue  # nothing downstream to store into
+        if z.coord(name) != ACTV or not z.pafg.graph.out_edges(name):
+            continue  # passive, or nothing downstream to store into
         if name not in produced_per_block:
             missing.append(name)
             continue

@@ -142,6 +142,34 @@ def test_passivize_explicit_blocks(tmp_path, capsys):
     ) == 1
 
 
+# the fork graph the installed-command CI step derives and passivizes
+CI_FORK_GRAPH = """actor A src
+actor F fork fanout=2
+actor B snk
+actor C snk
+edge A.out -> F.in capacity=4
+edge F.out0 -> B.in capacity=4
+edge F.out1 -> C.in capacity=4
+"""
+
+
+def test_passivize_named_fork_matches_auto(tmp_path, capsys):
+    graph_file, pafg_file = tmp_path / "fork.graph", tmp_path / "fork.pafg"
+    graph_file.write_text(CI_FORK_GRAPH, encoding="utf-8")
+    assert cli_main(["derive", str(graph_file), "-o", str(pafg_file)]) == 0
+    auto_file, named_file = tmp_path / "fork.opt.pafg", tmp_path / "fork.named.pafg"
+    assert cli_main(["passivize", "--auto", str(pafg_file), "-o", str(auto_file)]) == 0
+    assert cli_main(["passivize", "--blocks", "F", str(pafg_file), "-o", str(named_file)]) == 0
+    assert named_file.read_bytes() == auto_file.read_bytes()
+    capsys.readouterr()
+    for blocks, message in [("F,F", "block 'F' is not active"),
+                            ("F,A.out->F.in", "unknown block 'A.out->F.in'")]:
+        out_file = tmp_path / "refused.pafg"
+        assert cli_main(["passivize", "--blocks", blocks, str(pafg_file), "-o", str(out_file)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_file.exists()
+
+
 def test_run_chain(chain_file, tmp_path, capsys):
     pafg_file = tmp_path / "chain.pafg"
     cli_main(["derive", str(chain_file), "-o", str(pafg_file)])

@@ -312,6 +312,14 @@ def test_edge_table_key_must_match_its_edge():
         ApplicationGraph(g.actors, edges)
 
 
+def test_actor_table_key_must_match_its_actor():
+    # caught where the table is built, not later as a block table fault
+    actors = {"A": ActorSpec("B", "src"), "C": ActorSpec("C", "snk")}
+    edges = {("A", "C"): DataflowEdge("A", "out", "C", "in", 4)}
+    with pytest.raises(ModelError, match="^actor table key 'A' does not match actor 'B'$"):
+        ApplicationGraph(actors, edges)
+
+
 def test_builder_rejects_double_port_binding():
     b = (
         AppGraphBuilder()

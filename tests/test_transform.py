@@ -13,6 +13,7 @@ from pafg.apps import ForkCascadeConfig, build_evm_graph, build_fork_cascade, ge
 from pafg.dataflow import ActorSpec, AppGraphBuilder
 from pafg.errors import (
     DanglingProvenanceError,
+    IrError,
     NotACandidateError,
     TransformError,
     UnknownKindError,
@@ -37,10 +38,11 @@ from pafg.transform import (
     passivize,
     passivize_fixpoint,
 )
-from topologies import chain_graph, gain_fork_cluster_graph, ten_plus_four_graph
+from topologies import chain_graph, fork_line_graph, gain_fork_cluster_graph, ten_plus_four_graph
 from transform_checks import assert_step_arithmetic
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = str(Path(__file__).resolve().parent)
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +225,59 @@ def rescan_fixpoint(z, lib):
         log.append(step)
 
 
+def sequential_passivize(z, lib, names):
+    """Reference for a named list: passivize each name in turn, each step
+    on the PAFG the one before it gives."""
+    log = []
+    for name in names:
+        z, step = passivize(z, lib, name)
+        log.append(step)
+    return z, log
+
+
+def named_outcome(run, z, lib, names):
+    """The PAFG and step renders of a run, or its exception class and message."""
+    try:
+        result, log = run(z, lib, list(names))
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    return result, [step.render() for step in log]
+
+
+def test_named_fixpoint_matches_sequential_passivize(lib):
+    # named lists of up to three names, repeats and unknown names included,
+    # on each graph's direct PAFG and on two partly passivized ones, where a
+    # block can have a passive neighbor before the list starts and an
+    # earlier name can take another of its buffers. Every list of one or
+    # two names is checked; a third name is added where the first two are
+    # passivized, as the reference stops at the first name it refuses
+    cfg = generate_evm_inputs(seed=3, max_length=8, num_windows=2)
+    graphs = [ten_plus_four_graph(), chain_graph(), fork_line_graph(), build_evm_graph(cfg),
+              build_fork_cascade(ForkCascadeConfig(window_size=8, num_forks=5))]
+    seen = {"ok": 0, IrError: 0, NotACandidateError: 0, "taken": 0}
+    for g in graphs:
+        direct = derive_direct_pafg(g, lib)
+        names = sorted(direct.pafg.blocks) + ["nope", "A.out->Z.in"]
+        cands = [c.block for c in find_candidates(direct, lib)]
+        ends = dict.fromkeys([cands[0], cands[-1]])  # the first and last candidate
+        for z in [direct] + [passivize(direct, lib, name)[0] for name in ends]:
+            lists = [()]
+            while lists:
+                picked = lists.pop()
+                got = named_outcome(passivize_fixpoint, z, lib, picked)
+                assert got == named_outcome(sequential_passivize, z, lib, picked), picked
+                if isinstance(got[1], list):
+                    seen["ok"] += 1
+                else:
+                    seen[got[0]] += 1
+                    neighbor = got[1].split("'")[1]
+                    seen["taken"] += got[1].startswith("neighbor") and neighbor in picked
+                if len(picked) < 2 or len(picked) == 2 and isinstance(got[1], list):
+                    lists += [picked + (name,) for name in names]
+    # every outcome is reached, the neighbor an earlier name passivized too
+    assert all(seen.values()), seen
+
+
 def assert_fixpoint_matches_rescan(z, lib):
     """Compare passivize_fixpoint with the reference; return its step log."""
     ref, ref_log = rescan_fixpoint(z, lib)
@@ -267,12 +322,15 @@ def test_fixpoint_matches_rescan_on_apps(lib, monkeypatch):
         z = derive_direct_pafg(g, lib)
         log = assert_fixpoint_matches_rescan(z, lib)
         calls.clear()
-        # count PAFG constructions in the fixpoint call alone: one rewrite
+        # count PAFG constructions in the fixpoint call alone: one rewrite,
+        # also for the same blocks named, which need no candidate search
         with monkeypatch.context() as m:
             m.setattr(Pafg, "__post_init__", counting_post_init)
             _, again = passivize_fixpoint(z, lib)
-        assert again == log
-        assert log and len(calls) == 1 and len(built) == 1
+            assert log and len(calls) == 1 and len(built) == 1
+            _, named = passivize_fixpoint(z, lib, [step.block for step in log])
+        assert again == named == log
+        assert len(calls) == 1 and len(built) == 2
         built.clear()
 
 
@@ -304,6 +362,8 @@ def test_non_alternating_input_is_rejected(lib):
         passivize_fixpoint(bad, lib)
     with pytest.raises(TransformError, match="alternating PAFGs only"):
         passivize_fixpoint(bad, lib, blocks=["B"])
+    with pytest.raises(TransformError, match="alternating PAFGs only"):
+        passivize_fixpoint(bad, lib, blocks=[])
 
 
 def test_non_associated_input_is_rejected(lib):
@@ -319,17 +379,12 @@ def test_non_associated_input_is_rejected(lib):
 
 REFUSED_BETWEEN_TWO_PASSIVE_BLOCKS = """
 from pafg.actors import default_library
-from pafg.dataflow import AppGraphBuilder
 from pafg.errors import NotACandidateError
 from pafg.transform import derive_direct_pafg, passivize, passivize_fixpoint
+from topologies import fork_line_graph
 
-b = AppGraphBuilder().actor("S", "src").actor("K", "snk")
-for name in "FGH":
-    b.actor(name, "fork", fanout=1)
-b.edge("S.out", "F.in", capacity=4).edge("F.out0", "G.in", capacity=4)
-b.edge("G.out0", "H.in", capacity=4).edge("H.out0", "K.in", capacity=4)
 lib = default_library()
-z, log = passivize_fixpoint(derive_direct_pafg(b.build(), lib), lib)
+z, log = passivize_fixpoint(derive_direct_pafg(fork_line_graph(), lib), lib)
 assert [step.block for step in log] == ["F", "H"]
 try:
     passivize(z, lib, "G")
@@ -345,7 +400,8 @@ def test_refused_passivize_names_the_least_neighbor_by_name():
         proc = subprocess.run(
             [sys.executable, "-c", REFUSED_BETWEEN_TWO_PASSIVE_BLOCKS],
             capture_output=True, text=True, encoding="utf-8", check=True,
-            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC)),
+            env=dict(os.environ, PYTHONHASHSEED=seed,
+                     PYTHONPATH=os.pathsep.join([str(SRC), TESTS])),
         )
         assert proc.stdout == "neighbor 'F' of 'G' is not a simple passive buffer\n", seed
 

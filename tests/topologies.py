@@ -53,6 +53,16 @@ def chain_graph(capacity=100):
     )
 
 
+def fork_line_graph():
+    """S -> F -> G -> H -> K through three fanout-1 forks: each fork's
+    output buffer is the next fork's input buffer."""
+    b = AppGraphBuilder().actor("S", "src").actor("K", "snk")
+    for name in "FGH":
+        b.actor(name, "fork", fanout=1)
+    b.edge("S.out", "F.in", capacity=4).edge("F.out0", "G.in", capacity=4)
+    return b.edge("G.out0", "H.in", capacity=4).edge("H.out0", "K.in", capacity=4).build()
+
+
 def gain_fork_cluster_graph(capacity=16):
     """Gain feeding a two-way fork with two consumers."""
     return (
