@@ -5,9 +5,10 @@ both the original and the transformed program: active blocks are driven
 through rates/ready/invoke, passive blocks are the buffers between them.
 instantiate builds the station table once, from the blocks and the block
 connections the PAFG derives from them: a row per active block with its
-actor and, per port in name order, the kernel and kernel port bound to it.
-Rows hold objects, not bound methods, so wrappers installed on them later
-are called. run() sweeps the rows round-robin in data order (data_order;
+actor and, per port in name order, the kernel bound to it and the position
+of the kernel port there, resolved once, so a firing looks up no port
+name. Rows hold objects, not bound methods, so wrappers installed on them
+later are called. run() sweeps the rows round-robin in data order (data_order;
 a permutation can be supplied), so on an acyclic graph a block is visited
 after the blocks that feed it, and fires each block while its input
 populations and output space cover its current rates and ready() is
@@ -30,6 +31,7 @@ import marshal
 import struct
 import time
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 
 from .errors import (
     ContractViolationError,
@@ -60,7 +62,7 @@ class ExecutionInstance:
     live actors for its active blocks, and the station table that binds
     every actor port to a kernel port: a row (name, actor, is_sink, input
     ports, output ports, bound output port names) per active block, where
-    a port is (port, kernel, kernel port)."""
+    a port is (port name, kernel, position of the kernel port)."""
 
     def __init__(self, z, actors, kernels, stations):
         self.z = z
@@ -125,10 +127,10 @@ class ExecutionInstance:
                             # the fewest firings that reach the target
                             k = min(k, -(-(target - sink_tokens) // per_firing))
                     inputs = {}
-                    for port, kernel, kport in ins:
-                        inputs[port] = kernel.read_n(kport, consume.get(port, 0) * k)
+                    for port, kernel, pos in ins:
+                        inputs[port] = kernel.read_n(pos, consume.get(port, 0) * k)
                     outputs = actor.invoke(inputs, k)
-                    for port, kernel, kport in outs:
+                    for port, kernel, pos in outs:
                         values = outputs.get(port, ())
                         n = produce.get(port, 0) * k
                         if len(values) != n:
@@ -136,7 +138,7 @@ class ExecutionInstance:
                                 f"{name}.{port}: produced {len(values)} tokens in {k} "
                                 f"firing(s), declared {n}"
                             )
-                        kernel.write_n(kport, values)
+                        kernel.write_n(pos, values)
                     if not bound.issuperset(outputs):
                         _check_unbound(name, outputs, bound)
                     fired = True
@@ -178,7 +180,10 @@ class ExecutionInstance:
         )
 
     def _total_stores(self):
-        return sum(k.stores for k in self.kernels.values())
+        return sum(map(_stores, self.kernels.values()))
+
+
+_stores = attrgetter("stores")
 
 
 def data_order(graph, blocks):
@@ -206,18 +211,18 @@ def _batch_size(table, ins, outs):
     when no port has one."""
     consume, produce = table
     k = None
-    for port, kernel, kport in ins:
+    for port, kernel, pos in ins:
         n = consume.get(port, 0)
         if n:
-            q = kernel.population(kport) // n
+            q = kernel.population(pos) // n
             if not q:
                 return 0
             if k is None or q < k:
                 k = q
-    for port, kernel, kport in outs:
+    for port, kernel, pos in outs:
         n = produce.get(port, 0)
         if n:
-            q = kernel.writable(kport) // n
+            q = kernel.writable(pos) // n
             if not q:
                 return 0
             if k is None or q < k:
@@ -238,12 +243,12 @@ def _diagnose(station):
     if actor.is_source and not actor.ready():
         return f"{name} has no data left"
     consume, produce = actor.rates()
-    for port, kernel, kport in ins:
-        need, have = consume.get(port, 0), kernel.population(kport)
+    for port, kernel, pos in ins:
+        need, have = consume.get(port, 0), kernel.population(pos)
         if have < need:
             return f"{name}.{port} needs {need}, has {have}"
-    for port, kernel, kport in outs:
-        need, have = produce.get(port, 0), kernel.writable(kport)
+    for port, kernel, pos in outs:
+        need, have = produce.get(port, 0), kernel.writable(pos)
         if have < need:
             return f"{name}.{port} needs space for {need}, has {have}"
     return f"{name} is not ready"
@@ -286,12 +291,14 @@ def instantiate(z, lib, source_data):
                     f"edge {e.signature}: {block}.{port} is not a declared port of {block}"
                 )
         ring = kernels.get(e.signature)
-        if ring is not None:
-            write = (e.src_port, ring, ring.write_ports[0])
-            read = (e.snk_port, ring, ring.read_ports[0])
-        else:
-            write = (e.src_port, kernels.get(e.snk), e.snk_port)
-            read = (e.snk_port, kernels.get(e.src), e.src_port)
+        if ring is not None:  # a simple ring has one port on each side
+            write, read = (e.src_port, ring, 0), (e.snk_port, ring, 0)
+        elif e.snk in kernels:  # an actor's output into a ring's write port
+            ring = kernels[e.snk]
+            write, read = (e.src_port, ring, ring.write_index(e.snk_port)), None
+        else:  # a ring's read port into an actor's input
+            ring = kernels[e.src]
+            write, read = None, (e.snk_port, ring, ring.read_index(e.src_port))
         outs[e.src][e.src_port] = write
         ins[e.snk][e.snk_port] = read
 

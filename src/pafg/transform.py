@@ -62,6 +62,12 @@ def _candidate_for(z, lib, name, step_of={}):
         return None, f"block {name!r} is not active"
     if block.is_simple or not lib.is_buffer_actor(block.kind):
         return None, f"block {name!r} is not a non-simple buffer block"
+    return _surrounded(z, name, step_of)
+
+
+def _surrounded(z, name, step_of={}):
+    """_candidate_for's interface and neighbor tests, for an active buffer
+    block."""
     preds, succs = z.pafg.graph.pred(name), z.pafg.graph.succ(name)
     if not preds or not succs:
         return None, f"block {name!r} is an interface block"
@@ -78,7 +84,7 @@ def find_candidates(z, lib):
     coord = z.coordination
     names = sorted([n for n, b in z.pafg.blocks.items()
                     if coord[n] == ACTV and not b.is_simple and lib.is_buffer_actor(b.kind)])
-    return [cand for cand, _ in (_candidate_for(z, lib, n) for n in names) if cand is not None]
+    return [cand for cand, _ in (_surrounded(z, n) for n in names) if cand is not None]
 
 
 @dataclass

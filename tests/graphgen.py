@@ -8,12 +8,19 @@ readers stop at different points, can leave a run stopped short with
 tokens stranded in its buffers. An engine-independent reference run of
 560 graphs (seeds 5, 202 and 11) found 39 that stop short in both forms.
 All value streams are deterministic in the seed.
+
+With modal=True a graph also holds the multi-rate and modal kinds the
+benchmarks fire: a var-src whose len port feeds an avg's len port and
+whose out port feeds the avg's in port through a fork (two edges between
+one actor pair would need a multigraph), and ref-mag or err-mag actors on
+interleave outputs. With modal=False no number is drawn for the mode, so
+a seed's graphs do not depend on it.
 """
 
 from pafg.dataflow import AppGraphBuilder
 
 
-def build_random_app_graph(rng, max_actors=20, samples_per_source=24):
+def build_random_app_graph(rng, max_actors=20, samples_per_source=24, modal=False):
     builder = AppGraphBuilder()
     counter = {"n": 0}
 
@@ -21,23 +28,49 @@ def build_random_app_graph(rng, max_actors=20, samples_per_source=24):
         counter["n"] += 1
         return f"{prefix}{counter['n']:02d}"
 
+    def cap():
+        return rng.randint(4, 64)
+
+    def samples(n):
+        return [round(rng.uniform(-1, 1), 6) for _ in range(n)]
+
     stubs = []  # open (actor, port) outputs
+    interleaved = set()  # the stubs that are interleave outputs
     source_data = {}
     actors = 0
     for _ in range(rng.randint(1, 3)):
         name = fresh("SRC")
         builder.actor(name, "src")
-        source_data[name] = [round(rng.uniform(-1, 1), 6) for _ in range(samples_per_source)]
+        source_data[name] = samples(samples_per_source)
         stubs.append((name, "out"))
         actors += 1
-
-    def cap():
-        return rng.randint(4, 64)
+    if modal:
+        vs, stage, avg = fresh("VS"), fresh("F"), fresh("AVG")
+        fanout = rng.randint(1, 2)
+        builder.actor(vs, "var-src").actor(stage, "fork", fanout=fanout).actor(avg, "avg")
+        builder.edge(f"{vs}.len", f"{avg}.len", capacity=cap(), token_type="i64")
+        builder.edge(f"{vs}.out", f"{stage}.in", capacity=cap())
+        builder.edge(f"{stage}.out0", f"{avg}.in", capacity=cap())
+        stubs += [(avg, "out")] + [(stage, f"out{i}") for i in range(1, fanout)]
+        stream = source_data[vs] = []  # flat: N1, N1 samples, N2, N2 samples, ...
+        while len(stream) < samples_per_source:
+            n = rng.randint(1, 6)
+            stream += [n] + samples(n)
+        actors += 3
 
     while stubs and actors < max_actors:
         idx = rng.randrange(len(stubs))
         src_actor, src_port = stubs.pop(idx)
-        kind = rng.choice(["gain", "fork", "gain-fork", "interleave", "acc", "snk"])
+        kinds = ["gain", "fork", "gain-fork", "interleave", "acc", "snk"]
+        if (src_actor, src_port) in interleaved:
+            kinds += ["ref-mag", "err-mag"] * 2  # 4 in 10 feed a magnitude actor
+        kind = rng.choice(kinds)
+        if kind == "err-mag":
+            # the rec stream: another interleave's output
+            partners = [i for i, (a, p) in enumerate(stubs)
+                        if (a, p) in interleaved and a != src_actor]
+            if not partners:
+                kind = "ref-mag"
         if kind == "interleave":
             # the two inputs must come from distinct producers (no multigraph)
             partners = [i for i, (a, _) in enumerate(stubs) if a != src_actor]
@@ -68,7 +101,20 @@ def build_random_app_graph(rng, max_actors=20, samples_per_source=24):
             builder.actor(name, "interleave", fanout=fanout)
             builder.edge(f"{src_actor}.{src_port}", f"{name}.re", capacity=cap())
             builder.edge(f"{other[0]}.{other[1]}", f"{name}.im", capacity=cap())
-            stubs.extend((name, f"out{i}") for i in range(fanout))
+            outs = [(name, f"out{i}") for i in range(fanout)]
+            stubs += outs
+            if modal:
+                interleaved.update(outs)
+        elif kind in ("ref-mag", "err-mag"):
+            name = fresh("MAG")
+            builder.actor(name, kind)
+            if kind == "ref-mag":
+                builder.edge(f"{src_actor}.{src_port}", f"{name}.in", capacity=cap())
+            else:
+                other = stubs.pop(rng.choice(partners))
+                builder.edge(f"{src_actor}.{src_port}", f"{name}.ref", capacity=cap())
+                builder.edge(f"{other[0]}.{other[1]}", f"{name}.rec", capacity=cap())
+            stubs.append((name, "out"))
         elif kind == "acc":
             name = fresh("ACC")
             builder.actor(name, "acc")

@@ -214,18 +214,19 @@ def test_criterion_6_kernel_property_suites():
     with criterion(6, "ring-buffer invariants and mapping equivalence"):
         rng = random.Random(6000)
         fork = PassiveKernel(5, read_ports=("out0", "out1", "out2"))
-        ports = fork.read_ports
+        w = fork.write_index("in")
+        ports = [fork.read_index(p) for p in fork.read_ports]
         written = []
         read_count = {p: 0 for p in ports}
         for step in range(10_000):
             choices = []
-            if fork.writable("in") > 0:
+            if fork.writable(w) > 0:
                 choices.append(None)
             choices.extend(p for p in ports if fork.population(p) > 0)
             op = rng.choice(choices)
             if op is None:
                 value = rng.random()
-                fork.write("in", value)
+                fork.write(w, value)
                 written.append(value)
             else:
                 assert fork.read(op) == written[read_count[op]]

@@ -25,15 +25,16 @@ def ring(kind, capacity, **params):
 
 def test_fifo_order():
     fifo = PassiveKernel(4)
+    w, r = fifo.write_index("in"), fifo.read_index("out")
     for v in (1.0, 2.0, 3.0):
-        fifo.write("in", v)
-    assert [fifo.read("out") for _ in range(3)] == [1.0, 2.0, 3.0]
+        fifo.write(w, v)
+    assert [fifo.read(r) for _ in range(3)] == [1.0, 2.0, 3.0]
 
 
 def test_fresh_kernel_counts():
     fork = ring("fork", 4, fanout=2)
-    assert fork.population("out0") == 0
-    assert fork.writable("in") == 4
+    assert fork.population(fork.read_index("out0")) == 0
+    assert fork.writable(fork.write_index("in")) == 4
 
 
 def test_ring_needs_capacity_and_ports():
@@ -42,117 +43,145 @@ def test_ring_needs_capacity_and_ports():
             PassiveKernel(*args)
 
 
+@pytest.mark.parametrize("capacity", [True, False, 2.0, None, "4", -1])
+def test_capacity_is_an_int_of_at_least_one(capacity):
+    with pytest.raises(KernelError, match=f"capacity must be an int >= 1, got {capacity!r}"):
+        PassiveKernel(capacity)
+    with pytest.raises(KernelError, match=f"got {capacity!r}"):
+        ring("fork", capacity, fanout=2)
+
+
+def test_ports_resolve_to_positions():
+    il = ring("interleave", 4, fanout=3)
+    assert [il.write_index(p) for p in ("re", "im")] == [0, 1]
+    assert [il.read_index(p) for p in ("out0", "out1", "out2")] == [0, 1, 2]
+    with pytest.raises(UnknownPortError, match="unknown write port 'out0'"):
+        il.write_index("out0")
+    with pytest.raises(UnknownPortError, match="unknown read port 're'"):
+        il.read_index("re")
+
+
 def test_fork_broadcast_population():
     fork = ring("fork", 8, fanout=2)
-    fork.write("in", 7.0)
-    assert fork.population("out0") == 1
-    assert fork.population("out1") == 1
-    assert fork.read("out0") == 7.0
-    assert fork.read("out1") == 7.0
+    out0, out1 = fork.read_index("out0"), fork.read_index("out1")
+    fork.write(fork.write_index("in"), 7.0)
+    assert fork.population(out0) == 1
+    assert fork.population(out1) == 1
+    assert fork.read(out0) == 7.0
+    assert fork.read(out1) == 7.0
 
 
 def test_fork_independent_pointers():
     fork = ring("fork", 8, fanout=2)
-    fork.write("in", 1.0)
-    fork.write("in", 2.0)
-    assert [fork.read("out0"), fork.read("out0")] == [1.0, 2.0]
-    assert fork.population("out1") == 2
+    w, out0, out1 = fork.write_index("in"), fork.read_index("out0"), fork.read_index("out1")
+    fork.write(w, 1.0)
+    fork.write(w, 2.0)
+    assert [fork.read(out0), fork.read(out0)] == [1.0, 2.0]
+    assert fork.population(out1) == 2
 
 
 def test_fork_interleaved_reads():
     fork = ring("fork", 8, fanout=2)
-    fork.write("in", 1.0)
-    fork.write("in", 2.0)
-    seq = [fork.read("out0"), fork.read("out1"), fork.read("out0"), fork.read("out1")]
+    w, out0, out1 = fork.write_index("in"), fork.read_index("out0"), fork.read_index("out1")
+    fork.write(w, 1.0)
+    fork.write(w, 2.0)
+    seq = [fork.read(out0), fork.read(out1), fork.read(out0), fork.read(out1)]
     assert seq == [1.0, 1.0, 2.0, 2.0]
 
 
 def test_read_empty_errors():
     fork = ring("fork", 4, fanout=2)
-    with pytest.raises(BufferEmptyError):
-        fork.read("out0")
+    with pytest.raises(BufferEmptyError, match="read port 'out0' is empty"):
+        fork.read(fork.read_index("out0"))
 
 
 def test_write_full_errors():
     fifo = PassiveKernel(2)
-    fifo.write("in", 1.0)
-    fifo.write("in", 2.0)
-    with pytest.raises(BufferFullError):
-        fifo.write("in", 3.0)
+    w = fifo.write_index("in")
+    fifo.write(w, 1.0)
+    fifo.write(w, 2.0)
+    with pytest.raises(BufferFullError, match="ring full for 'in'"):
+        fifo.write(w, 3.0)
 
 
 def test_slowest_reader_limits_space():
     # capacity 4, 3 writes, one read on out0: free space tracks min pointer
     fork = ring("fork", 4, fanout=2)
+    w, out0, out1 = fork.write_index("in"), fork.read_index("out0"), fork.read_index("out1")
     for v in (1.0, 2.0, 3.0):
-        fork.write("in", v)
-    fork.read("out0")
-    assert fork.population("out0") == 2
-    assert fork.population("out1") == 3
-    assert fork.writable("in") == 1
+        fork.write(w, v)
+    fork.read(out0)
+    assert fork.population(out0) == 2
+    assert fork.population(out1) == 3
+    assert fork.writable(w) == 1
 
 
 def test_drained_kernel_recovers_capacity():
     fork = ring("fork", 4, fanout=2)
+    w = fork.write_index("in")
     for v in (1.0, 2.0, 3.0):
-        fork.write("in", v)
+        fork.write(w, v)
     for port in ("out0", "out1"):
-        while fork.population(port):
-            fork.read(port)
-    assert fork.writable("in") == 4
+        i = fork.read_index(port)
+        while fork.population(i):
+            fork.read(i)
+    assert fork.writable(w) == 4
 
 
 def test_unknown_ports():
     fork = ring("fork", 4, fanout=2)
     with pytest.raises(UnknownPortError):
-        fork.write("bogus", 1.0)
+        fork.write_index("bogus")
     with pytest.raises(UnknownPortError):
-        fork.writable("bogus")
+        fork.write_index("out0")
     with pytest.raises(UnknownPortError):
-        fork.population("out9")
+        fork.read_index("out9")
 
 
 def test_gain_fork_write_transform():
     gf = ring("gain-fork", 4, k=2.0, fanout=2)
-    gf.write("in", 3.0)
-    assert gf.read("out0") == 6.0
-    assert gf.read("out1") == 6.0
+    gf.write(gf.write_index("in"), 3.0)
+    assert gf.read(gf.read_index("out0")) == 6.0
+    assert gf.read(gf.read_index("out1")) == 6.0
 
 
 def test_interleave_sequencing():
     il = ring("interleave", 8, fanout=1)
-    il.write("re", 1.0)
-    il.write("im", 10.0)
-    il.write("re", 2.0)
-    il.write("im", 20.0)
-    assert [il.read("out0") for _ in range(4)] == [1.0, 10.0, 2.0, 20.0]
+    re, im, out = il.write_index("re"), il.write_index("im"), il.read_index("out0")
+    il.write(re, 1.0)
+    il.write(im, 10.0)
+    il.write(re, 2.0)
+    il.write(im, 20.0)
+    assert [il.read(out) for _ in range(4)] == [1.0, 10.0, 2.0, 20.0]
 
 
 def test_interleave_writers_run_ahead():
     il = ring("interleave", 8)
-    assert il.writable("re") == 4
+    re, im, out = il.write_index("re"), il.write_index("im"), il.read_index("out0")
+    assert il.writable(re) == 4
     for v in (1.0, 2.0, 3.0, 4.0):
-        il.write("re", v)
-        assert il.population("out0") == 0  # no whole (re, im) pair yet
-    assert il.writable("re") == 0
-    with pytest.raises(BufferFullError):
-        il.write("re", 5.0)
-    assert il.writable("im") == 4
-    il.write("im", 10.0)
-    assert il.population("out0") == 2  # the pair (1.0, 10.0); 2.0 waits for its partner
+        il.write(re, v)
+        assert il.population(out) == 0  # no whole (re, im) pair yet
+    assert il.writable(re) == 0
+    with pytest.raises(BufferFullError, match="ring full for 're'"):
+        il.write(re, 5.0)
+    assert il.writable(im) == 4
+    il.write(im, 10.0)
+    assert il.population(out) == 2  # the pair (1.0, 10.0); 2.0 waits for its partner
     for v in (20.0, 30.0, 40.0):
-        il.write("im", v)
-    assert [il.read("out0") for _ in range(8)] == [1.0, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0]
+        il.write(im, v)
+    assert [il.read(out) for _ in range(8)] == [1.0, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0]
 
 
 def test_interleave_index_parity():
     il = ring("interleave", 16, fanout=2)
+    re, im, out1 = il.write_index("re"), il.write_index("im"), il.read_index("out1")
     re_vals = [1.0, 2.0, 3.0]
     im_vals = [10.0, 20.0, 30.0]
     for r, i in zip(re_vals, im_vals):
-        il.write("re", r)
-        il.write("im", i)
-    stream = [il.read("out1") for _ in range(6)]
+        il.write(re, r)
+        il.write(im, i)
+    stream = [il.read(out1) for _ in range(6)]
     assert stream[0::2] == re_vals
     assert stream[1::2] == im_vals
 
@@ -190,31 +219,34 @@ def test_interleave_invariants_under_random_admissible_ops(write_ports, capacity
             PassiveKernel(capacity, write_ports, read_ports)
         return
     kernel = PassiveKernel(capacity, write_ports, read_ports)
-    written = {port: [] for port in write_ports}
-    read_count = dict.fromkeys(kernel.read_ports, 0)
-    for step in range(4000):
-        choices = [p for p in write_ports if kernel.writable(p) > 0]
-        choices += [p for p in kernel.read_ports if kernel.population(p) > 0]
+    assert [kernel.write_index(p) for p in write_ports] == list(range(m))
+    assert [kernel.read_index(p) for p in read_ports] == list(range(fanout))
+    written = [[] for _ in write_ports]
+    read_count = [0] * fanout
+    for step in range(4000):  # an op is write position j < m, or m + read position i
+        choices = [j for j in range(m) if kernel.writable(j) > 0]
+        choices += [m + i for i in range(fanout) if kernel.population(i) > 0]
         op = rng.choice(choices)
-        if op in write_ports:
+        if op < m:
             kernel.write(op, float(step))
             written[op].append(float(step))
         else:
-            n = read_count[op]
+            i = op - m
+            n = read_count[i]
             # the n-th token of every read port is token n // m of writer n % m
-            assert kernel.read(op) == written[write_ports[n % m]][n // m]
-            read_count[op] = n + 1
-        for port in write_ports:
-            if kernel.writable(port) == 0:
+            assert kernel.read(i) == written[n % m][n // m]
+            read_count[i] = n + 1
+        for j in range(m):
+            if kernel.writable(j) == 0:
                 with pytest.raises(BufferFullError):
-                    kernel.write(port, -1.0)
-        assert kernel.stores == sum(len(tokens) for tokens in written.values())
+                    kernel.write(j, -1.0)
+        assert kernel.stores == sum(len(tokens) for tokens in written)
         assert kernel._low == min(kernel.rptr)
         assert 0 <= kernel.wptr - kernel._low <= kernel.capacity
         assert kernel.wptr % m == 0  # the read ports see whole groups only
-        for port in kernel.read_ports:
-            assert 0 <= kernel.population(port) <= kernel.capacity
-    assert min(read_count.values()) > 0
+        for i in range(fanout):
+            assert 0 <= kernel.population(i) <= kernel.capacity
+    assert min(read_count) > 0
 
 
 def direct_and_passivized(graph):
@@ -260,17 +292,17 @@ class DroppingFork(PassiveKernel):
         super().__init__(capacity, write_ports, read_ports)
         self._written = 0
 
-    def write_n(self, port, tokens):
+    def write_n(self, j, tokens):
         kept = [t for i, t in enumerate(tokens, self._written) if i % 2 == 0]
         self._written += len(tokens)
-        super().write_n(port, kept)
+        super().write_n(j, kept)
 
 
 class StallingFork(PassiveKernel):
     """Admits one token, then reports a full ring for good."""
 
-    def writable(self, port):
-        super().writable(port)  # rejects an unknown port
+    def writable(self, j):
+        super().writable(j)  # rejects a position the ring does not have
         return 0 if self.stores else 1
 
 
@@ -358,37 +390,38 @@ def test_slices_match_per_token_reads_and_writes(seed):
     for step in range(600):
         port = rng.choice(write_ports + read_ports)
         if port in write_ports:
-            n = rng.randint(0, reference.writable(port))
+            j = reference.write_index(port)
+            assert sliced.write_index(port) == j
+            n = rng.randint(0, reference.writable(j))
             tokens = [float(100 * step + i) for i in range(n)]
-            sliced.write_n(port, tokens)
+            sliced.write_n(j, tokens)
             for token in tokens:
-                reference.write(port, token)
+                reference.write(j, token)
         else:
-            n = rng.randint(0, reference.population(port))
-            assert sliced.read_n(port, n) == [reference.read(port) for _ in range(n)]
-        assert sliced._slots == reference._slots
-        assert (sliced.wptr, sliced.rptr, sliced._low, sliced.next, sliced.stores) == (
-            reference.wptr, reference.rptr, reference._low, reference.next, reference.stores
-        )
+            i = reference.read_index(port)
+            assert sliced.read_index(port) == i
+            n = rng.randint(0, reference.population(i))
+            assert sliced.read_n(i, n) == [reference.read(i) for _ in range(n)]
     assert reference.stores > 0
 
 
 def test_slices_reject_what_does_not_fit():
     il = ring("interleave", 5)
-    assert il.writable("re") == 3
+    re, im, out = il.write_index("re"), il.write_index("im"), il.read_index("out0")
+    assert il.writable(re) == 3
     with pytest.raises(BufferFullError):
-        il.write_n("re", [1.0, 2.0, 3.0, 4.0])
-    il.write_n("re", [1.0, 2.0, 3.0])
-    il.write_n("im", [10.0])
-    assert il.population("out0") == 2  # whole (re, im) pairs only
-    with pytest.raises(BufferEmptyError, match="holds 2 of 3"):
-        il.read_n("out0", 3)
-    assert il.read_n("out0", 2) == [1.0, 10.0]
+        il.write_n(re, [1.0, 2.0, 3.0, 4.0])
+    il.write_n(re, [1.0, 2.0, 3.0])
+    il.write_n(im, [10.0])
+    assert il.population(out) == 2  # whole (re, im) pairs only
+    with pytest.raises(BufferEmptyError, match="read port 'out0' holds 2 of 3"):
+        il.read_n(out, 3)
+    assert il.read_n(out, 2) == [1.0, 10.0]
     assert il.stores == 4
     with pytest.raises(UnknownPortError):
-        il.write_n("bogus", [])
+        il.write_index("bogus")
     with pytest.raises(UnknownPortError):
-        il.read_n("out9", 0)
+        il.read_index("out9")
 
 
 @pytest.mark.parametrize("change", [list.clear, lambda t: t.__setitem__(slice(None), [-1.0] * len(t))],
@@ -400,15 +433,17 @@ def test_ring_keeps_no_reference_to_the_written_list(write_ports, wraps, change)
     list afterwards changes nothing the ring returns."""
     m = len(write_ports)
     kernel = PassiveKernel(8, write_ports)
+    positions = [kernel.write_index(port) for port in write_ports]
+    out = kernel.read_index("out")
     if wraps:
         # every writer and the reader move to index 6, two slots before the end
-        for port in write_ports:
-            kernel.write_n(port, [0.0] * (6 // m))
-        kernel.read_n("out", 6)
+        for j in positions:
+            kernel.write_n(j, [0.0] * (6 // m))
+        kernel.read_n(out, 6)
     batches = [[float(10 * j + i) for i in range(8 // m)] for j in range(m)]
     expected = [t for tokens in zip(*batches) for t in tokens]
-    for port, tokens in zip(write_ports, batches):
-        kernel.write_n(port, tokens)
+    for j, tokens in zip(positions, batches):
+        kernel.write_n(j, tokens)
     for tokens in batches:
         change(tokens)
-    assert kernel.read_n("out", 8) == expected
+    assert kernel.read_n(out, 8) == expected
