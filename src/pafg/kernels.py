@@ -84,7 +84,7 @@ class PassiveKernel:
         nexts, c, m = self.next, self.capacity, self._stride
         i = nexts[j]
         n = len(tokens)
-        if n > (self._low + c - i + m - 1) // m:  # writable(j)
+        if n > self.writable(j):
             raise BufferFullError(f"ring full for {self.write_ports[j]!r} (capacity {c})")
         if self._transform is not None:
             tokens = [self._transform(t) for t in tokens]

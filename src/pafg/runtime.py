@@ -31,7 +31,6 @@ import marshal
 import struct
 import time
 from dataclasses import asdict, dataclass
-from operator import attrgetter
 
 from .errors import (
     ContractViolationError,
@@ -180,10 +179,7 @@ class ExecutionInstance:
         )
 
     def _total_stores(self):
-        return sum(map(_stores, self.kernels.values()))
-
-
-_stores = attrgetter("stores")
+        return sum(k.stores for k in self.kernels.values())
 
 
 def data_order(graph, blocks):

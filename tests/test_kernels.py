@@ -402,6 +402,10 @@ def test_slices_match_per_token_reads_and_writes(seed):
             assert sliced.read_index(port) == i
             n = rng.randint(0, reference.population(i))
             assert sliced.read_n(i, n) == [reference.read(i) for _ in range(n)]
+        assert sliced._slots == reference._slots
+        assert (sliced.wptr, sliced.rptr, sliced._low, sliced.next, sliced.stores) == (
+            reference.wptr, reference.rptr, reference._low, reference.next, reference.stores
+        )
     assert reference.stores > 0
 
 
