@@ -44,7 +44,6 @@ class SourceActor(CfdfActor):
     def __init__(self, name, token_type=F64):
         super().__init__(name)
         self.check(name, token_type)
-        self.token_type = token_type
         self.bind([])
 
     @staticmethod

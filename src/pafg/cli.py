@@ -19,6 +19,7 @@ from .apps import (
     fork_cascade_source_data,
     generate_evm_inputs,
 )
+from .dataflow import F64
 from .errors import PafgError
 from .formats import parse_graph, parse_pafg, read_samples, serialize_pafg, write_samples
 from .ir import check_abc, is_alternating
@@ -129,9 +130,9 @@ def cmd_run(args, lib):
     inputs_dir = Path(args.inputs)
     source_data = {}
     for name, spec in z.source.actors.items():
-        actor = lib.make_active(spec)
-        if actor.is_source:
-            source_data[name] = read_samples(inputs_dir / f"{name}.txt", actor.token_type)
+        if lib.make_active(spec).is_source:
+            token_type = lib.declare(spec).token_type or F64
+            source_data[name] = read_samples(inputs_dir / f"{name}.txt", token_type)
     instance = instantiate(z, lib, source_data)
     stats = instance.run(
         sink_token_target=args.sink_tokens, max_iterations=args.iterations

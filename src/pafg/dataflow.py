@@ -77,7 +77,7 @@ class CfdfActor:
     Subclasses define input_ports/output_ports, the token function in
     invoke() and the rate table _RATES, which declaration_of reads; a kind
     with several modes is a ModalActor. A source sets is_source and has
-    bind(values) and token_type; a sink sets is_sink and fills collected.
+    bind(values); a sink sets is_sink and fills collected.
     """
 
     kind = None

@@ -231,7 +231,7 @@ def serialize_pafg(z):
     for name in sorted(z.pafg.blocks):
         b = z.pafg.blocks[name]
         kind, origin = _block_words(b.provenance)
-        parts = [f"block {name} kind={kind} coord={z.coord(name)} from={origin}"]
+        parts = [f"block {name} kind={kind} coord={z.coordination[name]} from={origin}"]
         if b.capacity is not None:
             parts.append(f"capacity={b.capacity}")
         lines.append(" ".join(parts))

@@ -117,9 +117,6 @@ class CoordinatedPafg:
         coordination = {n: ACTV if b.capacity is None else PSSV for n, b in blocks.items()}
         object.__setattr__(self, "coordination", coordination)
 
-    def coord(self, name):
-        return self.coordination[name]
-
 
 def is_alternating(z):
     """True iff every edge joins one active and one passive block."""

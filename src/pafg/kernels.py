@@ -13,11 +13,10 @@ token at global index m*i + j and keeps its own next index, next[j], so
 each writer may run ahead into its own free slots; wptr, all the read
 ports see, is the contiguous written prefix cut to whole groups of m, so
 a ring of m write ports needs capacity m or more.
-Tokens move as slices: write_n stores a sequence on one write port and
-read_n takes the next n tokens of one read port, wrapping around the end
-of the slot list; write and read are their one-token forms. write_n copies
-each token once, straight into its slot, and keeps no reference to the
-caller's sequence.
+Tokens move as slices: write stores a sequence on one write port and
+read takes the next n tokens of one read port, wrapping around the end of
+the slot list. write copies each token once, straight into its slot, and
+keeps no reference to the caller's sequence.
 """
 
 from .dataflow import is_capacity
@@ -52,7 +51,6 @@ class PassiveKernel:
         self.next = list(range(m))
         self.wptr = 0
         self.rptr = [0] * len(read_ports)
-        self._low = 0  # min(self.rptr), kept up to date by read_n()
         self._transform = transform
         self.stores = 0
 
@@ -72,11 +70,12 @@ class PassiveKernel:
 
     def writable(self, j):
         """Number of tokens currently admissible on write port j: its free
-        indices next[j], next[j] + m, ... below _low + capacity."""
+        indices next[j], next[j] + m, ... below the slowest read pointer
+        plus capacity."""
         m = self._stride
-        return (self._low + self.capacity - self.next[j] + m - 1) // m
+        return (min(self.rptr) + self.capacity - self.next[j] + m - 1) // m
 
-    def write_n(self, j, tokens):
+    def write(self, j, tokens):
         """Store a sequence of tokens on write port j, after the
         transform. Write port j of m fills every m-th index, so the tokens
         go to the slots of next[j], next[j] + m, ... in one strided slice,
@@ -102,13 +101,10 @@ class PassiveKernel:
         self.wptr = i + n if m == 1 else (w := min(nexts)) - w % m  # whole groups
         self.stores += n
 
-    def write(self, j, token):
-        self.write_n(j, (token,))
-
     def population(self, i):
         return self.wptr - self.rptr[i]
 
-    def read_n(self, i, n):
+    def read(self, i, n):
         """Take the next n tokens of read port i, as a list."""
         rptr = self.rptr
         r = rptr[i]
@@ -120,18 +116,9 @@ class PassiveKernel:
                 else f"read port {port!r} holds {held} of {n} tokens"
             )
         rptr[i] = r + n
-        if r == self._low:
-            self._low = min(rptr)
         c = self.capacity
         start = r % c
         end = start + n
         if end <= c:
             return self._slots[start:end]
         return self._slots[start:] + self._slots[:end - c]
-
-    def read(self, i):
-        return self.read_n(i, 1)[0]
-
-    def populations(self):
-        """Tokens held per read port, by port name."""
-        return {p: self.wptr - r for p, r in zip(self.read_ports, self.rptr)}

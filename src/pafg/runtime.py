@@ -16,8 +16,8 @@ nonzero; the batch size is recomputed only when its rates change. Another
 block's firing only adds inputs or frees outputs, so every maximal run
 makes the same firings. A call fires k times: k is the least of that batch
 size, ready() and, for a sink, the firings left to its target, with one
-read_n per input port, one invoke(inputs, k), a check that every output
-holds k times its declared rate and one write_n per output. A run stopped
+read per input port, one invoke(inputs, k), a check that every output
+holds k times its declared rate and one write per output. A run stopped
 early (sink-token target or sweep bound) leaves a prefix of each sink's
 stream, but its token-store count, which counts every token stored into
 passive-block memory, depends on the schedule.
@@ -64,21 +64,14 @@ class ExecutionInstance:
     a port is (port name, kernel, position of the kernel port)."""
 
     def __init__(self, z, actors, kernels, stations):
-        self.z = z
         self.actors = actors
         self.order = data_order(z.source.graph, actors)
         self.kernels = kernels
         self.stations = stations
-        self.sinks = {name for name, actor in actors.items() if actor.is_sink}
         self.bmr_bytes = compute_bmr(z).total_bytes
 
     def sink_streams(self):
-        return {name: list(self.actors[name].collected) for name in sorted(self.sinks)}
-
-    def population_snapshot(self):
-        return {
-            name: kernel.populations() for name, kernel in sorted(self.kernels.items())
-        }
+        return {name: list(a.collected) for name, a in sorted(self.actors.items()) if a.is_sink}
 
     def run(self, sink_token_target=None, max_iterations=None, order=None):
         """Sweep the station table until the stop condition is met. A sweep
@@ -127,7 +120,7 @@ class ExecutionInstance:
                             k = min(k, -(-(target - sink_tokens) // per_firing))
                     inputs = {}
                     for port, kernel, pos in ins:
-                        inputs[port] = kernel.read_n(pos, consume.get(port, 0) * k)
+                        inputs[port] = kernel.read(pos, consume.get(port, 0) * k)
                     outputs = actor.invoke(inputs, k)
                     for port, kernel, pos in outs:
                         values = outputs.get(port, ())
@@ -137,7 +130,7 @@ class ExecutionInstance:
                                 f"{name}.{port}: produced {len(values)} tokens in {k} "
                                 f"firing(s), declared {n}"
                             )
-                        kernel.write_n(pos, values)
+                        kernel.write(pos, values)
                     if not bound.issuperset(outputs):
                         _check_unbound(name, outputs, bound)
                     fired = True
@@ -163,7 +156,10 @@ class ExecutionInstance:
                     raise DeadlockError(
                         f"no block fired after {sink_tokens} of {target} sink tokens: "
                         + "; ".join(blocked.values()),
-                        populations=self.population_snapshot(),
+                        populations={
+                            block: {p: ring.population(i) for i, p in enumerate(ring.read_ports)}
+                            for block, ring in sorted(self.kernels.items())
+                        },
                         blocked=blocked,
                     )
                 break

@@ -52,22 +52,10 @@ class PassivizationCandidate:
     removed: frozenset  # the adjacent simple blocks
 
 
-def _candidate_for(z, lib, name, step_of={}):
-    """The candidate that name is in z, or None and the reason it is not,
-    in the PAFG that earlier steps of a rewrite give: step_of maps each
-    block they passivized to itself, and each simple block they removed to
-    the block whose step removed it, now the neighbor in its place."""
-    block = z.pafg.block(name)
-    if z.coord(name) != ACTV or name in step_of:
-        return None, f"block {name!r} is not active"
-    if block.is_simple or not lib.is_buffer_actor(block.kind):
-        return None, f"block {name!r} is not a non-simple buffer block"
-    return _surrounded(z, name, step_of)
-
-
 def _surrounded(z, name, step_of={}):
-    """_candidate_for's interface and neighbor tests, for an active buffer
-    block."""
+    """The candidate that an active buffer block is, or None and the reason
+    it is not: it must have a producer and a consumer, and only simple
+    passive neighbors (see _named_candidate for step_of)."""
     preds, succs = z.pafg.graph.pred(name), z.pafg.graph.succ(name)
     if not preds or not succs:
         return None, f"block {name!r} is an interface block"
@@ -131,10 +119,19 @@ def _burst_bound(z, lib, name):
 
 
 def _named_candidate(z, lib, name, step_of):
-    """_candidate_for's candidate after the steps in step_of, or its raise."""
+    """The candidate that name is in z, or a NotACandidateError that says
+    why not, in the PAFG that earlier steps of a rewrite give: step_of maps
+    each block they passivized to itself, and each simple block they
+    removed to the block whose step removed it, now the neighbor in its
+    place."""
     if step_of.get(name, name) != name:
         raise IrError(f"unknown block {name!r}")  # an earlier step removed it
-    cand, reason = _candidate_for(z, lib, name, step_of)
+    block = z.pafg.block(name)
+    if z.coordination[name] != ACTV or name in step_of:
+        raise NotACandidateError(f"block {name!r} is not active")
+    if block.is_simple or not lib.is_buffer_actor(block.kind):
+        raise NotACandidateError(f"block {name!r} is not a non-simple buffer block")
+    cand, reason = _surrounded(z, name, step_of)
     if cand is None:
         raise NotACandidateError(reason)
     return cand
@@ -165,7 +162,7 @@ def passivize_fixpoint(z, lib, blocks=None):
         raise TransformError("passivization is defined on alternating PAFGs only")
     g = z.pafg.graph
     table = dict(z.pafg.blocks)
-    step_of = {}  # see _candidate_for
+    step_of = {}  # see _named_candidate
     candidates = find_candidates(z, lib) if blocks is None else (
         _named_candidate(z, lib, name, step_of) for name in blocks)
     log = []
@@ -218,7 +215,7 @@ def estimate_copy_count(z, produced_per_block):
     total = 0
     missing = []
     for name in z.pafg.blocks:
-        if z.coord(name) != ACTV or not z.pafg.graph.out_edges(name):
+        if z.coordination[name] != ACTV or not z.pafg.graph.out_edges(name):
             continue  # passive, or nothing downstream to store into
         if name not in produced_per_block:
             missing.append(name)

@@ -81,8 +81,8 @@ def test_criterion_1_construction_regression():
         assert len(z.pafg.graph.edges) == 30
         # coordination assignment: every actor block active, every simple
         # buffer passive
-        assert all(z.coord(n) == ACTV for n in comps + buffers)
-        assert all(z.coord(n) == PSSV for n in simple)
+        assert all(z.coordination[n] == ACTV for n in comps + buffers)
+        assert all(z.coordination[n] == PSSV for n in simple)
         assert is_alternating(z)
         assert check_association(g, z.pafg)
 
@@ -103,7 +103,7 @@ def test_criterion_2_transformation_regression():
         for target in ("J1", "J2", "J3"):
             former = z.pafg.graph.pred(target) | z.pafg.graph.succ(target)
             z2, step = passivize(z, LIB, target)
-            assert z2.coord(target) == PSSV
+            assert z2.coordination[target] == PSSV
             assert set(step.removed) == former
             assert not former & set(z2.pafg.blocks)
             assert is_alternating(z2)
@@ -226,10 +226,10 @@ def test_criterion_6_kernel_property_suites():
             op = rng.choice(choices)
             if op is None:
                 value = rng.random()
-                fork.write(w, value)
+                fork.write(w, [value])
                 written.append(value)
             else:
-                assert fork.read(op) == written[read_count[op]]
+                assert fork.read(op, 1) == [written[read_count[op]]]
                 read_count[op] += 1
             assert 0 <= fork.wptr - min(fork.rptr) <= fork.capacity
             assert all(0 <= fork.population(p) <= fork.capacity for p in ports)

@@ -8,14 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from pafg.cli import cli_main
+from pafg.cli import _bench_pair, cli_main
 from pafg.actors import default_library
+from pafg.dataflow import ActorLibrary
+from pafg.errors import PafgError
+from pafg.kernels import PassiveKernel
 from pafg.formats import read_samples, serialize_graph, serialize_pafg, write_samples
 from pafg.transform import derive_direct_pafg, passivize_fixpoint
 from topologies import (
     FORK_GRAPH,
     PASSIVE_GAIN_PAFG,
     chain_graph,
+    fork_graph,
     interleave_ring_pafg,
     rename_block,
     ten_plus_four_graph,
@@ -367,6 +371,22 @@ def test_bench_forkcascade(tmp_path, capsys):
     assert stats["direct"]["bmr_bytes"] == 18 * 16 * 8
     assert stats["optimized"]["bmr_bytes"] == 6 * 16 * 8
     assert stats["direct"]["token_stores"] - stats["optimized"]["token_stores"] == 6 * 2 * 16
+
+
+def test_bench_pair_raises_when_the_forms_diverge():
+    # a fork ring that negates every token: both forms reach the target,
+    # and the passivized one delivers other values
+    default = default_library()
+    lib = ActorLibrary()
+    for kind in ("src", "snk"):
+        lib.register(kind, default.entry(kind).active_factory)
+    lib.register("fork", default.entry("fork").active_factory,
+                 lambda spec, capacity: PassiveKernel(capacity, ("in",), ("out0", "out1"),
+                                                      lambda t: -t))
+    message = ("direct and optimized sink streams diverge: "
+               "StreamDivergence(sink='out0', index=0, left=1.0, right=-1.0)")
+    with pytest.raises(PafgError, match=re.escape(message)):
+        _bench_pair(fork_graph(), lib, {"in": [1.0, 2.0, 3.0]}, 6)
 
 
 def test_bench_evm_rejects_window_0(capsys):

@@ -50,7 +50,7 @@ def one_block_instance(block, kind, source_data=None, capacity=4, **params):
 def test_fork_enable_true_when_fed():
     inst = one_block_instance("F", "fork", fanout=2)
     feed = inst.kernels["SRC.out->F.in"]
-    feed.write(feed.write_index("in"), 7.0)
+    feed.write(feed.write_index("in"), [7.0])
     # one sweep in name order: the fork fires, then its sinks drain
     stats = inst.run(max_iterations=1)
     assert stats.token_stores == 2
@@ -68,8 +68,8 @@ def test_fork_enable_false_without_input():
 def test_gain_enable_false_without_space():
     inst = one_block_instance("G", "gain", capacity=1, k=2.0)
     feed, drain = inst.kernels["SRC.out->G.in"], inst.kernels["G.out->SNK_out.in"]
-    feed.write(feed.write_index("in"), 5.0)
-    drain.write(drain.write_index("in"), 1.0)
+    feed.write(feed.write_index("in"), [5.0])
+    drain.write(drain.write_index("in"), [1.0])
     stats = inst.run(max_iterations=1)
     assert stats.token_stores == 0
     assert feed.population(feed.read_index("out")) == 1
@@ -82,7 +82,7 @@ def test_enable_is_side_effect_free():
     # must not consume any of its data
     inst = one_block_instance("G", "gain", source_data=[1.0, 2.0], capacity=1)
     feed = inst.kernels["SRC.out->G.in"]
-    feed.write(feed.write_index("in"), 0.0)
+    feed.write(feed.write_index("in"), [0.0])
     inst.run(max_iterations=1, order=["SRC", "G", "SNK_out"])
     assert inst.actors["SRC"].remaining() == 2
     inst.run()
@@ -93,10 +93,10 @@ def test_multi_rate_enable_waits_for_full_rate():
     inst = one_block_instance("M", "ref-mag")
     feed = inst.kernels["SRC.out->M.in"]
     w, r = feed.write_index("in"), feed.read_index("out")
-    feed.write(w, 3.0)
+    feed.write(w, [3.0])
     assert inst.run(max_iterations=1).token_stores == 0
     assert feed.population(r) == 1
-    feed.write(w, 4.0)
+    feed.write(w, [4.0])
     assert inst.run(max_iterations=1).token_stores == 1
     assert inst.sink_streams() == {"SNK_out": [25.0]}
 

@@ -497,7 +497,7 @@ def test_parse_and_fixpoint_build_no_actor():
     parsed = parse_pafg(serialize_pafg(optimized), lib=lib)
     assert len(log) == 3 and built == []
     instantiate(parsed, lib, {"SRC": [1.0] * 4})
-    assert sorted(built) == sorted(n for n in parsed.pafg.blocks if parsed.coord(n) == ACTV)
+    assert sorted(built) == sorted(n for n in parsed.pafg.blocks if parsed.coordination[n] == ACTV)
 
 
 # Words a mutant puts in place of a token, or of a key's value

@@ -72,7 +72,7 @@ def test_adjacent_passive_blocks_fail_abc(lib):
     z = derive_direct_pafg(g, lib)
     blocks = dict(z.pafg.blocks, B=Block(g.actor("B"), capacity=100))
     z2 = CoordinatedPafg(Pafg(blocks, g))
-    assert z2.coord("B") == PSSV
+    assert z2.coordination["B"] == PSSV
     assert ("A.out->B.in", "B") in z2.pafg.edges
     assert not check_abc(z2)
     assert not is_alternating(z2)
@@ -253,7 +253,7 @@ def test_validator_rejects_active_simple_block(lib):
     # PAFG can make it active; a file that says so is refused at its line
     z = derive_direct_pafg(chain_graph(), lib)
     simple = [n for n, b in z.pafg.blocks.items() if b.is_simple]
-    assert simple and all(z.coord(n) == PSSV for n in simple)
+    assert simple and all(z.coordination[n] == PSSV for n in simple)
     name = simple[0]
     old = f"block {name} kind=simple coord=pssv"
     err, lineno = _reparsed_line(serialize_pafg(z), old, old.replace("pssv", "actv"), lib)
@@ -265,7 +265,7 @@ def test_validator_rejects_passive_block_without_capacity(lib):
     # the fork's block has no capacity, so it is derived active; a file that
     # makes it passive without giving it one is refused at its line
     z = derive_direct_pafg(chain_graph(), lib)
-    assert z.pafg.blocks["B"].capacity is None and z.coord("B") == ACTV
+    assert z.pafg.blocks["B"].capacity is None and z.coordination["B"] == ACTV
     old = "block B kind=fork coord=actv from=actor:B"
     err, lineno = _reparsed_line(serialize_pafg(z), old, old.replace("actv", "pssv"), lib)
     assert err.line == lineno

@@ -27,8 +27,8 @@ def test_fifo_order():
     fifo = PassiveKernel(4)
     w, r = fifo.write_index("in"), fifo.read_index("out")
     for v in (1.0, 2.0, 3.0):
-        fifo.write(w, v)
-    assert [fifo.read(r) for _ in range(3)] == [1.0, 2.0, 3.0]
+        fifo.write(w, [v])
+    assert fifo.read(r, 3) == [1.0, 2.0, 3.0]
 
 
 def test_fresh_kernel_counts():
@@ -64,44 +64,44 @@ def test_ports_resolve_to_positions():
 def test_fork_broadcast_population():
     fork = ring("fork", 8, fanout=2)
     out0, out1 = fork.read_index("out0"), fork.read_index("out1")
-    fork.write(fork.write_index("in"), 7.0)
+    fork.write(fork.write_index("in"), [7.0])
     assert fork.population(out0) == 1
     assert fork.population(out1) == 1
-    assert fork.read(out0) == 7.0
-    assert fork.read(out1) == 7.0
+    assert fork.read(out0, 1) == [7.0]
+    assert fork.read(out1, 1) == [7.0]
 
 
 def test_fork_independent_pointers():
     fork = ring("fork", 8, fanout=2)
     w, out0, out1 = fork.write_index("in"), fork.read_index("out0"), fork.read_index("out1")
-    fork.write(w, 1.0)
-    fork.write(w, 2.0)
-    assert [fork.read(out0), fork.read(out0)] == [1.0, 2.0]
+    fork.write(w, [1.0])
+    fork.write(w, [2.0])
+    assert fork.read(out0, 1) + fork.read(out0, 1) == [1.0, 2.0]
     assert fork.population(out1) == 2
 
 
 def test_fork_interleaved_reads():
     fork = ring("fork", 8, fanout=2)
     w, out0, out1 = fork.write_index("in"), fork.read_index("out0"), fork.read_index("out1")
-    fork.write(w, 1.0)
-    fork.write(w, 2.0)
-    seq = [fork.read(out0), fork.read(out1), fork.read(out0), fork.read(out1)]
-    assert seq == [1.0, 1.0, 2.0, 2.0]
+    fork.write(w, [1.0])
+    fork.write(w, [2.0])
+    seq = [fork.read(out0, 1), fork.read(out1, 1), fork.read(out0, 1), fork.read(out1, 1)]
+    assert seq == [[1.0], [1.0], [2.0], [2.0]]
 
 
 def test_read_empty_errors():
     fork = ring("fork", 4, fanout=2)
     with pytest.raises(BufferEmptyError, match="read port 'out0' is empty"):
-        fork.read(fork.read_index("out0"))
+        fork.read(fork.read_index("out0"), 1)
 
 
 def test_write_full_errors():
     fifo = PassiveKernel(2)
     w = fifo.write_index("in")
-    fifo.write(w, 1.0)
-    fifo.write(w, 2.0)
+    fifo.write(w, [1.0])
+    fifo.write(w, [2.0])
     with pytest.raises(BufferFullError, match="ring full for 'in'"):
-        fifo.write(w, 3.0)
+        fifo.write(w, [3.0])
 
 
 def test_slowest_reader_limits_space():
@@ -109,8 +109,8 @@ def test_slowest_reader_limits_space():
     fork = ring("fork", 4, fanout=2)
     w, out0, out1 = fork.write_index("in"), fork.read_index("out0"), fork.read_index("out1")
     for v in (1.0, 2.0, 3.0):
-        fork.write(w, v)
-    fork.read(out0)
+        fork.write(w, [v])
+    fork.read(out0, 1)
     assert fork.population(out0) == 2
     assert fork.population(out1) == 3
     assert fork.writable(w) == 1
@@ -120,11 +120,11 @@ def test_drained_kernel_recovers_capacity():
     fork = ring("fork", 4, fanout=2)
     w = fork.write_index("in")
     for v in (1.0, 2.0, 3.0):
-        fork.write(w, v)
+        fork.write(w, [v])
     for port in ("out0", "out1"):
         i = fork.read_index(port)
         while fork.population(i):
-            fork.read(i)
+            fork.read(i, 1)
     assert fork.writable(w) == 4
 
 
@@ -140,19 +140,19 @@ def test_unknown_ports():
 
 def test_gain_fork_write_transform():
     gf = ring("gain-fork", 4, k=2.0, fanout=2)
-    gf.write(gf.write_index("in"), 3.0)
-    assert gf.read(gf.read_index("out0")) == 6.0
-    assert gf.read(gf.read_index("out1")) == 6.0
+    gf.write(gf.write_index("in"), [3.0])
+    assert gf.read(gf.read_index("out0"), 1) == [6.0]
+    assert gf.read(gf.read_index("out1"), 1) == [6.0]
 
 
 def test_interleave_sequencing():
     il = ring("interleave", 8, fanout=1)
     re, im, out = il.write_index("re"), il.write_index("im"), il.read_index("out0")
-    il.write(re, 1.0)
-    il.write(im, 10.0)
-    il.write(re, 2.0)
-    il.write(im, 20.0)
-    assert [il.read(out) for _ in range(4)] == [1.0, 10.0, 2.0, 20.0]
+    il.write(re, [1.0])
+    il.write(im, [10.0])
+    il.write(re, [2.0])
+    il.write(im, [20.0])
+    assert il.read(out, 4) == [1.0, 10.0, 2.0, 20.0]
 
 
 def test_interleave_writers_run_ahead():
@@ -160,17 +160,17 @@ def test_interleave_writers_run_ahead():
     re, im, out = il.write_index("re"), il.write_index("im"), il.read_index("out0")
     assert il.writable(re) == 4
     for v in (1.0, 2.0, 3.0, 4.0):
-        il.write(re, v)
+        il.write(re, [v])
         assert il.population(out) == 0  # no whole (re, im) pair yet
     assert il.writable(re) == 0
     with pytest.raises(BufferFullError, match="ring full for 're'"):
-        il.write(re, 5.0)
+        il.write(re, [5.0])
     assert il.writable(im) == 4
-    il.write(im, 10.0)
+    il.write(im, [10.0])
     assert il.population(out) == 2  # the pair (1.0, 10.0); 2.0 waits for its partner
     for v in (20.0, 30.0, 40.0):
-        il.write(im, v)
-    assert [il.read(out) for _ in range(8)] == [1.0, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0]
+        il.write(im, [v])
+    assert il.read(out, 8) == [1.0, 10.0, 2.0, 20.0, 3.0, 30.0, 4.0, 40.0]
 
 
 def test_interleave_index_parity():
@@ -179,9 +179,9 @@ def test_interleave_index_parity():
     re_vals = [1.0, 2.0, 3.0]
     im_vals = [10.0, 20.0, 30.0]
     for r, i in zip(re_vals, im_vals):
-        il.write(re, r)
-        il.write(im, i)
-    stream = [il.read(out1) for _ in range(6)]
+        il.write(re, [r])
+        il.write(im, [i])
+    stream = il.read(out1, 6)
     assert stream[0::2] == re_vals
     assert stream[1::2] == im_vals
 
@@ -228,21 +228,20 @@ def test_interleave_invariants_under_random_admissible_ops(write_ports, capacity
         choices += [m + i for i in range(fanout) if kernel.population(i) > 0]
         op = rng.choice(choices)
         if op < m:
-            kernel.write(op, float(step))
+            kernel.write(op, [float(step)])
             written[op].append(float(step))
         else:
             i = op - m
             n = read_count[i]
             # the n-th token of every read port is token n // m of writer n % m
-            assert kernel.read(i) == written[n % m][n // m]
+            assert kernel.read(i, 1) == [written[n % m][n // m]]
             read_count[i] = n + 1
         for j in range(m):
             if kernel.writable(j) == 0:
                 with pytest.raises(BufferFullError):
-                    kernel.write(j, -1.0)
+                    kernel.write(j, [-1.0])
         assert kernel.stores == sum(len(tokens) for tokens in written)
-        assert kernel._low == min(kernel.rptr)
-        assert 0 <= kernel.wptr - kernel._low <= kernel.capacity
+        assert 0 <= kernel.wptr - min(kernel.rptr) <= kernel.capacity
         assert kernel.wptr % m == 0  # the read ports see whole groups only
         for i in range(fanout):
             assert 0 <= kernel.population(i) <= kernel.capacity
@@ -292,10 +291,10 @@ class DroppingFork(PassiveKernel):
         super().__init__(capacity, write_ports, read_ports)
         self._written = 0
 
-    def write_n(self, j, tokens):
+    def write(self, j, tokens):
         kept = [t for i, t in enumerate(tokens, self._written) if i % 2 == 0]
         self._written += len(tokens)
-        super().write_n(j, kept)
+        super().write(j, kept)
 
 
 class StallingFork(PassiveKernel):
@@ -372,9 +371,9 @@ def test_interleave_does_not_expose_an_unpaired_re_token():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_slices_match_per_token_reads_and_writes(seed):
-    """Random read_n/write_n sequences, wraparound, stride-2 writers, a
-    transform and read pointers that differ, on one ring; the same
-    operations token by token through read/write on a twin ring."""
+    """Random read/write sequences of slices, wraparound, stride-2
+    writers, a transform and read pointers that differ, on one ring; the
+    same operations one token per call on a twin ring."""
     rng = random.Random(seed)
     write_ports = rng.choice([("in",), ("re", "im")])
     read_ports = tuple(f"out{i}" for i in range(rng.randint(1, 3)))
@@ -394,17 +393,17 @@ def test_slices_match_per_token_reads_and_writes(seed):
             assert sliced.write_index(port) == j
             n = rng.randint(0, reference.writable(j))
             tokens = [float(100 * step + i) for i in range(n)]
-            sliced.write_n(j, tokens)
+            sliced.write(j, tokens)
             for token in tokens:
-                reference.write(j, token)
+                reference.write(j, [token])
         else:
             i = reference.read_index(port)
             assert sliced.read_index(port) == i
             n = rng.randint(0, reference.population(i))
-            assert sliced.read_n(i, n) == [reference.read(i) for _ in range(n)]
+            assert sliced.read(i, n) == [reference.read(i, 1)[0] for _ in range(n)]
         assert sliced._slots == reference._slots
-        assert (sliced.wptr, sliced.rptr, sliced._low, sliced.next, sliced.stores) == (
-            reference.wptr, reference.rptr, reference._low, reference.next, reference.stores
+        assert (sliced.wptr, sliced.rptr, sliced.next, sliced.stores) == (
+            reference.wptr, reference.rptr, reference.next, reference.stores
         )
     assert reference.stores > 0
 
@@ -414,13 +413,13 @@ def test_slices_reject_what_does_not_fit():
     re, im, out = il.write_index("re"), il.write_index("im"), il.read_index("out0")
     assert il.writable(re) == 3
     with pytest.raises(BufferFullError):
-        il.write_n(re, [1.0, 2.0, 3.0, 4.0])
-    il.write_n(re, [1.0, 2.0, 3.0])
-    il.write_n(im, [10.0])
+        il.write(re, [1.0, 2.0, 3.0, 4.0])
+    il.write(re, [1.0, 2.0, 3.0])
+    il.write(im, [10.0])
     assert il.population(out) == 2  # whole (re, im) pairs only
     with pytest.raises(BufferEmptyError, match="read port 'out0' holds 2 of 3"):
-        il.read_n(out, 3)
-    assert il.read_n(out, 2) == [1.0, 10.0]
+        il.read(out, 3)
+    assert il.read(out, 2) == [1.0, 10.0]
     assert il.stores == 4
     with pytest.raises(UnknownPortError):
         il.write_index("bogus")
@@ -433,7 +432,7 @@ def test_slices_reject_what_does_not_fit():
 @pytest.mark.parametrize("wraps", [False, True], ids=["fits", "wraps"])
 @pytest.mark.parametrize("write_ports", [("in",), ("re", "im")], ids=["m1", "m2"])
 def test_ring_keeps_no_reference_to_the_written_list(write_ports, wraps, change):
-    """write_n copies the tokens into the slots, so changing the caller's
+    """write copies the tokens into the slots, so changing the caller's
     list afterwards changes nothing the ring returns."""
     m = len(write_ports)
     kernel = PassiveKernel(8, write_ports)
@@ -442,12 +441,12 @@ def test_ring_keeps_no_reference_to_the_written_list(write_ports, wraps, change)
     if wraps:
         # every writer and the reader move to index 6, two slots before the end
         for j in positions:
-            kernel.write_n(j, [0.0] * (6 // m))
-        kernel.read_n(out, 6)
+            kernel.write(j, [0.0] * (6 // m))
+        kernel.read(out, 6)
     batches = [[float(10 * j + i) for i in range(8 // m)] for j in range(m)]
     expected = [t for tokens in zip(*batches) for t in tokens]
     for j, tokens in zip(positions, batches):
-        kernel.write_n(j, tokens)
+        kernel.write(j, tokens)
     for tokens in batches:
         change(tokens)
-    assert kernel.read_n(out, 8) == expected
+    assert kernel.read(out, 8) == expected

@@ -1,6 +1,7 @@
 """The benchmark's tiny-size smoke run, so a refactor that breaks its
 per-object wrappers or module-global patches fails the test suite."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +19,22 @@ def test_perfbench_self_test():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_run_counts_the_ring_calls():
+    """The tracer wraps each kernel's read and write, the calls the engine
+    moves every token through, so a traced run counts them on both forms."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "forkcascade",
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    counts = {name: m["value"] for name, m in result["metrics"].items()
+              if name.startswith(("kernels.reads.", "kernels.writes."))}
+    assert len(counts) == 4 and all(v > 0 for v in counts.values()), counts

@@ -387,10 +387,10 @@ def test_wrappers_installed_after_instantiate_are_called(lib):
             for actor in inst.actors.values():
                 wrap(actor, "invoke")
             for kernel in inst.kernels.values():
-                for method in ("read_n", "population", "writable"):
+                for method in ("read", "write", "population", "writable"):
                     wrap(kernel, method)
             stats = inst.run()
-            assert set(calls) == {"invoke", "read_n", "population", "writable"}, calls
+            assert set(calls) == {"invoke", "read", "write", "population", "writable"}, calls
             assert (inst.sink_streams(), stats.token_stores) == quiescent_run(z, lib, data)
 
 
@@ -779,7 +779,7 @@ def test_instantiate_rejects_unbound_ports(lib, build, data, message, optimized)
     z = derive_direct_pafg(build(), lib)
     if optimized:
         z, log = passivize_fixpoint(z, lib)
-        assert len(log) == 1 and z.coord(log[0].block) == PSSV
+        assert len(log) == 1 and z.coordination[log[0].block] == PSSV
     with pytest.raises(RuntimeExecutionError, match=f"^{message}$"):
         instantiate(z, lib, data)
 

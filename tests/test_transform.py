@@ -55,8 +55,8 @@ def test_derive_chain(lib):
     assert len(z.pafg.blocks) == 5
     assert len(z.pafg.graph.edges) == 4
     assert is_alternating(z)
-    assert z.coord("A") == ACTV
-    assert z.coord("A.out->B.in") == PSSV
+    assert z.coordination["A"] == ACTV
+    assert z.coordination["A.out->B.in"] == PSSV
     simple = z.pafg.block("A.out->B.in")
     assert simple.capacity == 100 and z.source.edge("A", "B").token_type == "f64"
 
@@ -66,7 +66,7 @@ def test_derive_single_actor(lib):
     z = derive_direct_pafg(g, lib)
     assert len(z.pafg.blocks) == 1
     assert not z.pafg.graph.edges
-    assert z.coord("A") == ACTV
+    assert z.coordination["A"] == ACTV
 
 
 def test_derive_rejects_unknown_kind(lib):
@@ -84,8 +84,8 @@ def test_derive_ten_plus_four(lib):
     assert len(buffers) == 4
     assert len(simple) == 15
     assert len(z.pafg.graph.edges) == 30
-    assert all(z.coord(n) == PSSV for n in simple)
-    assert all(z.coord(n) == ACTV for n in buffers + comps)
+    assert all(z.coordination[n] == PSSV for n in simple)
+    assert all(z.coordination[n] == ACTV for n in buffers + comps)
 
 
 def test_candidates_ten_plus_four(lib):
@@ -118,7 +118,7 @@ def test_passivize_chain(lib):
     z2, step = passivize(z, lib, "B")
     assert set(z2.pafg.blocks) == {"A", "B", "C"}
     assert z2.pafg.graph.edges == {("A", "B"), ("B", "C")}
-    assert z2.coord("B") == PSSV
+    assert z2.coordination["B"] == PSSV
     assert z2.pafg.block("B").capacity == 100
     assert is_alternating(z2)
     assert check_association(chain_graph(), z2.pafg)
@@ -133,8 +133,8 @@ def test_passivize_gain_fork_cluster(lib):
     z2, step = passivize(z, lib, "F")
     assert len(z2.pafg.blocks) == 4
     assert z2.pafg.graph.edges == {("G", "F"), ("F", "C1"), ("F", "C2")}
-    assert z2.coord("F") == PSSV
-    assert z2.coord("G") == ACTV
+    assert z2.coordination["F"] == PSSV
+    assert z2.coordination["G"] == ACTV
     assert_step_arithmetic(z, z2, step)
 
 
@@ -148,8 +148,8 @@ def test_passivize_ten_plus_four_sequence(lib):
         assert check_abc(z2)
         assert check_association(g, z2.pafg)
         z = z2
-    assert [z.coord(f"J{i}") for i in (1, 2, 3)] == [PSSV, PSSV, PSSV]
-    assert z.coord("J4") == ACTV
+    assert [z.coordination[f"J{i}"] for i in (1, 2, 3)] == [PSSV, PSSV, PSSV]
+    assert z.coordination["J4"] == ACTV
     # the three clusters are disjoint: 9 simple blocks removed, 6 remain
     simple = [n for n, b in z.pafg.blocks.items() if b.is_simple]
     assert len(simple) == 6
