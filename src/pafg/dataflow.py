@@ -76,8 +76,10 @@ class CfdfActor:
 
     Subclasses define input_ports/output_ports, the token function in
     invoke() and the rate table _RATES, which declaration_of reads; a kind
-    with several modes is a ModalActor. A source sets is_source and has
-    bind(values); a sink sets is_sink and fills collected.
+    with several modes is a ModalActor. The engine asks rates() again after
+    a firing, and ready() at all, only of a class that overrides them, so a
+    kind whose rates change overrides rates(). A source sets is_source and
+    has bind(values); a sink sets is_sink and fills collected.
     """
 
     kind = None

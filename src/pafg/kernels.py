@@ -72,14 +72,16 @@ class PassiveKernel:
         """Number of tokens currently admissible on write port j: its free
         indices next[j], next[j] + m, ... below the slowest read pointer
         plus capacity."""
-        m = self._stride
-        return (min(self.rptr) + self.capacity - self.next[j] + m - 1) // m
+        rptr, m = self.rptr, self._stride
+        free = (rptr[0] if len(rptr) == 1 else min(rptr)) + self.capacity - self.next[j]
+        return free if m == 1 else (free + m - 1) // m
 
     def write(self, j, tokens):
         """Store a sequence of tokens on write port j, after the
         transform. Write port j of m fills every m-th index, so the tokens
         go to the slots of next[j], next[j] + m, ... in one strided slice,
-        or in two when the write wraps round the end of the slot list."""
+        or in two when the write wraps round the end of the slot list; a
+        one-writer ring stores a contiguous slice and sets wptr directly."""
         nexts, c, m = self.next, self.capacity, self._stride
         i = nexts[j]
         n = len(tokens)
@@ -89,16 +91,24 @@ class PassiveKernel:
             tokens = [self._transform(t) for t in tokens]
         slots = self._slots
         pos = i % c
-        fit = (c - pos + m - 1) // m  # the tokens that fit before the end
-        if n <= fit:
-            slots[pos:pos + m * n:m] = tokens
+        if m == 1:
+            end = pos + n
+            if end <= c:
+                slots[pos:end] = tokens
+            else:
+                slots[pos:], slots[:end - c] = tokens[:c - pos], tokens[c - pos:]
+            nexts[0] = self.wptr = i + n
         else:
-            # the free indices span at most capacity, so one wrap suffices
-            slots[pos::m] = tokens[:fit]
-            pos += m * fit - c
-            slots[pos:pos + m * (n - fit):m] = tokens[fit:]
-        nexts[j] = i + m * n
-        self.wptr = i + n if m == 1 else (w := min(nexts)) - w % m  # whole groups
+            fit = (c - pos + m - 1) // m  # the tokens that fit before the end
+            if n <= fit:
+                slots[pos:pos + m * n:m] = tokens
+            else:
+                # the free indices span at most capacity, so one wrap suffices
+                slots[pos::m] = tokens[:fit]
+                pos += m * fit - c
+                slots[pos:pos + m * (n - fit):m] = tokens[fit:]
+            nexts[j] = i + m * n
+            self.wptr = (w := min(nexts)) - w % m  # whole groups
         self.stores += n
 
     def population(self, i):

@@ -8,14 +8,17 @@ connections the PAFG derives from them: a row per active block with its
 actor and, per port in name order, the kernel bound to it and the position
 of the kernel port there, resolved once, so a firing looks up no port
 name. Rows hold objects, not bound methods, so wrappers installed on them
-later are called. run() sweeps the rows round-robin in data order (data_order;
-a permutation can be supplied), so on an acyclic graph a block is visited
+later are called, but only for methods the engine asks: rates() once per
+visit and, after a firing, again only if the actor's class overrides
+CfdfActor.rates; ready() only if the class overrides CfdfActor.ready.
+run() sweeps the rows round-robin in data order (data_order; a
+permutation can be supplied), so on an acyclic graph a block is visited
 after the blocks that feed it, and fires each block while its input
 populations and output space cover its current rates and ready() is
-nonzero; the batch size is recomputed only when its rates change. Another
-block's firing only adds inputs or frees outputs, so every maximal run
-makes the same firings. A call fires k times: k is the least of that batch
-size, ready() and, for a sink, the firings left to its target, with one
+nonzero. Another block's firing only adds inputs or frees outputs, so
+every maximal run makes the same firings. A call fires k times: k is the
+least of the batch size those admit, ready() and, for a sink, the firings
+left to its target, with one
 read per input port, one invoke(inputs, k), a check that every output
 holds k times its declared rate and one write per output. A run stopped
 early (sink-token target or sweep bound) leaves a prefix of each sink's
@@ -32,6 +35,7 @@ import struct
 import time
 from dataclasses import asdict, dataclass
 
+from .dataflow import CfdfActor
 from .errors import (
     ContractViolationError,
     DeadlockError,
@@ -60,8 +64,10 @@ class ExecutionInstance:
     """A coordinated PAFG with kernels allocated for its passive blocks,
     live actors for its active blocks, and the station table that binds
     every actor port to a kernel port: a row (name, actor, is_sink, input
-    ports, output ports, bound output port names) per active block, where
-    a port is (port name, kernel, position of the kernel port)."""
+    ports, output ports, bound output port names, modal, bounded) per
+    active block, where a port is (port name, kernel, position of the
+    kernel port) and modal and bounded say whether the actor's class
+    overrides CfdfActor.rates and CfdfActor.ready."""
 
     def __init__(self, z, actors, kernels, stations):
         self.actors = actors
@@ -103,15 +109,13 @@ class ExecutionInstance:
                     )
                 break
             fired = False
-            for name, actor, is_sink, ins, outs, bound in stations:
+            for name, actor, is_sink, ins, outs, bound, modal, bounded in stations:
                 table = actor.rates()
                 avail = _batch_size(table, ins, outs)
                 while avail:
-                    k = actor.ready()
+                    k = min(actor.ready(), avail) if bounded else avail
                     if not k:
                         break
-                    if k > avail:
-                        k = avail
                     consume, produce = table
                     if is_sink:
                         per_firing = sum(consume.get(port, 0) for port, *_ in ins)
@@ -139,12 +143,11 @@ class ExecutionInstance:
                         if target is not None and sink_tokens >= target:
                             done = True
                             break
-                    new = actor.rates()
-                    if new is table or new == table:
-                        avail -= k
-                    else:
+                    if modal and (new := actor.rates()) is not table and new != table:
                         table = new
                         avail = _batch_size(new, ins, outs)
+                    else:
+                        avail -= k
                 if done:
                     break
             sweeps += 1
@@ -231,7 +234,7 @@ def _check_unbound(name, outputs, bound):
 def _diagnose(station):
     """Why a block cannot fire: its first short port and the shortfall, or
     that a source has no data left."""
-    name, actor, _, ins, outs, _ = station
+    name, actor, _, ins, outs, *_ = station
     if actor.is_source and not actor.ready():
         return f"{name} has no data left"
     consume, produce = actor.rates()
@@ -313,10 +316,12 @@ def instantiate(z, lib, source_data):
                 raise UnboundIoError(f"source actor {name!r} has no bound input data")
             actor.bind(source_data[name])
         # a block's ports are distinct, so sorting compares port names only
+        cls = type(actor)
         stations[name] = (
             name, actor, actor.is_sink,
             tuple(sorted(bound_ins.values())), tuple(sorted(bound_outs.values())),
             frozenset(bound_outs),
+            cls.rates is not CfdfActor.rates, cls.ready is not CfdfActor.ready,
         )
     unknown = set(source_data) - {n for n, a in actors.items() if a.is_source}
     if unknown:

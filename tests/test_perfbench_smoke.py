@@ -38,3 +38,35 @@ def test_traced_run_counts_the_ring_calls():
     counts = {name: m["value"] for name, m in result["metrics"].items()
               if name.startswith(("kernels.reads.", "kernels.writes."))}
     assert len(counts) == 4 and all(v > 0 for v in counts.values()), counts
+
+
+TRACED_TINY_FIXPOINT_WIDE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import run
+assert run._import_package() is None
+from workloads import TINY_WORKLOADS
+result = run.measure(TINY_WORKLOADS["fixpoint-wide"], 1, 0, 1)
+assert not result.errors, result.errors
+print(json.dumps(result.metrics))
+"""
+
+
+def test_traced_run_asks_rates_once_per_visit():
+    """Every actor of fixpoint-wide keeps CfdfActor's static rates() and
+    fires on its first visit, so the engine asks rates() once per visit
+    and the attempts counter equals the firings on both forms."""
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_TINY_FIXPOINT_WIDE, str(ROOT / "perfbench")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    for form in ("direct", "optimized"):
+        firings = metrics[f"runtime.firings.{form}"]
+        assert firings > 0 and metrics[f"runtime.attempts.{form}"] == firings, metrics
+        assert metrics[f"runtime.fire_ratio.{form}"] == 1.0

@@ -663,6 +663,60 @@ def test_contract_violation_detected(lib):
     assert ring.population(ring.read_index("out")) == 0
 
 
+class Alternator(CfdfActor):
+    """Reads one token, then two, then one again, and emits what it read
+    summed: its rate table changes after every firing, which it states by
+    overriding rates(), not by subclassing ModalActor."""
+
+    kind = "alt"
+    input_ports = ("in",)
+    output_ports = ("out",)
+    _RATES = {1: ({"in": 1}, {"out": 1}), 2: ({"in": 2}, {"out": 1})}
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.reads = 1
+
+    def rates(self):
+        return self._RATES[self.reads]
+
+    def ready(self):
+        return 1
+
+    def invoke(self, inputs, k=1):
+        self.reads = 3 - self.reads
+        return {"out": [sum(inputs["in"])]}
+
+
+def test_a_kind_whose_rates_change_without_modal_actor_matches_the_reference():
+    # the engine asks rates() again after a firing of any class that
+    # overrides it; a stale table would read one token where two are due
+    custom = default_library()
+    custom.register("alt", lambda s: Alternator(s.name))
+    g = (
+        AppGraphBuilder()
+        .actor("S", "src")
+        .actor("F", "fork", fanout=2)
+        .actor("A", "alt")
+        .actor("B", "snk")
+        .actor("C", "snk")
+        .edge("S.out", "F.in", capacity=4)
+        .edge("F.out0", "A.in", capacity=4)
+        .edge("F.out1", "C.in", capacity=4)
+        .edge("A.out", "B.in", capacity=4)
+        .build()
+    )
+    data = {"S": [float(x) for x in range(1, 25)]}
+    reference = kahn_streams(g, custom, data)
+    assert reference["B"][:4] == [1.0, 5.0, 4.0, 11.0] and len(reference["B"]) == 16
+    direct, passivized = both_forms(g, custom)
+    assert passivized.coordination["F"] == PSSV
+    for z in (direct, passivized):
+        inst = instantiate(z, custom, data)
+        inst.run()
+        assert compare_streams(inst.sink_streams(), reference) == (True, None)
+
+
 class Tap(SinkActor):
     kind = "tap"
 
