@@ -25,7 +25,7 @@ from .ir import (
     validate_coordinated,
 )
 from .kernels import PassiveKernel
-from .runtime import ExecStats, check_mapping_equivalence, compare_streams, instantiate
+from .runtime import ExecStats, compare_streams, instantiate
 from .transform import (
     BmrReport,
     compute_bmr,
@@ -55,7 +55,6 @@ __all__ = [
     "Pafg",
     "PassiveKernel",
     "check_abc",
-    "check_mapping_equivalence",
     "compare_streams",
     "compute_bmr",
     "default_library",

@@ -24,10 +24,6 @@ holds k times its declared rate and one write per output. A run stopped
 early (sink-token target or sweep bound) leaves a prefix of each sink's
 stream, but its token-store count, which counts every token stored into
 passive-block memory, depends on the schedule.
-
-The same engine is the equivalence harness: an active subgraph and its
-passive replacement are two realizations of one stream mapping, checked by
-running both PAFGs on the same source streams and comparing sink streams.
 """
 
 import marshal
@@ -39,7 +35,6 @@ from .dataflow import CfdfActor
 from .errors import (
     ContractViolationError,
     DeadlockError,
-    KernelError,
     RuntimeExecutionError,
     UnboundIoError,
 )
@@ -384,20 +379,3 @@ def compare_streams(a, b):
                 right[i] if i < len(right) else None,
             )
     return True, None
-
-
-def check_mapping_equivalence(reference, candidate, lib, source_data):
-    """Compare the stream mappings of two coordinated PAFGs, typically an
-    active subgraph's direct PAFG and its passivized replacement, on the
-    same finite source streams. Both run to quiescence on this engine.
-    Returns compare_streams(reference sinks, candidate sinks); a run that
-    stops while a source still has data to emit raises KernelError."""
-    streams = []
-    for label, z in (("reference", reference), ("candidate", candidate)):
-        instance = instantiate(z, lib, source_data)
-        instance.run()
-        stalled = sorted(n for n, a in instance.actors.items() if a.is_source and a.ready())
-        if stalled:
-            raise KernelError(f"{label} run stalled with source data left in {stalled}")
-        streams.append(instance.sink_streams())
-    return compare_streams(*streams)

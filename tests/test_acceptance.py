@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 from graphgen import build_random_app_graph
+from kahn_reference import COMPLETE, kahn_verdicts
 from pafg.actors import default_library
 from pafg.apps import (
     EVM_PASSIVIZATION_TARGETS,
@@ -23,7 +24,7 @@ from pafg.apps import (
 )
 from pafg.ir import ACTV, PSSV, check_abc, check_association, is_alternating, validate_coordinated
 from pafg.kernels import PassiveKernel
-from pafg.runtime import check_mapping_equivalence, compare_streams, instantiate
+from pafg.runtime import compare_streams, instantiate
 from pafg.transform import (
     compute_bmr,
     derive_direct_pafg,
@@ -234,33 +235,27 @@ def test_criterion_6_kernel_property_suites():
             assert 0 <= fork.wptr - min(fork.rptr) <= fork.capacity
             assert all(0 <= fork.population(p) <= fork.capacity for p in ports)
 
-        def passivized(graph):
-            z, log = passivize_fixpoint(derive_direct_pafg(graph, LIB), LIB)
+        def both_forms(graph):
+            direct = derive_direct_pafg(graph, LIB)
+            z, log = passivize_fixpoint(direct, LIB)
             assert log
-            return z
+            return direct, z
 
         stream = [rng.uniform(-100, 100) for _ in range(10_000)]
         fork_app = fork_graph(fanout=2, capacity=16)
-        ok, div = check_mapping_equivalence(
-            derive_direct_pafg(fork_app, LIB), passivized(fork_app), LIB, {"in": stream}
-        )
-        assert ok, div
-        ok, div = check_mapping_equivalence(
-            derive_direct_pafg(gain_then_fork_graph(k=1.7, fanout=2, capacity=16), LIB),
-            passivized(gain_fork_graph(k=1.7, fanout=2, capacity=16)),
+        assert kahn_verdicts(fork_app, both_forms(fork_app), LIB, {"in": stream}) == [COMPLETE] * 2
+        assert kahn_verdicts(
+            gain_then_fork_graph(k=1.7, fanout=2, capacity=16),
+            both_forms(gain_fork_graph(k=1.7, fanout=2, capacity=16)),
             LIB,
             {"in": stream},
-        )
-        assert ok, div
+        ) == [COMPLETE] * 2
         pairs = {
             "re": [rng.uniform(-1, 1) for _ in range(5000)],
             "im": [rng.uniform(-1, 1) for _ in range(5000)],
         }
         il_app = interleave_graph(fanout=2, capacity=16)
-        ok, div = check_mapping_equivalence(
-            derive_direct_pafg(il_app, LIB), passivized(il_app), LIB, pairs
-        )
-        assert ok, div
+        assert kahn_verdicts(il_app, both_forms(il_app), LIB, pairs) == [COMPLETE] * 2
 
 
 def test_criterion_7_ir_property_suites():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kahn_reference import COMPLETE, kahn_streams, kahn_verdicts
 from pafg.actors import default_library
 from pafg.dataflow import ActorLibrary, ActorSpec, AppGraphBuilder
 from pafg.errors import (
@@ -11,7 +12,6 @@ from pafg.errors import (
     UnknownPortError,
 )
 from pafg.kernels import PassiveKernel
-from pafg.runtime import check_mapping_equivalence, instantiate
 from pafg.transform import derive_direct_pafg, passivize_fixpoint
 from topologies import fork_graph, gain_fork_graph, gain_then_fork_graph, interleave_graph
 
@@ -256,32 +256,32 @@ def direct_and_passivized(graph):
 
 
 def test_fork_mapping_equivalence():
-    ok, div = check_mapping_equivalence(
-        *direct_and_passivized(fork_graph()), LIB, {"in": [1.0, 2.0, 3.0]}
-    )
-    assert ok, div
+    graph = fork_graph()
+    verdicts = kahn_verdicts(graph, direct_and_passivized(graph), LIB, {"in": [1.0, 2.0, 3.0]})
+    assert verdicts == [COMPLETE] * 2
 
 
 def test_gain_fork_mapping_equivalence():
-    reference = derive_direct_pafg(gain_then_fork_graph(k=2.0), LIB)
-    _, candidate = direct_and_passivized(gain_fork_graph(k=2.0))
-    ok, div = check_mapping_equivalence(reference, candidate, LIB, {"in": [3.0]})
-    assert ok, div
+    # the fused actor and its ring against the unfused gain and fork
+    verdicts = kahn_verdicts(
+        gain_then_fork_graph(k=2.0), direct_and_passivized(gain_fork_graph(k=2.0)),
+        LIB, {"in": [3.0]},
+    )
+    assert verdicts == [COMPLETE] * 2
 
 
 def test_fused_gain_fork_actor_matches_kernel():
-    ok, div = check_mapping_equivalence(
-        *direct_and_passivized(gain_fork_graph(k=1.5)), LIB, {"in": [1.0, -2.0, 0.5]}
+    graph = gain_fork_graph(k=1.5)
+    verdicts = kahn_verdicts(
+        graph, direct_and_passivized(graph), LIB, {"in": [1.0, -2.0, 0.5]}
     )
-    assert ok, div
+    assert verdicts == [COMPLETE] * 2
 
 
 def test_interleave_mapping_equivalence():
+    graph = interleave_graph(fanout=2, capacity=8)
     streams = {"re": [1.0, 2.0], "im": [10.0, 20.0]}
-    ok, div = check_mapping_equivalence(
-        *direct_and_passivized(interleave_graph(fanout=2, capacity=8)), LIB, streams
-    )
-    assert ok, div
+    assert kahn_verdicts(graph, direct_and_passivized(graph), LIB, streams) == [COMPLETE] * 2
 
 
 class DroppingFork(PassiveKernel):
@@ -320,31 +320,36 @@ def library_with_fork_kernel(kernel_class):
 
 
 def test_harness_detects_divergence():
-    ok, div = check_mapping_equivalence(
-        *direct_and_passivized(fork_graph()),
+    direct, passivized = kahn_verdicts(
+        fork_graph(),
+        direct_and_passivized(fork_graph()),
         library_with_fork_kernel(DroppingFork),
         {"in": [1.0, 2.0, 3.0]},
     )
-    assert not ok
-    assert div.index == 1
-    assert div.left == 2.0
+    assert direct == COMPLETE
+    divergence, left = passivized
+    assert (divergence.sink, divergence.index, divergence.left) == ("out0", 1, 2.0)
+    assert left == []
 
 
 def test_harness_reports_stall():
-    with pytest.raises(KernelError, match="candidate run stalled"):
-        check_mapping_equivalence(
-            *direct_and_passivized(fork_graph()),
-            library_with_fork_kernel(StallingFork),
-            {"in": [1.0, 2.0, 3.0]},
-        )
+    direct, passivized = kahn_verdicts(
+        fork_graph(),
+        direct_and_passivized(fork_graph()),
+        library_with_fork_kernel(StallingFork),
+        {"in": [1.0, 2.0, 3.0]},
+    )
+    assert direct == COMPLETE
+    divergence, left = passivized
+    assert (divergence.index, divergence.right) == (1, None)  # a short stream
+    assert left == ["in"]
 
 
 def test_interleave_unpaired_tokens_are_equivalent():
     # both forms drain both sources; the unpaired "im" token stays buffered
-    ok, div = check_mapping_equivalence(
-        *direct_and_passivized(interleave_graph()), LIB, {"re": [1.0], "im": [2.0, 3.0]}
-    )
-    assert ok is True, div
+    graph = interleave_graph()
+    streams = {"re": [1.0], "im": [2.0, 3.0]}
+    assert kahn_verdicts(graph, direct_and_passivized(graph), LIB, streams) == [COMPLETE] * 2
 
 
 def test_interleave_does_not_expose_an_unpaired_re_token():
@@ -361,12 +366,9 @@ def test_interleave_does_not_expose_an_unpaired_re_token():
         .edge("IL.out0", "K.in", capacity=4)
         .build()
     )
-    direct, passivized = direct_and_passivized(graph)
     data = {"R": [1.0, 3.0], "I": [2.0]}
-    assert check_mapping_equivalence(direct, passivized, LIB, data) == (True, None)
-    instance = instantiate(passivized, LIB, data)
-    instance.run()
-    assert instance.sink_streams() == {"K": [1.0, 2.0]}
+    assert kahn_streams(graph, LIB, data) == {"K": [1.0, 2.0]}
+    assert kahn_verdicts(graph, direct_and_passivized(graph), LIB, data) == [COMPLETE] * 2
 
 
 @pytest.mark.parametrize("seed", range(12))

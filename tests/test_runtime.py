@@ -4,7 +4,7 @@ import struct
 import pytest
 
 from graphgen import build_random_app_graph
-from kahn_reference import kahn_streams
+from kahn_reference import COMPLETE, kahn_streams, kahn_verdicts
 from pafg.apps import (
     EvmConfig,
     ForkCascadeConfig,
@@ -465,14 +465,7 @@ def test_direct_vs_optimized_streams(lib):
     rng = random.Random(5)
     for _ in range(10):
         g, data = build_random_app_graph(rng, max_actors=12)
-        z = derive_direct_pafg(g, lib)
-        opt, _ = passivize_fixpoint(z, lib)
-        a = instantiate(z, lib, data)
-        a.run()
-        b = instantiate(opt, lib, data)
-        b.run()
-        equal, div = compare_streams(a.sink_streams(), b.sink_streams())
-        assert equal, div
+        assert kahn_verdicts(g, both_forms(g, lib), lib, data) == [COMPLETE] * 2, sorted(g.actors)
 
 
 # (seed, graphs, max_actors, complete runs per form at least, modal kinds);
