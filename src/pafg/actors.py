@@ -32,6 +32,14 @@ class ModalActor(CfdfActor):
         return self._RATES[self.mode]
 
 
+def _window_length(name, value):
+    """A window length token as an int: a whole number, which an f64 stream
+    carries as a float such as 2.0; 2.5, nan and inf are refused."""
+    if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ModelError(f"{name}: window length {value!r} is not a whole number")
+
+
 class SourceActor(CfdfActor):
     """Emits one token per firing from a bound finite stream."""
 
@@ -98,7 +106,7 @@ class VarSourceActor(ModalActor, SourceActor):
 
     def invoke(self, inputs, k=1):
         if self.mode == "emit-length":
-            n = int(self._values[self._cursor])
+            n = _window_length(self.name, self._values[self._cursor])
             self._cursor += 1
             if n < 0:
                 raise ModelError(f"{self.name}: negative window length {n}")
@@ -255,7 +263,7 @@ class WindowAverageActor(ModalActor):
 
     def invoke(self, inputs, k=1):
         if self.mode == "read-length":
-            n = int(inputs["len"][0])
+            n = _window_length(self.name, inputs["len"][0])
             if n < 1:
                 raise ModelError(f"{self.name}: window length must be >= 1, got {n}")
             self._n = n

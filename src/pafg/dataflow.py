@@ -178,7 +178,8 @@ class ActorLibrary:
 class ApplicationGraph:
     """Directed graph of actor specs plus per-edge FIFO metadata. The two
     tables are the topology; graph is built from them once and is not a
-    field, so it takes no part in equality."""
+    field, so it takes no part in equality. No actor is named like an
+    edge's signature, which names the edge's simple block in a PAFG."""
 
     actors: dict
     edges: dict
@@ -189,8 +190,9 @@ class ApplicationGraph:
         outs, ins = {(e.src, e.src_port) for e in edges}, {(e.snk, e.snk_port) for e in edges}
         if (list(self.actors) == [a.name for a in self.actors.values()]
                 and len(outs) == len(ins) == len(edges)
-                and list(self.edges) == [e.key() for e in edges]):
-            return  # every key and port checked at once; the scans below name a fault
+                and list(self.edges) == [e.key() for e in edges]
+                and self.actors.keys().isdisjoint([e.signature for e in edges])):
+            return  # every key, port and name checked at once; the scans below name a fault
         for key, a in self.actors.items():
             if key != a.name:
                 raise ModelError(f"actor table key {key!r} does not match actor {a.name!r}")
@@ -198,6 +200,8 @@ class ApplicationGraph:
         for key, e in self.edges.items():
             if key != e.key():
                 raise ModelError(f"edge table key {key} does not match edge {e.key()}")
+            if e.signature in self.actors:
+                raise ModelError(f"actor {e.signature!r} has the block name of edge {e.signature}")
             for endpoint in ((e.src, e.src_port, "out"), (e.snk, e.snk_port, "in")):
                 if endpoint in bound:
                     raise ModelError(

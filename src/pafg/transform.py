@@ -6,6 +6,8 @@ connecting edges per buffer, which the PAFG derives from its blocks.
 passivize_fixpoint flips simply surrounded active buffer blocks (every
 candidate, or the named ones) to passive form in one rewrite, deleting
 their simple buffers and joining their outer neighbors straight to them.
+One rule, _candidate, decides candidacy on the block table a rewrite has
+reached; find_candidates and both forms of passivize_fixpoint ask it.
 The analyses compute buffer memory (BMR) and token stores per iteration.
 """
 
@@ -26,6 +28,7 @@ from .ir import (
     PSSV,
     Pafg,
     is_alternating,
+    is_interface_block,
 )
 
 
@@ -52,27 +55,40 @@ class PassivizationCandidate:
     removed: frozenset  # the adjacent simple blocks
 
 
-def _surrounded(z, name, step_of={}):
-    """The candidate that an active buffer block is, or None and the reason
-    it is not: it must have a producer and a consumer, and only simple
-    passive neighbors (see _named_candidate for step_of)."""
-    preds, succs = z.pafg.graph.pred(name), z.pafg.graph.succ(name)
-    if not preds or not succs:
-        return None, f"block {name!r} is an interface block"
-    neighbors = preds | succs
-    blocks = z.pafg.blocks
-    others = [step_of.get(n, n) for n in neighbors if n in step_of or not blocks[n].is_simple]
+def _candidate(z, lib, name, table):
+    """The candidate that name is in table, the block table a rewrite of z
+    has reached, or the error that says why not: the one candidacy rule. A
+    candidate is an active non-simple buffer block with a producer and a
+    consumer and only simple passive neighbors. A neighbor a step removed
+    is named by the other end of its edge, the block whose step removed it."""
+    block = table.get(name)
+    if block is None:  # never a block, or a step removed it
+        return IrError(f"unknown block {name!r}")
+    if block.capacity is not None:
+        return NotACandidateError(f"block {name!r} is not active")
+    if block.is_simple or not lib.is_buffer_actor(block.kind):
+        return NotACandidateError(f"block {name!r} is not a non-simple buffer block")
+    if is_interface_block(z.pafg, name):
+        return NotACandidateError(f"block {name!r} is an interface block")
+    g = z.pafg.graph
+    neighbors = {src for src, _ in g.ins[name]} | {snk for _, snk in g.outs[name]}
+    others = [n for n in neighbors if n in table and not table[n].is_simple]
+    for n in neighbors.difference(table):  # removed by a step: name its edge's other end
+        e = z.pafg.blocks[n].provenance
+        others.append(e.src if e.snk == name else e.snk)
     if others:
-        return None, f"neighbor {min(others)!r} of {name!r} is not a simple passive buffer"
-    return PassivizationCandidate(name, frozenset(neighbors)), None
+        return NotACandidateError(
+            f"neighbor {min(others)!r} of {name!r} is not a simple passive buffer")
+    return PassivizationCandidate(name, frozenset(neighbors))
 
 
 def find_candidates(z, lib):
-    """All simply surrounded active buffer blocks, ordered by name."""
-    coord = z.coordination
-    names = sorted([n for n, b in z.pafg.blocks.items()
-                    if coord[n] == ACTV and not b.is_simple and lib.is_buffer_actor(b.kind)])
-    return [cand for cand, _ in (_surrounded(z, n) for n in names) if cand is not None]
+    """All simply surrounded active buffer blocks, ordered by name: the
+    blocks of z's actors that _candidate accepts, as an edge's simple block
+    never is one."""
+    blocks = z.pafg.blocks
+    found = (_candidate(z, lib, name, blocks) for name in sorted(z.source.actors))
+    return [c for c in found if isinstance(c, PassivizationCandidate)]
 
 
 @dataclass
@@ -118,40 +134,21 @@ def _burst_bound(z, lib, name):
     return max(bursts)
 
 
-def _named_candidate(z, lib, name, step_of):
-    """The candidate that name is in z, or a NotACandidateError that says
-    why not, in the PAFG that earlier steps of a rewrite give: step_of maps
-    each block they passivized to itself, and each simple block they
-    removed to the block whose step removed it, now the neighbor in its
-    place."""
-    if step_of.get(name, name) != name:
-        raise IrError(f"unknown block {name!r}")  # an earlier step removed it
-    block = z.pafg.block(name)
-    if z.coordination[name] != ACTV or name in step_of:
-        raise NotACandidateError(f"block {name!r} is not active")
-    if block.is_simple or not lib.is_buffer_actor(block.kind):
-        raise NotACandidateError(f"block {name!r} is not a non-simple buffer block")
-    cand, reason = _surrounded(z, name, step_of)
-    if cand is None:
-        raise NotACandidateError(reason)
-    return cand
-
-
 def passivize_fixpoint(z, lib, blocks=None):
     """Passivize an alternating, associated PAFG in one rewrite: with
     blocks=None, the first candidate by name until none remain; otherwise
     the named blocks in order, raising at the first that passivize would
     refuse. Returns (PAFG, step log).
 
-    One candidate search is enough. A step deletes only the simple buffers
-    next to the passivized block and joins their outer neighbors, which
-    stay active, to that block, now passive and non-simple. No block gains
-    a simple neighbor, so the candidate set only shrinks: an entry of the
-    initial list stays a candidate exactly while no earlier step has taken
-    one of its buffers, and the first such entry is the first candidate by
-    name of the current PAFG. A named block reads there as in the initial
-    PAFG but where a step removed or passivized it or took its buffer,
-    which step_of records. Steps with disjoint buffers touch disjoint
+    One rule, _candidate, decides candidacy, and one candidate search is
+    enough. A step deletes only the simple buffers next to the passivized
+    block and joins their outer neighbors, which stay active, to that
+    block, now passive and non-simple. No block gains a simple neighbor, so
+    the candidate set only shrinks: an entry of the initial list stays a
+    candidate exactly while no earlier step has taken one of its buffers,
+    and the first such entry is the first candidate by name of the current
+    PAFG. A named block is checked on the block table the rewrite has
+    reached when its turn comes. Steps with disjoint buffers touch disjoint
     blocks but for those active outer neighbors, so they commute, and a
     step's log entry is the same on the initial PAFG as on the current
     one: a block's connections follow from its own application edges. A
@@ -162,18 +159,17 @@ def passivize_fixpoint(z, lib, blocks=None):
         raise TransformError("passivization is defined on alternating PAFGs only")
     g = z.pafg.graph
     table = dict(z.pafg.blocks)
-    step_of = {}  # see _named_candidate
-    candidates = find_candidates(z, lib) if blocks is None else (
-        _named_candidate(z, lib, name, step_of) for name in blocks)
     log = []
-    for cand in candidates:
-        if not step_of.keys().isdisjoint(cand.removed):
-            continue  # no longer a candidate: it is next to a passive block
+    for entry in find_candidates(z, lib) if blocks is None else blocks:
+        cand = entry if blocks is None else _candidate(z, lib, entry, table)
+        if not isinstance(cand, PassivizationCandidate):
+            raise cand
+        if not table.keys() >= cand.removed:
+            continue  # no longer a candidate: a step took one of its buffers
         name = cand.block
         summed = sum(table[x].capacity for x in g.pred(name))
         capacity = max(summed, _burst_bound(z, lib, name))
         table[name] = Block(table[name].provenance, capacity)  # now passive
-        step_of.update(dict.fromkeys(cand.removed | {name}, name))
         for x in cand.removed:
             del table[x]
         raised = None if capacity == summed else (summed, capacity)

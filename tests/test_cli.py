@@ -279,6 +279,27 @@ def test_run_names_the_passive_block_whose_ring_cannot_be_built(tmp_path, capsys
     assert capsys.readouterr() == ("", RING_BELOW_WRITE_PORTS)
 
 
+@pytest.mark.parametrize("length", ["2.5", "nan", "inf"])
+def test_run_refuses_a_window_length_that_is_not_whole(tmp_path, capsys, length):
+    # var-src samples are read as f64; 2.5 was read as 2 and left a sample
+    # stranded, nan and inf ended in a traceback
+    graph = tmp_path / "win.graph"
+    graph.write_text(
+        "actor V var-src\nactor G gain\nactor A avg\nactor S snk\n"
+        "edge V.len -> A.len capacity=4\nedge V.out -> G.in capacity=4\n"
+        "edge G.out -> A.in capacity=4\nedge A.out -> S.in capacity=4\n", encoding="utf-8")
+    assert cli_main(["derive", str(graph), "-o", str(tmp_path / "win.pafg")]) == 0
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "V.txt").write_text(f"{length}\n1\n2\n3\n", encoding="utf-8")
+    capsys.readouterr()
+    code = cli_main(["run", str(tmp_path / "win.pafg"), "--inputs", str(inputs),
+                     "--outputs", str(tmp_path / "out"), "--iterations", "5"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: V: window length {float(length)!r} is not a whole number\n")
+
+
 def test_run_requires_stop_condition(chain_file, tmp_path):
     pafg_file = tmp_path / "chain.pafg"
     cli_main(["derive", str(chain_file), "-o", str(pafg_file)])

@@ -134,6 +134,14 @@ def test_var_source_rejects_a_negative_window_length():
         src.invoke({})
 
 
+@pytest.mark.parametrize("length", [2.5, math.nan, math.inf])
+def test_var_source_rejects_a_window_length_that_is_not_whole(length):
+    src = VarSourceActor("s")
+    src.bind([length, 10.0, 20.0, 30.0])
+    with pytest.raises(ModelError, match=f"^s: window length {length!r} is not a whole number$"):
+        src.invoke({})
+
+
 def test_var_source_remaining_counts_down():
     src = VarSourceActor("s")
     src.bind([2, 10.0, 20.0, 1, 30.0])
@@ -166,10 +174,27 @@ def test_avg_single_sample_window():
     assert avg.invoke({"in": [5.0]}) == {"out": [5.0]}
 
 
-def test_avg_rejects_bad_length():
+@pytest.mark.parametrize("length, message", [
+    (0, "must be >= 1, got 0"),
+    (2.5, "2.5 is not a whole number"),
+    (math.nan, "nan is not a whole number"),
+    (-math.inf, "-inf is not a whole number"),
+])
+def test_avg_rejects_bad_length(length, message):
     avg = WindowAverageActor("a")
-    with pytest.raises(ModelError):
-        avg.invoke({"len": [0]})
+    with pytest.raises(ModelError, match=f"^a: window length {message}$"):
+        avg.invoke({"len": [length]})
+
+
+def test_window_lengths_may_be_whole_floats():
+    # pafg run reads var-src samples as f64, so a length arrives as 2.0
+    src = VarSourceActor("s")
+    src.bind([2.0, 10.0, 20.0])
+    assert src.invoke({}) == {"len": [2], "out": []}
+    avg = WindowAverageActor("a")
+    avg.invoke({"len": [2.0]})
+    avg.invoke({"in": [1.0]})
+    assert avg.invoke({"in": [2.0]}) == {"out": [1.5]}
 
 
 def test_acc_and_avg_sum_left_to_right():
@@ -315,6 +340,16 @@ def test_edge_table_key_must_match_its_edge():
     edges = {("A", "C"): g.edge("A", "B"), ("B", "C"): g.edge("B", "C")}
     with pytest.raises(ModelError, match=r"edge table key \('A', 'C'\) does not match"):
         ApplicationGraph(g.actors, edges)
+
+
+def test_actor_named_like_an_edge_signature_is_refused():
+    # caught where the graph is built: the edge's simple block and the
+    # actor's block would share one name in a PAFG
+    b = AppGraphBuilder().actor("A", "src").actor("B", "snk").actor("A.out->B.in", "gain")
+    b.edge("A.out", "B.in", capacity=4)
+    with pytest.raises(ModelError, match=r"^actor 'A.out->B.in' has the block name of edge "
+                                         r"A.out->B.in$"):
+        b.build()
 
 
 def test_actor_table_key_must_match_its_actor():

@@ -184,6 +184,15 @@ def test_duplicate_actor_is_semantic_error(lib):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("parse", [parse_graph, parse_pafg])
+def test_actor_named_like_an_edge_signature_is_refused(lib, parse):
+    # the edge's simple block would take the actor's block name in a PAFG
+    text = "actor A src\nactor B snk\nactor A.out->B.in gain\nedge A.out -> B.in capacity=4\n"
+    with pytest.raises(ParseError, match=r"^actor 'A.out->B.in' has the block name of edge "
+                                         r"A.out->B.in$"):
+        parse(text, lib=lib)
+
+
 def test_comments_and_blanks_ignored(lib):
     text = "# topology\n\nactor A src  # the source\n"
     g = parse_graph(text, lib=lib)

@@ -288,15 +288,18 @@ def assert_fixpoint_matches_rescan(z, lib):
 
 
 def test_fixpoint_matches_rescan_on_random_graphs(lib):
-    rng = random.Random(515)
-    skipped = 0
-    for _ in range(60):
-        g, _ = build_random_app_graph(rng, max_actors=16)
-        z = derive_direct_pafg(g, lib)
-        log = assert_fixpoint_matches_rescan(z, lib)
-        if len(log) < len(find_candidates(z, lib)):
-            skipped += 1  # a step disqualified a later entry of the initial list
-    assert skipped > 0
+    # graphgen's plain graphs, then its modal ones (var-src, avg, ref-mag,
+    # err-mag), 60 each from the same seed
+    for modal in (False, True):
+        rng = random.Random(515)
+        skipped = 0
+        for _ in range(60):
+            g, _ = build_random_app_graph(rng, max_actors=16, modal=modal)
+            z = derive_direct_pafg(g, lib)
+            log = assert_fixpoint_matches_rescan(z, lib)
+            if len(log) < len(find_candidates(z, lib)):
+                skipped += 1  # a step disqualified a later entry of the initial list
+        assert skipped > 0, modal
 
 
 def test_fixpoint_matches_rescan_on_apps(lib, monkeypatch):
