@@ -281,8 +281,7 @@ def test_run_names_the_passive_block_whose_ring_cannot_be_built(tmp_path, capsys
 
 @pytest.mark.parametrize("length", ["2.5", "nan", "inf"])
 def test_run_refuses_a_window_length_that_is_not_whole(tmp_path, capsys, length):
-    # var-src samples are read as f64; 2.5 was read as 2 and left a sample
-    # stranded, nan and inf ended in a traceback
+    # pafg run reads var-src samples as f64, so a length can be any float
     graph = tmp_path / "win.graph"
     graph.write_text(
         "actor V var-src\nactor G gain\nactor A avg\nactor S snk\n"
