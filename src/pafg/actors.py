@@ -165,7 +165,7 @@ class BufferActor(CfdfActor):
 
     def __init__(self, name, kind, declaration, op=None):
         self.kind = kind
-        self.input_ports, self.output_ports, (self._RATES,), _ = declaration
+        self.input_ports, self.output_ports, (self._RATES,), *_ = declaration
         self.op = op
         super().__init__(name)
 

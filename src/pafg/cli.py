@@ -130,8 +130,9 @@ def cmd_run(args, lib):
     inputs_dir = Path(args.inputs)
     source_data = {}
     for name, spec in z.source.actors.items():
-        if lib.make_active(spec).is_source:
-            token_type = lib.declare(spec).token_type or F64
+        declared = lib.declare(spec)
+        if declared.is_source:
+            token_type = declared.token_type or F64
             source_data[name] = read_samples(inputs_dir / f"{name}.txt", token_type)
     instance = instantiate(z, lib, source_data)
     stats = instance.run(

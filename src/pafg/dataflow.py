@@ -112,18 +112,20 @@ class CfdfActor:
         raise NotImplementedError
 
 
-# An actor's ports, every (consumption, production) table and its token type, if fixed
-Declaration = namedtuple("Declaration", "input_ports output_ports rate_tables token_type",
-                         defaults=(None,))
+# An actor's ports, every (consumption, production) table, its token type, if
+# fixed, and whether it is a source
+Declaration = namedtuple("Declaration",
+                         "input_ports output_ports rate_tables token_type is_source",
+                         defaults=(None, False))
 ActorLibraryEntry = namedtuple("ActorLibraryEntry", "kind active_factory passive_factory declare")
 
 
 def declaration_of(actor):
-    """The Declaration an actor or actor class states: its ports and its
-    _RATES, one table, or a dict of one table per mode."""
+    """The Declaration an actor or actor class states: its ports, its
+    _RATES, one table, or a dict of one table per mode, and is_source."""
     rates = actor._RATES
     tables = tuple(rates.values()) if isinstance(rates, dict) else (rates,)
-    return Declaration(actor.input_ports, actor.output_ports, tables)
+    return Declaration(actor.input_ports, actor.output_ports, tables, is_source=actor.is_source)
 
 
 class ActorLibrary:

@@ -7,7 +7,8 @@ passivize_fixpoint flips simply surrounded active buffer blocks (every
 candidate, or the named ones) to passive form in one rewrite, deleting
 their simple buffers and joining their outer neighbors straight to them.
 One rule, _candidate, decides candidacy on the block table a rewrite has
-reached; find_candidates and both forms of passivize_fixpoint ask it.
+reached, reading a block's neighborhood from its actor's application edges;
+find_candidates and both forms of passivize_fixpoint ask it.
 The analyses compute buffer memory (BMR) and token stores per iteration.
 """
 
@@ -28,7 +29,6 @@ from .ir import (
     PSSV,
     Pafg,
     is_alternating,
-    is_interface_block,
 )
 
 
@@ -59,8 +59,9 @@ def _candidate(z, lib, name, table):
     """The candidate that name is in table, the block table a rewrite of z
     has reached, or the error that says why not: the one candidacy rule. A
     candidate is an active non-simple buffer block with a producer and a
-    consumer and only simple passive neighbors. A neighbor a step removed
-    is named by the other end of its edge, the block whose step removed it."""
+    consumer whose application edges all keep their simple buffers in
+    table. An edge whose buffer is gone, never there or removed by a step,
+    names its other end, the block now joined straight to this one."""
     block = table.get(name)
     if block is None:  # never a block, or a step removed it
         return IrError(f"unknown block {name!r}")
@@ -68,18 +69,15 @@ def _candidate(z, lib, name, table):
         return NotACandidateError(f"block {name!r} is not active")
     if block.is_simple or not lib.is_buffer_actor(block.kind):
         return NotACandidateError(f"block {name!r} is not a non-simple buffer block")
-    if is_interface_block(z.pafg, name):
+    g, edges = z.source.graph, z.source.edges
+    if name not in g.ins or name not in g.outs:
         return NotACandidateError(f"block {name!r} is an interface block")
-    g = z.pafg.graph
-    neighbors = {src for src, _ in g.ins[name]} | {snk for _, snk in g.outs[name]}
-    others = [n for n in neighbors if n in table and not table[n].is_simple]
-    for n in neighbors.difference(table):  # removed by a step: name its edge's other end
-        e = z.pafg.blocks[n].provenance
-        others.append(e.src if e.snk == name else e.snk)
-    if others:
+    keys = g.ins[name] + g.outs[name]
+    lost = [a if b == name else b for a, b in keys if edges[a, b].signature not in table]
+    if lost:
         return NotACandidateError(
-            f"neighbor {min(others)!r} of {name!r} is not a simple passive buffer")
-    return PassivizationCandidate(name, frozenset(neighbors))
+            f"neighbor {min(lost)!r} of {name!r} is not a simple passive buffer")
+    return PassivizationCandidate(name, frozenset(edges[k].signature for k in keys))
 
 
 def find_candidates(z, lib):
@@ -136,49 +134,41 @@ def _burst_bound(z, lib, name):
 
 def passivize_fixpoint(z, lib, blocks=None):
     """Passivize an alternating, associated PAFG in one rewrite: with
-    blocks=None, the first candidate by name until none remain; otherwise
-    the named blocks in order, raising at the first that passivize would
-    refuse. Returns (PAFG, step log).
+    blocks=None, every actor's block by name that is a candidate when its
+    turn comes; otherwise the named blocks in order, raising at the first
+    that passivize would refuse. Returns (PAFG, step log).
 
-    One rule, _candidate, decides candidacy, and one candidate search is
-    enough. A step deletes only the simple buffers next to the passivized
-    block and joins their outer neighbors, which stay active, to that
-    block, now passive and non-simple. No block gains a simple neighbor, so
-    the candidate set only shrinks: an entry of the initial list stays a
-    candidate exactly while no earlier step has taken one of its buffers,
-    and the first such entry is the first candidate by name of the current
-    PAFG. A named block is checked on the block table the rewrite has
-    reached when its turn comes. Steps with disjoint buffers touch disjoint
-    blocks but for those active outer neighbors, so they commute, and a
-    step's log entry is the same on the initial PAFG as on the current
-    one: a block's connections follow from its own application edges. A
-    passivized block's ring holds the summed capacities of the input
-    buffers it absorbs, raised where needed to _burst_bound so that no
-    reader or writer waits for a burst the ring cannot hold."""
+    One rule, _candidate, decides candidacy on the block table the rewrite
+    has reached, and one walk by name is enough. A step deletes only the
+    simple buffers next to the passivized block and joins their outer
+    neighbors, which stay active, to that block, now passive and
+    non-simple: it gives no block a simple neighbor, so a block refused
+    stays refused, and one walk passivizes what a greedy rescan for the
+    first candidate by name does. A step's log entry follows from the
+    block's own application edges: the buffers it removes are their simple
+    blocks, and the edges it adds are the edges themselves. A passivized
+    block's ring holds the summed capacities of the input buffers it
+    absorbs, raised where needed to _burst_bound so that no reader or
+    writer waits for a burst the ring cannot hold."""
     if not is_alternating(z):
         raise TransformError("passivization is defined on alternating PAFGs only")
-    g = z.pafg.graph
+    ins, outs, edges = z.source.graph.ins, z.source.graph.outs, z.source.edges
     table = dict(z.pafg.blocks)
     log = []
-    for entry in find_candidates(z, lib) if blocks is None else blocks:
-        cand = entry if blocks is None else _candidate(z, lib, entry, table)
+    for name in sorted(z.source.actors) if blocks is None else blocks:
+        cand = _candidate(z, lib, name, table)
         if not isinstance(cand, PassivizationCandidate):
+            if blocks is None:
+                continue
             raise cand
-        if not table.keys() >= cand.removed:
-            continue  # no longer a candidate: a step took one of its buffers
-        name = cand.block
-        summed = sum(table[x].capacity for x in g.pred(name))
+        summed = sum(edges[k].capacity for k in ins[name])
         capacity = max(summed, _burst_bound(z, lib, name))
         table[name] = Block(table[name].provenance, capacity)  # now passive
         for x in cand.removed:
             del table[x]
         raised = None if capacity == summed else (summed, capacity)
-        log.append(TransformStep(name, sorted(cand.removed), None, raised))
-    pafg = Pafg(table, z.source)
-    ins, outs = pafg.graph.ins, pafg.graph.outs  # a passivized block has both
-    for step in log:
-        step.added_edges = sorted(ins[step.block] + outs[step.block])
-    return CoordinatedPafg(pafg), log
+        log.append(TransformStep(name, sorted(cand.removed), sorted(ins[name] + outs[name]), raised))
+    return CoordinatedPafg(Pafg(table, z.source)), log
 
 
 @dataclass
@@ -211,7 +201,7 @@ def estimate_copy_count(z, produced_per_block):
     total = 0
     missing = []
     for name in z.pafg.blocks:
-        if z.coordination[name] != ACTV or not z.pafg.graph.out_edges(name):
+        if z.coordination[name] != ACTV or name not in z.source.graph.outs:
             continue  # passive, or nothing downstream to store into
         if name not in produced_per_block:
             missing.append(name)

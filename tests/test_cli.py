@@ -4,16 +4,18 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from pafg.cli import _bench_pair, cli_main
+from pafg.cli import _build_parser, _bench_pair, cli_main, cmd_run
 from pafg.actors import default_library
 from pafg.dataflow import ActorLibrary
 from pafg.errors import PafgError
 from pafg.kernels import PassiveKernel
 from pafg.formats import read_samples, serialize_graph, serialize_pafg, write_samples
+from pafg.ir import ACTV
 from pafg.transform import derive_direct_pafg, passivize_fixpoint
 from topologies import (
     FORK_GRAPH,
@@ -207,6 +209,31 @@ def test_run_chain(chain_file, tmp_path, capsys):
         "bmr_bytes",
     }
     assert stats["sink_tokens"] == 3
+
+
+def test_run_builds_each_active_actor_once(tmp_path):
+    # pafg run finds the sources in the declarations, so the actors that
+    # instantiate builds, one per active block, are the only ones built
+    base, lib = default_library(), ActorLibrary()
+    built = Counter()
+    for kind in ("src", "fork", "snk"):
+        e = base.entry(kind)
+        lib.register(kind, lambda spec, make=e.active_factory: built.update([spec.name]) or make(spec),
+                     e.passive_factory, e.declare)
+    direct = derive_direct_pafg(fork_graph(), lib)
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    write_samples(inputs / "in.txt", [1.0, 2.0])
+    for z in (direct, passivize_fixpoint(direct, lib)[0]):
+        pafg_file = tmp_path / "fork.pafg"
+        pafg_file.write_text(serialize_pafg(z), encoding="utf-8")
+        args = _build_parser().parse_args(["run", str(pafg_file), "--inputs", str(inputs),
+                                           "--outputs", str(tmp_path / "out"), "--sink-tokens", "4"])
+        built.clear()
+        assert cmd_run(args, lib) == 0
+        assert built == Counter(n for n in z.source.actors if z.coordination[n] == ACTV)
+        assert read_samples(tmp_path / "out" / "out1.txt") == [1.0, 2.0]
+    assert sorted(built) == ["in", "out0", "out1"]  # the passive fork is a ring, not an actor
 
 
 def _run_pafg_text(tmp_path, text):

@@ -426,6 +426,7 @@ def test_declaration_agrees_with_the_actor(spec):
     declared = lib.declare(spec)
     assert declared[:2] == (actor.input_ports, actor.output_ports)
     assert actor.rates() in declared.rate_tables
+    assert declared.is_source == actor.is_source
     if lib.is_buffer_actor(spec.kind):
         ring = lib.make_passive(spec, 4)
         assert (ring.write_ports, ring.read_ports) == declared[:2]

@@ -1,7 +1,9 @@
 import os
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from pafg import transform
 from pafg.actors import default_library
 from pafg.apps import ForkCascadeConfig, build_evm_graph, build_fork_cascade, generate_evm_inputs
 from pafg.dataflow import ActorSpec, AppGraphBuilder
+from pafg.formats import parse_pafg, serialize_pafg
 from pafg.errors import (
     DanglingProvenanceError,
     IrError,
@@ -39,7 +42,7 @@ from pafg.transform import (
     passivize_fixpoint,
 )
 from topologies import chain_graph, fork_line_graph, gain_fork_cluster_graph, ten_plus_four_graph
-from transform_checks import assert_step_arithmetic
+from transform_checks import assert_step_arithmetic, block_graph_candidate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TESTS = str(Path(__file__).resolve().parent)
@@ -213,24 +216,36 @@ def test_fixpoint_idempotent(lib):
     assert twice == once
 
 
+def reference_step(z, lib, name):
+    """passivize(z, lib, name) where the block-graph rule accepts name,
+    checked to remove the buffers that rule names; its refusal otherwise."""
+    verdict = block_graph_candidate(z, lib, name)
+    if isinstance(verdict, Exception):
+        raise verdict
+    z, step = passivize(z, lib, name)
+    assert step.removed == sorted(verdict), name
+    return z, step
+
+
 def rescan_fixpoint(z, lib):
-    """Reference fixpoint: search every block again after each step and
-    passivize the first candidate by name."""
+    """Reference fixpoint: search every block again after each step, by
+    the block-graph rule, and passivize the first candidate by name."""
     log = []
     while True:
-        candidates = find_candidates(z, lib)
-        if not candidates:
+        names = [n for n in sorted(z.pafg.blocks)
+                 if not isinstance(block_graph_candidate(z, lib, n), Exception)]
+        if not names:
             return z, log
-        z, step = passivize(z, lib, candidates[0].block)
+        z, step = reference_step(z, lib, names[0])
         log.append(step)
 
 
 def sequential_passivize(z, lib, names):
-    """Reference for a named list: passivize each name in turn, each step
-    on the PAFG the one before it gives."""
+    """Reference for a named list: each name in turn, checked by the
+    block-graph rule on the PAFG the step before it gives."""
     log = []
     for name in names:
-        z, step = passivize(z, lib, name)
+        z, step = reference_step(z, lib, name)
         log.append(step)
     return z, log
 
@@ -315,7 +330,6 @@ def test_fixpoint_matches_rescan_on_apps(lib, monkeypatch):
         built.append(self)
         pafg_post_init(self)
 
-    # the reference calls this module's find_candidates, not the patched one
     monkeypatch.setattr(transform, "find_candidates", counting_find_candidates)
     cfg = generate_evm_inputs(seed=3, max_length=8, num_windows=2)
     graphs = [build_evm_graph(cfg)] + [
@@ -324,17 +338,53 @@ def test_fixpoint_matches_rescan_on_apps(lib, monkeypatch):
     for g in graphs:
         z = derive_direct_pafg(g, lib)
         log = assert_fixpoint_matches_rescan(z, lib)
-        calls.clear()
-        # count PAFG constructions in the fixpoint call alone: one rewrite,
-        # also for the same blocks named, which need no candidate search
+        # count PAFG constructions in each fixpoint call alone: one
+        # rewrite, which walks the names and makes no candidate search,
+        # with blocks=None and with the same blocks named
         with monkeypatch.context() as m:
             m.setattr(Pafg, "__post_init__", counting_post_init)
             _, again = passivize_fixpoint(z, lib)
-            assert log and len(calls) == 1 and len(built) == 1
+            assert log and len(built) == 1
             _, named = passivize_fixpoint(z, lib, [step.block for step in log])
         assert again == named == log
-        assert len(calls) == 1 and len(built) == 2
+        assert calls == [] and len(built) == 2
         built.clear()
+
+
+def test_candidacy_matches_the_block_graph_rule(lib):
+    # find_candidates and the refusal of every single name against the
+    # rule read off the rebuilt block graph, on each graph's direct PAFG
+    # and on a half-passivized one read back from its file, where some
+    # buffers are gone before the rewrite starts
+    cfg = generate_evm_inputs(seed=3, max_length=8, num_windows=2)
+    graphs = [build_evm_graph(cfg)] + [
+        build_fork_cascade(ForkCascadeConfig(window_size=8, num_forks=n)) for n in (6, 50)]
+    for modal in (False, True):
+        rng = random.Random(515)
+        graphs += [build_random_app_graph(rng, max_actors=16, modal=modal)[0] for _ in range(60)]
+    no_producer = AppGraphBuilder().actor("F", "fork", fanout=1).actor("C", "snk")
+    graphs.append(no_producer.edge("F.out0", "C.in", capacity=4).build())
+    seen = Counter()
+    for g in graphs:
+        direct = derive_direct_pafg(g, lib)
+        steps = [step.block for step in passivize_fixpoint(direct, lib)[1]]
+        half = parse_pafg(serialize_pafg(passivize_fixpoint(direct, lib, steps[::2])[0]), lib)
+        for z in (direct, half):
+            names = sorted(z.pafg.blocks) + ["nope"]
+            verdicts = {n: block_graph_candidate(z, lib, n) for n in names}
+            expected = [(n, v) for n, v in verdicts.items() if not isinstance(v, Exception)]
+            assert [(c.block, c.removed) for c in find_candidates(z, lib)] == expected
+            for name, verdict in verdicts.items():
+                got = named_outcome(passivize_fixpoint, z, lib, [name])
+                if isinstance(verdict, Exception):
+                    assert got == (type(verdict), str(verdict)), name
+                    seen[re.sub("'[^']*'", "_", got[1])] += 1
+                else:
+                    removed = ",".join(sorted(verdict))
+                    assert got[1][0].startswith(f"passivize {name} removed={removed} "), name
+                    seen["candidate"] += 1
+    # every refusal and a candidate are reached
+    assert len(seen) == 6, seen
 
 
 def test_non_alternating_input_is_rejected(lib):
