@@ -11,11 +11,13 @@ RCC into E. E emits |ref - rec|^2 per complex sample and RFM |ref|^2; EA
 and RFA average N of those, and RMS emits sqrt(avg_e)/sqrt(avg_r) to SNK.
 The three buffer actors FA, RFC, and RCC are mutually non-adjacent, so all
 three can be passivized, FA into an integer fork ring and the interleavers
-into rings holding a full interleaved window.
+into rings holding a full interleaved window. The sources are bound to the
+config's own lists, not copies, and the oracle reads those component lists.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .dataflow import AppGraphBuilder, I64
 from .errors import ModelError
@@ -49,6 +51,14 @@ class Lcg:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
+def _require_size(label, value, message):
+    """A size is an int (not a bool, as for capacities) and >= 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ModelError(f"{label} must be an int, got {value!r}")
+    if value < 1:
+        raise ModelError(message)
+
+
 @dataclass
 class EvmConfig:
     """One EVM benchmark run: per-iteration window lengths plus the four
@@ -63,8 +73,8 @@ class EvmConfig:
     def validate(self):
         if not self.window_lengths:
             raise ModelError("need at least one window length")
-        if any(n < 1 for n in self.window_lengths):
-            raise ModelError("window lengths must be >= 1")
+        for n in self.window_lengths:
+            _require_size("window length", n, "window lengths must be >= 1")
         total = sum(self.window_lengths)
         for label in ("ref_re", "ref_im", "rec_re", "rec_im"):
             n = len(getattr(self, label))
@@ -115,12 +125,13 @@ EVM_PASSIVIZATION_TARGETS = ("FA", "RFC", "RCC")
 
 
 def evm_source_data(cfg):
+    """cfg's own lists, bound without a copy: a source only slices them."""
     return {
-        "SRC1": list(cfg.window_lengths),
-        "SRC2": list(cfg.ref_re),
-        "SRC3": list(cfg.ref_im),
-        "SRC4": list(cfg.rec_re),
-        "SRC5": list(cfg.rec_im),
+        "SRC1": cfg.window_lengths,
+        "SRC2": cfg.ref_re,
+        "SRC3": cfg.ref_im,
+        "SRC4": cfg.rec_re,
+        "SRC5": cfg.rec_im,
     }
 
 
@@ -148,43 +159,46 @@ def evm_production_counts(cfg):
     }
 
 
-def evm_oracle(reference, received):
-    """sqrt(mean |ref - rec|^2) / sqrt(mean |ref|^2), accumulated left to
-    right on the raw component values, independent of the graph path."""
-    if len(reference) != len(received):
-        raise ModelError("reference and received lengths differ")
-    n = len(reference)
+def _evm_ratio(ref_re, ref_im, rec_re, rec_im):
+    """sqrt(mean |ref - rec|^2) / sqrt(mean |ref|^2) over the component lists,
+    accumulated left to right (not by sum(), compensated from Python 3.12)."""
+    n = len(ref_re)
     if n < 1:
         raise ModelError("need at least one sample")
     err_power = 0.0
     ref_power = 0.0
-    for ref, rec in zip(reference, received):
-        dre = ref.real - rec.real
-        dim = ref.imag - rec.imag
+    for a, b, c, d in zip(ref_re, ref_im, rec_re, rec_im):
+        dre = a - c
+        dim = b - d
         err_power += dre * dre + dim * dim
-        ref_power += ref.real * ref.real + ref.imag * ref.imag
+        ref_power += a * a + b * b
     if ref_power == 0.0:
         raise ModelError("reference signal is identically zero")
     return math.sqrt(err_power / n) / math.sqrt(ref_power / n)
 
 
+def evm_oracle(reference, received):
+    """EVM of two complex lists, read as component lists; no graph path."""
+    if len(reference) != len(received):
+        raise ModelError("reference and received lengths differ")
+    return _evm_ratio([z.real for z in reference], [z.imag for z in reference],
+                      [z.real for z in received], [z.imag for z in received])
+
+
 def evm_oracle_per_window(cfg):
-    out = []
-    offset = 0
-    for n in cfg.window_lengths:
-        ref = [complex(cfg.ref_re[i], cfg.ref_im[i]) for i in range(offset, offset + n)]
-        rec = [complex(cfg.rec_re[i], cfg.rec_im[i]) for i in range(offset, offset + n)]
-        out.append(evm_oracle(ref, rec))
-        offset += n
-    return out
+    """One EVM per window, read from slices of cfg's component lists."""
+    cfg.validate()
+    ends = list(accumulate(cfg.window_lengths))
+    streams = (cfg.ref_re, cfg.ref_im, cfg.rec_re, cfg.rec_im)
+    return [_evm_ratio(*(s[i:j] for s in streams)) for i, j in zip([0, *ends], ends)]
 
 
 def generate_evm_inputs(seed, max_length, num_windows):
     """Seeded random EVM inputs: window lengths uniform in 1..max_length,
     samples uniform in [-1, 1). Draw order is lengths, then ref_re,
     ref_im, rec_re, rec_im."""
-    if max_length < 1:
-        raise ModelError(f"window length must be >= 1, got {max_length}")
+    _require_size("max_length", max_length, f"window length must be >= 1, got {max_length}")
+    _require_size("num_windows", num_windows, "need at least one window length")
     rng = Lcg(seed)
     lengths = [rng.next_int(1, max_length) for _ in range(num_windows)]
     total = sum(lengths)
@@ -205,14 +219,10 @@ class ForkCascadeConfig:
     num_windows: int = 1
 
     def validate(self):
-        if self.window_size < 1:
-            raise ModelError("window size must be >= 1")
-        if self.num_forks < 1:
-            raise ModelError("need at least one fork")
-        if self.fanout < 1:
-            raise ModelError("fork fanout must be >= 1")
-        if self.num_windows < 1:
-            raise ModelError("need at least one window")
+        _require_size("window_size", self.window_size, "window size must be >= 1")
+        _require_size("num_forks", self.num_forks, "need at least one fork")
+        _require_size("fanout", self.fanout, "fork fanout must be >= 1")
+        _require_size("num_windows", self.num_windows, "need at least one window")
 
 
 def build_fork_cascade(cfg):

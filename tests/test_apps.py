@@ -1,5 +1,10 @@
+import ast
+import math
+from pathlib import Path
+
 import pytest
 
+import pafg.apps
 from pafg.actors import default_library
 from pafg.apps import (
     EVM_PASSIVIZATION_TARGETS,
@@ -71,12 +76,95 @@ def test_evm_oracle_hand_value():
 
 
 def test_evm_oracle_rejects_zero_reference():
-    with pytest.raises(ModelError):
-        evm_oracle([complex(0, 0)], [complex(1, 0)])
-    with pytest.raises(ModelError):
+    # a length mismatch is refused first, then an empty input, then a zero reference
+    with pytest.raises(ModelError, match="^reference signal is identically zero$"):
+        evm_oracle([complex(0, 0), -0j], [complex(1, 0), 1j])
+    with pytest.raises(ModelError, match="^need at least one sample$"):
         evm_oracle([], [])
-    with pytest.raises(ModelError):
-        evm_oracle([complex(1, 0)], [])
+    for reference, received in (([complex(1, 0)], []), ([], [0j]), ([0j, 0j], [0j])):
+        with pytest.raises(ModelError, match="^reference and received lengths differ$"):
+            evm_oracle(reference, received)
+
+
+def complex_oracle_per_window(cfg):
+    """The EVM oracle in its complex-number form: each sample boxed into
+    complex objects, accumulated left to right, one window at a time."""
+    out = []
+    offset = 0
+    for n in cfg.window_lengths:
+        err_power = 0.0
+        ref_power = 0.0
+        for i in range(offset, offset + n):
+            ref = complex(cfg.ref_re[i], cfg.ref_im[i])
+            rec = complex(cfg.rec_re[i], cfg.rec_im[i])
+            dre = ref.real - rec.real
+            dim = ref.imag - rec.imag
+            err_power += dre * dre + dim * dim
+            ref_power += ref.real * ref.real + ref.imag * ref.imag
+        out.append(math.sqrt(err_power / n) / math.sqrt(ref_power / n))
+        offset += n
+    return out
+
+
+@pytest.mark.parametrize("seed, max_length, num_windows", [
+    (0, 24, 5), (7, 64, 9), (13, 3, 12), (123, 24, 5), (2024, 1, 10), (99, 1, 1),
+])
+def test_evm_oracle_matches_complex_form_bit_exactly(seed, max_length, num_windows):
+    cfg = generate_evm_inputs(seed, max_length, num_windows)
+    expected = {"SNK": complex_oracle_per_window(cfg)}
+    equal, divergence = compare_streams({"SNK": evm_oracle_per_window(cfg)}, expected)
+    assert equal, divergence
+    if max_length == 1:
+        assert cfg.window_lengths == [1] * num_windows
+    # evm_oracle over the whole run is the one-window case
+    whole = EvmConfig([len(cfg.ref_re)], cfg.ref_re, cfg.ref_im, cfg.rec_re, cfg.rec_im)
+    ref = [complex(a, b) for a, b in zip(cfg.ref_re, cfg.ref_im)]
+    rec = [complex(a, b) for a, b in zip(cfg.rec_re, cfg.rec_im)]
+    equal, divergence = compare_streams({"SNK": [evm_oracle(ref, rec)]},
+                                        {"SNK": complex_oracle_per_window(whole)})
+    assert equal, divergence
+
+
+def test_evm_accumulates_left_to_right(lib):
+    # Left to right, 1e8**2 absorbs every later term (the ulp of 1e16 is 2),
+    # so both powers stay 1e16 and the ratio is exactly 1.0; a compensated
+    # sum (math.fsum, or sum() from Python 3.12 on) gives 1.0000000000000375.
+    cfg = EvmConfig(
+        window_lengths=[1001],
+        ref_re=[1e8] + [0.5] * 1000,
+        ref_im=[0.0] * 1001,
+        rec_re=[0.0] + [1.5] * 1000,
+        rec_im=[0.0] * 1001,
+    )
+    assert evm_oracle_per_window(cfg) == [1.0]
+    ref = [complex(a, b) for a, b in zip(cfg.ref_re, cfg.ref_im)]
+    rec = [complex(a, b) for a, b in zip(cfg.rec_re, cfg.rec_im)]
+    assert evm_oracle(ref, rec) == 1.0
+    for optimized in (False, True):
+        inst, _, _ = run_evm(cfg, lib, optimized=optimized)
+        assert inst.sink_streams()["SNK"] == [1.0]
+
+
+def test_evm_sources_read_the_config_lists_in_place(lib):
+    cfg = generate_evm_inputs(seed=31, max_length=16, num_windows=4)
+    fields = ("window_lengths", "ref_re", "ref_im", "rec_re", "rec_im")
+    data = evm_source_data(cfg)
+    for name, label in zip(("SRC1", "SRC2", "SRC3", "SRC4", "SRC5"), fields):
+        assert data[name] is getattr(cfg, label)
+    snapshot = [list(getattr(cfg, label)) for label in fields]
+    for optimized in (False, True):
+        inst, _, _ = run_evm(cfg, lib, optimized=optimized)
+        assert inst.sink_streams()["SNK"] == evm_oracle_per_window(cfg)
+    assert [getattr(cfg, label) for label in fields] == snapshot
+
+
+def test_evm_oracle_imports_no_engine_module():
+    tree = ast.parse(Path(pafg.apps.__file__).read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names}
+    for module in imported:
+        assert module.split(".")[-1] not in ("runtime", "actors", "kernels"), module
 
 
 def run_evm(cfg, lib, optimized=False):
@@ -166,12 +254,43 @@ def test_evm_copy_counts_measured_equal_estimated(lib):
 def test_evm_config_validation():
     with pytest.raises(ModelError):
         EvmConfig(window_lengths=[]).validate()
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="^window lengths must be >= 1$"):
         EvmConfig(window_lengths=[0], ref_re=[], ref_im=[], rec_re=[], rec_im=[]).validate()
     with pytest.raises(ModelError):
         EvmConfig(
             window_lengths=[1], ref_re=[1.0], ref_im=[1.0], rec_re=[1.0], rec_im=[]
         ).validate()
+
+
+@pytest.mark.parametrize("lengths, bad", [
+    ([2.0, 1], "2.0"), ([1, 3.0], "3.0"), ([True, 1], "True"), (["2", 1], "'2'"),
+])
+def test_evm_config_refuses_window_lengths_that_are_not_ints(lengths, bad):
+    cfg = EvmConfig(lengths, *([0.5] * 3 for _ in range(4)))
+    message = f"^window length must be an int, got {bad}$"
+    with pytest.raises(ModelError, match=message):
+        cfg.validate()
+    with pytest.raises(ModelError, match=message):
+        build_evm_graph(cfg)
+    with pytest.raises(ModelError, match=message):
+        evm_oracle_per_window(cfg)
+
+
+@pytest.mark.parametrize("max_length, num_windows, message", [
+    (2.5, 3, "max_length must be an int, got 2.5"),
+    (4, 2.0, "num_windows must be an int, got 2.0"),
+    (0, 3, "window length must be >= 1, got 0"),
+    (4, 0, "need at least one window length"),
+])
+def test_generated_inputs_refuse_bad_sizes(max_length, num_windows, message):
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        generate_evm_inputs(1, max_length, num_windows)
+
+
+def test_evm_oracle_per_window_refuses_windows_past_the_streams():
+    cfg = EvmConfig([2, 2], [0.5] * 3, [0.5] * 3, [0.5] * 3, [0.5] * 3)
+    with pytest.raises(ModelError, match="^ref_re has 3 samples, expected sum of windows = 4$"):
+        evm_oracle_per_window(cfg)
 
 
 @pytest.mark.parametrize(
@@ -187,6 +306,19 @@ def test_fork_cascade_config_validation(field, message):
     cfg = ForkCascadeConfig(window_size=4)
     setattr(cfg, field, 0)
     with pytest.raises(ModelError, match=f"^{message}$"):
+        build_fork_cascade(cfg)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("window_size", 64.0), ("num_forks", 2.5), ("fanout", 2.0), ("num_windows", 1.5),
+    ("fanout", True), ("num_forks", None),
+])
+def test_fork_cascade_config_refuses_sizes_that_are_not_ints(field, value):
+    cfg = ForkCascadeConfig(window_size=64)
+    setattr(cfg, field, value)
+    with pytest.raises(ModelError, match=rf"^{field} must be an int, got {value!r}$"):
+        cfg.validate()
+    with pytest.raises(ModelError, match=rf"^{field} must be an int, got {value!r}$"):
         build_fork_cascade(cfg)
 
 
