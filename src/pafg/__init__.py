@@ -16,7 +16,6 @@ from .graph import DirectedGraph
 from .ir import (
     ACTV,
     Block,
-    CoordinatedPafg,
     PSSV,
     Pafg,
     check_abc,
@@ -45,7 +44,6 @@ __all__ = [
     "Block",
     "BmrReport",
     "CfdfActor",
-    "CoordinatedPafg",
     "DataflowEdge",
     "DirectedGraph",
     "ExecStats",

@@ -93,7 +93,7 @@ def cmd_derive(args, lib):
     graph = parse_graph(Path(args.graph).read_text(encoding="utf-8"), lib=lib)
     z = derive_direct_pafg(graph, lib)
     Path(args.output).write_text(serialize_pafg(z), encoding="utf-8")
-    print(f"{args.output}: {len(z.pafg.blocks)} blocks, {len(z.pafg.graph.edges)} edges")
+    print(f"{args.output}: {len(z.blocks)} blocks, {len(z.graph.edges)} edges")
     return 0
 
 

@@ -122,8 +122,12 @@ ActorLibraryEntry = namedtuple("ActorLibraryEntry", "kind active_factory passive
 
 def declaration_of(actor):
     """The Declaration an actor or actor class states: its ports, its
-    _RATES, one table, or a dict of one table per mode, and is_source."""
-    rates = actor._RATES
+    _RATES, one table, or a dict of one table per mode, and is_source; an
+    actor that states no _RATES is a ModelError that names its class."""
+    rates = getattr(actor, "_RATES", None)
+    if rates is None:
+        cls = actor if isinstance(actor, type) else type(actor)
+        raise ModelError(f"actor class {cls.__name__!r} states no _RATES")
     tables = tuple(rates.values()) if isinstance(rates, dict) else (rates,)
     return Declaration(actor.input_ports, actor.output_ports, tables, is_source=actor.is_source)
 
@@ -165,6 +169,18 @@ class ActorLibrary:
             spec.declaration = self.entry(spec.kind).declare(spec)
             spec.declared_by = self
         return spec.declaration
+
+    def check_ports(self, e, actors):
+        """Raise ModelError unless edge e joins ports that its actors in
+        actors declare and carries the token type its source fixes, if any."""
+        src, snk = self.declare(actors[e.src]), self.declare(actors[e.snk])
+        if e.src_port not in src.output_ports:
+            raise ModelError(f"{e.src}.{e.src_port} is not a declared port of {e.src}")
+        if e.snk_port not in snk.input_ports:
+            raise ModelError(f"{e.snk}.{e.snk_port} is not a declared port of {e.snk}")
+        if src.token_type not in (None, e.token_type):
+            raise ModelError(f"{e.src}.{e.src_port} emits {src.token_type} tokens, but "
+                             f"the edge has type={e.token_type}")
 
     def make_active(self, spec):
         return self.entry(spec.kind).active_factory(spec)

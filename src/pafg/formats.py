@@ -26,8 +26,8 @@ value per line, written with %.17g so float64 values round-trip exactly.
 """
 
 from .dataflow import AppGraphBuilder, DataflowEdge, F64, I64
-from .errors import ModelError, ParseError, PafgError
-from .ir import ACTV, Block, CoordinatedPafg, PSSV, Pafg, validate_coordinated
+from .errors import ParseError, PafgError
+from .ir import ACTV, Block, PSSV, Pafg, validate_coordinated
 
 
 def _parse_value(text):
@@ -98,15 +98,7 @@ def _build_app_graph(records, lib):
                 if "capacity" not in params:
                     raise ParseError("edge needs capacity=<int>", line=lineno)
                 builder.edge(rest[0], rest[2], params["capacity"], params.get("type", F64))
-                e = next(reversed(builder.edges.values()))  # the edge just added
-                src, snk = lib.declare(builder.actors[e.src]), lib.declare(builder.actors[e.snk])
-                for actor, port, ports in ((e.src, e.src_port, src.output_ports),
-                                           (e.snk, e.snk_port, snk.input_ports)):
-                    if port not in ports:
-                        raise ModelError(f"{actor}.{port} is not a declared port of {actor}")
-                if src.token_type not in (None, e.token_type):
-                    raise ModelError(f"{e.src}.{e.src_port} emits {src.token_type} tokens, but "
-                                     f"the edge has type={e.token_type}")
+                lib.check_ports(next(reversed(builder.edges.values())), builder.actors)
     except ParseError:
         raise
     except PafgError as exc:  # a fault of the current line
@@ -159,11 +151,11 @@ def parse_pafg(text, lib):
                 raise ParseError(f"duplicate bedge {a} -> {b}", line=lineno)
             bedges[a, b] = lineno
     try:
-        z = CoordinatedPafg(Pafg(blocks, app_graph))
+        z = Pafg(blocks, app_graph)
         validate_coordinated(z, lib)
     except PafgError as exc:  # about a block or an actor, not a line
         raise ParseError(str(exc)) from exc
-    implied = z.pafg.edges  # derived from the blocks
+    implied = z.edges  # derived from the blocks
     if bedges.keys() == implied:
         return z  # every bedge line checked at once; the scan below names a fault
     for (a, b), lineno in bedges.items():
@@ -228,14 +220,14 @@ def _parse_block(rest, lineno, origins, blocks):
 
 def serialize_pafg(z):
     lines = [serialize_graph(z.source).rstrip("\n")]
-    for name in sorted(z.pafg.blocks):
-        b = z.pafg.blocks[name]
+    for name in sorted(z.blocks):
+        b = z.blocks[name]
         kind, origin = _block_words(b.provenance)
         parts = [f"block {name} kind={kind} coord={z.coordination[name]} from={origin}"]
         if b.capacity is not None:
             parts.append(f"capacity={b.capacity}")
         lines.append(" ".join(parts))
-    for src, snk in sorted(z.pafg.edges):
+    for src, snk in sorted(z.edges):
         lines.append(f"bedge {src} -> {snk}")
     return "\n".join(lines) + "\n"
 

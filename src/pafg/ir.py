@@ -8,15 +8,16 @@ signature, an ActorSpec a non-simple block named after the actor, which is
 computational or a buffer block depending on whether the actor kind has a
 passive implementation in the library. Simple blocks are always passive,
 computational blocks always active; the coordination function's real
-freedom is the non-simple buffer blocks. A PAFG is associated with its
+freedom is the non-simple buffer blocks. A PAFG, one record, is its
+flowgraph and its coordination function, and is associated with its
 application graph by construction: when it is built it checks that every
 block's provenance is the graph's own record and that every actor has a
-block, and derives its block connections from the blocks and the graph.
-A coordinated PAFG derives its coordination from the blocks, as a passive
-block is the one that stores data, and checks that a passive non-simple
-block has a producer and a consumer. validate_coordinated checks, for
-parse_pafg and instantiate, the rules that need the library: a
-computational block is active, and a passive ring has a slot per write port.
+block, derives its block connections from the blocks and the graph, checks
+that a passive non-simple block has a producer and a consumer, and derives
+its coordination from the blocks, as a passive block is the one that
+stores data. validate_coordinated checks, for parse_pafg and instantiate,
+the rules that need the library: a computational block is active, and a
+passive ring has a slot per write port.
 """
 
 from dataclasses import dataclass, field
@@ -63,11 +64,14 @@ class Block:
 
 @dataclass(frozen=True)
 class Pafg:
-    """Blocks by name over the application graph they realize: each block's
-    provenance is the graph's own record, and every actor has a block. The
-    (src, dst) block connections, edges = block_edges(blocks, source), and
-    graph are derived once and are not fields, so they take no part in
-    equality."""
+    """A PAFG: blocks by name over the application graph they realize, its
+    flowgraph, and its coordination function. Each block's provenance is
+    the graph's own record, and every actor has a block. The (src, dst)
+    block connections, edges = block_edges(blocks, source), graph and
+    coordination are derived once, when it is built, and are not fields,
+    so they take no part in equality: a block is pssv iff it has a
+    capacity, so every simple block is passive, and a passive non-simple
+    block must have a producer and a consumer."""
 
     blocks: dict
     source: object  # ApplicationGraph
@@ -88,6 +92,11 @@ class Pafg:
             raise IrError(f"actor {name!r} has no block")
         object.__setattr__(self, "edges", block_edges(self.blocks, self.source))
         object.__setattr__(self, "graph", DirectedGraph.of(self.blocks, self.edges))
+        for name, b in self.blocks.items():
+            if not b.is_simple and b.capacity is not None and is_interface_block(self, name):
+                raise IrError(f"passive interface block {name!r} is not supported")
+        coordination = {n: ACTV if b.capacity is None else PSSV for n, b in self.blocks.items()}
+        object.__setattr__(self, "coordination", coordination)
 
     def block(self, name):
         try:
@@ -95,39 +104,25 @@ class Pafg:
         except KeyError:
             raise IrError(f"unknown block {name!r}") from None
 
-
-@dataclass(frozen=True)
-class CoordinatedPafg:
-    """A PAFG and its coordination function, derived once when it is built
-    and not a field: a block is pssv iff it has a capacity, so every simple
-    block is passive. source, the application graph the provenance links
-    point back to, is the PAFG's own."""
-
-    pafg: Pafg
-
     @property
-    def source(self):
-        return self.pafg.source
+    def pafg(self):  # ROADMAP F deletes this with the benchmark change, which reads z.pafg
+        return self
 
-    def __post_init__(self):
-        blocks = self.pafg.blocks
-        for name, b in blocks.items():
-            if not b.is_simple and b.capacity is not None and is_interface_block(self.pafg, name):
-                raise IrError(f"passive interface block {name!r} is not supported")
-        coordination = {n: ACTV if b.capacity is None else PSSV for n, b in blocks.items()}
-        object.__setattr__(self, "coordination", coordination)
+
+# ROADMAP F deletes this with the benchmark change, which imports and patches CoordinatedPafg
+CoordinatedPafg = Pafg
 
 
 def is_alternating(z):
     """True iff every edge joins one active and one passive block."""
     coord = z.coordination
-    return all(coord[src] != coord[snk] for src, snk in z.pafg.edges)
+    return all(coord[src] != coord[snk] for src, snk in z.edges)
 
 
 def check_abc(z):
     """Adjacent-buffer restriction: no edge joins two passive blocks."""
     coord = z.coordination
-    return not any(coord[src] == PSSV and coord[snk] == PSSV for src, snk in z.pafg.edges)
+    return not any(coord[src] == PSSV and coord[snk] == PSSV for src, snk in z.edges)
 
 
 def is_interface_block(pafg, name):
@@ -161,9 +156,9 @@ def check_association(app_graph, pafg):
 def validate_coordinated(z, lib):
     """The coordination rules that need the library: a computational block
     (its kind has no passive form) is active, and a passive ring has a slot
-    per write port (its kind's input ports). CoordinatedPafg checks the rest."""
+    per write port (its kind's input ports). Pafg checks the rest."""
     coord = z.coordination
-    for name, b in z.pafg.blocks.items():
+    for name, b in z.blocks.items():
         if coord[name] == PSSV and not b.is_simple:
             if not lib.is_buffer_actor(b.kind):
                 raise IrError(f"computational block {name!r} must be coordinated {ACTV}")

@@ -1,4 +1,4 @@
-"""Execution engine for alternating coordinated PAFGs.
+"""Execution engine for alternating PAFGs.
 
 The direct PAFG of a graph is its pure dataflow form, so one engine covers
 both the original and the transformed program: active blocks are driven
@@ -56,7 +56,7 @@ class ExecStats:
 
 
 class ExecutionInstance:
-    """A coordinated PAFG with kernels allocated for its passive blocks,
+    """A PAFG with kernels allocated for its passive blocks,
     live actors for its active blocks, and the station table that binds
     every actor port to a kernel port: a row (name, actor, is_sink, input
     ports, output ports, bound output port names, modal, bounded) per
@@ -258,7 +258,7 @@ def instantiate(z, lib, source_data):
     # an application edge may only touch ports its endpoints declare.
     declared = {}
     coord = z.coordination
-    for name, block in z.pafg.blocks.items():
+    for name, block in z.blocks.items():
         if coord[name] != PSSV:
             actor = actors[name] = lib.make_active(block.provenance)
             declared[name] = actor.input_ports, actor.output_ports

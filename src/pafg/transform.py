@@ -1,4 +1,4 @@
-"""Rewrite engine over coordinated PAFGs.
+"""Rewrite engine over PAFGs, each one record of blocks and their coordination.
 
 derive_direct_pafg turns an application graph into its direct PAFG: one
 passive simple buffer per edge, one active block per actor, and the two
@@ -22,28 +22,25 @@ from .errors import (
     UnknownKindError,
     UnresolvableRateError,
 )
-from .ir import (
-    ACTV,
-    Block,
-    CoordinatedPafg,
-    PSSV,
-    Pafg,
-    is_alternating,
-)
+from .ir import ACTV, Block, PSSV, Pafg, is_alternating
 
 
 def derive_direct_pafg(app_graph, lib):
     """Direct PAFG of an application graph: every block active except the
     per-edge simple buffers. The result is always alternating and
-    associated."""
-    blocks = {}
-    for name, spec in app_graph.actors.items():
+    associated. Each actor is declared and each edge's ports and token type
+    checked (lib.check_ports), so a graph that parse_graph refuses is
+    refused here with the same message."""
+    actors, blocks = app_graph.actors, {}
+    for name, spec in actors.items():
         if not lib.has_kind(spec.kind):
             raise UnknownKindError(f"actor {name!r}: unregistered kind {spec.kind!r}")
+        lib.declare(spec)
         blocks[name] = Block(spec)
     for e in app_graph.edges.values():
+        lib.check_ports(e, actors)
         blocks[e.signature] = Block(e)
-    return CoordinatedPafg(Pafg(blocks, app_graph))
+    return Pafg(blocks, app_graph)
 
 
 @dataclass(frozen=True)
@@ -84,8 +81,7 @@ def find_candidates(z, lib):
     """All simply surrounded active buffer blocks, ordered by name: the
     blocks of z's actors that _candidate accepts, as an edge's simple block
     never is one."""
-    blocks = z.pafg.blocks
-    found = (_candidate(z, lib, name, blocks) for name in sorted(z.source.actors))
+    found = (_candidate(z, lib, name, z.blocks) for name in sorted(z.source.actors))
     return [c for c in found if isinstance(c, PassivizationCandidate)]
 
 
@@ -153,7 +149,7 @@ def passivize_fixpoint(z, lib, blocks=None):
     if not is_alternating(z):
         raise TransformError("passivization is defined on alternating PAFGs only")
     ins, outs, edges = z.source.graph.ins, z.source.graph.outs, z.source.edges
-    table = dict(z.pafg.blocks)
+    table = dict(z.blocks)
     log = []
     for name in sorted(z.source.actors) if blocks is None else blocks:
         cand = _candidate(z, lib, name, table)
@@ -168,7 +164,7 @@ def passivize_fixpoint(z, lib, blocks=None):
             del table[x]
         raised = None if capacity == summed else (summed, capacity)
         log.append(TransformStep(name, sorted(cand.removed), sorted(ins[name] + outs[name]), raised))
-    return CoordinatedPafg(Pafg(table, z.source)), log
+    return Pafg(table, z.source), log
 
 
 @dataclass
@@ -187,7 +183,7 @@ def compute_bmr(z):
     every passive block, simple or not."""
     coord = z.coordination
     return BmrReport(
-        {n: b.capacity * TOKEN_BYTES for n, b in z.pafg.blocks.items() if coord[n] == PSSV}
+        {n: b.capacity * TOKEN_BYTES for n, b in z.blocks.items() if coord[n] == PSSV}
     )
 
 
@@ -200,7 +196,7 @@ def estimate_copy_count(z, produced_per_block):
     without output edges may be omitted."""
     total = 0
     missing = []
-    for name in z.pafg.blocks:
+    for name in z.blocks:
         if z.coordination[name] != ACTV or name not in z.source.graph.outs:
             continue  # passive, or nothing downstream to store into
         if name not in produced_per_block:

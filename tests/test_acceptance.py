@@ -67,25 +67,25 @@ def test_criterion_1_construction_regression():
         z = derive_direct_pafg(g, LIB)
         comps = [
             n
-            for n, b in z.pafg.blocks.items()
+            for n, b in z.blocks.items()
             if not b.is_simple and not LIB.is_buffer_actor(b.kind)
         ]
         buffers = [
             n
-            for n, b in z.pafg.blocks.items()
+            for n, b in z.blocks.items()
             if not b.is_simple and LIB.is_buffer_actor(b.kind)
         ]
-        simple = [n for n, b in z.pafg.blocks.items() if b.is_simple]
+        simple = [n for n, b in z.blocks.items() if b.is_simple]
         assert len(comps) == 10
         assert sorted(buffers) == ["J1", "J2", "J3", "J4"]
         assert len(simple) == 15
-        assert len(z.pafg.graph.edges) == 30
+        assert len(z.graph.edges) == 30
         # coordination assignment: every actor block active, every simple
         # buffer passive
         assert all(z.coordination[n] == ACTV for n in comps + buffers)
         assert all(z.coordination[n] == PSSV for n in simple)
         assert is_alternating(z)
-        assert check_association(g, z.pafg)
+        assert check_association(g, z)
 
 
 def test_criterion_2_transformation_regression():
@@ -96,23 +96,23 @@ def test_criterion_2_transformation_regression():
         # the buffer blocks are simply surrounded
         assert {"J1", "J2"} <= candidates
         # simple blocks never are: their neighbors are actor blocks
-        for name, block in z.pafg.blocks.items():
+        for name, block in z.blocks.items():
             if block.is_simple:
                 assert name not in candidates
-                neighbors = z.pafg.graph.pred(name) | z.pafg.graph.succ(name)
-                assert all(not z.pafg.block(x).is_simple for x in neighbors)
+                neighbors = z.graph.pred(name) | z.graph.succ(name)
+                assert all(not z.block(x).is_simple for x in neighbors)
         for target in ("J1", "J2", "J3"):
-            former = z.pafg.graph.pred(target) | z.pafg.graph.succ(target)
+            former = z.graph.pred(target) | z.graph.succ(target)
             z2, step = passivize(z, LIB, target)
             assert z2.coordination[target] == PSSV
             assert set(step.removed) == former
-            assert not former & set(z2.pafg.blocks)
+            assert not former & set(z2.blocks)
             assert is_alternating(z2)
-            assert check_association(g, z2.pafg)
+            assert check_association(g, z2)
             assert_step_arithmetic(z, z2, step)
             z = z2
-        assert len(z.pafg.blocks) == 20
-        assert len(z.pafg.graph.edges) == 21
+        assert len(z.blocks) == 20
+        assert len(z.graph.edges) == 21
 
 
 def test_criterion_3_stream_equivalence():
@@ -265,13 +265,13 @@ def test_criterion_7_ir_property_suites():
             g, _ = build_random_app_graph(rng, max_actors=20)
             z = derive_direct_pafg(g, LIB)
             assert is_alternating(z)
-            assert check_association(g, z.pafg)
+            assert check_association(g, z)
             validate_coordinated(z, LIB)
             for cand in find_candidates(z, LIB):
                 z2, step = passivize(z, LIB, cand.block)
                 assert is_alternating(z2)
                 assert check_abc(z2)
-                assert check_association(g, z2.pafg)
+                assert check_association(g, z2)
                 assert_step_arithmetic(z, z2, step)
             fixed, _ = passivize_fixpoint(z, LIB)
             again, log = passivize_fixpoint(fixed, LIB)

@@ -227,11 +227,11 @@ def test_evm_direct_instance_uses_simple_fifos(lib):
 def test_evm_passivized_kernels(lib):
     cfg = generate_evm_inputs(seed=5, max_length=8, num_windows=2)
     _, _, z = run_evm(cfg, lib, optimized=True)
-    fa = z.pafg.block("FA")
+    fa = z.block("FA")
     assert fa.capacity == 1 and z.source.edge("SRC1", "FA").token_type == "i64"
     cap = cfg.capacity()
-    assert z.pafg.block("RFC").capacity == 2 * cap
-    assert z.pafg.block("RCC").capacity == 2 * cap
+    assert z.block("RFC").capacity == 2 * cap
+    assert z.block("RCC").capacity == 2 * cap
     inst = instantiate(z, lib, evm_source_data(cfg))
     assert inst.kernels["FA"].read_ports == ("out0", "out1")
     assert inst.kernels["RFC"].write_ports == ("re", "im")

@@ -11,7 +11,6 @@ from pafg.errors import DanglingProvenanceError, IrError, ParseError
 from pafg.ir import (
     ACTV,
     Block,
-    CoordinatedPafg,
     PSSV,
     Pafg,
     block_edges,
@@ -58,9 +57,8 @@ def test_active_active_edge_breaks_alternation(lib):
     # without their simple buffers, the actors' blocks connect directly
     g = chain_graph()
     blocks = {name: Block(spec) for name, spec in g.actors.items()}
-    pafg = Pafg(blocks, g)
-    assert pafg.edges == {("A", "B"), ("B", "C")}
-    z = CoordinatedPafg(pafg)
+    z = Pafg(blocks, g)
+    assert z.edges == {("A", "B"), ("B", "C")}
     assert z.coordination == dict.fromkeys(blocks, ACTV)  # no block has a capacity
     assert not is_alternating(z)
     assert check_abc(z)  # no passive-passive edge either
@@ -70,10 +68,10 @@ def test_adjacent_passive_blocks_fail_abc(lib):
     # the fork made passive while its simple buffers stay: passive-passive
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
-    blocks = dict(z.pafg.blocks, B=Block(g.actor("B"), capacity=100))
-    z2 = CoordinatedPafg(Pafg(blocks, g))
+    blocks = dict(z.blocks, B=Block(g.actor("B"), capacity=100))
+    z2 = Pafg(blocks, g)
     assert z2.coordination["B"] == PSSV
-    assert ("A.out->B.in", "B") in z2.pafg.edges
+    assert ("A.out->B.in", "B") in z2.edges
     assert not check_abc(z2)
     assert not is_alternating(z2)
 
@@ -86,26 +84,26 @@ def test_single_block_pafg_satisfies_abc(lib):
 
 def test_interface_blocks(lib):
     z = derive_direct_pafg(chain_graph(), lib)
-    assert is_interface_block(z.pafg, "A")  # no inputs
-    assert not is_interface_block(z.pafg, "B")
+    assert is_interface_block(z, "A")  # no inputs
+    assert not is_interface_block(z, "B")
     g = AppGraphBuilder().actor("A", "src").build()
     z2 = derive_direct_pafg(g, lib)
-    assert is_interface_block(z2.pafg, "A")  # isolated
+    assert is_interface_block(z2, "A")  # isolated
     with pytest.raises(IrError, match="unknown block 'NOPE'"):
-        is_interface_block(z.pafg, "NOPE")
+        is_interface_block(z, "NOPE")
 
 
 def test_direct_pafg_is_associated(lib):
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
-    assert check_association(g, z.pafg)
+    assert check_association(g, z)
 
 
 def test_association_survives_passivization(lib):
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
     z2, _ = passivize(z, lib, "B")
-    assert check_association(g, z2.pafg)
+    assert check_association(g, z2)
 
 
 def test_association_false_for_foreign_edge(lib):
@@ -113,7 +111,7 @@ def test_association_false_for_foreign_edge(lib):
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
     ghost = Block(DataflowEdge("X", "out", "Y", "in", 4), capacity=4)
-    blocks = dict(z.pafg.blocks)
+    blocks = dict(z.blocks)
     blocks[ghost.name] = ghost
     with pytest.raises(DanglingProvenanceError, match=r"block 'X\.out->Y\.in': provenance"):
         Pafg(blocks, g)
@@ -123,7 +121,7 @@ def test_association_rejects_port_mismatch(lib):
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
     p = Block(DataflowEdge("A", "bogus", "B", "in", 100), capacity=100)
-    blocks = {n: b for n, b in z.pafg.blocks.items() if n != "A.out->B.in"}
+    blocks = {n: b for n, b in z.blocks.items() if n != "A.out->B.in"}
     blocks[p.name] = p
     with pytest.raises(DanglingProvenanceError, match=r"block 'A\.bogus->B\.in': provenance"):
         Pafg(blocks, g)
@@ -140,7 +138,7 @@ def test_association_requires_injectivity(lib):
 def test_association_false_for_foreign_actor_spec(lib):
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
-    blocks = dict(z.pafg.blocks)
+    blocks = dict(z.blocks)
     blocks["B"] = Block(ActorSpec("B", "fork", {"fanout": 2}))
     with pytest.raises(DanglingProvenanceError, match="block 'B': provenance"):
         Pafg(blocks, g)
@@ -155,13 +153,13 @@ def test_association_false_without_an_actor_block(lib):
     g = AppGraphBuilder().actor("A", "src").actor("D", "snk").build()
     z = derive_direct_pafg(g, lib)
     with pytest.raises(IrError, match="actor 'D' has no block"):
-        Pafg({"A": z.pafg.block("A")}, g)
+        Pafg({"A": z.block("A")}, g)
     # an actor with an edge but no block is named before its connections
     # are derived
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
     gone = {"C", "B.out0->C.in"}
-    blocks = {n: b for n, b in z.pafg.blocks.items() if n not in gone}
+    blocks = {n: b for n, b in z.blocks.items() if n not in gone}
     with pytest.raises(IrError, match="actor 'C' has no block"):
         Pafg(blocks, g)
 
@@ -171,7 +169,7 @@ def test_association_false_for_rerouted_connection(lib):
     # another application graph: equal actors, the fork's output rerouted
     g = chain_graph()
     z, _ = passivize(derive_direct_pafg(g, lib), lib, "B")
-    assert z.pafg.edges == block_edges(z.pafg.blocks, g) == {("A", "B"), ("B", "C")}
+    assert z.edges == block_edges(z.blocks, g) == {("A", "B"), ("B", "C")}
     rerouted = (
         AppGraphBuilder()
         .actor("A", "src")
@@ -182,8 +180,8 @@ def test_association_false_for_rerouted_connection(lib):
         .build()
     )
     assert rerouted.actors == g.actors and rerouted != g
-    assert not check_association(rerouted, z.pafg)
-    assert not check_association(g, Pafg(z.pafg.blocks, rerouted))
+    assert not check_association(rerouted, z)
+    assert not check_association(g, Pafg(z.blocks, rerouted))
 
 
 def test_block_name_and_kind_come_from_provenance(lib):
@@ -252,7 +250,7 @@ def test_validator_rejects_active_simple_block(lib):
     # a simple block has its edge's capacity, so it is derived passive and no
     # PAFG can make it active; a file that says so is refused at its line
     z = derive_direct_pafg(chain_graph(), lib)
-    simple = [n for n, b in z.pafg.blocks.items() if b.is_simple]
+    simple = [n for n, b in z.blocks.items() if b.is_simple]
     assert simple and all(z.coordination[n] == PSSV for n in simple)
     name = simple[0]
     old = f"block {name} kind=simple coord=pssv"
@@ -265,7 +263,7 @@ def test_validator_rejects_passive_block_without_capacity(lib):
     # the fork's block has no capacity, so it is derived active; a file that
     # makes it passive without giving it one is refused at its line
     z = derive_direct_pafg(chain_graph(), lib)
-    assert z.pafg.blocks["B"].capacity is None and z.coordination["B"] == ACTV
+    assert z.blocks["B"].capacity is None and z.coordination["B"] == ACTV
     old = "block B kind=fork coord=actv from=actor:B"
     err, lineno = _reparsed_line(serialize_pafg(z), old, old.replace("actv", "pssv"), lib)
     assert err.line == lineno
@@ -285,9 +283,9 @@ def test_validator_rejects_passive_computational_block(lib):
         .build()
     )
     z = derive_direct_pafg(g, lib)
-    blocks = {n: b for n, b in z.pafg.blocks.items() if not b.is_simple}
+    blocks = {n: b for n, b in z.blocks.items() if not b.is_simple}
     blocks["G"] = Block(g.actor("G"), capacity=4)  # its capacity makes it passive
-    z = CoordinatedPafg(Pafg(blocks, g))  # alternating, and accepted
+    z = Pafg(blocks, g)  # alternating, and accepted
     assert is_alternating(z)
     with pytest.raises(IrError, match="computational block 'G' must be coordinated actv"):
         validate_coordinated(z, lib)
@@ -302,10 +300,24 @@ def test_validator_rejects_passive_interface_block(lib):
         .build()
     )
     z = derive_direct_pafg(g, lib)
-    blocks = dict(z.pafg.blocks)
+    blocks = dict(z.blocks)
     blocks["F"] = Block(g.actor("F"), capacity=4)  # passive, with no producer to write it
+    # the PAFG refuses it when it is built, before it derives a coordination
     with pytest.raises(IrError, match="passive interface block 'F' is not supported"):
-        CoordinatedPafg(Pafg(blocks, g))
+        Pafg(blocks, g)
+
+
+def test_every_route_returns_one_pafg_record(lib):
+    # derive, the fixpoint and the parser each build a Pafg, whose
+    # coordination is read off its blocks' capacities
+    direct = derive_direct_pafg(chain_graph(), lib)
+    optimized, _ = passivize_fixpoint(direct, lib)
+    parsed = parse_pafg(serialize_pafg(optimized), lib=lib)
+    for z in (direct, optimized, parsed):
+        assert type(z) is Pafg
+        assert z.coordination == {n: ACTV if b.capacity is None else PSSV
+                                  for n, b in z.blocks.items()}
+    assert direct.coordination["B"] == ACTV and optimized.coordination["B"] == PSSV
 
 
 def test_alternating_implies_abc_on_random_graphs(lib):
@@ -315,7 +327,7 @@ def test_alternating_implies_abc_on_random_graphs(lib):
         z = derive_direct_pafg(g, lib)
         assert is_alternating(z)
         assert check_abc(z)
-        assert check_association(g, z.pafg)
+        assert check_association(g, z)
         validate_coordinated(z, lib)
 
 
@@ -328,9 +340,9 @@ def test_association_holds_by_construction_on_random_graphs(lib):
         optimized, _ = passivize_fixpoint(direct, lib)
         parsed = parse_pafg(serialize_pafg(optimized), lib=lib)
         for z in (direct, optimized, parsed):
-            assert z.pafg.edges == block_edges(z.pafg.blocks, z.source)
-            assert z.pafg.graph.edges == z.pafg.edges
-            assert check_association(z.source, z.pafg)
+            assert z.edges == block_edges(z.blocks, z.source)
+            assert z.graph.edges == z.edges
+            assert check_association(z.source, z)
             validate_coordinated(z, lib)
         assert direct.source is g and optimized.source is g
         assert parsed == optimized and parsed.source == g

@@ -17,6 +17,10 @@ def test_every_exported_name_imports():
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(pafg.__all__)
 
 
+def test_one_pafg_record_is_exported():
+    assert "Pafg" in pafg.__all__ and "CoordinatedPafg" not in pafg.__all__
+
+
 def test_readme_python_example_runs(capsys):
     (example,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     exec(example, {})

@@ -27,7 +27,7 @@ from pafg.errors import (
     UnboundIoError,
 )
 from pafg.graph import DirectedGraph
-from pafg.ir import PSSV, Block, CoordinatedPafg, Pafg
+from pafg.ir import PSSV, Block, Pafg
 from pafg.runtime import compare_streams, data_order, instantiate
 from pafg.transform import (
     compute_bmr,
@@ -35,7 +35,7 @@ from pafg.transform import (
     estimate_copy_count,
     passivize_fixpoint,
 )
-from topologies import gain_fork_cluster_graph
+from topologies import gain_fork_cluster_graph, unchecked_direct_pafg
 
 
 @pytest.fixture(scope="module")
@@ -619,6 +619,7 @@ class OverProducer(CfdfActor):
     kind = "liar"
     input_ports = ("in",)
     output_ports = ("out",)
+    _RATES = ({"in": 1}, {"out": 1})
 
     def rates(self):
         return {"in": 1}, {"out": 1}
@@ -775,7 +776,8 @@ def fork_graph_with_ports(in_port, extra_out_port=None):
 @pytest.mark.parametrize("ports, named", [(("bogus",), r"F\.bogus"), (("in", "out7"), r"F\.out7")])
 @pytest.mark.parametrize("optimized", [False, True])
 def test_instantiate_rejects_undeclared_ports(lib, ports, named, optimized):
-    z = derive_direct_pafg(fork_graph_with_ports(*ports), lib)
+    # derive_direct_pafg refuses the graph, so its direct PAFG is built by hand
+    z = unchecked_direct_pafg(fork_graph_with_ports(*ports))
     if optimized:
         z, log = passivize_fixpoint(z, lib)
         assert [step.block for step in log] == ["F"]
@@ -834,7 +836,7 @@ def test_instantiate_rejects_unbound_ports(lib, build, data, message, optimized)
 def test_instantiate_rejects_a_non_alternating_pafg(lib):
     g = gain_chain()
     blocks = {name: Block(spec) for name, spec in g.actors.items()}  # no buffers
-    z = CoordinatedPafg(Pafg(blocks, g))
+    z = Pafg(blocks, g)
     with pytest.raises(RuntimeExecutionError, match="only alternating PAFGs are executable"):
         instantiate(z, lib, {"SRC": [1.0]})
 

@@ -12,12 +12,14 @@ from graphgen import build_random_app_graph
 from pafg import transform
 from pafg.actors import default_library
 from pafg.apps import ForkCascadeConfig, build_evm_graph, build_fork_cascade, generate_evm_inputs
-from pafg.dataflow import ActorSpec, AppGraphBuilder
-from pafg.formats import parse_pafg, serialize_pafg
+from pafg.dataflow import ActorSpec, AppGraphBuilder, CfdfActor
+from pafg.formats import parse_graph, parse_pafg, serialize_graph, serialize_pafg
 from pafg.errors import (
     DanglingProvenanceError,
     IrError,
+    ModelError,
     NotACandidateError,
+    ParseError,
     TransformError,
     UnknownKindError,
     UnresolvableRateError,
@@ -26,7 +28,6 @@ from pafg.ir import (
     ACTV,
     PSSV,
     Block,
-    CoordinatedPafg,
     Pafg,
     check_abc,
     check_association,
@@ -41,7 +42,13 @@ from pafg.transform import (
     passivize,
     passivize_fixpoint,
 )
-from topologies import chain_graph, fork_line_graph, gain_fork_cluster_graph, ten_plus_four_graph
+from topologies import (
+    chain_graph,
+    fork_line_graph,
+    gain_fork_cluster_graph,
+    ten_plus_four_graph,
+    unchecked_direct_pafg,
+)
 from transform_checks import assert_step_arithmetic, block_graph_candidate
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -55,20 +62,20 @@ def lib():
 
 def test_derive_chain(lib):
     z = derive_direct_pafg(chain_graph(), lib)
-    assert len(z.pafg.blocks) == 5
-    assert len(z.pafg.graph.edges) == 4
+    assert len(z.blocks) == 5
+    assert len(z.graph.edges) == 4
     assert is_alternating(z)
     assert z.coordination["A"] == ACTV
     assert z.coordination["A.out->B.in"] == PSSV
-    simple = z.pafg.block("A.out->B.in")
+    simple = z.block("A.out->B.in")
     assert simple.capacity == 100 and z.source.edge("A", "B").token_type == "f64"
 
 
 def test_derive_single_actor(lib):
     g = AppGraphBuilder().actor("A", "src").build()
     z = derive_direct_pafg(g, lib)
-    assert len(z.pafg.blocks) == 1
-    assert not z.pafg.graph.edges
+    assert len(z.blocks) == 1
+    assert not z.graph.edges
     assert z.coordination["A"] == ACTV
 
 
@@ -78,15 +85,73 @@ def test_derive_rejects_unknown_kind(lib):
         derive_direct_pafg(g, lib)
 
 
+class NoRates(CfdfActor):
+    """A kind that overrides rates() but states no _RATES."""
+
+    input_ports = ("in",)
+    output_ports = ("out",)
+
+    def rates(self):
+        return {"in": 1}, {"out": 1}
+
+
+def _with_no_rates_kind():
+    """The default library plus the kind norates, a NoRates."""
+    lib = default_library()
+    lib.register("norates", lambda s: NoRates(s.name))
+    return lib
+
+
+def _source_into(kind, **params):
+    """S -> X(kind) -> K."""
+    return (AppGraphBuilder().actor("S", "src").actor("X", kind, **params).actor("K", "snk")
+            .edge("S.out", "X.in", 4).edge("X.out", "K.in", 4))
+
+
+@pytest.mark.parametrize("build, at, message", [
+    (lambda: AppGraphBuilder().actor("S", "src", type="i64").actor("K", "snk")
+     .edge("S.out", "K.in", 4), "edge S.out", "S.out emits i64 tokens, but the edge has type=f64"),
+    (lambda: AppGraphBuilder().actor("S", "src", type="c64").actor("K", "snk")
+     .edge("S.out", "K.in", 4), "actor S", "S: bad token type 'c64'"),
+    (lambda: _source_into("gain", k="x"), "actor X", "X: gain k 'x' is not an int or float"),
+    (lambda: AppGraphBuilder().actor("S", "src").actor("F", "fork").actor("K", "snk")
+     .edge("S.out", "F.in", 4).edge("F.bogus", "K.in", 4), "edge F.bogus",
+     "F.bogus is not a declared port of F"),
+    (lambda: _source_into("norates"), "actor X", "actor class 'NoRates' states no _RATES"),
+], ids=["i64-into-f64", "c64", "gain-k-x", "undeclared-port", "no-rates"])
+def test_derive_refuses_what_parse_graph_refuses(build, at, message):
+    # the file route and the Python route read a graph by one rule, so
+    # derive_direct_pafg raises parse_graph's message without its line
+    custom = _with_no_rates_kind()
+    g = build().build()
+    text = serialize_graph(g)
+    with pytest.raises(ParseError) as parsed:
+        parse_graph(text, lib=custom)
+    with pytest.raises(ModelError) as derived:
+        derive_direct_pafg(g, custom)
+    assert str(derived.value) == message
+    assert str(parsed.value) == f"line {parsed.value.line}: {message}"
+    assert text.splitlines()[parsed.value.line - 1].startswith(f"{at} ")
+
+
+def test_fixpoint_refuses_a_kind_with_no_rates():
+    # S -> F(fork) -> X(norates) -> K: F's ring is sized from X's rates
+    g = (AppGraphBuilder().actor("S", "src").actor("F", "fork", fanout=1)
+         .actor("X", "norates").actor("K", "snk")
+         .edge("S.out", "F.in", 4).edge("F.out0", "X.in", 4).edge("X.out", "K.in", 4).build())
+    with pytest.raises(ModelError, match="^actor class 'NoRates' states no _RATES$"):
+        passivize_fixpoint(unchecked_direct_pafg(g), _with_no_rates_kind())
+
+
 def test_derive_ten_plus_four(lib):
     z = derive_direct_pafg(ten_plus_four_graph(), lib)
-    simple = [n for n, b in z.pafg.blocks.items() if b.is_simple]
-    buffers = [n for n, b in z.pafg.blocks.items() if not b.is_simple and lib.is_buffer_actor(b.kind)]
-    comps = [n for n, b in z.pafg.blocks.items() if not b.is_simple and not lib.is_buffer_actor(b.kind)]
+    simple = [n for n, b in z.blocks.items() if b.is_simple]
+    buffers = [n for n, b in z.blocks.items() if not b.is_simple and lib.is_buffer_actor(b.kind)]
+    comps = [n for n, b in z.blocks.items() if not b.is_simple and not lib.is_buffer_actor(b.kind)]
     assert len(comps) == 10
     assert len(buffers) == 4
     assert len(simple) == 15
-    assert len(z.pafg.graph.edges) == 30
+    assert len(z.graph.edges) == 30
     assert all(z.coordination[n] == PSSV for n in simple)
     assert all(z.coordination[n] == ACTV for n in buffers + comps)
 
@@ -96,7 +161,7 @@ def test_candidates_ten_plus_four(lib):
     names = [c.block for c in find_candidates(z, lib)]
     assert names == ["J1", "J2", "J3", "J4"]
     # simple blocks are never simply surrounded (their neighbors are actor blocks)
-    assert not any(z.pafg.blocks[n].is_simple for n in names)
+    assert not any(z.blocks[n].is_simple for n in names)
 
 
 def test_candidates_chain(lib):
@@ -119,12 +184,12 @@ def test_no_candidates_without_buffer_actors(lib):
 def test_passivize_chain(lib):
     z = derive_direct_pafg(chain_graph(), lib)
     z2, step = passivize(z, lib, "B")
-    assert set(z2.pafg.blocks) == {"A", "B", "C"}
-    assert z2.pafg.graph.edges == {("A", "B"), ("B", "C")}
+    assert set(z2.blocks) == {"A", "B", "C"}
+    assert z2.graph.edges == {("A", "B"), ("B", "C")}
     assert z2.coordination["B"] == PSSV
-    assert z2.pafg.block("B").capacity == 100
+    assert z2.block("B").capacity == 100
     assert is_alternating(z2)
-    assert check_association(chain_graph(), z2.pafg)
+    assert check_association(chain_graph(), z2)
     assert step.block == "B" and len(step.removed) == 2
     assert_step_arithmetic(z, z2, step)
 
@@ -132,10 +197,10 @@ def test_passivize_chain(lib):
 def test_passivize_gain_fork_cluster(lib):
     g = gain_fork_cluster_graph()
     z = derive_direct_pafg(g, lib)
-    assert len(z.pafg.blocks) == 7
+    assert len(z.blocks) == 7
     z2, step = passivize(z, lib, "F")
-    assert len(z2.pafg.blocks) == 4
-    assert z2.pafg.graph.edges == {("G", "F"), ("F", "C1"), ("F", "C2")}
+    assert len(z2.blocks) == 4
+    assert z2.graph.edges == {("G", "F"), ("F", "C1"), ("F", "C2")}
     assert z2.coordination["F"] == PSSV
     assert z2.coordination["G"] == ACTV
     assert_step_arithmetic(z, z2, step)
@@ -149,14 +214,14 @@ def test_passivize_ten_plus_four_sequence(lib):
         assert_step_arithmetic(z, z2, step)
         assert is_alternating(z2)
         assert check_abc(z2)
-        assert check_association(g, z2.pafg)
+        assert check_association(g, z2)
         z = z2
     assert [z.coordination[f"J{i}"] for i in (1, 2, 3)] == [PSSV, PSSV, PSSV]
     assert z.coordination["J4"] == ACTV
     # the three clusters are disjoint: 9 simple blocks removed, 6 remain
-    simple = [n for n, b in z.pafg.blocks.items() if b.is_simple]
+    simple = [n for n, b in z.blocks.items() if b.is_simple]
     assert len(simple) == 6
-    assert len(z.pafg.blocks) == 20
+    assert len(z.blocks) == 20
     # J4 lost its candidacy when J3 became its direct passive predecessor
     assert [c.block for c in find_candidates(z, lib)] == []
 
@@ -232,7 +297,7 @@ def rescan_fixpoint(z, lib):
     the block-graph rule, and passivize the first candidate by name."""
     log = []
     while True:
-        names = [n for n in sorted(z.pafg.blocks)
+        names = [n for n in sorted(z.blocks)
                  if not isinstance(block_graph_candidate(z, lib, n), Exception)]
         if not names:
             return z, log
@@ -272,7 +337,7 @@ def test_named_fixpoint_matches_sequential_passivize(lib):
     seen = {"ok": 0, IrError: 0, NotACandidateError: 0, "taken": 0}
     for g in graphs:
         direct = derive_direct_pafg(g, lib)
-        names = sorted(direct.pafg.blocks) + ["nope", "A.out->Z.in"]
+        names = sorted(direct.blocks) + ["nope", "A.out->Z.in"]
         cands = [c.block for c in find_candidates(direct, lib)]
         ends = dict.fromkeys([cands[0], cands[-1]])  # the first and last candidate
         for z in [direct] + [passivize(direct, lib, name)[0] for name in ends]:
@@ -370,7 +435,7 @@ def test_candidacy_matches_the_block_graph_rule(lib):
         steps = [step.block for step in passivize_fixpoint(direct, lib)[1]]
         half = parse_pafg(serialize_pafg(passivize_fixpoint(direct, lib, steps[::2])[0]), lib)
         for z in (direct, half):
-            names = sorted(z.pafg.blocks) + ["nope"]
+            names = sorted(z.blocks) + ["nope"]
             verdicts = {n: block_graph_candidate(z, lib, n) for n in names}
             expected = [(n, v) for n, v in verdicts.items() if not isinstance(v, Exception)]
             assert [(c.block, c.removed) for c in find_candidates(z, lib)] == expected
@@ -404,10 +469,10 @@ def test_non_alternating_input_is_rejected(lib):
         .build()
     )
     z = derive_direct_pafg(g, lib)
-    blocks = dict(z.pafg.blocks)
+    blocks = dict(z.blocks)
     del blocks["D.out->E.in"]
-    bad = CoordinatedPafg(Pafg(blocks, g))
-    assert ("D", "E") in bad.pafg.edges and not is_alternating(bad)
+    bad = Pafg(blocks, g)
+    assert ("D", "E") in bad.edges and not is_alternating(bad)
     assert [c.block for c in find_candidates(bad, lib)] == ["B"]
     with pytest.raises(TransformError, match="alternating PAFGs only"):
         passivize(bad, lib, "B")
@@ -425,7 +490,7 @@ def test_non_associated_input_is_rejected(lib):
     # so the PAFG refuses it when it is built and passivize never sees it
     g = chain_graph()
     z = derive_direct_pafg(g, lib)
-    blocks = dict(z.pafg.blocks, B=Block(ActorSpec("B", "fork", {"fanout": 2})))
+    blocks = dict(z.blocks, B=Block(ActorSpec("B", "fork", {"fanout": 2})))
     with pytest.raises(DanglingProvenanceError, match="block 'B': provenance"):
         Pafg(blocks, g)
 
@@ -501,7 +566,7 @@ def test_passivized_ring_holds_the_largest_burst(lib):
     # token that S cannot write: the ring is raised to R's burst of 2
     direct = derive_direct_pafg(burst_graph(), lib)
     optimized, (step,) = passivize_fixpoint(direct, lib)
-    assert optimized.pafg.block("F").capacity == 2
+    assert optimized.block("F").capacity == 2
     assert step.raised_capacity == (1, 2)
     assert step.render().endswith(" capacity=2 raised_from=1")
     data = {"S": [1.0, 2.0, 3.0, 4.0]}
@@ -527,7 +592,7 @@ def test_app_rings_keep_their_summed_capacity(lib):
         assert log and all(step.raised_capacity is None for step in log)
         for step in log:
             summed = sum(e.capacity for e in g.edges.values() if e.snk == step.block)
-            assert optimized.pafg.block(step.block).capacity == summed
+            assert optimized.block(step.block).capacity == summed
         absorbed_outputs = sum(
             e.capacity for e in g.edges.values() if e.src in {s.block for s in log}
         )
@@ -569,12 +634,12 @@ def test_random_graph_passivization_properties(lib):
             z2, step = passivize(z, lib, cand.block)
             assert is_alternating(z2)
             assert check_abc(z2)
-            assert check_association(g, z2.pafg)
+            assert check_association(g, z2)
             assert_step_arithmetic(z, z2, step)
             # BMR monotonicity: when every removed buffer is at least the
             # ring capacity split across the removals, BMR strictly drops
-            removed_caps = [z.pafg.block(n).capacity for n in step.removed]
-            ring_cap = z2.pafg.block(cand.block).capacity
+            removed_caps = [z.block(n).capacity for n in step.removed]
+            ring_cap = z2.block(cand.block).capacity
             if all(c >= ring_cap / len(removed_caps) for c in removed_caps):
                 assert compute_bmr(z2).total_bytes < compute_bmr(z).total_bytes
         z_fix, _ = passivize_fixpoint(z, lib)

@@ -3,6 +3,7 @@
 from pafg.actors import default_library
 from pafg.dataflow import AppGraphBuilder
 from pafg.formats import serialize_pafg
+from pafg.ir import Block, Pafg
 from pafg.transform import derive_direct_pafg, passivize_fixpoint
 
 
@@ -139,6 +140,13 @@ def interleave_ring_pafg(capacity):
     text = serialize_pafg(z)
     line = next(ln for ln in text.splitlines() if ln.startswith("block IL "))
     return text.replace(line, line.rsplit(" ", 1)[0] + f" capacity={capacity}")
+
+
+def unchecked_direct_pafg(g):
+    """g's direct PAFG, built without the library checks that
+    derive_direct_pafg makes, for a graph that it refuses."""
+    blocks = map(Block, [*g.actors.values(), *g.edges.values()])
+    return Pafg({b.name: b for b in blocks}, g)
 
 
 # A fanout-2 fork whose third edge leaves port F.{port}; out7 and bogus

@@ -7,7 +7,7 @@ from pafg.ir import ACTV, is_alternating
 def assert_step_arithmetic(before, after, step):
     """Block/edge-count bookkeeping for one passivization step:
     |V_b| = |V_a| - |removed| and |E_b| = |E_a| - |E_r| + |added|."""
-    va, vb = before.pafg.graph, after.pafg.graph
+    va, vb = before.graph, after.graph
     removed = set(step.removed)
     e_r = {e for e in va.edges if e[0] in removed or e[1] in removed}
     if len(vb.vertices) != len(va.vertices) - len(removed):
@@ -23,7 +23,7 @@ def block_graph_candidate(z, lib, name):
     own: the set of simple blocks a step on name removes, or the error
     passivize raises, in the same words. A candidate is an active buffer
     block with a producer and a consumer and only simple neighbors."""
-    blocks, g = z.pafg.blocks, z.pafg.graph
+    blocks, g = z.blocks, z.graph
     if name not in blocks:
         return IrError(f"unknown block {name!r}")
     if z.coordination[name] != ACTV:
