@@ -20,7 +20,6 @@ from .ir import (
     Pafg,
     check_abc,
     is_alternating,
-    is_interface_block,
     validate_coordinated,
 )
 from .kernels import PassiveKernel
@@ -61,7 +60,6 @@ __all__ = [
     "find_candidates",
     "instantiate",
     "is_alternating",
-    "is_interface_block",
     "passivize",
     "passivize_fixpoint",
     "validate_coordinated",

@@ -179,10 +179,9 @@ class ExecutionInstance:
 def data_order(graph, blocks):
     """The vertices of graph in blocks, in reverse postorder of a depth-first
     search from each vertex and to each successor in name order: O(V + E)
-    apart from sorting each vertex's successors, deterministic also on a
-    cycle, and topological on an acyclic graph."""
-    succ = {v: sorted([w for _, w in es], reverse=True) for v, es in graph.outs.items()}
-    seen, finished = set(), []
+    apart from sorting each vertex's successors when the search expands it,
+    deterministic also on a cycle, and topological on an acyclic graph."""
+    outs, seen, finished = graph.outs, set(), []
     stack = sorted(graph.vertices, reverse=True)
     while stack:
         v = stack.pop()
@@ -191,7 +190,8 @@ def data_order(graph, blocks):
         elif v not in seen:
             seen.add(v)
             stack.append((v,))  # then its successors, the first by name on top
-            stack += succ.get(v, ())
+            if v in outs:
+                stack += sorted([w for _, w in outs[v]], reverse=True)
     return [v for v in reversed(finished) if v in blocks]
 
 
@@ -254,32 +254,25 @@ def instantiate(z, lib, source_data):
 
     kernels = {}
     actors = {}
-    # (input ports, output ports) of every actor's block, active or passive:
-    # an application edge may only touch ports its endpoints declare.
-    declared = {}
     coord = z.coordination
     for name, block in z.blocks.items():
         if coord[name] != PSSV:
-            actor = actors[name] = lib.make_active(block.provenance)
-            declared[name] = actor.input_ports, actor.output_ports
+            actors[name] = lib.make_active(block.provenance)
         elif block.is_simple:
             kernels[name] = PassiveKernel(block.capacity)
         else:
-            ring = kernels[name] = lib.make_passive(block.provenance, block.capacity)
-            declared[name] = ring.write_ports, ring.read_ports
+            kernels[name] = lib.make_passive(block.provenance, block.capacity)
 
     # every PAFG is associated by construction, so each application edge
     # runs through its surviving simple ring or, absorbed, joins its two
     # endpoints, which alternation makes one active and one passive. Every
-    # actor's block gets its bindings; a passive block's are only counted.
-    ins = {name: {} for name in z.source.actors}
-    outs = {name: {} for name in z.source.actors}
+    # edge joins declared ports (lib.check_ports). Every actor's block gets
+    # its bindings; a passive block's are only counted.
+    app_actors = z.source.actors
+    ins = {name: {} for name in app_actors}
+    outs = {name: {} for name in app_actors}
     for e in z.source.edges.values():
-        for block, port, side in ((e.src, e.src_port, 1), (e.snk, e.snk_port, 0)):
-            if port not in declared[block][side]:
-                raise RuntimeExecutionError(
-                    f"edge {e.signature}: {block}.{port} is not a declared port of {block}"
-                )
+        lib.check_ports(e, app_actors)
         ring = kernels.get(e.signature)
         if ring is not None:  # a simple ring has one port on each side
             write, read = (e.src_port, ring, 0), (e.snk_port, ring, 0)
@@ -294,7 +287,8 @@ def instantiate(z, lib, source_data):
 
     # every bound port is declared, so a port is unbound iff a count differs
     for name, bound_ins in ins.items():
-        (in_ports, out_ports), bound_outs = declared[name], outs[name]
+        in_ports, out_ports, *_ = lib.declare(app_actors[name])
+        bound_outs = outs[name]
         if len(bound_ins) != len(in_ports) or len(bound_outs) != len(out_ports):
             for port in in_ports:
                 if port not in bound_ins:

@@ -22,7 +22,7 @@ from .errors import (
     UnknownKindError,
     UnresolvableRateError,
 )
-from .ir import ACTV, Block, PSSV, Pafg, is_alternating
+from .ir import ACTV, Block, PSSV, Pafg, _is_interface, is_alternating
 
 
 def derive_direct_pafg(app_graph, lib):
@@ -67,7 +67,7 @@ def _candidate(z, lib, name, table):
     if block.is_simple or not lib.is_buffer_actor(block.kind):
         return NotACandidateError(f"block {name!r} is not a non-simple buffer block")
     g, edges = z.source.graph, z.source.edges
-    if name not in g.ins or name not in g.outs:
+    if _is_interface(g, name):
         return NotACandidateError(f"block {name!r} is an interface block")
     keys = g.ins[name] + g.outs[name]
     lost = [a if b == name else b for a, b in keys if edges[a, b].signature not in table]
@@ -115,15 +115,15 @@ def _burst_bound(z, lib, name):
     span of a writer's largest write, which on a ring of m write ports is
     m times the burst, each over every rate table its actor can fire under.
     The rates come from the block's application edges, which its simple
-    buffers stand for."""
+    buffers stand for, each checked by lib.check_ports on the way."""
     actors, edges, g = z.source.actors, z.source.edges, z.source.graph
     stride = len(lib.declare(actors[name]).input_ports)
     bursts = [1]
     for key in g.ins.get(name, ()):
-        e = edges[key]
+        lib.check_ports(e := edges[key], actors)
         bursts += [stride * t[1].get(e.src_port, 0) for t in lib.declare(actors[e.src]).rate_tables]
     for key in g.outs.get(name, ()):
-        e = edges[key]
+        lib.check_ports(e := edges[key], actors)
         bursts += [t[0].get(e.snk_port, 0) for t in lib.declare(actors[e.snk]).rate_tables]
     return max(bursts)
 
@@ -145,7 +145,8 @@ def passivize_fixpoint(z, lib, blocks=None):
     blocks, and the edges it adds are the edges themselves. A passivized
     block's ring holds the summed capacities of the input buffers it
     absorbs, raised where needed to _burst_bound so that no reader or
-    writer waits for a burst the ring cannot hold."""
+    writer waits for a burst the ring cannot hold. _burst_bound also refuses
+    an edge of the block that lib.check_ports refuses."""
     if not is_alternating(z):
         raise TransformError("passivization is defined on alternating PAFGs only")
     ins, outs, edges = z.source.graph.ins, z.source.graph.outs, z.source.edges

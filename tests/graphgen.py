@@ -17,7 +17,20 @@ interleave outputs. With modal=False no number is drawn for the mode, so
 a seed's graphs do not depend on it.
 """
 
+import random
+
 from pafg.dataflow import AppGraphBuilder
+
+# the seed sets of the Kahn prefix test: (seed, graphs, max_actors, modal)
+CORPUS = ((5, 200, 16, False), (202, 60, 14, False), (11, 300, 20, False), (99, 300, 20, True))
+
+
+def corpus():
+    """CORPUS's 560 plain and 300 modal graphs, without their source data."""
+    for seed, graphs, max_actors, modal in CORPUS:
+        rng = random.Random(seed)
+        for _ in range(graphs):
+            yield build_random_app_graph(rng, max_actors=max_actors, modal=modal)[0]
 
 
 def build_random_app_graph(rng, max_actors=20, samples_per_source=24, modal=False):

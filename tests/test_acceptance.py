@@ -100,7 +100,7 @@ def test_criterion_2_transformation_regression():
             if block.is_simple:
                 assert name not in candidates
                 neighbors = z.graph.pred(name) | z.graph.succ(name)
-                assert all(not z.block(x).is_simple for x in neighbors)
+                assert all(not z.blocks[x].is_simple for x in neighbors)
         for target in ("J1", "J2", "J3"):
             former = z.graph.pred(target) | z.graph.succ(target)
             z2, step = passivize(z, LIB, target)

@@ -1,11 +1,14 @@
+import itertools
 import pickle
 import random
+from collections import Counter
 from dataclasses import fields
 
 import pytest
 
-from graphgen import build_random_app_graph
+from graphgen import build_random_app_graph, corpus
 from pafg.actors import default_library
+from pafg.apps import build_evm_graph, generate_evm_inputs
 from pafg.dataflow import ActorSpec, AppGraphBuilder, DataflowEdge
 from pafg.errors import DanglingProvenanceError, IrError, ParseError
 from pafg.ir import (
@@ -13,11 +16,11 @@ from pafg.ir import (
     Block,
     PSSV,
     Pafg,
+    _is_interface,
     block_edges,
     check_abc,
     check_association,
     is_alternating,
-    is_interface_block,
     validate_coordinated,
 )
 from pafg.formats import parse_pafg, serialize_pafg
@@ -82,15 +85,33 @@ def test_single_block_pafg_satisfies_abc(lib):
     assert check_abc(z)
 
 
-def test_interface_blocks(lib):
-    z = derive_direct_pafg(chain_graph(), lib)
-    assert is_interface_block(z, "A")  # no inputs
-    assert not is_interface_block(z, "B")
-    g = AppGraphBuilder().actor("A", "src").build()
-    z2 = derive_direct_pafg(g, lib)
-    assert is_interface_block(z2, "A")  # isolated
-    with pytest.raises(IrError, match="unknown block 'NOPE'"):
-        is_interface_block(z, "NOPE")
+def test_interface_blocks():
+    g = chain_graph()
+    assert _is_interface(g.graph, "A")  # no inputs
+    assert not _is_interface(g.graph, "B")
+    assert _is_interface(AppGraphBuilder().actor("A", "src").build().graph, "A")  # isolated
+
+
+def block_graph_interface(z, name):
+    """The interface rule read off z's block graph, the reference for
+    _is_interface: a non-simple block with no block in-edge or none out."""
+    return not z.blocks[name].is_simple and not (z.graph.pred(name) and z.graph.succ(name))
+
+
+def test_interface_rule_matches_the_block_graph(lib):
+    # the rule on the application graph's index against the block graph,
+    # for every actor of graphgen's corpus and of EVM, in both forms
+    seen = Counter()
+    evm = build_evm_graph(generate_evm_inputs(seed=3, max_length=8, num_windows=2))
+    for g in itertools.chain(corpus(), [evm]):
+        direct = derive_direct_pafg(g, lib)
+        for z in (direct, passivize_fixpoint(direct, lib)[0]):
+            for name in g.actors:
+                rule = _is_interface(g.graph, name)
+                assert rule == block_graph_interface(z, name), (sorted(g.actors), name)
+                seen[rule, z.coordination[name]] += 1
+    assert seen[True, ACTV] and seen[False, ACTV] and seen[False, PSSV]
+    assert not seen[True, PSSV]  # Pafg refuses a passive interface block
 
 
 def test_direct_pafg_is_associated(lib):
@@ -153,7 +174,7 @@ def test_association_false_without_an_actor_block(lib):
     g = AppGraphBuilder().actor("A", "src").actor("D", "snk").build()
     z = derive_direct_pafg(g, lib)
     with pytest.raises(IrError, match="actor 'D' has no block"):
-        Pafg({"A": z.block("A")}, g)
+        Pafg({"A": z.blocks["A"]}, g)
     # an actor with an edge but no block is named before its connections
     # are derived
     g = chain_graph()

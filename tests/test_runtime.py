@@ -1,9 +1,10 @@
+import itertools
 import random
 import struct
 
 import pytest
 
-from graphgen import build_random_app_graph
+from graphgen import build_random_app_graph, corpus
 from kahn_reference import COMPLETE, kahn_streams, kahn_verdicts
 from pafg.apps import (
     EvmConfig,
@@ -23,6 +24,7 @@ from pafg.errors import (
     ContractViolationError,
     DeadlockError,
     IrError,
+    ModelError,
     RuntimeExecutionError,
     UnboundIoError,
 )
@@ -35,7 +37,7 @@ from pafg.transform import (
     estimate_copy_count,
     passivize_fixpoint,
 )
-from topologies import gain_fork_cluster_graph, unchecked_direct_pafg
+from topologies import fork_with_ports, gain_fork_cluster_graph, unchecked_direct_pafg
 
 
 @pytest.fixture(scope="module")
@@ -448,6 +450,36 @@ def test_data_order_of_a_cycle_is_deterministic(lib):
         assert data_order(shuffled, {"IL", "SRC"}) == ["SRC", "IL"]
 
 
+def reference_data_order(graph, blocks):
+    """data_order as first written, the reference: every vertex's successors
+    sorted into one table before the search starts."""
+    succ = {v: sorted([w for _, w in es], reverse=True) for v, es in graph.outs.items()}
+    seen, finished = set(), []
+    stack = sorted(graph.vertices, reverse=True)
+    while stack:
+        v = stack.pop()
+        if isinstance(v, tuple):
+            finished.append(v[0])
+        elif v not in seen:
+            seen.add(v)
+            stack.append((v,))
+            stack += succ.get(v, ())
+    return [v for v in reversed(finished) if v in blocks]
+
+
+def test_data_order_matches_its_reference(lib):
+    # successors sorted as the search expands a vertex, against one table
+    # sorted first: graphgen's corpus and EVM, on the application graph
+    # with each form's active blocks, and on each form's block graph
+    evm = build_evm_graph(generate_evm_inputs(seed=3, max_length=8, num_windows=2))
+    for g in itertools.chain(corpus(), [evm]):
+        direct = derive_direct_pafg(g, lib)
+        for z in (direct, passivize_fixpoint(direct, lib)[0]):
+            active = {n for n, c in z.coordination.items() if c != PSSV}
+            for graph, blocks in ((g.graph, active), (z.graph, z.blocks)):
+                assert data_order(graph, blocks) == reference_data_order(graph, blocks)
+
+
 def test_one_source_list_serves_both_forms(lib):
     # a bound list is read, not copied, and no run changes it
     samples = [float(i) for i in range(40)]
@@ -755,34 +787,18 @@ def test_instantiate_rejects_passive_without_impl(lib):
         instantiate(z2, crippled, {"A": [1.0]})
 
 
-def fork_graph_with_ports(in_port, extra_out_port=None):
-    """S -> F(fork, fanout 2) -> A0, A1, with F's input on in_port and,
-    if given, one more output edge F.extra_out_port -> C."""
-    b = (
-        AppGraphBuilder()
-        .actor("S", "src")
-        .actor("F", "fork", fanout=2)
-        .actor("A0", "acc")
-        .actor("A1", "acc")
-        .edge("S.out", f"F.{in_port}", capacity=4)
-        .edge("F.out0", "A0.in", capacity=4)
-        .edge("F.out1", "A1.in", capacity=4)
-    )
-    if extra_out_port is not None:
-        b.actor("C", "snk").edge(f"F.{extra_out_port}", "C.in", capacity=4)
-    return b.build()
-
-
-@pytest.mark.parametrize("ports, named", [(("bogus",), r"F\.bogus"), (("in", "out7"), r"F\.out7")])
+@pytest.mark.parametrize("ports, named", [({"in_port": "bogus"}, r"F\.bogus"),
+                                          ({"out_port": "out7"}, r"F\.out7")])
 @pytest.mark.parametrize("optimized", [False, True])
 def test_instantiate_rejects_undeclared_ports(lib, ports, named, optimized):
-    # derive_direct_pafg refuses the graph, so its direct PAFG is built by hand
-    z = unchecked_direct_pafg(fork_graph_with_ports(*ports))
-    if optimized:
-        z, log = passivize_fixpoint(z, lib)
-        assert [step.block for step in log] == ["F"]
-    with pytest.raises(RuntimeExecutionError, match=named):
-        instantiate(z, lib, {"S": [1.0, 2.0]})
+    # derive_direct_pafg refuses the graph, so its direct PAFG is built by
+    # hand; check_ports refuses it at F's rewrite, or at instantiate
+    z = unchecked_direct_pafg(fork_with_ports(**ports))
+    with pytest.raises(ModelError, match=f"^{named} is not a declared port of F$"):
+        if optimized:
+            passivize_fixpoint(z, lib)
+        else:
+            instantiate(z, lib, {"S": [1.0, 2.0]})
 
 
 def fork_with_an_unbound_output():

@@ -45,6 +45,7 @@ from pafg.transform import (
 from topologies import (
     chain_graph,
     fork_line_graph,
+    fork_with_ports,
     gain_fork_cluster_graph,
     ten_plus_four_graph,
     unchecked_direct_pafg,
@@ -67,7 +68,7 @@ def test_derive_chain(lib):
     assert is_alternating(z)
     assert z.coordination["A"] == ACTV
     assert z.coordination["A.out->B.in"] == PSSV
-    simple = z.block("A.out->B.in")
+    simple = z.blocks["A.out->B.in"]
     assert simple.capacity == 100 and z.source.edge("A", "B").token_type == "f64"
 
 
@@ -134,6 +135,34 @@ def test_derive_refuses_what_parse_graph_refuses(build, at, message):
     assert text.splitlines()[parsed.value.line - 1].startswith(f"{at} ")
 
 
+@pytest.mark.parametrize("g, message", [
+    (fork_with_ports(in_port="bogus"), "F.bogus is not a declared port of F"),
+    (fork_with_ports(out_port="out7"), "F.out7 is not a declared port of F"),
+    (fork_with_ports(token_type="i64"), "S.out emits f64 tokens, but the edge has type=i64"),
+], ids=["bogus", "out7", "i64-out-of-f64"])
+def test_one_port_rule_at_every_entry_point(lib, g, message):
+    # lib.check_ports is the one port rule: derive, the parser (at the
+    # edge's line), the rewrite of the block the edge touches and
+    # instantiate, the last two on PAFGs built by hand in both forms
+    direct = unchecked_direct_pafg(g)
+    passivized = Pafg({n: Block(a, 4 if n == "F" else None) for n, a in g.actors.items()}, g)
+    assert passivized.coordination["F"] == PSSV and is_alternating(passivized)
+    for refuse in (lambda: derive_direct_pafg(g, lib),
+                   lambda: passivize_fixpoint(direct, lib),
+                   lambda: passivize_fixpoint(direct, lib, ["F"]),
+                   lambda: instantiate(direct, lib, {"S": [1.0]}),
+                   lambda: instantiate(passivized, lib, {"S": [1.0]})):
+        with pytest.raises(ModelError) as refused:
+            refuse()
+        assert type(refused.value) is ModelError and str(refused.value) == message
+    text = serialize_pafg(direct)
+    with pytest.raises(ParseError) as parsed:
+        parse_pafg(text, lib)
+    assert str(parsed.value) == f"line {parsed.value.line}: {message}"
+    line = text.splitlines()[parsed.value.line - 1]
+    assert line.startswith("edge ") and message.split()[0] in line.split()
+
+
 def test_fixpoint_refuses_a_kind_with_no_rates():
     # S -> F(fork) -> X(norates) -> K: F's ring is sized from X's rates
     g = (AppGraphBuilder().actor("S", "src").actor("F", "fork", fanout=1)
@@ -187,7 +216,7 @@ def test_passivize_chain(lib):
     assert set(z2.blocks) == {"A", "B", "C"}
     assert z2.graph.edges == {("A", "B"), ("B", "C")}
     assert z2.coordination["B"] == PSSV
-    assert z2.block("B").capacity == 100
+    assert z2.blocks["B"].capacity == 100
     assert is_alternating(z2)
     assert check_association(chain_graph(), z2)
     assert step.block == "B" and len(step.removed) == 2
@@ -566,7 +595,7 @@ def test_passivized_ring_holds_the_largest_burst(lib):
     # token that S cannot write: the ring is raised to R's burst of 2
     direct = derive_direct_pafg(burst_graph(), lib)
     optimized, (step,) = passivize_fixpoint(direct, lib)
-    assert optimized.block("F").capacity == 2
+    assert optimized.blocks["F"].capacity == 2
     assert step.raised_capacity == (1, 2)
     assert step.render().endswith(" capacity=2 raised_from=1")
     data = {"S": [1.0, 2.0, 3.0, 4.0]}
@@ -592,7 +621,7 @@ def test_app_rings_keep_their_summed_capacity(lib):
         assert log and all(step.raised_capacity is None for step in log)
         for step in log:
             summed = sum(e.capacity for e in g.edges.values() if e.snk == step.block)
-            assert optimized.block(step.block).capacity == summed
+            assert optimized.blocks[step.block].capacity == summed
         absorbed_outputs = sum(
             e.capacity for e in g.edges.values() if e.src in {s.block for s in log}
         )
@@ -638,8 +667,8 @@ def test_random_graph_passivization_properties(lib):
             assert_step_arithmetic(z, z2, step)
             # BMR monotonicity: when every removed buffer is at least the
             # ring capacity split across the removals, BMR strictly drops
-            removed_caps = [z.block(n).capacity for n in step.removed]
-            ring_cap = z2.block(cand.block).capacity
+            removed_caps = [z.blocks[n].capacity for n in step.removed]
+            ring_cap = z2.blocks[cand.block].capacity
             if all(c >= ring_cap / len(removed_caps) for c in removed_caps):
                 assert compute_bmr(z2).total_bytes < compute_bmr(z).total_bytes
         z_fix, _ = passivize_fixpoint(z, lib)

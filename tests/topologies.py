@@ -149,6 +149,15 @@ def unchecked_direct_pafg(g):
     return Pafg({b.name: b for b in blocks}, g)
 
 
+def fork_with_ports(in_port="in", out_port="out1", token_type="f64"):
+    """S -> F(fork, fanout 2) -> A, B, with F's input on in_port, its second
+    output on out_port and S's edge of token_type: a port other than in,
+    out0 or out1, or an i64 edge, is a fault that the library refuses."""
+    return (AppGraphBuilder().actor("S", "src").actor("F", "fork", fanout=2)
+            .actor("A", "snk").actor("B", "snk").edge("S.out", f"F.{in_port}", 4, token_type)
+            .edge("F.out0", "A.in", 4).edge(f"F.{out_port}", "B.in", 4).build())
+
+
 # A fanout-2 fork whose third edge leaves port F.{port}; out7 and bogus
 # are undeclared.
 FORK_GRAPH = """actor S src
