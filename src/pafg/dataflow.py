@@ -5,8 +5,10 @@ rate tables and token type of its actor for a spec, read without building
 one and checked once per spec and library.
 
 An ApplicationGraph is a pure value of slotted records: ActorSpecs (kind
-plus construction parameters, not live actor state) and DataflowEdges.
-Live actors are created from the library when a graph is instantiated.
+plus construction parameters, not live actor state) and DataflowEdges,
+whose records it indexes per actor as ins and outs, the neighborhood that
+every pass reads. Live actors are created from the library when a graph
+is instantiated.
 """
 
 import math
@@ -14,7 +16,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .errors import DuplicateEdgeError, DuplicateVertexError, ModelError, UnknownKindError
-from .graph import DirectedGraph, check_edge
+from .graph import check_edge
 
 F64 = "f64"
 I64 = "i64"
@@ -194,38 +196,34 @@ class ActorLibrary:
 
 @dataclass(frozen=True)
 class ApplicationGraph:
-    """Directed graph of actor specs plus per-edge FIFO metadata. The two
-    tables are the topology; graph is built from them once and is not a
-    field, so it takes no part in equality. No actor is named like an
-    edge's signature, which names the edge's simple block in a PAFG."""
+    """Directed graph of actor specs plus per-edge FIFO metadata. One pass
+    per table checks keys, endpoints, ports bound twice and actors named
+    like an edge's signature (its simple block's name in a PAFG), naming
+    the first fault in table order, and indexes the edge records as ins and
+    outs, not fields: per actor, its in- or out-edges in table order."""
 
     actors: dict
     edges: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "graph", DirectedGraph.of(self.actors, self.edges))
-        edges = self.edges.values()
-        outs, ins = {(e.src, e.src_port) for e in edges}, {(e.snk, e.snk_port) for e in edges}
-        if (list(self.actors) == [a.name for a in self.actors.values()]
-                and len(outs) == len(ins) == len(edges)
-                and list(self.edges) == [e.key() for e in edges]
-                and self.actors.keys().isdisjoint([e.signature for e in edges])):
-            return  # every key, port and name checked at once; the scans below name a fault
-        for key, a in self.actors.items():
+        actors, ins, outs, bound = self.actors, {}, {}, set()
+        for key, a in actors.items():
             if key != a.name:
                 raise ModelError(f"actor table key {key!r} does not match actor {a.name!r}")
-        bound = set()
         for key, e in self.edges.items():
             if key != e.key():
                 raise ModelError(f"edge table key {key} does not match edge {e.key()}")
-            if e.signature in self.actors:
+            check_edge(actors, e.src, e.snk)
+            if e.signature in actors:
                 raise ModelError(f"actor {e.signature!r} has the block name of edge {e.signature}")
-            for endpoint in ((e.src, e.src_port, "out"), (e.snk, e.snk_port, "in")):
-                if endpoint in bound:
-                    raise ModelError(
-                        f"port {endpoint[0]}.{endpoint[1]} bound to more than one edge"
-                    )
-                bound.add(endpoint)
+            for end in ((e.src, e.src_port, "out"), (e.snk, e.snk_port, "in")):
+                if end in bound:
+                    raise ModelError(f"port {end[0]}.{end[1]} bound to more than one edge")
+                bound.add(end)
+            outs.setdefault(e.src, []).append(e)
+            ins.setdefault(e.snk, []).append(e)
+        object.__setattr__(self, "ins", ins)
+        object.__setattr__(self, "outs", outs)
 
     def actor(self, name):
         try:

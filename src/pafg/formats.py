@@ -26,7 +26,7 @@ value per line, written with %.17g so float64 values round-trip exactly.
 """
 
 from .dataflow import AppGraphBuilder, DataflowEdge, F64, I64
-from .errors import ParseError, PafgError
+from .errors import ModelError, ParseError, PafgError
 from .ir import ACTV, Block, PSSV, Pafg, validate_coordinated
 
 
@@ -43,10 +43,25 @@ def _parse_value(text):
         return text
 
 
-def _format_value(value):
-    if isinstance(value, float):
+def _word(text, record, key, also=""):
+    """text, unless a line would not split back into it: it is empty, or has
+    whitespace, '#' or also, a character its place bans. The ModelError
+    names the actor or edge record and the key."""
+    if text.split() != [text] or "#" in text or also and also in text:
+        owner = (f"edge {record.signature}" if isinstance(record, DataflowEdge)
+                 else f"actor {record.name!r}")
+        raise ModelError(f"{owner}: {key} {text!r} would not read back from a graph file")
+    return text
+
+
+def _format_value(value, spec, key):
+    """value as a word that _parse_value reads back as value: no bool, and no
+    string that reads as a number, inf or nan."""
+    if type(value) in (int, float):
         return repr(value)
-    return str(value)
+    if (back := _parse_value(text := str(value))) != value:
+        raise ModelError(f"actor {spec.name!r}: {key}={value!r} would read back as {back!r}")
+    return _word(text, spec, key)
 
 
 def _parse_params(tokens, lineno):
@@ -117,14 +132,16 @@ def serialize_graph(graph):
     lines = []
     for name in sorted(graph.actors):
         spec = graph.actors[name]
-        parts = [f"actor {name} {spec.kind}"]
+        parts = [f"actor {_word(name, spec, 'name')} {_word(spec.kind, spec, 'kind')}"]
         for key in sorted(spec.params):
-            parts.append(f"{key}={_format_value(spec.params[key])}")
+            value = _format_value(spec.params[key], spec, key)
+            parts.append(f"{_word(key, spec, 'key', '=')}={value}")
         lines.append(" ".join(parts))
     for key in sorted(graph.edges):
         e = graph.edges[key]
         lines.append(
-            f"edge {e.src}.{e.src_port} -> {e.snk}.{e.snk_port} "
+            f"edge {e.src}.{_word(e.src_port, e, 'src_port', '.')} -> "
+            f"{e.snk}.{_word(e.snk_port, e, 'snk_port', '.')} "
             f"capacity={e.capacity} type={e.token_type}"
         )
     return "\n".join(lines) + "\n"

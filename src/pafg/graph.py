@@ -1,11 +1,11 @@
-"""Minimal directed-graph substrate shared by application graphs and PAFGs.
+"""A PAFG's block graph (Pafg.graph) and the edge rule of every graph.
 
-A graph is an immutable value over opaque string vertices and ordered-pair
-edges. Construction builds the pred/succ index once, as ins and outs: a
-list of in-edges and of out-edges per vertex, kept only for vertices that
-have edges, so neighbourhood queries look a vertex up instead of scanning
-every edge. It rejects self-loops and edges with an endpoint outside the
-vertex set, all at once; the first bad edge in sorted order is named.
+check_edge is the one endpoint and self-loop rule: ApplicationGraph checks
+each of its edges with it, and DirectedGraph each block connection. A
+DirectedGraph is an immutable value over opaque string vertices and
+ordered-pair edges; construction builds ins and outs, its list of in- and
+out-edges per vertex that has any, and rejects a bad edge, naming the
+first in sorted order.
 """
 
 from dataclasses import dataclass

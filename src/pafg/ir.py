@@ -77,7 +77,7 @@ class Pafg:
     source: object  # ApplicationGraph
 
     def __post_init__(self):
-        actors, edges, index = self.source.actors, self.source.edges, self.source.graph
+        actors, edges = self.source.actors, self.source.edges
         for name, b in self.blocks.items():
             if b.name != name:
                 raise IrError(f"block table key {name!r} does not match block {b.name!r}")
@@ -93,7 +93,7 @@ class Pafg:
         object.__setattr__(self, "edges", block_edges(self.blocks, self.source))
         object.__setattr__(self, "graph", DirectedGraph.of(self.blocks, self.edges))
         for name, b in self.blocks.items():
-            if not b.is_simple and b.capacity is not None and _is_interface(index, name):
+            if not b.is_simple and b.capacity is not None and _is_interface(self.source, name):
                 raise IrError(f"passive interface block {name!r} is not supported")
         coordination = {n: ACTV if b.capacity is None else PSSV for n, b in self.blocks.items()}
         object.__setattr__(self, "coordination", coordination)
@@ -119,11 +119,10 @@ def check_abc(z):
     return not any(coord[src] == PSSV and coord[snk] == PSSV for src, snk in z.edges)
 
 
-def _is_interface(graph, name):
-    """The interface rule: actor name has no in-edge or no out-edge in graph,
-    its application graph's index, so its block has no block connection in
-    or none out."""
-    return name not in graph.ins or name not in graph.outs
+def _is_interface(app_graph, name):
+    """The interface rule: actor name has no in-edge or no out-edge in
+    app_graph's index, so its block has no block connection in or none out."""
+    return name not in app_graph.ins or name not in app_graph.outs
 
 
 def block_edges(blocks, app_graph):

@@ -66,7 +66,7 @@ class ExecutionInstance:
 
     def __init__(self, z, actors, kernels, stations):
         self.actors = actors
-        self.order = data_order(z.source.graph, actors)
+        self.order = data_order(z.source, actors)
         self.kernels = kernels
         self.stations = stations
         self.bmr_bytes = compute_bmr(z).total_bytes
@@ -176,13 +176,13 @@ class ExecutionInstance:
         return sum(k.stores for k in self.kernels.values())
 
 
-def data_order(graph, blocks):
-    """The vertices of graph in blocks, in reverse postorder of a depth-first
-    search from each vertex and to each successor in name order: O(V + E)
-    apart from sorting each vertex's successors when the search expands it,
-    deterministic also on a cycle, and topological on an acyclic graph."""
-    outs, seen, finished = graph.outs, set(), []
-    stack = sorted(graph.vertices, reverse=True)
+def data_order(app_graph, blocks):
+    """The actors of app_graph in blocks, in reverse postorder of a depth-
+    first search from each actor and to each out-edge's sink in name order:
+    O(V + E) apart from sorting an actor's successors when the search
+    expands it, deterministic also on a cycle, topological if acyclic."""
+    outs, seen, finished = app_graph.outs, set(), []
+    stack = sorted(app_graph.actors, reverse=True)
     while stack:
         v = stack.pop()
         if isinstance(v, tuple):  # popped once every successor of v is done
@@ -191,7 +191,7 @@ def data_order(graph, blocks):
             seen.add(v)
             stack.append((v,))  # then its successors, the first by name on top
             if v in outs:
-                stack += sorted([w for _, w in outs[v]], reverse=True)
+                stack += sorted([e.snk for e in outs[v]], reverse=True)
     return [v for v in reversed(finished) if v in blocks]
 
 

@@ -66,15 +66,15 @@ def _candidate(z, lib, name, table):
         return NotACandidateError(f"block {name!r} is not active")
     if block.is_simple or not lib.is_buffer_actor(block.kind):
         return NotACandidateError(f"block {name!r} is not a non-simple buffer block")
-    g, edges = z.source.graph, z.source.edges
+    g = z.source
     if _is_interface(g, name):
         return NotACandidateError(f"block {name!r} is an interface block")
-    keys = g.ins[name] + g.outs[name]
-    lost = [a if b == name else b for a, b in keys if edges[a, b].signature not in table]
+    own = g.ins[name] + g.outs[name]
+    lost = [e.src if e.snk == name else e.snk for e in own if e.signature not in table]
     if lost:
         return NotACandidateError(
             f"neighbor {min(lost)!r} of {name!r} is not a simple passive buffer")
-    return PassivizationCandidate(name, frozenset(edges[k].signature for k in keys))
+    return PassivizationCandidate(name, frozenset(e.signature for e in own))
 
 
 def find_candidates(z, lib):
@@ -116,14 +116,14 @@ def _burst_bound(z, lib, name):
     m times the burst, each over every rate table its actor can fire under.
     The rates come from the block's application edges, which its simple
     buffers stand for, each checked by lib.check_ports on the way."""
-    actors, edges, g = z.source.actors, z.source.edges, z.source.graph
+    g, actors = z.source, z.source.actors
     stride = len(lib.declare(actors[name]).input_ports)
     bursts = [1]
-    for key in g.ins.get(name, ()):
-        lib.check_ports(e := edges[key], actors)
+    for e in g.ins.get(name, ()):
+        lib.check_ports(e, actors)
         bursts += [stride * t[1].get(e.src_port, 0) for t in lib.declare(actors[e.src]).rate_tables]
-    for key in g.outs.get(name, ()):
-        lib.check_ports(e := edges[key], actors)
+    for e in g.outs.get(name, ()):
+        lib.check_ports(e, actors)
         bursts += [t[0].get(e.snk_port, 0) for t in lib.declare(actors[e.snk]).rate_tables]
     return max(bursts)
 
@@ -149,7 +149,7 @@ def passivize_fixpoint(z, lib, blocks=None):
     an edge of the block that lib.check_ports refuses."""
     if not is_alternating(z):
         raise TransformError("passivization is defined on alternating PAFGs only")
-    ins, outs, edges = z.source.graph.ins, z.source.graph.outs, z.source.edges
+    ins, outs = z.source.ins, z.source.outs
     table = dict(z.blocks)
     log = []
     for name in sorted(z.source.actors) if blocks is None else blocks:
@@ -158,13 +158,14 @@ def passivize_fixpoint(z, lib, blocks=None):
             if blocks is None:
                 continue
             raise cand
-        summed = sum(edges[k].capacity for k in ins[name])
+        summed = sum(e.capacity for e in ins[name])
         capacity = max(summed, _burst_bound(z, lib, name))
         table[name] = Block(table[name].provenance, capacity)  # now passive
         for x in cand.removed:
             del table[x]
         raised = None if capacity == summed else (summed, capacity)
-        log.append(TransformStep(name, sorted(cand.removed), sorted(ins[name] + outs[name]), raised))
+        added = sorted(e.key() for e in ins[name] + outs[name])
+        log.append(TransformStep(name, sorted(cand.removed), added, raised))
     return Pafg(table, z.source), log
 
 
@@ -198,7 +199,7 @@ def estimate_copy_count(z, produced_per_block):
     total = 0
     missing = []
     for name in z.blocks:
-        if z.coordination[name] != ACTV or name not in z.source.graph.outs:
+        if z.coordination[name] != ACTV or name not in z.source.outs:
             continue  # passive, or nothing downstream to store into
         if name not in produced_per_block:
             missing.append(name)

@@ -25,7 +25,13 @@ from pafg.dataflow import (
     DataflowEdge,
     Declaration,
 )
-from pafg.errors import DuplicateEdgeError, ModelError, UnknownKindError, UnknownVertexError
+from pafg.errors import (
+    DuplicateEdgeError,
+    ModelError,
+    SelfLoopError,
+    UnknownKindError,
+    UnknownVertexError,
+)
 from pafg.formats import parse_pafg, serialize_pafg
 from pafg.ir import validate_coordinated
 from pafg.runtime import instantiate
@@ -360,6 +366,66 @@ def test_actor_table_key_must_match_its_actor():
         ApplicationGraph(actors, edges)
 
 
+def edge(src, snk):
+    return DataflowEdge(src, "out", snk, "in", 4)
+
+
+def tables(names, *edges):
+    """An actor and an edge table built by hand, so the builder checks none
+    of them: a gain per name, each edge keyed by its own pair."""
+    return {n: ActorSpec(n, "gain") for n in names}, {e.key(): e for e in edges}
+
+
+# each fault alone, with the class and text ApplicationGraph refuses it with
+FAULTS = {
+    "dangling-edge": (tables("AB", edge("A", "C")),
+                      UnknownVertexError, r"^unknown vertex 'C' in edge \('A', 'C'\)$"),
+    "self-loop": (tables("AB", edge("A", "A")), SelfLoopError, r"^self-loop on 'A'$"),
+    "actor-named-like-an-edge": (
+        tables(["A", "B", "A.out->B.in"], edge("A", "B")),
+        ModelError, r"^actor 'A.out->B.in' has the block name of edge A.out->B.in$"),
+    "out-port-bound-twice": (tables("ABC", edge("A", "B"), edge("A", "C")),
+                             ModelError, r"^port A.out bound to more than one edge$"),
+    "in-port-bound-twice": (tables("ABC", edge("A", "C"), edge("B", "C")),
+                            ModelError, r"^port C.in bound to more than one edge$"),
+    "actor-key": (({"X": ActorSpec("A", "gain")}, {}),
+                  ModelError, r"^actor table key 'X' does not match actor 'A'$"),
+    "edge-key": (({"A": ActorSpec("A", "gain"), "B": ActorSpec("B", "gain")},
+                  {("B", "A"): edge("A", "B")}),
+                 ModelError, r"^edge table key \('B', 'A'\) does not match edge \('A', 'B'\)$"),
+}
+
+
+@pytest.mark.parametrize("case", FAULTS)
+def test_application_graph_refuses_each_fault_alone(case):
+    (actors, edges), cls, text = FAULTS[case]
+    with pytest.raises(cls, match=text) as caught:
+        ApplicationGraph(actors, edges)
+    assert type(caught.value) is cls
+
+
+def test_application_graph_names_the_first_fault_in_table_order():
+    # one pass per table, actors then edges: the first fault met is named
+    # whatever its kind, and an edge's endpoints are checked before its ports
+    actors, _ = tables("AB")
+    loop, dangling = edge("A", "A"), edge("B", "Z")
+    with pytest.raises(SelfLoopError):
+        ApplicationGraph(actors, {e.key(): e for e in (loop, dangling)})
+    with pytest.raises(UnknownVertexError, match="'Z'"):
+        ApplicationGraph(actors, {e.key(): e for e in (dangling, loop)})
+    misnamed = {"X": ActorSpec("A", "gain"), "B": ActorSpec("B", "gain")}
+    with pytest.raises(ModelError, match="^actor table key 'X'"):
+        ApplicationGraph(misnamed, {dangling.key(): dangling})
+    signed, edges = tables([*"ABCDE", "A.out->B.in"],
+                           edge("A", "B"), edge("C", "D"), edge("C", "E"))
+    with pytest.raises(ModelError, match="has the block name"):
+        ApplicationGraph(signed, edges)
+    with pytest.raises(ModelError, match="^port C.out bound to more than one edge"):
+        ApplicationGraph(signed, dict(reversed(edges.items())))
+    with pytest.raises(ModelError, match="^edge table key"):
+        ApplicationGraph(actors, {("A", "B"): loop, dangling.key(): dangling})
+
+
 def test_builder_rejects_double_port_binding():
     b = (
         AppGraphBuilder()
@@ -385,7 +451,8 @@ def test_builder_rejects_bad_capacity():
     with pytest.raises(DuplicateEdgeError):
         b.edge("A.out", "B.in", capacity=2)
     g = b.build()
-    assert g.edge("A", "B").capacity == 1 and g.graph.edges == {("A", "B")}
+    e = g.edge("A", "B")
+    assert e.capacity == 1 and g.outs == {"A": [e]} and g.ins == {"B": [e]}
 
 
 def test_builder_rejects_bad_endpoint():

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -13,8 +14,8 @@ from pafg.apps import (
     fork_cascade_source_data,
     generate_evm_inputs,
 )
-from pafg.dataflow import ActorLibrary, AppGraphBuilder
-from pafg.errors import PafgError, ParseError
+from pafg.dataflow import ActorLibrary, ActorSpec, AppGraphBuilder, ApplicationGraph, DataflowEdge
+from pafg.errors import ModelError, PafgError, ParseError
 from pafg.formats import (
     _parse_value,
     format_sample,
@@ -72,6 +73,58 @@ def test_random_graph_round_trips(lib):
             parsed = parse_pafg(text, lib=lib)
             assert parsed == z
             assert serialize_pafg(parsed) == text
+
+
+# actor G's parameters that serialize_graph refuses, and the words of its
+# message: each would read back as another value, or split its line. A
+# string k="2" is refused by derive_direct_pafg, so it must not be written
+# as k=2, which reads back as an int that derive accepts
+UNWRITABLE_PARAMS = {
+    "string-int": ({"k": "2"}, "k='2' would read back as 2"),
+    "string-float": ({"k": "-0.5"}, "k='-0.5' would read back as -0.5"),
+    "string-inf": ({"k": "inf"}, "k='inf' would read back as inf"),
+    "string-nan": ({"k": "NaN"}, "k='NaN' would read back as nan"),
+    "bool": ({"k": True}, "k=True would read back as 'True'"),
+    "space": ({"type": "f64 "}, "type 'f64 ' would not read back"),
+    "inner-space": ({"k": "a b"}, "k 'a b' would not read back"),
+    "hash": ({"k": "x#y"}, "k 'x#y' would not read back"),
+    "empty": ({"k": ""}, "k '' would not read back"),
+    "key-with-equals": ({"a=b": 1.0}, "key 'a=b' would not read back"),
+    "key-with-space": ({"a b": 1.0}, "key 'a b' would not read back"),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_PARAMS)
+def test_serialize_refuses_a_value_that_would_not_read_back(case):
+    params, message = UNWRITABLE_PARAMS[case]
+    g = AppGraphBuilder().actor("G", "gain", params).build()
+    for serialize, z in ((serialize_graph, g), (serialize_pafg, unchecked_direct_pafg(g))):
+        with pytest.raises(ModelError, match=f"^actor 'G': {re.escape(message)}"):
+            serialize(z)
+
+
+def test_serialize_refuses_a_name_or_port_that_would_not_read_back():
+    for name, kind, message in (("A B", "src", "actor 'A B': name 'A B'"),
+                                ("A#", "src", "actor 'A#': name 'A#'"),
+                                ("A", "my kind", "actor 'A': kind 'my kind'")):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)} would not read back"):
+            serialize_graph(AppGraphBuilder().actor(name, kind).build())
+    for src_port, snk_port, message in (("o ut", "in", "src_port 'o ut'"),
+                                        ("out", "i.n", "snk_port 'i.n'"),
+                                        ("out", "", "snk_port ''")):
+        e = DataflowEdge("A", src_port, "B", snk_port, 4)
+        g = ApplicationGraph({n: ActorSpec(n, "gain") for n in "AB"}, {e.key(): e})
+        owner = re.escape(f"edge {e.signature}: {message}")
+        with pytest.raises(ModelError, match=f"^{owner} would not read back"):
+            serialize_graph(g)
+
+
+@pytest.mark.parametrize("value", ["abc", "i64", "1e", 0, -7, 10**30, 0.1, -0.0, 1e300,
+                                   float("inf"), float("-inf"), float("nan")])
+def test_a_written_value_reads_back_as_itself(value):
+    g = AppGraphBuilder().actor("G", "gain", k=value).build()
+    (word,) = [w[2:] for w in serialize_graph(g).split() if w.startswith("k=")]
+    assert repr(_parse_value(word)) == repr(value)
 
 
 def test_pafg_round_trip_direct(lib):

@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import pytest
 
+from graphgen import corpus
+from pafg.apps import build_evm_graph, generate_evm_inputs
 from pafg.dataflow import AppGraphBuilder
 from pafg.errors import (
     DuplicateEdgeError,
@@ -17,14 +20,14 @@ def chain(*names):
 
 
 def test_add_vertex_from_empty():
-    g = AppGraphBuilder().actor("A", "src").build().graph
-    assert g.vertices == {"A"}
-    assert not g.edges
+    g = AppGraphBuilder().actor("A", "src").build()
+    assert list(g.actors) == ["A"]
+    assert not g.edges and not g.ins and not g.outs
 
 
 def test_add_vertex():
-    g = AppGraphBuilder().actor("A", "src").actor("B", "snk").build().graph
-    assert g.vertices == {"A", "B"}
+    g = AppGraphBuilder().actor("A", "src").actor("B", "snk").build()
+    assert list(g.actors) == ["A", "B"]
 
 
 def test_add_duplicate_vertex():
@@ -35,7 +38,9 @@ def test_add_duplicate_vertex():
 
 def test_add_edge():
     b = AppGraphBuilder().actor("A", "src").actor("B", "snk").edge("A.out", "B.in", capacity=1)
-    assert b.build().graph.edges == {("A", "B")}
+    g = b.build()
+    e = g.edges["A", "B"]
+    assert list(g.edges) == [("A", "B")] and g.outs == {"A": [e]} and g.ins == {"B": [e]}
     assert DirectedGraph.of(["A", "B"], [("A", "B")]).edges == {("A", "B")}
 
 
@@ -97,9 +102,9 @@ def test_unknown_vertex_queries():
 def test_immutability():
     b = AppGraphBuilder().actor("A", "src").actor("B", "snk").edge("A.out", "B.in", capacity=1)
     g = b.build()
-    b.actor("C", "snk")
-    assert g.graph.vertices == {"A", "B"}
-    assert set(g.actors) == {"A", "B"}
+    b.actor("C", "snk").edge("B.out", "C.in", capacity=1)
+    assert set(g.actors) == {"A", "B"} and list(g.edges) == [("A", "B")]
+    assert list(g.outs) == ["A"] and list(g.ins) == ["B"]
 
 
 def random_graph(rng, n_max=12):
@@ -124,3 +129,19 @@ def test_degree_sums_match_edge_count():
             assert g.out_edges(v) == {e for e in g.edges if e[0] == v}
             assert g.pred(v) == {src for src, snk in g.edges if snk == v}
             assert g.succ(v) == {snk for src, snk in g.edges if src == v}
+
+
+def test_application_graph_index_matches_a_scan():
+    # the degree sums for application graphs: ins and outs hold the graph's
+    # own edge records, in edge-table order, for graphgen's corpus and EVM
+    evm = build_evm_graph(generate_evm_inputs(seed=3, max_length=8, num_windows=2))
+    for g in itertools.chain(corpus(), [evm]):
+        records = list(g.edges.values())
+        for index, end in ((g.ins, "snk"), (g.outs, "src")):
+            scan = {}
+            for e in records:
+                scan.setdefault(getattr(e, end), []).append(e)
+            assert list(index) == list(scan) and index.keys() <= g.actors.keys()
+            for v, es in index.items():
+                assert len(es) == len(scan[v]) and all(a is b for a, b in zip(es, scan[v]))
+            assert sum(map(len, index.values())) == len(g.edges)

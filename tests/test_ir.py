@@ -87,9 +87,10 @@ def test_single_block_pafg_satisfies_abc(lib):
 
 def test_interface_blocks():
     g = chain_graph()
-    assert _is_interface(g.graph, "A")  # no inputs
-    assert not _is_interface(g.graph, "B")
-    assert _is_interface(AppGraphBuilder().actor("A", "src").build().graph, "A")  # isolated
+    assert _is_interface(g, "A")  # no inputs
+    assert not _is_interface(g, "B")
+    assert _is_interface(g, "C")  # no outputs
+    assert _is_interface(AppGraphBuilder().actor("A", "src").build(), "A")  # isolated
 
 
 def block_graph_interface(z, name):
@@ -107,7 +108,7 @@ def test_interface_rule_matches_the_block_graph(lib):
         direct = derive_direct_pafg(g, lib)
         for z in (direct, passivize_fixpoint(direct, lib)[0]):
             for name in g.actors:
-                rule = _is_interface(g.graph, name)
+                rule = _is_interface(g, name)
                 assert rule == block_graph_interface(z, name), (sorted(g.actors), name)
                 seen[rule, z.coordination[name]] += 1
     assert seen[True, ACTV] and seen[False, ACTV] and seen[False, PSSV]

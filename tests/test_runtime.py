@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from graphgen import build_random_app_graph, corpus
+from graphgen import CORPUS, build_random_app_graph, corpus
 from kahn_reference import COMPLETE, kahn_streams, kahn_verdicts
 from pafg.apps import (
     EvmConfig,
@@ -19,7 +19,7 @@ from pafg.apps import (
     generate_evm_inputs,
 )
 from pafg.actors import SinkActor, default_library
-from pafg.dataflow import ActorLibrary, AppGraphBuilder, CfdfActor
+from pafg.dataflow import ActorLibrary, AppGraphBuilder, ApplicationGraph, CfdfActor
 from pafg.errors import (
     ContractViolationError,
     DeadlockError,
@@ -28,7 +28,6 @@ from pafg.errors import (
     RuntimeExecutionError,
     UnboundIoError,
 )
-from pafg.graph import DirectedGraph
 from pafg.ir import PSSV, Block, Pafg
 from pafg.runtime import compare_streams, data_order, instantiate
 from pafg.transform import (
@@ -441,21 +440,21 @@ def test_data_order_of_a_cycle_is_deterministic(lib):
     z = derive_direct_pafg(g, lib)
     assert instantiate(z, lib, {"SRC": [1.0]}).order == ["SRC", "G", "IL", "SNK"]
     rng = random.Random(3)
-    vertices, edges = list(g.graph.vertices), list(g.graph.edges)
+    actors, edges = list(g.actors.items()), list(g.edges.items())
     for _ in range(10):
-        rng.shuffle(vertices)
+        rng.shuffle(actors)
         rng.shuffle(edges)
-        shuffled = DirectedGraph.of(vertices, edges)
+        shuffled = ApplicationGraph(dict(actors), dict(edges))
         assert data_order(shuffled, {"G", "IL", "SNK", "SRC"}) == ["SRC", "G", "IL", "SNK"]
         assert data_order(shuffled, {"IL", "SRC"}) == ["SRC", "IL"]
 
 
 def reference_data_order(graph, blocks):
-    """data_order as first written, the reference: every vertex's successors
+    """data_order as first written, the reference: every actor's successors
     sorted into one table before the search starts."""
-    succ = {v: sorted([w for _, w in es], reverse=True) for v, es in graph.outs.items()}
+    succ = {v: sorted([e.snk for e in es], reverse=True) for v, es in graph.outs.items()}
     seen, finished = set(), []
-    stack = sorted(graph.vertices, reverse=True)
+    stack = sorted(graph.actors, reverse=True)
     while stack:
         v = stack.pop()
         if isinstance(v, tuple):
@@ -468,16 +467,15 @@ def reference_data_order(graph, blocks):
 
 
 def test_data_order_matches_its_reference(lib):
-    # successors sorted as the search expands a vertex, against one table
+    # successors sorted as the search expands an actor, against one table
     # sorted first: graphgen's corpus and EVM, on the application graph
-    # with each form's active blocks, and on each form's block graph
+    # with each form's active blocks
     evm = build_evm_graph(generate_evm_inputs(seed=3, max_length=8, num_windows=2))
     for g in itertools.chain(corpus(), [evm]):
         direct = derive_direct_pafg(g, lib)
         for z in (direct, passivize_fixpoint(direct, lib)[0]):
             active = {n for n, c in z.coordination.items() if c != PSSV}
-            for graph, blocks in ((g.graph, active), (z.graph, z.blocks)):
-                assert data_order(graph, blocks) == reference_data_order(graph, blocks)
+            assert data_order(g, active) == reference_data_order(g, active)
 
 
 def test_one_source_list_serves_both_forms(lib):
@@ -502,12 +500,13 @@ def test_direct_vs_optimized_streams(lib):
 
 # (seed, graphs, max_actors, complete runs per form at least, modal kinds);
 # the modal set's floor is below its measured 279 direct and 283 passivized
+# the least number of complete runs in each of graphgen's CORPUS seed sets
+KAHN_FLOORS = {5: 180, 202: 55, 11: 270, 99: 275}
 KAHN_SEED_SETS = [
-    pytest.param(*case, id="-".join(map(str, case[:4])) + ("-modal" if case[4] else ""))
-    for case in [
-        (5, 200, 16, 180, False), (202, 60, 14, 55, False), (11, 300, 20, 270, False),
-        (99, 300, 20, 275, True),
-    ]
+    pytest.param(seed, graphs, max_actors, floor, modal,
+                 id=f"{seed}-{graphs}-{max_actors}-{floor}" + ("-modal" if modal else ""))
+    for seed, graphs, max_actors, modal in CORPUS
+    for floor in [KAHN_FLOORS[seed]]
 ]
 
 
