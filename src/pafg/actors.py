@@ -323,7 +323,12 @@ def _register(lib, cls, **params):
         cls.check(spec.name, *_args(spec, params))
         return typed.get(spec.params.get("type", params.get("type")), declaration)
 
-    lib.register(cls.kind, lambda s: cls(s.name, *_args(s, params)), declare=declare)
+    def make(spec):  # lib checked the parameters of a spec it declared as this kind
+        if spec.declared_by is lib and spec.kind == cls.kind and not params:
+            return cls(spec.name)
+        return cls(spec.name, *_args(spec, params))
+
+    lib.register(cls.kind, make, declare=declare)
 
 
 def _register_buffer(lib, kind, input_ports, fanout, make_op=lambda name: None, **params):
@@ -334,6 +339,8 @@ def _register_buffer(lib, kind, input_ports, fanout, make_op=lambda name: None, 
     params = {"fanout": fanout, **params}
 
     def parts(spec):
+        if spec.declared_by is lib and spec.kind == kind and len(params) == 1:
+            return spec.declaration, make_op(spec.name)  # lib checked its fanout
         n, *values = _args(spec, params)
         if not is_capacity(n):  # before the lookup: True and 2.0 hash like 1 and 2
             raise ModelError(f"{spec.name}: {kind} fanout {n!r} is not an int >= 1")

@@ -14,18 +14,21 @@ actor's kind or simple. It is pssv iff it has a capacity, as a simple block
 has its edge's. Every actor has a block, and the bedge lines list exactly
 the connections the PAFG derives from its blocks (ir.block_edges), once.
 
-A value is an int if int() reads it, else a float if float() does, else a
-string. An edge or a block takes no key but those above. Every file is read
-against a library as each line is read, so the first faulty line is the
-one reported: an actor line must declare a registered kind with parameters
-it accepts, an edge line join declared ports with the token type its
-source's kind fixes, if any; and a PAFG's blocks meet validate_coordinated.
+An actor parameter or a capacity is an int if int() reads it, else a float
+if float() does, else a string; every other value (type=, kind=, coord=,
+from=) is a word. An edge or a block takes no key but those above. Every
+file is read in one pass, each actor and edge line checked against a
+library as it is read, so the first faulty actor, edge or unknown line is
+the one reported: an actor line must declare a registered kind with
+parameters it accepts, an edge line join declared ports with the token type
+its source's kind fixes, if any. A PAFG's block and bedge lines are read
+once its graph is, and its blocks must meet validate_coordinated.
 
 Blank lines and '#' comments are ignored. Sample files carry one decimal
 value per line, written with %.17g so float64 values round-trip exactly.
 """
 
-from .dataflow import AppGraphBuilder, DataflowEdge, F64, I64
+from .dataflow import AppGraphBuilder, ApplicationGraph, DataflowEdge, F64, I64, TOKEN_TYPES
 from .errors import ModelError, ParseError, PafgError
 from .ir import ACTV, Block, PSSV, Pafg, validate_coordinated
 
@@ -33,10 +36,11 @@ from .ir import ACTV, Block, PSSV, Pafg, validate_coordinated
 def _parse_value(text):
     if text[:1].isalpha() and text.strip().lower() not in ("inf", "infinity", "nan"):
         return text  # the only words float() reads that start with a letter
-    try:
-        return int(text)
-    except ValueError:
-        pass
+    if "." not in text and "e" not in text and "E" not in text:  # none of which int() reads
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
         return float(text)
     except ValueError:
@@ -64,68 +68,73 @@ def _format_value(value, spec, key):
     return _word(text, spec, key)
 
 
-def _parse_params(tokens, lineno):
+_KEYS = {"edge": frozenset(("capacity", "type")),
+         "block": frozenset(("kind", "coord", "from", "capacity"))}
+
+
+def _parse_params(words, lineno, owner=None):
+    """The key=value words of a line by key: an actor's values as
+    _parse_value reads them, an edge's or a block's (owner) as words, of
+    the keys the owner takes."""
     params = {}
-    for tok in tokens:
-        key, sep, raw = tok.partition("=")
+    for word in words:
+        key, sep, value = word.partition("=")
         if not sep or not key:
-            raise ParseError(f"expected key=value, got {tok!r}", line=lineno)
+            raise ParseError(f"expected key=value, got {word!r}", line=lineno)
         if key in params:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
-        params[key] = _parse_value(raw)
+        params[key] = value if owner else _parse_value(value)
+    if owner and not params.keys() <= _KEYS[owner]:
+        raise ParseError(f"unknown {owner} key {min(params.keys() - _KEYS[owner])!r}", line=lineno)
     return params
 
 
-def _scan(text, allowed):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = (raw[:raw.index("#")] if "#" in raw else raw).split()
-        if not tokens:
-            continue
-        directive = tokens[0]
-        if directive not in allowed:
-            raise ParseError(f"unknown directive {directive!r}", line=lineno)
-        yield lineno, directive, tokens[1:]
-
-
-def _build_app_graph(records, lib):
-    """The application graph of the actor and edge records. Each actor line
-    is declared, and each edge's two ports and its source's token type are
-    checked against its actors' declarations, as the line is read, so a
-    fault is reported at the first line that has one."""
-    builder = AppGraphBuilder()
+def _read(text, lib, later=None):
+    """The application graph of text's actor and edge lines, each built and
+    checked against lib as it is read (lib.declare, lib.check_ports), so the
+    first faulty line is the one reported. The words of each block and bedge
+    line go to later, if given, by line number; any other line is a fault."""
+    builder, lineno = AppGraphBuilder(), 0
+    actors, edges = builder.actors, builder.edges  # in line order
     try:
-        for lineno, directive, rest in records:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            words = (raw[:raw.index("#")] if "#" in raw else raw).split()
+            if not words:
+                continue
+            directive = words[0]
             if directive == "actor":
-                if len(rest) < 2:
+                if len(words) < 3:
                     raise ParseError("actor needs a name and a kind", line=lineno)
-                builder.actor(rest[0], rest[1], _parse_params(rest[2:], lineno))
-                lib.declare(builder.actors[rest[0]])
+                builder.actor(words[1], words[2], _parse_params(words[3:], lineno))
+                lib.declare(actors[words[1]])
             elif directive == "edge":
-                if len(rest) < 4 or rest[1] != "->":
-                    raise ParseError(
-                        "edge needs the form: edge <src>.<port> -> <dst>.<port> capacity=<int>",
-                        line=lineno,
-                    )
-                params = _parse_params(rest[3:], lineno)
-                unknown = params.keys() - {"capacity", "type"}
-                if unknown:
-                    raise ParseError(f"unknown edge key {min(unknown)!r}", line=lineno)
+                if len(words) < 5 or words[2] != "->":
+                    raise ParseError("edge needs the form: edge <src>.<port> -> <dst>.<port> "
+                                     "capacity=<int>", line=lineno)
+                params = _parse_params(words[4:], lineno, "edge")
                 if "capacity" not in params:
                     raise ParseError("edge needs capacity=<int>", line=lineno)
-                builder.edge(rest[0], rest[2], params["capacity"], params.get("type", F64))
-                lib.check_ports(next(reversed(builder.edges.values())), builder.actors)
+                token_type = params.get("type", F64)
+                if token_type not in TOKEN_TYPES:  # refused, with the value it reads as
+                    token_type = _parse_value(token_type)
+                builder.edge(words[1], words[3], _parse_value(params["capacity"]), token_type)
+                lib.check_ports(next(reversed(edges.values())), actors)
+            elif later is not None and directive in ("block", "bedge"):
+                later[lineno] = words
+            else:
+                raise ParseError(f"unknown directive {directive!r}", line=lineno)
     except ParseError:
         raise
     except PafgError as exc:  # a fault of the current line
         raise ParseError(str(exc), line=lineno) from exc
     try:
-        return builder.build()
+        return ApplicationGraph(actors, edges)
     except PafgError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def parse_graph(text, lib):
-    return _build_app_graph(_scan(text, ("actor", "edge")), lib)
+    return _read(text, lib)
 
 
 def serialize_graph(graph):
@@ -148,25 +157,20 @@ def serialize_graph(graph):
 
 
 def parse_pafg(text, lib):
-    records = list(_scan(text, ("actor", "edge", "block", "bedge")))
-    app_graph = _build_app_graph(records, lib)
-
-    origins = {}  # from= value -> (its record, the kind= word of its block line)
-    for record in (*app_graph.actors.values(), *app_graph.edges.values()):
-        kind, origin = _block_words(record)
-        origins[origin] = record, kind
+    later = {}  # the words of each block and bedge line, by line number
+    app_graph = _read(text, lib, later)
     blocks = {}
     bedges = {}  # (a, b) -> line
-    for lineno, directive, rest in records:
-        if directive == "block":
-            _parse_block(rest, lineno, origins, blocks)
-        elif directive == "bedge":
-            if len(rest) != 3 or rest[1] != "->":
-                raise ParseError("bedge needs the form: bedge <a> -> <b>", line=lineno)
-            a, b = rest[0], rest[2]
-            if (a, b) in bedges:
-                raise ParseError(f"duplicate bedge {a} -> {b}", line=lineno)
-            bedges[a, b] = lineno
+    by_signature = {e.signature: e for e in app_graph.edges.values()}
+    for lineno, words in later.items():
+        if words[0] == "block":
+            _parse_block(words, lineno, app_graph.actors, by_signature, blocks)
+            continue
+        if len(words) != 4 or words[2] != "->":
+            raise ParseError("bedge needs the form: bedge <a> -> <b>", line=lineno)
+        if (words[1], words[3]) in bedges:
+            raise ParseError(f"duplicate bedge {words[1]} -> {words[3]}", line=lineno)
+        bedges[words[1], words[3]] = lineno
     try:
         z = Pafg(blocks, app_graph)
         validate_coordinated(z, lib)
@@ -182,49 +186,42 @@ def parse_pafg(text, lib):
     raise ParseError(f"missing bedge {a} -> {b}")
 
 
-def _block_words(record):
-    """The kind= and from= words of the block line for an actor or edge."""
-    if isinstance(record, DataflowEdge):
-        return "simple", f"edge:{record.signature}"
-    return record.kind, f"actor:{record.name}"
-
-
-def _parse_block(rest, lineno, origins, blocks):
-    """One block line, read by the rule serialize_pafg writes it with
-    (_block_words); the block's name must be its record's name, and it is
+def _parse_block(words, lineno, actors, by_signature, blocks):
+    """One block line, read by the rule serialize_pafg writes it with: from=
+    is actor:<name of an actor> or edge:<signature of an edge>, kind= that
+    actor's kind or simple, the block's name its record's name, and it is
     pssv iff it has a capacity."""
-    if not rest:
+    if len(words) < 2:
         raise ParseError("block needs a name", line=lineno)
-    name = rest[0]
+    name = words[1]
     if name in blocks:
         raise ParseError(f"duplicate block {name!r}", line=lineno)
-    params = _parse_params(rest[1:], lineno)
-    unknown = params.keys() - {"kind", "coord", "from", "capacity"}
-    if unknown:
-        raise ParseError(f"unknown block key {min(unknown)!r}", line=lineno)
+    params = _parse_params(words[2:], lineno, "block")
     for required in ("kind", "coord", "from"):
         if required not in params:
             raise ParseError(f"block needs {required}=...", line=lineno)
-    coord = params["coord"]
+    coord, origin, capacity = params["coord"], params["from"], params.get("capacity")
     if coord not in (PSSV, ACTV):
         raise ParseError(f"coord={coord!r} is neither {ACTV} nor {PSSV}", line=lineno)
-    origin = params["from"]
-    if origin not in origins:
+    scheme, _, ref = origin.partition(":")
+    if scheme == "actor" and ref in actors:
+        provenance, kind = actors[ref], actors[ref].kind
+    elif scheme == "edge" and ref in by_signature:
+        provenance, kind = by_signature[ref], "simple"
+    else:
         raise ParseError(f"from={origin!r} names no actor or edge of the graph", line=lineno)
-    provenance, kind = origins[origin]
     if params["kind"] != kind:
-        raise ParseError(
-            f"kind={params['kind']!r} disagrees with {origin}, whose kind is {kind!r}", line=lineno
-        )
+        raise ParseError(f"kind={params['kind']!r} disagrees with {origin}, whose kind is "
+                         f"{kind!r}", line=lineno)
     if kind == "simple":
         if coord == ACTV:
             raise ParseError(f"simple block {name!r} must be coordinated {PSSV}", line=lineno)
-    elif coord == PSSV and "capacity" not in params:
+    elif coord == PSSV and capacity is None:
         raise ParseError("passive block needs capacity=<int>", line=lineno)
-    elif coord == ACTV and "capacity" in params:
+    elif coord == ACTV and capacity is not None:
         raise ParseError("active block takes no capacity=<int>", line=lineno)
     try:
-        block = Block(provenance, params.get("capacity"))
+        block = Block(provenance, None if capacity is None else _parse_value(capacity))
     except PafgError as exc:  # a capacity the block rejects
         raise ParseError(str(exc), line=lineno) from exc
     if block.name != name:
@@ -238,12 +235,10 @@ def _parse_block(rest, lineno, origins, blocks):
 def serialize_pafg(z):
     lines = [serialize_graph(z.source).rstrip("\n")]
     for name in sorted(z.blocks):
-        b = z.blocks[name]
-        kind, origin = _block_words(b.provenance)
-        parts = [f"block {name} kind={kind} coord={z.coordination[name]} from={origin}"]
-        if b.capacity is not None:
-            parts.append(f"capacity={b.capacity}")
-        lines.append(" ".join(parts))
+        b = z.blocks[name]  # named after its actor or its edge's signature
+        kind, origin = ("simple", "edge") if b.is_simple else (b.kind, "actor")
+        line = f"block {name} kind={kind} coord={z.coordination[name]} from={origin}:{name}"
+        lines.append(line if b.capacity is None else f"{line} capacity={b.capacity}")
     for src, snk in sorted(z.edges):
         lines.append(f"bedge {src} -> {snk}")
     return "\n".join(lines) + "\n"

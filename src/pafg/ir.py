@@ -77,25 +77,26 @@ class Pafg:
     source: object  # ApplicationGraph
 
     def __post_init__(self):
-        actors, edges = self.source.actors, self.source.edges
+        source, coordination, interface = self.source, {}, None
         for name, b in self.blocks.items():
             if b.name != name:
                 raise IrError(f"block table key {name!r} does not match block {b.name!r}")
             p = b.provenance
-            own = edges.get((p.src, p.snk)) if b.is_simple else actors.get(name)
+            own = source.edges.get((p.src, p.snk)) if b.is_simple else source.actors.get(name)
             if own is not p and own != p:
                 raise DanglingProvenanceError(
                     f"block {name!r}: provenance is not its application graph's own record"
                 )
-        if not actors.keys() <= self.blocks.keys():
-            name = next(n for n in actors if n not in self.blocks)
+            coordination[name] = ACTV if b.capacity is None else PSSV
+            if b.capacity is not None and not b.is_simple and _is_interface(source, name):
+                interface = interface or name  # the first passive interface block, refused below
+        if not source.actors.keys() <= self.blocks.keys():
+            name = next(n for n in source.actors if n not in self.blocks)
             raise IrError(f"actor {name!r} has no block")
-        object.__setattr__(self, "edges", block_edges(self.blocks, self.source))
+        object.__setattr__(self, "edges", block_edges(self.blocks, source))
         object.__setattr__(self, "graph", DirectedGraph.of(self.blocks, self.edges))
-        for name, b in self.blocks.items():
-            if not b.is_simple and b.capacity is not None and _is_interface(self.source, name):
-                raise IrError(f"passive interface block {name!r} is not supported")
-        coordination = {n: ACTV if b.capacity is None else PSSV for n, b in self.blocks.items()}
+        if interface is not None:
+            raise IrError(f"passive interface block {interface!r} is not supported")
         object.__setattr__(self, "coordination", coordination)
 
     @property

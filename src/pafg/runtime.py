@@ -3,8 +3,8 @@
 The direct PAFG of a graph is its pure dataflow form, so one engine covers
 both the original and the transformed program: active blocks are driven
 through rates/ready/invoke, passive blocks are the buffers between them.
-instantiate builds the station table once, from the blocks and the block
-connections the PAFG derives from them: a row per active block with its
+instantiate builds the station table once, in one pass over the application
+graph's actors and their edges: a row per active block with its
 actor and, per port in name order, the kernel bound to it and the position
 of the kernel port there, resolved once, so a firing looks up no port
 name. Rows hold objects, not bound methods, so wrappers installed on them
@@ -38,7 +38,7 @@ from .errors import (
     RuntimeExecutionError,
     UnboundIoError,
 )
-from .ir import PSSV, is_alternating, validate_coordinated
+from .ir import is_alternating, validate_coordinated
 from .kernels import PassiveKernel
 from .transform import compute_bmr
 
@@ -252,70 +252,63 @@ def instantiate(z, lib, source_data):
         raise RuntimeExecutionError("only alternating PAFGs are executable")
     validate_coordinated(z, lib)
 
-    kernels = {}
-    actors = {}
-    coord = z.coordination
-    for name, block in z.blocks.items():
-        if coord[name] != PSSV:
-            actors[name] = lib.make_active(block.provenance)
-        elif block.is_simple:
-            kernels[name] = PassiveKernel(block.capacity)
-        else:
-            kernels[name] = lib.make_passive(block.provenance, block.capacity)
+    # the instance's actors, run order and BMR come first and its rings, its
+    # largest lists, last, each made when a port is first bound to it: a
+    # collection that building the instance sets off then walks few ring slots
+    blocks = z.blocks
+    actors = {n: lib.make_active(b.provenance) for n, b in blocks.items() if b.capacity is None}
+    kernels, stations = {}, {}
+    instance = ExecutionInstance(z, actors, kernels, stations)
 
-    # every PAFG is associated by construction, so each application edge
-    # runs through its surviving simple ring or, absorbed, joins its two
-    # endpoints, which alternation makes one active and one passive. Every
-    # edge joins declared ports (lib.check_ports). Every actor's block gets
-    # its bindings; a passive block's are only counted.
-    app_actors = z.source.actors
-    ins = {name: {} for name in app_actors}
-    outs = {name: {} for name in app_actors}
+    def ring(name):  # the kernel of passive block name, made when first bound
+        if name not in kernels:
+            b = blocks[name]
+            kernels[name] = (PassiveKernel(b.capacity) if b.is_simple
+                             else lib.make_passive(b.provenance, b.capacity))
+        return kernels[name]
+
+    # every PAFG is associated by construction, so an edge runs through its
+    # simple ring or, absorbed, joins an active and a passive block (by
+    # alternation). Every edge joins declared ports (lib.check_ports), so a
+    # port is unbound iff its actor has fewer edges than ports on that side.
+    app_actors, app_ins, app_outs = z.source.actors, z.source.ins, z.source.outs
     for e in z.source.edges.values():
         lib.check_ports(e, app_actors)
-        ring = kernels.get(e.signature)
-        if ring is not None:  # a simple ring has one port on each side
-            write, read = (e.src_port, ring, 0), (e.snk_port, ring, 0)
-        elif e.snk in kernels:  # an actor's output into a ring's write port
-            ring = kernels[e.snk]
-            write, read = (e.src_port, ring, ring.write_index(e.snk_port)), None
-        else:  # a ring's read port into an actor's input
-            ring = kernels[e.src]
-            write, read = None, (e.snk_port, ring, ring.read_index(e.src_port))
-        outs[e.src][e.src_port] = write
-        ins[e.snk][e.snk_port] = read
-
-    # every bound port is declared, so a port is unbound iff a count differs
-    for name, bound_ins in ins.items():
-        in_ports, out_ports, *_ = lib.declare(app_actors[name])
-        bound_outs = outs[name]
-        if len(bound_ins) != len(in_ports) or len(bound_outs) != len(out_ports):
-            for port in in_ports:
-                if port not in bound_ins:
-                    raise RuntimeExecutionError(f"input port {name}.{port} is unbound")
-            for port in out_ports:
-                if port not in bound_outs:
-                    raise RuntimeExecutionError(f"output port {name}.{port} is unbound")
-
-    stations = {}
-    for name, actor in actors.items():
-        bound_ins, bound_outs = ins[name], outs[name]
-        if actor.is_source:
-            if name not in source_data:
-                raise UnboundIoError(f"source actor {name!r} has no bound input data")
-            actor.bind(source_data[name])
-        # a block's ports are distinct, so sorting compares port names only
+    for name, spec in app_actors.items():
+        in_ports, out_ports = lib.declare(spec)[:2]
+        in_edges, out_edges = app_ins.get(name, ()), app_outs.get(name, ())
+        if len(in_edges) != len(in_ports) or len(out_edges) != len(out_ports):
+            for side, ports, bound in (("input", in_ports, [e.snk_port for e in in_edges]),
+                                       ("output", out_ports, [e.src_port for e in out_edges])):
+                if unbound := [port for port in ports if port not in bound]:
+                    raise RuntimeExecutionError(f"{side} port {name}.{unbound[0]} is unbound")
+        actor = actors.get(name)
+        if actor is None:
+            continue
+        ins, outs = [], []
+        for e in in_edges:  # a simple ring's one port, or a ring's read port
+            simple = e.signature in blocks
+            r = ring(e.signature if simple else e.src)
+            ins.append((e.snk_port, r, 0 if simple else r.read_index(e.src_port)))
+        for e in out_edges:  # a simple ring's one port, or a ring's write port
+            simple = e.signature in blocks
+            r = ring(e.signature if simple else e.snk)
+            outs.append((e.src_port, r, 0 if simple else r.write_index(e.snk_port)))
+        ins.sort()  # a block's ports are distinct, so sorting compares port names only
+        outs.sort()
         cls = type(actor)
         stations[name] = (
-            name, actor, actor.is_sink,
-            tuple(sorted(bound_ins.values())), tuple(sorted(bound_outs.values())),
-            frozenset(bound_outs),
+            name, actor, actor.is_sink, tuple(ins), tuple(outs), frozenset(out_ports),
             cls.rates is not CfdfActor.rates, cls.ready is not CfdfActor.ready,
         )
-    unknown = set(source_data) - {n for n, a in actors.items() if a.is_source}
-    if unknown:
+    sources = {name: actor for name, actor in actors.items() if actor.is_source}
+    for name, actor in sources.items():
+        if name not in source_data:
+            raise UnboundIoError(f"source actor {name!r} has no bound input data")
+        actor.bind(source_data[name])
+    if unknown := set(source_data) - sources.keys():
         raise UnboundIoError(f"input data bound to non-source actor(s): {sorted(unknown)}")
-    return ExecutionInstance(z, actors, kernels, stations)
+    return instance
 
 
 @dataclass

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from graphgen import build_random_app_graph
+from graphgen import corpus
 from pafg.actors import default_library
 from pafg.apps import (
     ForkCascadeConfig,
@@ -63,16 +63,36 @@ def test_graph_round_trip(lib):
 
 
 def test_random_graph_round_trips(lib):
-    rng = random.Random(77)
-    for _ in range(25):
-        g, _ = build_random_app_graph(rng, max_actors=12)
-        assert parse_graph(serialize_graph(g), lib=lib) == g
+    """Every corpus graph, the EVM graph and the 150-fork cascade read back
+    as themselves, in both forms, and are written again byte for byte."""
+    evm = build_evm_graph(generate_evm_inputs(seed=1, max_length=8, num_windows=2))
+    wide = build_fork_cascade(ForkCascadeConfig(window_size=64, num_forks=150))
+    for g in (*corpus(), evm, wide):
+        text = serialize_graph(g)
+        parsed = parse_graph(text, lib=lib)
+        assert parsed == g
+        assert serialize_graph(parsed) == text
         direct = derive_direct_pafg(g, lib)
         for z in (direct, passivize_fixpoint(direct, lib)[0]):
             text = serialize_pafg(z)
             parsed = parse_pafg(text, lib=lib)
             assert parsed == z
             assert serialize_pafg(parsed) == text
+
+
+@pytest.mark.parametrize("kind", ["2", "inf", "1e3", "nan"])
+def test_a_kind_named_like_a_number_reads_back(kind):
+    """A kind= word is a word, like an actor line's kind, so a kind whose
+    name reads as a number round-trips through both formats."""
+    lib = default_library()
+    lib.register(kind, lib.entry("snk").active_factory)
+    g = AppGraphBuilder().actor("A", "src").actor("B", kind).edge("A.out", "B.in", 4).build()
+    assert parse_graph(serialize_graph(g), lib=lib) == g
+    z = derive_direct_pafg(g, lib)
+    text = serialize_pafg(z)
+    assert f"block B kind={kind} coord=actv from=actor:B" in text.splitlines()
+    assert parse_pafg(text, lib=lib) == z
+    assert serialize_pafg(parse_pafg(text, lib=lib)) == text
 
 
 # actor G's parameters that serialize_graph refuses, and the words of its
@@ -181,7 +201,7 @@ def test_port_bound_twice_is_rejected_without_a_line(lib):
     assert err.value.line is None
 
 
-@pytest.mark.parametrize(
+FIRST_FAULTS = pytest.mark.parametrize(
     "text, message",
     [
         # each line has a fault; the first in file order is the one reported
@@ -194,13 +214,27 @@ def test_port_bound_twice_is_rejected_without_a_line(lib):
         # a line's own fault comes before a fault of the whole graph
         ("actor A src\nactor B snk\nactor C snk\nedge A.out -> B.in capacity=1\n"
          "edge A.out -> C.bogus capacity=1\n", "line 5: C.bogus is not a declared port of C"),
+        ("actor A src\nactor B snk\nedge A.out -> B.in capacity=0\n\nfoo bar\n",
+         r"line 3: edge \('A', 'B'\): capacity 0 "),
     ],
     ids=["kind-before-edge-form", "port-before-edge-form", "kind-before-duplicate",
-         "duplicate-before-kind", "port-before-port-bound-twice"],
+         "duplicate-before-kind", "port-before-port-bound-twice", "capacity-before-directive"],
 )
+
+
+@FIRST_FAULTS
 def test_first_faulty_line_is_reported(lib, text, message):
     with pytest.raises(ParseError, match=f"^{message}"):
         parse_graph(text, lib=lib)
+
+
+@FIRST_FAULTS
+def test_both_parsers_report_faults_in_line_order(lib, text, message):
+    """An unknown directive after the first faulty line does not come
+    first, in a graph file or a PAFG file."""
+    for parse in (parse_graph, parse_pafg):
+        with pytest.raises(ParseError, match=f"^{message}"):
+            parse(text + "foo bar\n", lib=lib)
 
 
 @pytest.mark.parametrize("src, edge", [("type=i64", "type=f64"), ("type=i64", ""),
@@ -372,7 +406,7 @@ def test_pafg_rejects_actor_without_block(lib):
         ("block B kind=fork coord=actv from=node:B", "from='node:B'"),
         ("block B kind=fork coord=actv from=actor:NOPE", "from='actor:NOPE'"),
         ("block B kind=fork coord=actv from=edge:A.out->C.in", "from='edge:A.out->C.in'"),
-        ("block B kind=fork coord=actv from=7", "from=7"),
+        ("block B kind=fork coord=actv from=7", "from='7'"),
         ("block B kind=simple coord=actv from=actor:B", "kind='simple' disagrees"),
         ("block B kind=gain coord=actv from=actor:B", "kind='gain' disagrees"),
         ("block B kind=fork coord=pssv from=edge:A.out->B.in", "kind='fork' disagrees"),
